@@ -25,10 +25,10 @@ data = make_demo_dataset(DemoSpec(n_rows=2000, seed=0, disparity_strength=0.3))
 metadata = demo_metadata()
 train, holdout = split_holdout(data, SplitSpec(train_rows=1000, holdout_fraction=0.3, seed=0))
 
-model = fit(train, SynthesizerConfig(seed=0), metadata)
+model = fit(train, SynthesizerConfig(seed=0))
 synthetic = sample(model, 500, seed=0)
 
-report = fairness_report(synthetic, holdout, metadata, seed=0)
+report = fairness_report(synthetic, holdout, metadata)
 
 print(f"classifier degenerate (one prediction for everyone): {report.degenerate}")
 print(f"decision threshold: {report.threshold}")

@@ -4,162 +4,19 @@ Fit copula-based synthesizers to real tables, sample synthetic rows, score
 them for distributional fidelity and train-on-synthetic/test-on-real group
 fairness, combine both into a single composite score, and drive a bounded
 refinement loop until quality and parity targets are met.
+
+The top level re-exports the entry points below; everything else is imported
+from its module (``fairsynth.schema``, ``fairsynth.tstr``, ...).
 """
 
-from .copula import (
-    CategoricalMarginal,
-    CopulaModel,
-    NumericMarginal,
-    SynthesizerConfig,
-    estimate_correlation,
-    fit,
-    fit_marginal,
-    load_model,
-    nearest_psd,
-    sample,
-    save_model,
-    std_normal_cdf,
-    std_normal_quantile,
-    to_normal_scores,
-)
+from .copula import SynthesizerConfig, fit, load_model, sample, save_model
 from .demo import DemoSpec, demo_metadata, make_demo_dataset
-from .errors import FairsynthError, RuntimeFailure, ValidationFailure
-from .external import ExternalBackend, load_backends_file, run_external_backend
-from .quality import (
-    QualityReport,
-    contingency_similarity,
-    correlation_similarity,
-    ks_complement,
-    quality_report,
-    tv_complement,
-)
-from .reports import (
-    BenchResult,
-    BenchRow,
-    ReportBundle,
-    batch_evaluate,
-    bench_doc,
-    bench_table,
-    render_json,
-    summary_doc,
-    write_reports,
-)
-from .schema import (
-    ColumnKind,
-    Dataset,
-    Metadata,
-    SplitSpec,
-    TableSchema,
-    infer_schema,
-    load_dataset,
-    split_holdout,
-    validate_metadata,
-    write_csv,
-)
-from .scoring import CompositeScore, fairness_multiplier, synth_score
-from .supervisor import (
-    BalanceGroups,
-    IncreaseEpochs,
-    Resample,
-    RunConfig,
-    ShrinkCorrelation,
-    Stop,
-    SupervisorResult,
-    Targets,
-    balance_groups,
-    plan_refinement,
-    run_pipeline,
-    supervise,
-)
-from .tstr import (
-    Encoder,
-    FairnessReport,
-    LogisticModel,
-    TstrHyperparams,
-    encode,
-    fairness_report,
-    fit_encoder,
-    group_fpr,
-    max_relative_fpr,
-    predict,
-    train_logreg,
-)
+from .external import ExternalBackend
+from .quality import quality_report
+from .reports import batch_evaluate, bench_table, summary_doc, write_reports
+from .schema import Metadata, SplitSpec, load_dataset, split_holdout, write_csv
+from .scoring import synth_score
+from .supervisor import RunConfig, Targets, supervise
+from .tstr import fairness_report
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BalanceGroups",
-    "BenchResult",
-    "BenchRow",
-    "CategoricalMarginal",
-    "ColumnKind",
-    "CompositeScore",
-    "CopulaModel",
-    "Dataset",
-    "DemoSpec",
-    "Encoder",
-    "ExternalBackend",
-    "FairnessReport",
-    "FairsynthError",
-    "IncreaseEpochs",
-    "LogisticModel",
-    "Metadata",
-    "NumericMarginal",
-    "QualityReport",
-    "ReportBundle",
-    "Resample",
-    "RunConfig",
-    "RuntimeFailure",
-    "ShrinkCorrelation",
-    "SplitSpec",
-    "Stop",
-    "SupervisorResult",
-    "SynthesizerConfig",
-    "TableSchema",
-    "Targets",
-    "TstrHyperparams",
-    "ValidationFailure",
-    "balance_groups",
-    "batch_evaluate",
-    "bench_doc",
-    "bench_table",
-    "contingency_similarity",
-    "correlation_similarity",
-    "demo_metadata",
-    "encode",
-    "estimate_correlation",
-    "fairness_multiplier",
-    "fairness_report",
-    "fit",
-    "fit_encoder",
-    "fit_marginal",
-    "group_fpr",
-    "infer_schema",
-    "ks_complement",
-    "load_backends_file",
-    "load_dataset",
-    "load_model",
-    "make_demo_dataset",
-    "max_relative_fpr",
-    "nearest_psd",
-    "plan_refinement",
-    "predict",
-    "quality_report",
-    "render_json",
-    "run_external_backend",
-    "run_pipeline",
-    "sample",
-    "save_model",
-    "split_holdout",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "summary_doc",
-    "supervise",
-    "synth_score",
-    "to_normal_scores",
-    "train_logreg",
-    "tv_complement",
-    "validate_metadata",
-    "write_csv",
-    "write_reports",
-]

@@ -19,7 +19,6 @@ from .demo import DemoSpec, demo_metadata, make_demo_dataset
 from .errors import (
     AllIterationsFailed,
     FairsynthError,
-    RuntimeFailure,
     ValidationFailure,
 )
 from .external import load_backends_file
@@ -33,6 +32,7 @@ from .reports import (
     batch_evaluate,
     bench_doc,
     bench_table,
+    cell,
     failed_summary_doc,
     fairness_doc,
     quality_doc,
@@ -45,8 +45,8 @@ from .schema import (
     Dataset,
     Metadata,
     SplitSpec,
-    holdout_split,
     load_dataset,
+    load_synthetic,
     split_holdout,
     write_csv,
 )
@@ -174,9 +174,9 @@ def _check_backend(name: str, external: dict) -> None:
         raise ValidationFailure(f"unknown backend {name!r}; valid backends: {valid}")
 
 
-def _run_config(args) -> RunConfig:
+def _run_config(args, backend: str) -> RunConfig:
     return RunConfig(
-        backend=args.backend,
+        backend=backend,
         train_rows=args.train_rows,
         sample_rows=args.sample_rows,
         epochs=args.epochs,
@@ -187,18 +187,10 @@ def _run_config(args) -> RunConfig:
 
 def _print_composite(composite) -> None:
     print(
-        "synth_score %.6f (quality %.6f, max_rel_fpr %s, fairness_mult %.6f, "
-        "parity_ok %s, degenerate %s)"
-        % (
-            composite.synth_score,
-            composite.quality,
-            "undefined"
-            if composite.max_rel_fpr is None
-            else ("inf" if composite.max_rel_fpr == float("inf") else "%.6f" % composite.max_rel_fpr),
-            composite.fairness_mult,
-            "yes" if composite.parity_ok else "no",
-            "yes" if composite.degenerate else "no",
-        )
+        f"synth_score {cell(composite.synth_score)} (quality {cell(composite.quality)}, "
+        f"max_rel_fpr {cell(composite.max_rel_fpr)}, "
+        f"fairness_mult {cell(composite.fairness_mult)}, "
+        f"parity_ok {cell(composite.parity_ok)}, degenerate {cell(composite.degenerate)})"
     )
 
 
@@ -233,7 +225,7 @@ def cmd_fit(args) -> int:
         seed=args.seed,
         correlation_shrinkage=args.shrinkage,
     )
-    model = fit(train, config, metadata)
+    model = fit(train, config)
     save_model(model, args.out)
     print(f"fitted {args.backend} on {train.row_count} rows -> {args.out}")
     return 0
@@ -249,16 +241,11 @@ def cmd_sample(args) -> int:
 
 def cmd_evaluate(args) -> int:
     data, metadata = _load_inputs(args)
-    pinned = Metadata(
-        label_column=metadata.label_column,
-        positive_label=metadata.positive_label,
-        protected_attributes=metadata.protected_attributes,
-        declared_kinds={name: kind for name, kind in data.schema.columns},
-    )
-    synth = load_dataset(args.synthetic, pinned, require_binary_label=False)
-    holdout = holdout_split(data, args.holdout_fraction, args.seed)
+    synth = load_synthetic(args.synthetic, metadata, data.schema)
+    # The holdout does not depend on train_rows; one train row must remain.
+    _, holdout = split_holdout(data, SplitSpec(1, args.holdout_fraction, args.seed))
     quality = quality_report(holdout, synth, holdout.schema)
-    fairness = fairness_report(synth, holdout, metadata, seed=args.seed)
+    fairness = fairness_report(synth, holdout, metadata)
     composite = synth_score(
         quality.overall_score,
         fairness.max_rel_fpr,
@@ -295,7 +282,7 @@ def _supervised_run(args, max_refinements: int) -> int:
     external = _external_backends(args)
     _check_backend(args.backend, external)
     data, metadata = _load_inputs(args)
-    config = _run_config(args)
+    config = _run_config(args, args.backend)
     split = SplitSpec(args.train_rows, args.holdout_fraction, args.seed)
     targets = Targets(
         min_synth_score=args.min_score,
@@ -343,14 +330,7 @@ def cmd_bench(args) -> int:
     for b in backends:
         _check_backend(b, external)
     data, metadata = _load_inputs(args)
-    config = RunConfig(
-        backend=backends[0],
-        train_rows=args.train_rows,
-        sample_rows=args.sample_rows,
-        epochs=args.epochs,
-        seed=args.seed,
-        correlation_shrinkage=args.shrinkage,
-    )
+    config = _run_config(args, backends[0])
     split = SplitSpec(args.train_rows, args.holdout_fraction, args.seed)
     targets = Targets(min_synth_score=args.min_score, parity_threshold=args.parity_threshold)
     result = batch_evaluate(backends, config, targets, data, metadata, split, external)
@@ -377,17 +357,13 @@ def main(argv=None) -> int:
                 args.seed = int(raw)
             except ValueError:
                 raise ValidationFailure(f"{SEED_ENV_VAR}={raw!r} is not an integer")
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationFailure(f"seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FairsynthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FairsynthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

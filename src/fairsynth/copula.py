@@ -30,7 +30,6 @@ from .schema import (
     Column,
     ColumnKind,
     Dataset,
-    Metadata,
     NumericColumn,
     TableSchema,
 )
@@ -160,12 +159,6 @@ def fit_marginal(values, kind: ColumnKind) -> MarginalModel:
     return CategoricalMarginal(tuple(ordered), freqs, upper)
 
 
-def _column_marginal(col: Column, kind: ColumnKind) -> MarginalModel:
-    if kind is ColumnKind.NUMERIC:
-        return fit_marginal(col.decoded(), kind)
-    return fit_marginal(col.decoded().tolist(), kind)
-
-
 def to_normal_scores(values, marginal: MarginalModel, rng: np.random.Generator) -> np.ndarray:
     """Forward copula transform of raw values into standard-normal scores.
 
@@ -237,14 +230,13 @@ def nearest_psd(m: np.ndarray, eps: float = PSD_EPS) -> np.ndarray:
     return rebuilt
 
 
-def fit(train: Dataset, config: SynthesizerConfig, metadata: Metadata | None = None) -> CopulaModel:
-    """Fit a synthesizer on ``train``.
+def fit(train: Dataset, config: SynthesizerConfig) -> CopulaModel:
+    """Fit a synthesizer on ``train``; column kinds come from its schema.
 
     ``gaussian_copula`` estimates the score correlation and shrinks it toward
     the identity by ``correlation_shrinkage``; ``independent`` forces the
     identity. ``epochs`` is accepted for config parity but the fit is
-    closed-form. ``metadata`` is accepted for interface symmetry with external
-    backends; column kinds come from the dataset schema.
+    closed-form.
     """
     if train.row_count == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
@@ -252,9 +244,9 @@ def fit(train: Dataset, config: SynthesizerConfig, metadata: Metadata | None = N
         raise ValidationFailure(
             f"unknown native backend {config.backend!r}; expected one of {NATIVE_BACKENDS}"
         )
-    marginals: dict[str, MarginalModel] = {}
-    for (name, kind), col in zip(train.schema.columns, train.columns):
-        marginals[name] = _column_marginal(col, kind)
+    marginals = {
+        name: fit_marginal(train.decoded(name), kind) for name, kind in train.schema.columns
+    }
 
     names = train.schema.names
     d = len(names)
@@ -262,15 +254,9 @@ def fit(train: Dataset, config: SynthesizerConfig, metadata: Metadata | None = N
         corr = np.eye(d)
     else:
         rng = np.random.default_rng(config.seed)
-        score_cols = []
-        for (name, kind), col in zip(train.schema.columns, train.columns):
-            if kind is ColumnKind.NUMERIC:
-                score_cols.append(to_normal_scores(col.decoded(), marginals[name], rng))
-            else:
-                score_cols.append(
-                    to_normal_scores(col.decoded().tolist(), marginals[name], rng)
-                )
-        scores = np.column_stack(score_cols)
+        scores = np.column_stack(
+            [to_normal_scores(train.decoded(name), marginals[name], rng) for name in names]
+        )
         corr = estimate_correlation(scores)
         lam = config.correlation_shrinkage
         if lam > 0.0:

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BackendFailed, SchemaMismatch, Timeout, ValidationFailure
-from .schema import Dataset, Metadata, TableSchema, load_dataset
+from .schema import Dataset, Metadata, TableSchema, load_synthetic
 
 DEFAULT_TIMEOUT_SECONDS = 600
-
-PLACEHOLDERS = ("{train_csv}", "{metadata_json}", "{rows}", "{epochs}", "{seed}", "{out_csv}")
 
 
 @dataclass(frozen=True)
@@ -104,14 +102,7 @@ def run_external_backend(
     if not Path(out_csv).is_file():
         raise BackendFailed(0, f"backend {spec.name!r} exited 0 but wrote no {out_csv}")
 
-    metadata = Metadata.from_json_file(metadata_json)
-    pinned = Metadata(
-        label_column=metadata.label_column,
-        positive_label=metadata.positive_label,
-        protected_attributes=metadata.protected_attributes,
-        declared_kinds={name: kind for name, kind in expected_schema.columns},
-    )
-    synth = load_dataset(out_csv, pinned, require_binary_label=False)
+    synth = load_synthetic(out_csv, Metadata.from_json_file(metadata_json), expected_schema)
     if synth.schema != expected_schema:
         raise SchemaMismatch(
             f"backend {spec.name!r} returned columns {synth.schema.names}, "

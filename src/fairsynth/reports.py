@@ -8,8 +8,9 @@ infinite FPR ratio serializes as the string "inf" and an undefined one as
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .errors import FairsynthError, ValidationFailure
@@ -48,7 +49,7 @@ def _render(value, indent: int = 0) -> str:
             raise ValidationFailure("non-finite float reached the JSON writer")
         return "%.6f" % value
     if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -128,16 +129,7 @@ def fairness_doc(fairness: FairnessReport, composite: CompositeScore) -> dict:
 
 
 def config_doc(config: RunConfig) -> dict:
-    return {
-        "backend": config.backend,
-        "train_rows": config.train_rows,
-        "sample_rows": config.sample_rows,
-        "epochs": config.epochs,
-        "seed": config.seed,
-        "correlation_shrinkage": config.correlation_shrinkage,
-        "balance_groups": config.balance_groups,
-        "balance_attribute": config.balance_attribute,
-    }
+    return asdict(config)  # keys in field order
 
 
 def scores_doc(composite: CompositeScore) -> dict:
@@ -295,7 +287,8 @@ def bench_doc(result: BenchResult) -> dict:
     return {"config": config_doc(result.config), "rows": rows}
 
 
-def _cell(value) -> str:
+def cell(value) -> str:
+    """Plain-text form of a table value: %.6f floats, "inf", "undefined", yes/no."""
     if value is None:
         return "undefined"
     if value is True:
@@ -318,10 +311,10 @@ def bench_table(result: BenchResult) -> str:
             body.append(
                 (
                     row.backend,
-                    _cell(row.quality),
-                    _cell(row.max_rel_fpr),
-                    _cell(row.synth_score),
-                    _cell(row.degenerate),
+                    cell(row.quality),
+                    cell(row.max_rel_fpr),
+                    cell(row.synth_score),
+                    cell(row.degenerate),
                 )
             )
     widths = [max(len(r[i]) for r in [header, *body]) for i in range(len(header))]

@@ -12,7 +12,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -26,6 +26,7 @@ from .errors import (
     LabelNotBinary,
     MetadataMismatch,
     ParseError,
+    ValidationFailure,
 )
 
 #: A parseable-as-numeric column with at most this many distinct values is
@@ -140,7 +141,7 @@ class SplitSpec:
         if not (0.0 < self.holdout_fraction < 1.0):
             raise InsufficientRows("holdout_fraction must lie in (0, 1)")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValidationFailure("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -255,15 +256,6 @@ class Dataset:
         return True
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A violated metadata invariant; data, not a fault."""
-
-    kind: str
-    column: str | None
-    message: str
-
-
 def infer_schema(
     header: Sequence[str],
     rows: Sequence[Sequence[str]],
@@ -299,8 +291,8 @@ def infer_schema(
     return TableSchema(tuple(columns))
 
 
-def _read_csv(csv_path: str | Path) -> tuple[list[str], list[list[str]], list[int]]:
-    """Read an RFC-4180 CSV; returns (header, rows, per-row source line numbers)."""
+def _read_csv(csv_path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """Read an RFC-4180 CSV; returns (header, rows)."""
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -308,7 +300,6 @@ def _read_csv(csv_path: str | Path) -> tuple[list[str], list[list[str]], list[in
         except StopIteration:
             raise EmptyTable(f"{csv_path}: no header row")
         rows = []
-        lines = []
         for row in reader:
             if len(row) != len(header):
                 raise ParseError(
@@ -316,8 +307,7 @@ def _read_csv(csv_path: str | Path) -> tuple[list[str], list[list[str]], list[in
                     f"expected {len(header)} fields, found {len(row)}",
                 )
             rows.append(row)
-            lines.append(reader.line_num)
-    return header, rows, lines
+    return header, rows
 
 
 def _impute_numeric(cells: list[str], name: str) -> tuple[np.ndarray, int]:
@@ -363,7 +353,7 @@ def load_dataset(
     backend output may legitimately collapse to one class and is flagged as
     degenerate downstream instead of rejected here.
     """
-    header, rows, _ = _read_csv(csv_path)
+    header, rows = _read_csv(csv_path)
     if not rows:
         raise EmptyTable(f"{csv_path}: no data rows")
 
@@ -412,6 +402,14 @@ def load_dataset(
     return dataset
 
 
+def load_synthetic(csv_path: str | Path, metadata: Metadata, schema: TableSchema) -> Dataset:
+    """Load synthetic rows with ``schema``'s column kinds forced, so kind
+    inference cannot drift from the real table. A single-class label is
+    admitted; it is flagged as degenerate downstream."""
+    pinned = replace(metadata, declared_kinds=dict(schema.columns))
+    return load_dataset(csv_path, pinned, require_binary_label=False)
+
+
 def format_cell(value) -> str:
     """Stringify one cell for CSV output; floats use shortest round-trip form."""
     if isinstance(value, (float, np.floating)):
@@ -449,62 +447,3 @@ def split_holdout(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 def holdout_size(row_count: int, holdout_fraction: float) -> int:
     # The 1e-9 slack cancels float noise such as 10*0.3 == 3.0000000000000004.
     return math.ceil(row_count * holdout_fraction - 1e-9)
-
-
-def holdout_split(data: Dataset, holdout_fraction: float, seed: int) -> Dataset:
-    """The holdout rows alone; identical to ``split_holdout``'s second output
-    for any train_rows."""
-    n = data.row_count
-    n_holdout = holdout_size(n, holdout_fraction)
-    perm = np.random.default_rng(seed).permutation(n)
-    return data.take(perm[n - n_holdout:])
-
-
-def validate_metadata(
-    schema: TableSchema, metadata: Metadata, data: Dataset
-) -> list[Violation]:
-    """Every violated metadata invariant; empty list iff all hold."""
-    violations: list[Violation] = []
-    label = metadata.label_column
-    if label not in schema:
-        violations.append(Violation("missing_column", label, f"label column {label!r} absent"))
-    else:
-        if schema.kind_of(label) is not ColumnKind.CATEGORICAL:
-            violations.append(
-                Violation("label_not_categorical", label, f"label column {label!r} is numeric")
-            )
-        else:
-            values = set(data.decoded(label).tolist())
-            if len(values) != 2:
-                violations.append(
-                    Violation(
-                        "label_not_binary",
-                        label,
-                        f"label has {len(values)} distinct values, expected 2",
-                    )
-                )
-            elif metadata.positive_label not in values:
-                violations.append(
-                    Violation(
-                        "positive_label_absent",
-                        label,
-                        f"positive label {metadata.positive_label!r} never occurs",
-                    )
-                )
-    for attr in metadata.protected_attributes:
-        if attr not in schema:
-            violations.append(
-                Violation("missing_column", attr, f"protected attribute {attr!r} absent")
-            )
-            continue
-        if schema.kind_of(attr) is not ColumnKind.CATEGORICAL:
-            violations.append(
-                Violation(
-                    "protected_not_categorical", attr, f"protected attribute {attr!r} is numeric"
-                )
-            )
-        if attr == label:
-            violations.append(
-                Violation("protected_is_label", attr, "protected attribute equals the label column")
-            )
-    return violations

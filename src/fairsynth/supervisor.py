@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,9 +76,6 @@ INCREASE_EPOCHS = "increase_epochs"
 BALANCE_GROUPS = "balance_groups"
 SHRINK_CORRELATION = "shrink_correlation"
 
-#: Order in which parity-failure actions are tried.
-PARITY_ACTIONS = (BALANCE_GROUPS, SHRINK_CORRELATION, RESAMPLE)
-
 SHRINK_INCREMENT = 0.25
 EPOCH_FACTOR = 2
 
@@ -120,49 +117,14 @@ class Stop:
 
 def apply_action(config: RunConfig, action: RefinementAction) -> RunConfig:
     if isinstance(action, Resample):
-        return RunConfig(
-            backend=config.backend,
-            train_rows=config.train_rows,
-            sample_rows=config.sample_rows,
-            epochs=config.epochs,
-            seed=action.new_seed,
-            correlation_shrinkage=config.correlation_shrinkage,
-            balance_groups=config.balance_groups,
-            balance_attribute=config.balance_attribute,
-        )
+        return replace(config, seed=action.new_seed)
     if isinstance(action, IncreaseEpochs):
-        return RunConfig(
-            backend=config.backend,
-            train_rows=config.train_rows,
-            sample_rows=config.sample_rows,
-            epochs=config.epochs * action.factor,
-            seed=config.seed,
-            correlation_shrinkage=config.correlation_shrinkage,
-            balance_groups=config.balance_groups,
-            balance_attribute=config.balance_attribute,
-        )
+        return replace(config, epochs=config.epochs * action.factor)
     if isinstance(action, BalanceGroups):
-        return RunConfig(
-            backend=config.backend,
-            train_rows=config.train_rows,
-            sample_rows=config.sample_rows,
-            epochs=config.epochs,
-            seed=config.seed,
-            correlation_shrinkage=config.correlation_shrinkage,
-            balance_groups=True,
-            balance_attribute=action.attribute,
-        )
+        return replace(config, balance_groups=True, balance_attribute=action.attribute)
     if isinstance(action, ShrinkCorrelation):
-        return RunConfig(
-            backend=config.backend,
-            train_rows=config.train_rows,
-            sample_rows=config.sample_rows,
-            epochs=config.epochs,
-            seed=config.seed,
-            correlation_shrinkage=min(1.0, config.correlation_shrinkage + action.increment),
-            balance_groups=config.balance_groups,
-            balance_attribute=config.balance_attribute,
-        )
+        shrinkage = min(1.0, config.correlation_shrinkage + action.increment)
+        return replace(config, correlation_shrinkage=shrinkage)
     raise ValidationFailure(f"unknown refinement action {action!r}")
 
 
@@ -240,16 +202,6 @@ def balance_groups(
     return train.take(indices)
 
 
-def _effective_split(config: RunConfig, split: SplitSpec) -> SplitSpec:
-    """config.train_rows wins; the split spec contributes fraction and seed so
-    the holdout stays fixed across refinement iterations."""
-    return SplitSpec(
-        train_rows=config.train_rows,
-        holdout_fraction=split.holdout_fraction,
-        seed=split.seed,
-    )
-
-
 def run_pipeline(
     config: RunConfig,
     real: Dataset,
@@ -260,7 +212,9 @@ def run_pipeline(
     hyperparams: TstrHyperparams = TstrHyperparams(),
 ) -> PipelineResult:
     """One generator + evaluator pass; same inputs give an identical result."""
-    train, holdout = split_holdout(real, _effective_split(config, split))
+    # config.train_rows wins; the split spec contributes fraction and seed so
+    # the holdout stays fixed across refinement iterations.
+    train, holdout = split_holdout(real, replace(split, train_rows=config.train_rows))
     if config.balance_groups:
         train = balance_groups(train, metadata, seed=config.seed, attribute=config.balance_attribute)
 
@@ -271,7 +225,7 @@ def run_pipeline(
             seed=config.seed,
             correlation_shrinkage=config.correlation_shrinkage,
         )
-        model = fit(train, synth_cfg, metadata)
+        model = fit(train, synth_cfg)
         synthetic = sample(model, config.sample_rows, config.seed)
     else:
         backends = external_backends or {}
@@ -301,7 +255,7 @@ def run_pipeline(
             )
 
     quality = quality_report(holdout, synthetic, holdout.schema)
-    fairness = fairness_report(synthetic, holdout, metadata, hyperparams, config.seed)
+    fairness = fairness_report(synthetic, holdout, metadata, hyperparams)
     composite = synth_score(
         quality.overall_score,
         fairness.max_rel_fpr,
@@ -328,15 +282,11 @@ def plan_refinement(
         return Stop(BUDGET)
     if not score.parity_ok:
         tried = state.tried_actions()
-        for kind in PARITY_ACTIONS:
-            if kind in tried:
-                continue
-            if kind == BALANCE_GROUPS:
-                return BalanceGroups()
-            if kind == SHRINK_CORRELATION:
-                return ShrinkCorrelation()
-            return Resample(config.seed + 1)
-        return Resample(config.seed + 1)  # every parity action spent; keep reseeding
+        if BALANCE_GROUPS not in tried:
+            return BalanceGroups()
+        if SHRINK_CORRELATION not in tried:
+            return ShrinkCorrelation()
+        return Resample(config.seed + 1)  # also after a resample: keep reseeding
     if config.backend not in NATIVE_BACKENDS:
         return IncreaseEpochs()
     return Resample(config.seed + 1)

@@ -185,14 +185,13 @@ def logistic_gradient(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2:
 
 
 def train_logreg(
-    X: np.ndarray, y: np.ndarray, hyperparams: TstrHyperparams = TstrHyperparams(), seed: int = 0
+    X: np.ndarray, y: np.ndarray, hyperparams: TstrHyperparams = TstrHyperparams()
 ) -> LogisticModel:
     """Full-batch gradient descent from w = 0, b = 0.
 
     Stops at max_iters or when the gradient infinity-norm drops below
-    tolerance. ``seed`` is accepted for interface symmetry; the deterministic
-    zero initialization leaves nothing random. If only one class is present
-    the constant-prediction model is returned with the ``constant`` flag set.
+    tolerance. If only one class is present the constant-prediction model is
+    returned with the ``constant`` flag set.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -307,38 +306,34 @@ def fairness_report(
     real_holdout: Dataset,
     metadata: Metadata,
     hyperparams: TstrHyperparams = TstrHyperparams(),
-    seed: int = 0,
 ) -> FairnessReport:
     """End-to-end TSTR fairness evaluation; pure in all of its inputs."""
     if synth.row_count == 0 or real_holdout.row_count == 0:
         raise EmptyDataset("TSTR needs nonempty synthetic and holdout datasets")
     encoder = fit_encoder(synth, metadata)
     X_train, y_train, _ = encode(encoder, synth)
-    model = train_logreg(X_train, y_train, hyperparams, seed)
+    model = train_logreg(X_train, y_train, hyperparams)
     X_test, y_test, test_groups = encode(encoder, real_holdout)
     y_pred = predict(model, X_test)
     degenerate = bool(np.all(y_pred == y_pred[0]))
 
-    by_attribute: dict[str, AttributeFairness] = {}
     excluded: list[tuple[str, str, str]] = []
     fpr_maps: dict[str, dict[str, float | None]] = {}
+    counts: dict[str, dict[str, tuple[int, int]]] = {}
     for attr in metadata.protected_attributes:
-        rates = group_fpr(y_test, y_pred, test_groups[attr], hyperparams.min_support)
-        fpr_map = {g: r.fpr for g, r in sorted(rates.items())}
-        counts = {g: (r.negatives, r.false_positives) for g, r in sorted(rates.items())}
-        for g, r in sorted(rates.items()):
+        rates = sorted(group_fpr(y_test, y_pred, test_groups[attr], hyperparams.min_support).items())
+        fpr_maps[attr] = {g: r.fpr for g, r in rates}
+        counts[attr] = {g: (r.negatives, r.false_positives) for g, r in rates}
+        for g, r in rates:
             if r.fpr is None:
                 excluded.append(
                     (attr, g, f"negatives={r.negatives} below min_support={hyperparams.min_support}")
                 )
-        fpr_maps[attr] = fpr_map
-        by_attribute[attr] = AttributeFairness(fpr=fpr_map, counts=counts, max_rel_fpr=None)
     overall, per_attribute = max_relative_fpr(fpr_maps)
-    for attr in by_attribute:
-        entry = by_attribute[attr]
-        by_attribute[attr] = AttributeFairness(
-            fpr=entry.fpr, counts=entry.counts, max_rel_fpr=per_attribute[attr]
-        )
+    by_attribute = {
+        attr: AttributeFairness(fpr=fpr, counts=counts[attr], max_rel_fpr=per_attribute[attr])
+        for attr, fpr in fpr_maps.items()
+    }
     return FairnessReport(
         by_attribute=by_attribute,
         max_rel_fpr=overall,

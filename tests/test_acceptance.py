@@ -149,7 +149,7 @@ def test_criterion_04_metrics_match_oracles_exactly():
     assert elapsed < 30.0, f"oracle comparison took {elapsed:.2f}s"
 
 
-def test_criterion_05_copula_recovery(demo_data, demo_md):
+def test_criterion_05_copula_recovery(demo_data):
     start = time.perf_counter()
 
     rng = np.random.default_rng(42)
@@ -163,7 +163,7 @@ def test_criterion_05_copula_recovery(demo_data, demo_md):
     sampled_rho = np.corrcoef(drawn.column("x").values, drawn.column("y").values)[0, 1]
     assert sampled_rho == pytest.approx(0.8, abs=0.1)
 
-    demo_model = fit(demo_data, SynthesizerConfig(seed=0), demo_md)
+    demo_model = fit(demo_data, SynthesizerConfig(seed=0))
     demo_synth = sample(demo_model, 2000, seed=3)
     for name, kind in demo_data.schema.columns:
         if kind != ColumnKind.CATEGORICAL:

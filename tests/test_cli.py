@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fairsynth
 from fairsynth.cli import SEED_ENV_VAR, main
 
 
@@ -264,6 +267,43 @@ class TestExitCodes:
         assert "train_rows" in capsys.readouterr().err
 
 
+def _seed_argv(command, demo_dir, evaluated, out):
+    tmp, synth = evaluated
+    return {
+        "run": ["run", *_data_flags(demo_dir), *_small_flags(), "--out", out],
+        "fit": ["fit", *_data_flags(demo_dir), *_small_flags(), "--out", out],
+        "demo": ["demo", "--rows", "60", "--out", out],
+        "evaluate": ["evaluate", *_data_flags(demo_dir), "--synthetic", str(synth), "--out", out],
+        "sample": ["sample", "--model", str(tmp / "model.json"), "--out", out],
+    }[command]
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "command, env_seed",
+        [
+            ("run", None),
+            ("demo", None),
+            ("evaluate", None),
+            ("sample", None),
+            ("run", "-3"),
+            ("fit", "-3"),
+        ],
+    )
+    def test_exits_one_with_one_error_line(
+        self, command, env_seed, demo_dir, evaluated, tmp_path, monkeypatch, capsys
+    ):
+        argv = _seed_argv(command, demo_dir, evaluated, str(tmp_path / "o"))
+        if env_seed is None:
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "seed" in err[0]
+
+
 class TestSeedEnvVar:
     def test_env_overrides_flag(self, demo_dir, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "3")
@@ -291,11 +331,15 @@ class TestSeedEnvVar:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, demo_dir, tmp_path):
+        # The child must import the same fairsynth as this process, installed or not.
+        src = str(Path(fairsynth.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fairsynth.cli", "demo", "--rows", "60",
              "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert (tmp_path / "demo.csv").exists()

@@ -218,8 +218,8 @@ def _bivariate_normal(rho: float, n: int, seed: int) -> Dataset:
 
 
 class TestFit:
-    def test_independent_backend_identity_correlation(self, demo_data, demo_md):
-        model = fit(demo_data, SynthesizerConfig(backend="independent"), demo_md)
+    def test_independent_backend_identity_correlation(self, demo_data):
+        model = fit(demo_data, SynthesizerConfig(backend="independent"))
         assert np.array_equal(model.correlation, np.eye(6))
 
     def test_full_shrinkage_is_identity(self):
@@ -232,19 +232,19 @@ class TestFit:
         model = fit(data, SynthesizerConfig(seed=0))
         assert abs(model.correlation[0, 1] - 0.8) <= 0.08
 
-    def test_unknown_backend(self, demo_data, demo_md):
+    def test_unknown_backend(self, demo_data):
         with pytest.raises(ValidationFailure):
-            fit(demo_data, SynthesizerConfig(backend="ctgan"), demo_md)
+            fit(demo_data, SynthesizerConfig(backend="ctgan"))
 
-    def test_fit_deterministic(self, demo_data, demo_md):
-        a = fit(demo_data, SynthesizerConfig(seed=3), demo_md)
-        b = fit(demo_data, SynthesizerConfig(seed=3), demo_md)
+    def test_fit_deterministic(self, demo_data):
+        a = fit(demo_data, SynthesizerConfig(seed=3))
+        b = fit(demo_data, SynthesizerConfig(seed=3))
         assert np.array_equal(a.correlation, b.correlation)
 
 
 class TestSample:
-    def test_zero_rows_keeps_schema(self, demo_data, demo_md):
-        model = fit(demo_data, SynthesizerConfig(), demo_md)
+    def test_zero_rows_keeps_schema(self, demo_data):
+        model = fit(demo_data, SynthesizerConfig())
         out = sample(model, 0, 0)
         assert out.row_count == 0
         assert out.schema == demo_data.schema
@@ -266,20 +266,20 @@ class TestSample:
         rho = np.corrcoef(out.decoded("x"), out.decoded("y"))[0, 1]
         assert abs(rho - 0.8) <= 0.1
 
-    def test_numeric_range_clamped(self, demo_data, demo_md):
-        model = fit(demo_data, SynthesizerConfig(), demo_md)
+    def test_numeric_range_clamped(self, demo_data):
+        model = fit(demo_data, SynthesizerConfig())
         out = sample(model, 1000, 9)
         for col in ("symptom_scale", "functioning_score"):
             fitted = demo_data.decoded(col)
             got = out.decoded(col)
             assert got.min() >= fitted.min() and got.max() <= fitted.max()
 
-    def test_sample_deterministic(self, demo_data, demo_md):
-        model = fit(demo_data, SynthesizerConfig(), demo_md)
+    def test_sample_deterministic(self, demo_data):
+        model = fit(demo_data, SynthesizerConfig())
         assert sample(model, 200, 11) == sample(model, 200, 11)
 
-    def test_categorical_marginal_preserved(self, demo_data, demo_md):
-        model = fit(demo_data, SynthesizerConfig(), demo_md)
+    def test_categorical_marginal_preserved(self, demo_data):
+        model = fit(demo_data, SynthesizerConfig())
         out = sample(model, 2000, 3)
         for col in ("Race", "Sex", "setting", "Diagnosis"):
             marg = model.marginals[col]
@@ -300,20 +300,20 @@ class TestSample:
 
 
 class TestPersistence:
-    def test_round_trip_samples_identically(self, tmp_path, demo_data, demo_md):
-        model = fit(demo_data, SynthesizerConfig(seed=2), demo_md)
+    def test_round_trip_samples_identically(self, tmp_path, demo_data):
+        model = fit(demo_data, SynthesizerConfig(seed=2))
         path = tmp_path / "model.json"
         save_model(model, path)
         again = load_model(path)
         assert sample(model, 100, 4) == sample(again, 100, 4)
 
-    def test_exact_field_names(self, demo_data, demo_md):
-        model = fit(demo_data, SynthesizerConfig(), demo_md)
+    def test_exact_field_names(self, demo_data):
+        model = fit(demo_data, SynthesizerConfig())
         doc = model_to_json_dict(model)
         assert set(doc) == {"marginals", "correlation", "column_order", "fitted_rows", "seed"}
 
-    def test_file_is_plain_json(self, tmp_path, demo_data, demo_md):
-        model = fit(demo_data, SynthesizerConfig(), demo_md)
+    def test_file_is_plain_json(self, tmp_path, demo_data):
+        model = fit(demo_data, SynthesizerConfig())
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text(encoding="utf-8"))

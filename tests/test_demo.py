@@ -10,7 +10,7 @@ from fairsynth.demo import (
     make_demo_dataset,
 )
 from fairsynth.errors import ValidationFailure
-from fairsynth.schema import ColumnKind, validate_metadata, write_csv
+from fairsynth.schema import ColumnKind, load_dataset, write_csv
 
 
 def _group_positive_rates(data):
@@ -44,8 +44,14 @@ class TestMakeDemoDataset:
         assert kinds["symptom_scale"] == ColumnKind.NUMERIC
         assert kinds["Race"] == ColumnKind.CATEGORICAL
 
-    def test_metadata_is_valid(self, demo_data, demo_md):
-        assert validate_metadata(demo_data.schema, demo_md, demo_data) == []
+    def test_metadata_is_valid(self, tmp_path, demo_data, demo_md):
+        p = tmp_path / "demo.csv"
+        write_csv(demo_data, p)
+        loaded = load_dataset(p, demo_md)  # raises on a missing column or non-binary label
+        assert demo_md.positive_label in set(loaded.decoded(demo_md.label_column).tolist())
+        for attr in demo_md.protected_attributes:
+            assert loaded.schema.kind_of(attr) is ColumnKind.CATEGORICAL
+        assert demo_md.label_column not in demo_md.protected_attributes
         assert demo_md.label_column == "Diagnosis"
         assert demo_md.positive_label == "positive"
         assert demo_md.protected_attributes == ("Race", "Sex")

@@ -50,6 +50,12 @@ class TestRenderJson:
     def test_string_escaping(self):
         assert render_json('a"b\\c') == '"a\\"b\\\\c"\n'
 
+    def test_control_characters_round_trip(self):
+        text = "a\nb\tc\x00d\x1fe\\f\"g é"
+        doc = {text: [text, {"error": text}]}
+        assert json.loads(render_json(doc)) == doc
+        assert "é" in render_json(text)  # non-ASCII is written as is, not \u-escaped
+
     def test_insertion_order_preserved(self):
         text = render_json({"zeta": 1, "alpha": 2})
         assert text.index("zeta") < text.index("alpha")

@@ -8,6 +8,7 @@ from fairsynth.errors import (
     LabelNotBinary,
     MetadataMismatch,
     ParseError,
+    ValidationFailure,
 )
 from fairsynth.schema import (
     CategoricalColumn,
@@ -22,7 +23,6 @@ from fairsynth.schema import (
     load_dataset,
     parse_number,
     split_holdout,
-    validate_metadata,
     write_csv,
 )
 
@@ -126,6 +126,8 @@ def test_load_dataset_label_not_binary(tmp_path):
     write_lines(p, ["label", "a", "b", "c"])
     with pytest.raises(LabelNotBinary):
         load_dataset(p, Metadata("label", "a"))
+    with pytest.raises(LabelNotBinary):
+        load_dataset(p, Metadata("label", "a", declared_kinds={"label": ColumnKind.NUMERIC}))
 
 
 def test_load_dataset_single_class_allowed_when_not_required(tmp_path):
@@ -140,6 +142,8 @@ def test_load_dataset_metadata_mismatch(tmp_path):
     write_lines(p, ["a,label", "1,yes", "2,no"])
     with pytest.raises(MetadataMismatch):
         load_dataset(p, Metadata("label", "yes", ("Race",)))
+    with pytest.raises(MetadataMismatch):
+        load_dataset(p, Metadata("NoSuch", "yes"))
 
 
 def test_load_dataset_ragged_row_is_parse_error(tmp_path):
@@ -173,27 +177,20 @@ def test_split_holdout_insufficient_rows():
         split_holdout(data, SplitSpec(1000, 0.3, 0))
 
 
+def test_split_spec_rejects_bad_values_with_validation_failures():
+    with pytest.raises(InsufficientRows):
+        SplitSpec(0, 0.3, 0)
+    with pytest.raises(InsufficientRows):
+        SplitSpec(10, 1.0, 0)
+    with pytest.raises(ValidationFailure):
+        SplitSpec(10, 0.3, -1)
+
+
 def test_holdout_size_float_noise():
     # 10 * 0.3 is 3.0000000000000004 in floats; the size must still be 3
     assert holdout_size(10, 0.3) == 3
     assert holdout_size(1000, 0.3) == 300
     assert holdout_size(7, 0.5) == 4
-
-
-def test_validate_metadata_clean(demo_data, demo_md):
-    assert validate_metadata(demo_data.schema, demo_md, demo_data) == []
-
-
-def test_validate_metadata_missing_label(demo_data):
-    md = Metadata("NoSuch", "yes", ("Race",))
-    kinds = [v.kind for v in validate_metadata(demo_data.schema, md, demo_data)]
-    assert "missing_column" in kinds
-
-
-def test_validate_metadata_protected_is_label(demo_data):
-    md = Metadata("Diagnosis", "positive", ("Diagnosis",))
-    kinds = [v.kind for v in validate_metadata(demo_data.schema, md, demo_data)]
-    assert "protected_is_label" in kinds
 
 
 def test_round_trip_dataset(tmp_path, demo_data, demo_md):
