@@ -216,14 +216,14 @@ def cmd_fit(args) -> int:
         raise ValidationFailure(
             f"fit persists native models only; backend {args.backend!r} is external"
         )
+    # The native fit is closed-form; --epochs is validated like run's.
+    if args.epochs < 1:
+        raise ValidationFailure("epochs must be >= 1")
     data, metadata = _load_inputs(args)
     split = SplitSpec(args.train_rows, args.holdout_fraction, args.seed)
     train, _ = split_holdout(data, split)
     config = SynthesizerConfig(
-        backend=args.backend,
-        epochs=args.epochs,
-        seed=args.seed,
-        correlation_shrinkage=args.shrinkage,
+        backend=args.backend, seed=args.seed, correlation_shrinkage=args.shrinkage
     )
     model = fit(train, config)
     save_model(model, args.out)

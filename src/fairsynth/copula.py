@@ -95,13 +95,10 @@ MarginalModel = NumericMarginal | CategoricalMarginal
 @dataclass(frozen=True)
 class SynthesizerConfig:
     backend: str = "gaussian_copula"
-    epochs: int = 20
     seed: int = 0
     correlation_shrinkage: float = 0.0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationFailure("epochs must be >= 1")
         if not (0.0 <= self.correlation_shrinkage <= 1.0):
             raise ValidationFailure("correlation_shrinkage must lie in [0, 1]")
         if self.seed < 0:
@@ -235,8 +232,7 @@ def fit(train: Dataset, config: SynthesizerConfig) -> CopulaModel:
 
     ``gaussian_copula`` estimates the score correlation and shrinks it toward
     the identity by ``correlation_shrinkage``; ``independent`` forces the
-    identity. ``epochs`` is accepted for config parity but the fit is
-    closed-form.
+    identity. The fit is closed-form.
     """
     if train.row_count == 0:
         raise EmptyDataset("cannot fit on an empty dataset")

@@ -26,6 +26,7 @@ from .errors import (
     LabelNotBinary,
     MetadataMismatch,
     ParseError,
+    SchemaMismatch,
     ValidationFailure,
 )
 
@@ -211,14 +212,14 @@ class Dataset:
 
     def __post_init__(self):
         if len(self.columns) != len(self.schema.columns):
-            raise ValueError("column count does not match schema")
+            raise SchemaMismatch("column count does not match schema")
         lengths = {len(c) for c in self.columns}
         if len(lengths) > 1:
-            raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
+            raise SchemaMismatch(f"ragged columns: lengths {sorted(lengths)}")
         for (name, kind), col in zip(self.schema.columns, self.columns):
             want = NumericColumn if kind is ColumnKind.NUMERIC else CategoricalColumn
             if not isinstance(col, want):
-                raise ValueError(f"column {name!r} does not match declared kind")
+                raise SchemaMismatch(f"column {name!r} does not match declared kind")
 
     @property
     def row_count(self) -> int:
@@ -347,11 +348,12 @@ def load_dataset(
 
     Rows missing the label or any protected attribute are dropped; other
     missing cells are imputed (numeric: column median, categorical: column
-    mode). Drop/impute counts land in ``Dataset.ingest``.
+    mode). Drop/impute counts land in ``Dataset.ingest``. Every protected
+    attribute must be categorical and differ from the label column.
 
-    ``require_binary_label=False`` admits single-class labels; synthetic
-    backend output may legitimately collapse to one class and is flagged as
-    degenerate downstream instead of rejected here.
+    ``require_binary_label=False`` admits single-class labels, with or without
+    the positive label; synthetic backend output may legitimately collapse to
+    one class and is flagged as degenerate downstream instead of rejected here.
     """
     header, rows = _read_csv(csv_path)
     if not rows:
@@ -361,12 +363,19 @@ def load_dataset(
     for col in required:
         if col not in header:
             raise MetadataMismatch(f"column {col!r} declared in metadata is absent")
+    if metadata.label_column in metadata.protected_attributes:
+        raise MetadataMismatch(
+            f"label column {metadata.label_column!r} is also a protected attribute"
+        )
 
     schema = infer_schema(header, rows, metadata.declared_kinds)
     if schema.kind_of(metadata.label_column) is not ColumnKind.CATEGORICAL:
         raise LabelNotBinary(
             f"label column {metadata.label_column!r} is numeric, not a binary category"
         )
+    for col in metadata.protected_attributes:
+        if schema.kind_of(col) is not ColumnKind.CATEGORICAL:
+            raise MetadataMismatch(f"protected attribute {col!r} is numeric, not categorical")
 
     required_idx = [header.index(c) for c in required]
     kept = [row for row in rows if all(row[j] != MISSING_TOKEN for j in required_idx)]
@@ -398,6 +407,11 @@ def load_dataset(
         raise LabelNotBinary(
             f"label column {metadata.label_column!r} has {len(label_values)} distinct "
             f"values, expected 2"
+        )
+    if require_binary_label and metadata.positive_label not in label_values:
+        raise MetadataMismatch(
+            f"positive label {metadata.positive_label!r} does not occur in label column "
+            f"{metadata.label_column!r}"
         )
     return dataset
 

@@ -33,7 +33,7 @@ from .external import ExternalBackend, run_external_backend
 from .quality import QualityReport, quality_report
 from .schema import Dataset, Metadata, SplitSpec, holdout_size, split_holdout, write_csv
 from .scoring import DEFAULT_PARITY_THRESHOLD, CompositeScore, synth_score
-from .tstr import FairnessReport, TstrHyperparams, fairness_report
+from .tstr import FairnessReport, fairness_report
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,6 @@ def run_pipeline(
     split: SplitSpec,
     parity_threshold: float = DEFAULT_PARITY_THRESHOLD,
     external_backends: dict[str, ExternalBackend] | None = None,
-    hyperparams: TstrHyperparams = TstrHyperparams(),
 ) -> PipelineResult:
     """One generator + evaluator pass; same inputs give an identical result."""
     # config.train_rows wins; the split spec contributes fraction and seed so
@@ -221,7 +220,6 @@ def run_pipeline(
     if config.backend in NATIVE_BACKENDS:
         synth_cfg = SynthesizerConfig(
             backend=config.backend,
-            epochs=config.epochs,
             seed=config.seed,
             correlation_shrinkage=config.correlation_shrinkage,
         )
@@ -255,7 +253,7 @@ def run_pipeline(
             )
 
     quality = quality_report(holdout, synthetic, holdout.schema)
-    fairness = fairness_report(synthetic, holdout, metadata, hyperparams)
+    fairness = fairness_report(synthetic, holdout, metadata)
     composite = synth_score(
         quality.overall_score,
         fairness.max_rel_fpr,

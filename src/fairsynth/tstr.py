@@ -31,12 +31,14 @@ logger = logging.getLogger(__name__)
 INFINITE = float("inf")
 UNDEFINED = None
 
+#: Safety bounds on the Newton steps and on the halvings of one step.
+MAX_NEWTON_STEPS = 50
+MAX_STEP_HALVINGS = 40
+
 
 @dataclass(frozen=True)
 class TstrHyperparams:
-    learning_rate: float = 0.1
     l2_strength: float = 1e-3
-    max_iters: int = 2000
     tolerance: float = 1e-6
     threshold: float = 0.5
     min_support: int = 5
@@ -59,8 +61,7 @@ class LogisticModel:
     weights: np.ndarray
     bias: float
     hyperparams: TstrHyperparams
-    threshold: float
-    loss_history: tuple[float, ...]  # recorded every 10 iterations + final
+    loss_history: tuple[float, ...]  # at w = 0, then after each Newton step
     constant: bool  # one-class training guard fired
 
 
@@ -187,9 +188,9 @@ def logistic_gradient(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2:
 def train_logreg(
     X: np.ndarray, y: np.ndarray, hyperparams: TstrHyperparams = TstrHyperparams()
 ) -> LogisticModel:
-    """Full-batch gradient descent from w = 0, b = 0.
-
-    Stops at max_iters or when the gradient infinity-norm drops below
+    """Damped Newton (IRLS) from w = 0, b = 0 to the unique optimum of the
+    strictly convex ``logistic_loss``; a step is halved until the Armijo
+    condition holds. Stops when the gradient infinity-norm drops below
     tolerance. If only one class is present the constant-prediction model is
     returned with the ``constant`` flag set.
     """
@@ -197,41 +198,45 @@ def train_logreg(
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != y.shape[0]:
         raise LengthMismatch("X and y row counts differ")
-    hp = hyperparams
     if np.all(y == 1.0) or np.all(y == 0.0):
         bias = 25.0 if y.size and y[0] == 1.0 else -25.0
         return LogisticModel(
             weights=np.zeros(X.shape[1]),
             bias=bias,
-            hyperparams=hp,
-            threshold=hp.threshold,
+            hyperparams=hyperparams,
             loss_history=(),
             constant=True,
         )
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    losses = [logistic_loss(w, b, X, y, hp.l2_strength)]
-    for it in range(1, hp.max_iters + 1):
-        grad_w, grad_b = logistic_gradient(w, b, X, y, hp.l2_strength)
-        gnorm = max(float(np.max(np.abs(grad_w))) if grad_w.size else 0.0, abs(grad_b))
-        if gnorm < hp.tolerance:
+    n, d = X.shape
+    l2 = hyperparams.l2_strength
+    w, b = np.zeros(d), 0.0
+    losses = [logistic_loss(w, b, X, y, l2)]
+    for step in range(MAX_NEWTON_STEPS):
+        if not np.isfinite(losses[-1]):
+            raise NonFiniteLoss(f"loss became non-finite at Newton step {step}")
+        grad = np.append(*logistic_gradient(w, b, X, y, l2))
+        if np.max(np.abs(grad)) < hyperparams.tolerance:
             break
-        w = w - hp.learning_rate * grad_w
-        b = b - hp.learning_rate * grad_b
-        if it % 10 == 0:
-            loss = logistic_loss(w, b, X, y, hp.l2_strength)
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"loss became non-finite at iteration {it}")
-            losses.append(loss)
-    final = logistic_loss(w, b, X, y, hp.l2_strength)
-    if not np.isfinite(final) or not np.all(np.isfinite(w)):
+        s = expit(X @ w + b)
+        s *= (1.0 - s) / n
+        # Hessian in blocks, without an augmented [X | 1] copy of X.
+        col = (X.T @ s)[:, None]
+        hessian = np.block([[(X.T * s) @ X + l2 * np.eye(d), col], [col.T, s.sum()]])
+        direction = np.linalg.solve(hessian, grad)
+        for t in 0.5 ** np.arange(MAX_STEP_HALVINGS):
+            loss = logistic_loss(w - t * direction[:d], b - t * direction[d], X, y, l2)
+            if loss <= losses[-1] - 1e-4 * t * float(grad @ direction):  # Armijo
+                break
+        else:
+            break  # no representable decrease left: optimal to rounding
+        w, b = w - t * direction[:d], b - float(t * direction[d])
+        losses.append(loss)
+    if not np.isfinite(losses[-1]) or not np.all(np.isfinite(w)):
         raise NonFiniteLoss("training produced non-finite parameters")
-    losses.append(final)
     return LogisticModel(
         weights=w,
         bias=b,
-        hyperparams=hp,
-        threshold=hp.threshold,
+        hyperparams=hyperparams,
         loss_history=tuple(losses),
         constant=False,
     )
@@ -246,7 +251,7 @@ def predict(model: LogisticModel, X: np.ndarray) -> np.ndarray:
             f"expected {model.weights.shape[0]} features, got {X.shape[1] if X.ndim == 2 else X.ndim}"
         )
     p = expit(X @ model.weights + model.bias)
-    return (p >= model.threshold).astype(np.int64)
+    return (p >= model.hyperparams.threshold).astype(np.int64)
 
 
 def group_fpr(y_true, y_pred, groups, min_support: int = 5) -> dict[str, GroupRate]:

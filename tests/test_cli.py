@@ -266,6 +266,43 @@ class TestExitCodes:
         assert code == 1
         assert "train_rows" in capsys.readouterr().err
 
+    def test_fit_bad_epochs_is_one(self, demo_dir, tmp_path, capsys):
+        code = main(
+            ["fit", *_data_flags(demo_dir), *_small_flags(), "--epochs", "0",
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "epochs" in err[0]
+        assert not (tmp_path / "m.json").exists()
+
+
+class TestMetadataInvariants:
+    @pytest.mark.parametrize(
+        "label, protected, expect",
+        [
+            ({"column": "Diagnosis", "positive": "Positive"}, ["Race", "Sex"], "'Positive'"),
+            ({"column": "Diagnosis", "positive": "positive"}, ["Race", "symptom_scale"],
+             "'symptom_scale'"),
+            ({"column": "Diagnosis", "positive": "positive"}, ["Race", "Diagnosis"],
+             "'Diagnosis'"),
+        ],
+        ids=["positive_label_absent", "protected_numeric", "protected_is_label"],
+    )
+    def test_run_exits_one_with_one_error_line(
+        self, label, protected, expect, demo_dir, tmp_path, capsys
+    ):
+        md = tmp_path / "metadata.json"
+        md.write_text(json.dumps({"label": label, "protected": protected}), encoding="utf-8")
+        code = main(
+            ["run", "--data", str(demo_dir / "demo.csv"), "--metadata", str(md),
+             *_small_flags(), "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and expect in err[0]
+        assert not (tmp_path / "o").exists()
+
 
 def _seed_argv(command, demo_dir, evaluated, out):
     tmp, synth = evaluated
@@ -329,17 +366,35 @@ class TestSeedEnvVar:
         assert main(["score", "--quality", str(q), "--fairness", str(f)]) == 0
 
 
+def _child_env():
+    # The child must import the same fairsynth as this process, installed or not.
+    src = str(Path(fairsynth.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, demo_dir, tmp_path):
-        # The child must import the same fairsynth as this process, installed or not.
-        src = str(Path(fairsynth.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fairsynth.cli", "demo", "--rows", "60",
              "--out", str(tmp_path)],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert (tmp_path / "demo.csv").exists()
+
+    def test_import_loads_neither_scipy_linalg_nor_optimize(self):
+        # Either one adds megabytes of resident memory and tens of
+        # milliseconds to every CLI start; numpy.linalg serves the solver.
+        heavy = ("scipy.linalg", "scipy.optimize")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, fairsynth.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -321,10 +321,6 @@ class TestPersistence:
 
 
 class TestConfigValidation:
-    def test_bad_epochs(self):
-        with pytest.raises(ValidationFailure):
-            SynthesizerConfig(epochs=0)
-
     def test_bad_shrinkage(self):
         with pytest.raises(ValidationFailure):
             SynthesizerConfig(correlation_shrinkage=1.5)

@@ -8,6 +8,7 @@ from fairsynth.errors import (
     LabelNotBinary,
     MetadataMismatch,
     ParseError,
+    SchemaMismatch,
     ValidationFailure,
 )
 from fairsynth.schema import (
@@ -135,6 +136,9 @@ def test_load_dataset_single_class_allowed_when_not_required(tmp_path):
     write_lines(p, ["label,v", "a,x", "a,y"])
     data = load_dataset(p, Metadata("label", "a"), require_binary_label=False)
     assert data.row_count == 2
+    # A synthetic label may collapse to the negative class alone.
+    data = load_dataset(p, Metadata("label", "b"), require_binary_label=False)
+    assert data.row_count == 2
 
 
 def test_load_dataset_metadata_mismatch(tmp_path):
@@ -144,6 +148,17 @@ def test_load_dataset_metadata_mismatch(tmp_path):
         load_dataset(p, Metadata("label", "yes", ("Race",)))
     with pytest.raises(MetadataMismatch):
         load_dataset(p, Metadata("NoSuch", "yes"))
+
+
+def test_dataset_rejects_inconsistent_columns_with_schema_mismatch():
+    schema = TableSchema((("v", ColumnKind.NUMERIC), ("c", ColumnKind.CATEGORICAL)))
+    numeric = NumericColumn(np.array([1.0, 2.0]))
+    with pytest.raises(SchemaMismatch):
+        Dataset(schema, (numeric,))
+    with pytest.raises(SchemaMismatch):
+        Dataset(schema, (numeric, CategoricalColumn.from_values(["a"])))
+    with pytest.raises(SchemaMismatch):
+        Dataset(schema, (numeric, numeric))
 
 
 def test_load_dataset_ragged_row_is_parse_error(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from fairsynth.copula import SynthesizerConfig, fit, sample
 from fairsynth.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -12,7 +14,9 @@ from fairsynth.schema import (
     Dataset,
     Metadata,
     NumericColumn,
+    SplitSpec,
     TableSchema,
+    split_holdout,
 )
 from fairsynth.tstr import (
     INFINITE,
@@ -132,6 +136,42 @@ class TestTrainLogreg:
         hist = np.array(model.loss_history)
         assert np.all(np.diff(hist) <= 1e-12)
 
+    def test_meets_tolerance_on_toy_and_demo_tstr_sets(self, demo_data, demo_md):
+        rng = np.random.default_rng(1)
+        X_toy = rng.standard_normal((120, 4))
+        w_true = np.array([1.5, -2.0, 0.5, 0.0])
+        y_toy = (X_toy @ w_true + 0.3 * rng.standard_normal(120) > 0).astype(int)
+        # The TSTR training set of `fairsynth run` with default flags on the demo.
+        train, _ = split_holdout(demo_data, SplitSpec(1000, 0.3, 0))
+        synthetic = sample(fit(train, SynthesizerConfig(seed=0)), 500, 0)
+        X_demo, y_demo, _ = encode(fit_encoder(synthetic, demo_md), synthetic)
+        hp = TstrHyperparams()
+        for X, y in ((X_toy, y_toy), (X_demo, y_demo)):
+            model = train_logreg(X, y, hp)
+            grad_w, grad_b = logistic_gradient(model.weights, model.bias, X, y, hp.l2_strength)
+            assert max(np.max(np.abs(grad_w)), abs(grad_b)) < hp.tolerance
+
+    def test_loss_at_most_lbfgs_optimum(self):
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            n, d = int(rng.integers(10, 300)), int(rng.integers(1, 9))
+            X = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, d)
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X @ rng.standard_normal(d))))).astype(int)
+            hp = TstrHyperparams(l2_strength=10.0 ** float(rng.uniform(-4, -1)))
+            model = train_logreg(X, y, hp)
+
+            def objective(theta):
+                w, b = theta[:d], float(theta[d])
+                grad_w, grad_b = logistic_gradient(w, b, X, y, hp.l2_strength)
+                return logistic_loss(w, b, X, y, hp.l2_strength), np.append(grad_w, grad_b)
+
+            ref = minimize(
+                objective, np.zeros(d + 1), jac=True, method="L-BFGS-B",
+                options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 10_000},
+            )
+            loss = logistic_loss(model.weights, model.bias, X, y, hp.l2_strength)
+            assert loss <= ref.fun + 1e-10
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((50, 3))
@@ -167,7 +207,7 @@ class TestPredict:
     def test_zero_model_predicts_all_positive(self):
         model = LogisticModel(
             weights=np.zeros(2), bias=0.0, hyperparams=TstrHyperparams(),
-            threshold=0.5, loss_history=(), constant=False,
+            loss_history=(), constant=False,
         )
         X = np.random.default_rng(4).standard_normal((10, 2))
         assert predict(model, X).tolist() == [1] * 10
@@ -175,14 +215,14 @@ class TestPredict:
     def test_large_bias_all_positive(self):
         model = LogisticModel(
             weights=np.zeros(1), bias=100.0, hyperparams=TstrHyperparams(),
-            threshold=0.5, loss_history=(), constant=False,
+            loss_history=(), constant=False,
         )
         assert predict(model, np.array([[-5.0], [5.0]])).tolist() == [1, 1]
 
     def test_sigmoid_below_threshold(self):
         model = LogisticModel(
             weights=np.array([1.0]), bias=0.0, hyperparams=TstrHyperparams(),
-            threshold=0.5, loss_history=(), constant=False,
+            loss_history=(), constant=False,
         )
         # sigmoid(-1) = 0.269 < 0.5
         assert predict(model, np.array([[-1.0]])).tolist() == [0]
@@ -190,7 +230,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         model = LogisticModel(
             weights=np.zeros(3), bias=0.0, hyperparams=TstrHyperparams(),
-            threshold=0.5, loss_history=(), constant=False,
+            loss_history=(), constant=False,
         )
         with pytest.raises(DimensionMismatch):
             predict(model, np.zeros((4, 2)))
