@@ -45,6 +45,7 @@ from .schema import (
     Dataset,
     Metadata,
     SplitSpec,
+    _read_json,
     load_dataset,
     load_synthetic,
     split_holdout,
@@ -263,10 +264,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    with open(args.quality, encoding="utf-8") as fh:
-        q_doc = json.load(fh)
-    with open(args.fairness, encoding="utf-8") as fh:
-        f_doc = json.load(fh)
+    q_doc, f_doc = _read_json(args.quality), _read_json(args.fairness)
     try:
         quality = float(q_doc["overall_score"])
         ratio = ratio_from_json(f_doc["max_rel_fpr"])

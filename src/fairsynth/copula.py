@@ -32,6 +32,7 @@ from .schema import (
     Dataset,
     NumericColumn,
     TableSchema,
+    _read_json,
 )
 
 #: Eigenvalue floor used by the PSD repair.
@@ -329,25 +330,35 @@ def model_to_json_dict(model: CopulaModel) -> dict:
 
 
 def model_from_json_dict(doc: dict) -> CopulaModel:
+    """Rebuild a fitted model; a malformed document raises ``NotFitted``."""
     try:
         order = tuple(doc["column_order"])
         raw_marginals = doc["marginals"]
         correlation = np.asarray(doc["correlation"], dtype=np.float64)
         fitted_rows = int(doc["fitted_rows"])
         seed = int(doc["seed"])
-    except (KeyError, TypeError) as exc:
-        raise NotFitted(f"model document missing field: {exc}")
-    marginals: dict[str, MarginalModel] = {}
-    for name in order:
-        m = raw_marginals[name]
-        if m["kind"] == "numeric":
-            marginals[name] = NumericMarginal(np.asarray(m["sorted_values"]))
-        else:
-            freqs = np.asarray(m["frequencies"], dtype=np.float64)
-            upper = np.cumsum(freqs)
-            upper[-1] = 1.0
-            marginals[name] = CategoricalMarginal(tuple(m["categories"]), freqs, upper)
-    cholesky = np.linalg.cholesky(correlation)
+        marginals: dict[str, MarginalModel] = {}
+        for name in order:
+            m = raw_marginals[name]
+            if m["kind"] == "numeric":
+                values = np.asarray(m["sorted_values"], dtype=np.float64)
+                if values.shape[0] < 2:
+                    raise NotFitted(f"numeric marginal {name!r} needs at least 2 values")
+                marginals[name] = NumericMarginal(values)
+            else:
+                categories = tuple(map(str, m["categories"]))
+                freqs = np.asarray(m["frequencies"], dtype=np.float64)
+                if not categories or freqs.shape != (len(categories),):
+                    raise NotFitted(f"categorical marginal {name!r} needs a frequency per category")
+                upper = np.cumsum(freqs)
+                upper[-1] = 1.0
+                marginals[name] = CategoricalMarginal(categories, freqs, upper)
+        # Raises LinAlgError, a ValueError, unless positive definite.
+        cholesky = np.linalg.cholesky(correlation)
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise NotFitted(f"malformed model document ({type(exc).__name__}: {exc})")
+    if correlation.shape != (len(order), len(order)):
+        raise NotFitted(f"model correlation is not {len(order)} x {len(order)}")
     return CopulaModel(
         marginals=marginals,
         correlation=correlation,
@@ -365,5 +376,4 @@ def save_model(model: CopulaModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> CopulaModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_json_dict(json.load(fh))
+    return model_from_json_dict(_read_json(path))

@@ -5,15 +5,18 @@ is loaded back and checked against the training schema.
 
 from __future__ import annotations
 
-import json
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BackendFailed, SchemaMismatch, Timeout, ValidationFailure
-from .schema import Dataset, Metadata, TableSchema, load_synthetic
+from .schema import Dataset, Metadata, TableSchema, _read_json, load_synthetic
 
 DEFAULT_TIMEOUT_SECONDS = 600
+
+#: subprocess waits through poll(), whose timeout is a C int of milliseconds
+#: (about 24.8 days); a longer timeout raises OverflowError mid-run.
+MAX_TIMEOUT_SECONDS = 7 * 24 * 3600
 
 
 @dataclass(frozen=True)
@@ -27,24 +30,25 @@ class ExternalBackend:
             raise ValidationFailure("external backend needs a non-empty name")
         if not self.command:
             raise ValidationFailure(f"external backend {self.name!r} has an empty command")
-        if self.timeout_seconds <= 0:
-            raise ValidationFailure("timeout_seconds must be positive")
+        if not (0 < self.timeout_seconds <= MAX_TIMEOUT_SECONDS):
+            raise ValidationFailure(f"timeout_seconds must lie in (0, {MAX_TIMEOUT_SECONDS}]")
 
 
 def backend_from_json_dict(doc: dict) -> ExternalBackend:
     try:
         name = doc["name"]
-        command = tuple(str(tok) for tok in doc["command"])
-    except (KeyError, TypeError) as exc:
+        command = doc["command"]
+        timeout = int(doc.get("timeout_seconds", DEFAULT_TIMEOUT_SECONDS))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailure(f"malformed external backend descriptor: {exc}")
-    timeout = int(doc.get("timeout_seconds", DEFAULT_TIMEOUT_SECONDS))
-    return ExternalBackend(name=name, command=command, timeout_seconds=timeout)
+    if not isinstance(name, str) or not isinstance(command, list):
+        raise ValidationFailure("external backend needs a string name and a command list")
+    return ExternalBackend(name, tuple(str(tok) for tok in command), timeout)
 
 
 def load_backends_file(path: str | Path) -> dict[str, ExternalBackend]:
     """JSON list of descriptors -> mapping name -> backend."""
-    with open(path, encoding="utf-8") as fh:
-        docs = json.load(fh)
+    docs = _read_json(path)
     if not isinstance(docs, list):
         raise ValidationFailure("backends file must contain a JSON list of descriptors")
     backends: dict[str, ExternalBackend] = {}

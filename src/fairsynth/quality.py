@@ -11,12 +11,11 @@ real column.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyColumn, SchemaMismatch
+from .errors import EmptyColumn, LengthMismatch, SchemaMismatch
 from .schema import ColumnKind, Dataset, TableSchema
 
 KS_COMPLEMENT = "KSComplement"
@@ -54,20 +53,8 @@ def ks_complement(real_col, synth_col) -> float:
 
 
 def tv_complement(real_col, synth_col) -> float:
-    """1 - TVD between the empirical category frequencies.
-
-    math.fsum makes the sum exact, hence independent of category enumeration
-    order, so brute-force recomputation matches bitwise.
-    """
-    r = list(real_col)
-    s = list(synth_col)
-    if not r or not s:
-        raise EmptyColumn("tv_complement requires nonempty columns")
-    pc = Counter(r)
-    qc = Counter(s)
-    nr, ns = len(r), len(s)
-    terms = [abs(pc[c] / nr - qc[c] / ns) for c in set(pc) | set(qc)]
-    return 1.0 - 0.5 * math.fsum(terms)
+    """1 - TVD between the empirical category frequencies."""
+    return _tv(*_coded(real_col, synth_col))
 
 
 def correlation_similarity(real_a, real_b, synth_a, synth_b) -> float:
@@ -89,15 +76,46 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 def contingency_similarity(real_a, real_b, synth_a, synth_b) -> float:
     """1 - TVD between the empirical joint frequency tables of two label
-    sequences; exact under reordering for the same reason as tv_complement."""
-    ra, rb, sa, sb = list(real_a), list(real_b), list(synth_a), list(synth_b)
-    if not ra or not sa:
-        raise EmptyColumn("contingency_similarity requires nonempty columns")
-    pc = Counter(zip(ra, rb))
-    qc = Counter(zip(sa, sb))
-    nr, ns = len(ra), len(sa)
-    terms = [abs(pc[c] / nr - qc[c] / ns) for c in set(pc) | set(qc)]
-    return 1.0 - 0.5 * math.fsum(terms)
+    sequences."""
+    a, b = _coded(real_a, synth_a), _coded(real_b, synth_b)
+    if a[0].size != b[0].size or a[1].size != b[1].size:
+        raise LengthMismatch("paired label sequences must have equal lengths")
+    return _pair_tv(a, b)
+
+
+def _coded(real_labels, synth_labels) -> tuple[np.ndarray, np.ndarray, int]:
+    """(real keys, synthetic keys, key count): the two label sequences coded
+    over one key table, numbered in first-appearance order."""
+    table: dict = {}
+    real, synth = (
+        np.array([table.setdefault(v, len(table)) for v in labels], dtype=np.int64)
+        for labels in (real_labels, synth_labels)
+    )
+    return real, synth, len(table)
+
+
+def _tv(real_keys: np.ndarray, synth_keys: np.ndarray, size: int) -> float:
+    """1 - TVD between the frequencies of two arrays of keys in [0, size).
+
+    Counts are integers and each frequency a single division, and math.fsum
+    sums exactly, so the result does not depend on how the keys are numbered
+    and matches a brute-force count over the labels bitwise.
+    """
+    nr, ns = real_keys.size, synth_keys.size
+    if nr == 0 or ns == 0:
+        raise EmptyColumn("total variation requires nonempty columns")
+    if size > nr + ns:  # sparse keys: renumber the ones that occur
+        _, keys = np.unique(np.concatenate([real_keys, synth_keys]), return_inverse=True)
+        real_keys, synth_keys, size = keys[:nr], keys[nr:], nr + ns
+    freq_real = np.bincount(real_keys, minlength=size) / nr
+    freq_synth = np.bincount(synth_keys, minlength=size) / ns
+    return 1.0 - 0.5 * math.fsum(np.abs(freq_real - freq_synth).tolist())
+
+
+def _pair_tv(a: tuple, b: tuple) -> float:
+    """``_tv`` of the joint keys of two columns coded like ``_coded``'s output."""
+    (real_a, synth_a, size_a), (real_b, synth_b, size_b) = a, b
+    return _tv(real_a * size_b + real_b, synth_a * size_b + synth_b, size_a * size_b)
 
 
 def quantile_bin_edges(real_values, bins: int = QUANTILE_BINS) -> np.ndarray:
@@ -116,12 +134,6 @@ def discretize(values, edges: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, arr, side="left")
 
 
-def _pair_labels(data: Dataset, name: str, kind: ColumnKind, edges_by_column: dict):
-    if kind is ColumnKind.CATEGORICAL:
-        return data.decoded(name).tolist()
-    return discretize(data.decoded(name), edges_by_column[name]).tolist()
-
-
 def quality_report(real: Dataset, synth: Dataset, schema: TableSchema) -> QualityReport:
     """Full fidelity report of ``synth`` against ``real`` under ``schema``.
 
@@ -131,29 +143,26 @@ def quality_report(real: Dataset, synth: Dataset, schema: TableSchema) -> Qualit
     if real.schema != schema or synth.schema != schema:
         raise SchemaMismatch("real and synthetic datasets must share the given schema")
 
+    # Each column is coded once: a categorical column's codes through one key
+    # table for both category tables, a numeric column into quantile bins
+    # whose edges come from the real data only.
+    coded: dict[str, tuple] = {}
     shapes: dict[str, tuple[str, float]] = {}
-    for name, kind in schema.columns:
+    for (name, kind), r, s in zip(schema.columns, real.columns, synth.columns):
         if kind is ColumnKind.NUMERIC:
-            shapes[name] = (KS_COMPLEMENT, ks_complement(real.decoded(name), synth.decoded(name)))
+            shapes[name] = (KS_COMPLEMENT, ks_complement(r.values, s.values))
+            edges = quantile_bin_edges(r.values)
+            coded[name] = (discretize(r.values, edges), discretize(s.values, edges), edges.size + 1)
         else:
-            shapes[name] = (TV_COMPLEMENT, tv_complement(
-                real.decoded(name).tolist(), synth.decoded(name).tolist()
-            ))
+            real_keys, synth_keys, size = _coded(r.categories, s.categories)
+            coded[name] = (real_keys[r.codes], synth_keys[s.codes], size)
+            shapes[name] = (TV_COMPLEMENT, _tv(*coded[name]))
     shapes_average = float(np.mean([score for _, score in shapes.values()]))
-
-    # Bin edges are derived once per numeric column, from the real data only,
-    # and reused for the synthetic side.
-    edges = {
-        name: quantile_bin_edges(real.decoded(name))
-        for name, kind in schema.columns
-        if kind is ColumnKind.NUMERIC
-    }
 
     trends: list[tuple[str, str, str, float]] = []
     cols = schema.columns
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            (name_a, kind_a), (name_b, kind_b) = cols[i], cols[j]
+    for i, (name_a, kind_a) in enumerate(cols):
+        for name_b, kind_b in cols[i + 1:]:
             if kind_a is ColumnKind.NUMERIC and kind_b is ColumnKind.NUMERIC:
                 score = correlation_similarity(
                     real.decoded(name_a), real.decoded(name_b),
@@ -161,12 +170,7 @@ def quality_report(real: Dataset, synth: Dataset, schema: TableSchema) -> Qualit
                 )
                 trends.append((name_a, name_b, CORRELATION_SIMILARITY, score))
             else:
-                score = contingency_similarity(
-                    _pair_labels(real, name_a, kind_a, edges),
-                    _pair_labels(real, name_b, kind_b, edges),
-                    _pair_labels(synth, name_a, kind_a, edges),
-                    _pair_labels(synth, name_b, kind_b, edges),
-                )
+                score = _pair_tv(coded[name_a], coded[name_b])
                 trends.append((name_a, name_b, CONTINGENCY_SIMILARITY, score))
 
     if trends:

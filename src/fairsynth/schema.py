@@ -43,6 +43,15 @@ MISSING_TOKEN = ""
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
 
 
+def _read_json(path: str | Path):
+    """Parse a JSON file; a file that is not UTF-8 JSON is a ValidationFailure."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
+            raise ValidationFailure(f"{path}: not a UTF-8 JSON file: {exc}")
+
+
 class ColumnKind(Enum):
     NUMERIC = "numeric"
     CATEGORICAL = "categorical"
@@ -105,18 +114,19 @@ class Metadata:
             positive_label = label["positive"]
         except (KeyError, TypeError) as exc:
             raise MetadataMismatch(f"metadata JSON missing label fields: {exc}")
-        protected = tuple(doc.get("protected", ()))
-        declared = None
-        if "columns" in doc and doc["columns"]:
-            declared = {
-                name: ColumnKind(spec["kind"]) for name, spec in doc["columns"].items()
-            }
-        return cls(label_column, positive_label, protected, declared)
+        if not (isinstance(label_column, str) and isinstance(positive_label, str)):
+            raise MetadataMismatch("metadata label column and positive label must be strings")
+        try:
+            protected = tuple(doc.get("protected", ()))
+            columns = doc.get("columns") or {}
+            declared = {name: ColumnKind(spec["kind"]) for name, spec in columns.items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise MetadataMismatch(f"metadata JSON has malformed protected/columns fields: {exc}")
+        return cls(label_column, positive_label, protected, declared or None)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Metadata":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(_read_json(path))
 
     def to_json_dict(self) -> dict:
         doc: dict = {
@@ -298,36 +308,33 @@ def _read_csv(csv_path: str | Path) -> tuple[list[str], list[list[str]]]:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ParseError(
+                        reader.line_num,
+                        f"expected {len(header)} fields, found {len(row)}",
+                    )
+                rows.append(row)
         except StopIteration:
             raise EmptyTable(f"{csv_path}: no header row")
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ParseError(
-                    reader.line_num,
-                    f"expected {len(header)} fields, found {len(row)}",
-                )
-            rows.append(row)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationFailure(f"{csv_path}: unreadable as UTF-8 CSV: {exc}")
     return header, rows
 
 
 def _impute_numeric(cells: list[str], name: str) -> tuple[np.ndarray, int]:
-    present = [parse_number(c) for c in cells if c != MISSING_TOKEN]
-    if any(v is None for v in present):
-        bad = next(c for c in cells if c != MISSING_TOKEN and parse_number(c) is None)
+    # A missing cell parses to nan, which parse_number never returns.
+    parsed = [math.nan if c == MISSING_TOKEN else parse_number(c) for c in cells]
+    if None in parsed:
+        bad = cells[parsed.index(None)]
         raise ParseError(0, f"column {name!r}: non-numeric cell {bad!r}")
-    if not present:
+    values = np.array(parsed, dtype=np.float64)
+    missing = np.isnan(values)
+    if missing.all():
         raise MetadataMismatch(f"numeric column {name!r} has no values to impute from")
-    median = float(np.median(np.array(present, dtype=np.float64)))
-    out = np.empty(len(cells), dtype=np.float64)
-    imputed = 0
-    for i, c in enumerate(cells):
-        if c == MISSING_TOKEN:
-            out[i] = median
-            imputed += 1
-        else:
-            out[i] = parse_number(c)  # type: ignore[assignment]
-    return out, imputed
+    values[missing] = np.median(values[~missing])
+    return values, int(missing.sum())
 
 
 def _impute_categorical(cells: list[str], name: str) -> tuple[list[str], int]:
@@ -424,21 +431,17 @@ def load_synthetic(csv_path: str | Path, metadata: Metadata, schema: TableSchema
     return load_dataset(csv_path, pinned, require_binary_label=False)
 
 
-def format_cell(value) -> str:
-    """Stringify one cell for CSV output; floats use shortest round-trip form."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(dataset: Dataset, csv_path: str | Path) -> None:
-    """Write a Dataset as RFC-4180 CSV (CRLF, UTF-8, minimal quoting)."""
+    """Write a Dataset as RFC-4180 CSV (CRLF, UTF-8, minimal quoting); floats
+    use the shortest round-trip form."""
+    columns = [
+        map(repr, col.values.tolist()) if isinstance(col, NumericColumn) else col.decoded().tolist()
+        for col in dataset.columns
+    ]
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.schema.names)
-        decoded = [col.decoded() for col in dataset.columns]
-        for i in range(dataset.row_count):
-            writer.writerow([format_cell(col[i]) for col in decoded])
+        writer.writerows(zip(*columns))
 
 
 def split_holdout(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

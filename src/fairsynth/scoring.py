@@ -34,7 +34,7 @@ class CompositeScore:
 def fairness_multiplier(max_rel_fpr, parity_threshold: float = DEFAULT_PARITY_THRESHOLD) -> float:
     """1.0 at or below the parity threshold, parity_threshold/ratio beyond it;
     infinity gives 0.0 and an undefined ratio gives 1.0 with a warning."""
-    if parity_threshold < 1.0:
+    if not (parity_threshold >= 1.0):
         raise ValidationFailure("parity_threshold must be >= 1")
     if max_rel_fpr is UNDEFINED:
         logger.warning("max relative FPR undefined (no comparable groups); no fairness penalty applied")

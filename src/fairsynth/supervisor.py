@@ -65,7 +65,7 @@ class Targets:
             raise ValidationFailure("min_synth_score must lie in (0, 1]")
         if self.max_refinements < 0:
             raise ValidationFailure("max_refinements must be >= 0")
-        if self.parity_threshold < 1.0:
+        if not (self.parity_threshold >= 1.0):
             raise ValidationFailure("parity_threshold must be >= 1")
 
 

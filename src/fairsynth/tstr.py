@@ -113,7 +113,8 @@ def fit_encoder(synth_train: Dataset, metadata: Metadata) -> Encoder:
                 numeric_stats[name] = (mean, std)
             feature_names.append(name)
         else:
-            vocab = tuple(sorted(set(synth_train.decoded(name).tolist())))
+            col = synth_train.column(name)
+            vocab = tuple(sorted({col.categories[k] for k in np.unique(col.codes).tolist()}))
             category_maps[name] = vocab
             feature_names.extend(f"{name}={c}" for c in vocab)
     return Encoder(
@@ -149,16 +150,14 @@ def encode(encoder: Encoder, data: Dataset):
             mean, std = encoder.numeric_stats[name]
             blocks.append(((values - mean) / std).reshape(n, 1))
         else:
+            col = data.column(name)
             vocab = encoder.category_maps[name]
             index = {c: k for k, c in enumerate(vocab)}
-            onehot = np.zeros((n, len(vocab)))
-            for row, value in enumerate(data.decoded(name).tolist()):
-                k = index.get(value)
-                if k is None:
-                    unseen.add((name, value))
-                else:
-                    onehot[row, k] = 1.0
-            blocks.append(onehot)
+            # Vocabulary slot of each code; -1 (unseen) picks the all-zero row.
+            slots = np.array([index.get(c, -1) for c in col.categories], dtype=np.int64)
+            blocks.append(np.eye(len(vocab) + 1)[:, : len(vocab)][slots[col.codes]])
+            present = np.unique(col.codes).tolist()
+            unseen.update((name, col.categories[k]) for k in present if slots[k] < 0)
     for name, value in sorted(unseen):
         logger.warning("category %r of column %r unseen at fit time; encoded as zeros", value, name)
     X = np.hstack(blocks) if blocks else np.zeros((n, 0))

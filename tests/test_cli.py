@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -341,6 +342,109 @@ class TestNegativeSeed:
         assert "seed" in err[0]
 
 
+_METADATA = {"label": {"column": "Diagnosis", "positive": "positive"}, "protected": ["Race", "Sex"]}
+
+
+def _not_positive_definite(model):
+    n = len(model["column_order"])
+    model["correlation"] = [[1.0 if i == j else 2.0 for j in range(n)] for i in range(n)]
+    return model
+
+
+def _with_marginal(model, name, **fields):
+    model["marginals"][name].update(fields)
+    return model
+
+
+#: case -> (input read by the command, file contents); a callable builds the
+#: contents from the demo CSV bytes and the fitted model document.
+_HOSTILE = {
+    "metadata_empty": ("metadata", ""),
+    "metadata_not_json": ("metadata", "{label: Diagnosis"),
+    "metadata_kind_bogus": ("metadata", {**_METADATA, "columns": {"setting": {"kind": "bogus"}}}),
+    "metadata_columns_not_mapping": ("metadata", {**_METADATA, "columns": ["setting"]}),
+    "metadata_positive_label_not_string": (
+        "metadata", {**_METADATA, "label": {"column": "Diagnosis", "positive": ["positive"]}}
+    ),
+    "metadata_label_column_absent": (
+        "metadata", {"label": {"column": "Outcome", "positive": "yes"}, "protected": []}
+    ),
+    "backends_not_json": ("backends", "[{"),
+    "backends_non_objects": ("backends", "[1, 2]"),
+    "backends_nested_too_deep": ("backends", "[" * 100_000),
+    "backends_timeout_not_a_number": (
+        "backends", '[{"name": "x", "command": ["true"], "timeout_seconds": "abc"}]'
+    ),
+    "backends_timeout_overflow": (
+        "backends", '[{"name": "x", "command": ["true"], "timeout_seconds": 1.5e400}]'
+    ),
+    "backends_timeout_beyond_poll": (
+        "backends", '[{"name": "x", "command": ["true"], "timeout_seconds": 1e300}]'
+    ),
+    "data_not_utf8": ("data", lambda csv, model: csv.replace(b"inpatient", b"inpat\xffient", 1)),
+    "data_ragged_row": ("data", lambda csv, model: csv + b"White,Male,1.0\r\n"),
+    "data_nul_byte_in_label": (
+        "data", lambda csv, model: csv.replace(b",negative", b",nega\x00tive", 1)
+    ),
+    "score_not_json": ("score", "overall_score: 0.9"),
+    "score_json_list": ("score", "[]"),
+    "model_not_json": ("model", "{"),
+    "model_missing_marginal": (
+        "model", lambda csv, model: {**model, "marginals": {}}
+    ),
+    "model_not_positive_definite": ("model", lambda csv, model: _not_positive_definite(model)),
+    "model_correlation_wrong_size": ("model", lambda csv, model: {**model, "correlation": [[1.0]]}),
+    "model_numeric_marginal_empty": (
+        "model", lambda csv, model: _with_marginal(model, "symptom_scale", sorted_values=[])
+    ),
+    "model_frequencies_mismatch": (
+        "model", lambda csv, model: _with_marginal(model, "Race", frequencies=[1.0])
+    ),
+    "run_parity_threshold_nan": ("flag", None),
+    "score_parity_threshold_nan": ("flag", None),
+}
+
+
+class TestMalformedInputSweep:
+    @pytest.mark.parametrize("case", sorted(_HOSTILE))
+    def test_exits_with_one_error_line(self, case, demo_dir, evaluated, tmp_path, capsys):
+        tmp, _ = evaluated
+        reads, contents = _HOSTILE[case]
+        if callable(contents):
+            model = json.loads((tmp / "model.json").read_text(encoding="utf-8"))
+            contents = contents((demo_dir / "demo.csv").read_bytes(), model)
+        if isinstance(contents, dict):
+            contents = json.dumps(contents)
+        bad = tmp_path / "bad"
+        if isinstance(contents, bytes):
+            bad.write_bytes(contents)
+        elif contents is not None:
+            bad.write_text(contents, encoding="utf-8")
+
+        out = ["--out", str(tmp_path / "o")]
+        data = ["--data", str(bad if reads == "data" else demo_dir / "demo.csv")]
+        metadata = ["--metadata", str(bad if reads == "metadata" else demo_dir / "metadata.json")]
+        report = tmp_path / "report.json"
+        report.write_text('{"overall_score": 0.9, "max_rel_fpr": 1.5, "tstr": {"degenerate": false}}')
+        score = ["score", "--quality", str(bad if reads == "score" else report),
+                 "--fairness", str(report)]
+        argv = {
+            "metadata": ["run", *data, *metadata, *_small_flags(), *out],
+            "data": ["run", *data, *metadata, *_small_flags(), *out],
+            "backends": ["run", *data, *metadata, *_small_flags(), "--backends-file", str(bad),
+                         "--backend", "x", *out],
+            "score": score,
+            "model": ["sample", "--model", str(bad), *out],
+            "flag": (score if case.startswith("score") else
+                     ["run", *data, *metadata, *_small_flags(), *out])
+            + ["--parity-threshold", "nan"],
+        }[reads]
+
+        assert main(argv) in (1, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 class TestSeedEnvVar:
     def test_env_overrides_flag(self, demo_dir, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "3")
@@ -364,6 +468,43 @@ class TestSeedEnvVar:
         q.write_text('{"overall_score": 0.5}')
         f.write_text('{"max_rel_fpr": 1.0, "tstr": {"degenerate": false}}')
         assert main(["score", "--quality", str(q), "--fairness", str(f)]) == 0
+
+
+#: sha256 of every file that ``demo`` and then ``run``, ``supervise`` and
+#: ``bench --out`` with default flags write. A change that alters one of these
+#: outputs on purpose updates its digest and says why.
+ARTIFACT_SHA256 = {
+    "d/demo.csv": "8a9eedede6e65cb884971282899bbe6d770e82850cf4df4e0ce238c4261b8592",
+    "d/metadata.json": "dd7426918cc32d5a4ba0e2651ba07fd2daea9540119791e12145227af7b98cc7",
+    "r/fairness_metrics.json": "002290e2b0568dc774b60c4455b51debf5ea00982e55e5d000db9c5cb36eaec7",
+    "r/run_summary.json": "8f4263602f38d161157dbeb11f83a57edc417d4cea90cb1d2b0fce5127b8938b",
+    "r/sdmetrics_quality_report.json": "63be3aead4f197aabde688f8f7a096a467d7f175422b5ee2f39ca26f776c6db4",
+    "r/synthetic.csv": "5576a91d30b205e94e46e9e731ce008b9cbe50ddee86c49741cb97be376de511",
+    "s/fairness_metrics.json": "2edb8ab34edafaa31841396011e64fbd37637dcffe4f39608d6fa5674ee522e6",
+    "s/run_summary.json": "a5b1070b4e9406324b5695739dfbd7488a32b8b200e75f868fbd41a0269f11f1",
+    "s/sdmetrics_quality_report.json": "0fde7f22f49e9d02231f83e6d651d0ed21fb3d2332cb253e6c8ad1a72d0eb479",
+    "s/synthetic.csv": "3b7a432fead1380bf180992b903650847e60f22c1bfa130d10ffdd468eb09c74",
+    "b/bench_results.json": "ed6e3f8b0e02ccf89401b4791b83a1c95c125bab2a1674651358050aff2bfe2e",
+    "b/bench_table.txt": "4e7b5d91d3cede8ca55e079def64e00a0abd9fd73f1af283fcd8946576793283",
+}
+
+
+class TestArtifactDigests:
+    def test_demo_run_supervise_bench_are_byte_identical(self, tmp_path):
+        data = ["--data", str(tmp_path / "d" / "demo.csv"),
+                "--metadata", str(tmp_path / "d" / "metadata.json")]
+        assert main(["demo", "--out", str(tmp_path / "d")]) == 0
+        for command, out in (("run", "r"), ("supervise", "s"), ("bench", "b")):
+            assert main([command, *data, "--out", str(tmp_path / out)]) == 0
+        written = sorted(
+            p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()
+        )
+        assert written == sorted(ARTIFACT_SHA256)
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in written
+        }
+        assert got == ARTIFACT_SHA256
 
 
 def _child_env():

@@ -199,6 +199,45 @@ class TestQualityReport:
         with pytest.raises(SchemaMismatch):
             quality_report(demo_data, other, demo_data.schema)
 
+    def test_category_tables_in_different_orders_score_like_decoded_lists(self):
+        rng = np.random.default_rng(7)
+        # real holds "d" and lists it first; synth holds "e" and lists it first.
+        # 18 rows against 4 bins x 5 categories = 20 joint keys also takes the
+        # pairs through the renumbering of sparse keys.
+        real = _table(rng.standard_normal(10), rng.standard_normal(10),
+                      ["d", *rng.choice(list("abcd"), 9)])
+        synth = _table(rng.standard_normal(8) + 0.3, rng.standard_normal(8),
+                       ["e", "c", *rng.choice(list("abce"), 6)])
+        assert real.column("c").categories[0] == "d" and "e" not in real.column("c").categories
+        assert synth.column("c").categories[:2] == ("e", "c")
+        assert "d" not in synth.column("c").categories
+        report = quality_report(real, synth, real.schema)
+
+        edges = {n: quantile_bin_edges(real.decoded(n)) for n in ("na", "nb")}
+
+        def labels(data, name):
+            if name == "c":
+                return data.decoded(name).tolist()
+            return discretize(data.decoded(name), edges[name]).tolist()
+
+        assert report.shapes == {
+            "na": ("KSComplement", ks_complement(real.decoded("na"), synth.decoded("na"))),
+            "nb": ("KSComplement", ks_complement(real.decoded("nb"), synth.decoded("nb"))),
+            "c": ("TVComplement", tv_complement(labels(real, "c"), labels(synth, "c"))),
+        }
+        expect = [
+            ("na", "nb", "CorrelationSimilarity", correlation_similarity(
+                real.decoded("na"), real.decoded("nb"), synth.decoded("na"), synth.decoded("nb")
+            )),
+        ] + [
+            (a, "c", "ContingencySimilarity", contingency_similarity(
+                labels(real, a), labels(real, "c"), labels(synth, a), labels(synth, "c")
+            ))
+            for a in ("na", "nb")
+        ]
+        assert list(report.pair_trends) == expect
+        assert report.shapes["c"][1] < 1.0 and all(t[3] < 1.0 for t in expect)
+
     def test_mixed_pair_uses_real_bin_edges(self):
         # real numeric spread differs from synth; identical joint structure
         # after binning by REAL edges must give a deterministic score

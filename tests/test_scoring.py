@@ -36,8 +36,9 @@ class TestFairnessMultiplier:
         assert fairness_multiplier(4.5, parity_threshold=3.0) == pytest.approx(3.0 / 4.5)
 
     def test_threshold_validation(self):
-        with pytest.raises(ValidationFailure):
-            fairness_multiplier(1.5, parity_threshold=0.5)
+        for threshold in (0.5, float("nan")):
+            with pytest.raises(ValidationFailure):
+                fairness_multiplier(1.5, parity_threshold=threshold)
 
     def test_never_exceeds_one(self):
         rng = np.random.default_rng(0)

@@ -77,8 +77,9 @@ class TestConfigs:
             Targets(min_synth_score=0.0)
         with pytest.raises(ValidationFailure):
             Targets(max_refinements=-1)
-        with pytest.raises(ValidationFailure):
-            Targets(parity_threshold=0.9)
+        for threshold in (0.9, float("nan")):
+            with pytest.raises(ValidationFailure):
+                Targets(parity_threshold=threshold)
 
 
 class TestApplyAction:

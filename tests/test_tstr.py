@@ -83,13 +83,24 @@ class TestEncoder:
         assert X[:, 0].std() == pytest.approx(1.0, abs=1e-9)
         assert set(groups) == {"g"}
 
-    def test_unseen_category_is_zero_block(self):
-        train = _toy_dataset([1.0, 2.0], ["a", "b"], ["yes", "no"])
+    def test_unseen_category_is_zero_block(self, caplog):
+        train = _toy_dataset([1.0, 2.0, 3.0], ["a", "b", "c"], ["yes", "no", "yes"])
         enc = fit_encoder(train, TOY_MD)
-        test = _toy_dataset([1.0, 2.0], ["a", "zzz"], ["yes", "no"])
-        X, _, _ = encode(enc, test)
-        # columns: v, g=a, g=b; the unseen category row has an all-zero block
-        assert X[1, 1] == 0.0 and X[1, 2] == 0.0
+        # The test column's code table (zzz, c, a, yyy) is permuted against
+        # the fitted vocabulary (a, b, c) and holds two unseen categories.
+        test = _toy_dataset(
+            [1.0, 2.0, 3.0, 4.0, 5.0], ["zzz", "c", "a", "zzz", "yyy"], ["yes"] * 4 + ["no"]
+        )
+        with caplog.at_level("WARNING", logger="fairsynth.tstr"):
+            X, _, groups = encode(enc, test)
+        # columns: v, g=a, g=b, g=c; an unseen category row has an all-zero block
+        assert X[:, 1:].tolist() == [
+            [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+        ]
+        assert groups["g"] == ["zzz", "c", "a", "zzz", "yyy"]
+        warned = sorted(r.getMessage() for r in caplog.records)
+        assert len(warned) == 2
+        assert "'yyy'" in warned[0] and "'zzz'" in warned[1]
 
     def test_positive_label_maps_to_one(self):
         data = _toy_dataset([1.0, 2.0], ["a", "b"], ["yes", "no"])
