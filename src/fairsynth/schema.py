@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import compress, count, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -196,12 +197,10 @@ class CategoricalColumn:
     @classmethod
     def from_values(cls, values: Iterable[str]) -> "CategoricalColumn":
         """Intern string values in first-appearance order."""
-        table: dict[str, int] = {}
-        codes = []
-        for v in values:
-            code = table.setdefault(v, len(table))
-            codes.append(code)
-        return cls(np.array(codes, dtype=np.int32), tuple(table))
+        values = list(values)
+        table = dict(zip(dict.fromkeys(values), count()))
+        codes = np.fromiter(map(table.__getitem__, values), np.int32, len(values))
+        return cls(codes, tuple(table))
 
 
 Column = NumericColumn | CategoricalColumn
@@ -267,85 +266,114 @@ class Dataset:
         return True
 
 
+def _parse_numeric(cells: list[str]) -> np.ndarray | None:
+    """Parse a column's cells under ``parse_number``'s rule, missing cells as
+    nan; None unless every non-missing cell is a plain, finite decimal."""
+    # The missing token "" is the only falsy cell, so filter(None, ...) and
+    # map(bool, ...) pick out the present cells without a Python-level loop.
+    if not all(map(_NUMBER_RE.match, filter(None, cells))):
+        return None
+    n_missing = cells.count(MISSING_TOKEN)
+    values = np.fromiter(map(float, filter(None, cells)), np.float64, len(cells) - n_missing)
+    if np.isinf(values).any():  # overflow, such as "1e999"
+        return None
+    if not n_missing:
+        return values
+    out = np.full(len(cells), np.nan)
+    out[np.fromiter(map(bool, cells), bool, len(cells))] = values
+    return out
+
+
 def infer_schema(
     header: Sequence[str],
-    rows: Sequence[Sequence[str]],
+    columns: Sequence[list[str]],
     declared_kinds: Mapping[str, ColumnKind] | None = None,
-) -> TableSchema:
-    """Infer per-column kinds from raw string cells.
+) -> tuple[TableSchema, list[np.ndarray | None]]:
+    """Infer per-column kinds from raw string cells, given column by column.
 
     A column is numeric iff every non-missing cell parses as a plain decimal
     number and the distinct parsed values exceed the cardinality cutoff;
-    declared kinds always win.
+    declared kinds always win. Also returns, per column, the parsed values
+    (nan where missing) of an inferred numeric column and None for any other
+    column, so ingest parses each cell once.
     """
-    if not header or not rows:
+    if not header or not columns[0]:
         raise EmptyTable("table needs at least one column and one data row")
     declared = declared_kinds or {}
-    columns = []
-    for j, name in enumerate(header):
+    kinds = []
+    parsed: list[np.ndarray | None] = []
+    for name, cells in zip(header, columns):
+        values = None
         if name in declared:
-            columns.append((name, declared[name]))
-            continue
-        distinct: set[float] = set()
-        all_numeric = True
-        for row in rows:
-            token = row[j]
-            if token == MISSING_TOKEN:
-                continue
-            value = parse_number(token)
-            if value is None:
-                all_numeric = False
-                break
-            distinct.add(value)
-        numeric = all_numeric and len(distinct) > CATEGORICAL_CARDINALITY_CUTOFF
-        columns.append((name, ColumnKind.NUMERIC if numeric else ColumnKind.CATEGORICAL))
-    return TableSchema(tuple(columns))
+            kind = declared[name]
+        else:
+            values = _parse_numeric(cells)
+            if values is not None:
+                distinct = np.unique(values[~np.isnan(values)])
+                if len(distinct) <= CATEGORICAL_CARDINALITY_CUTOFF:
+                    values = None
+            kind = ColumnKind.CATEGORICAL if values is None else ColumnKind.NUMERIC
+        kinds.append((name, kind))
+        parsed.append(values)
+    return TableSchema(tuple(kinds)), parsed
 
 
-def _read_csv(csv_path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Read an RFC-4180 CSV; returns (header, rows)."""
+# Rows move from the CSV reader into per-column lists this many at a time.
+# No table-sized list of row lists is ever alive, and a block stays below
+# CPython's first-generation collection threshold (700 container allocations
+# by default in 3.11), so its row lists are freed before any collector pass
+# has to traverse them.
+_READ_BLOCK_ROWS = 256
+
+
+def _checked_rows(reader, width: int):
+    """Yield the reader's rows; a row of another width is a ParseError at the
+    physical line where it ends."""
+    for row in reader:
+        if len(row) != width:
+            raise ParseError(reader.line_num, f"expected {width} fields, found {len(row)}")
+        yield row
+
+
+def _read_csv(csv_path: str | Path) -> tuple[list[str], list[list[str]], int]:
+    """Read an RFC-4180 CSV column by column; returns (header, columns, row count)."""
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
-            rows = []
-            for row in reader:
-                if len(row) != len(header):
-                    raise ParseError(
-                        reader.line_num,
-                        f"expected {len(header)} fields, found {len(row)}",
-                    )
-                rows.append(row)
+            columns: list[list[str]] = [[] for _ in header]
+            n_rows = 0
+            rows = _checked_rows(reader, len(header))
+            while block := list(islice(rows, _READ_BLOCK_ROWS)):
+                n_rows += len(block)
+                for column, cells in zip(columns, zip(*block)):
+                    column.extend(cells)
         except StopIteration:
             raise EmptyTable(f"{csv_path}: no header row")
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationFailure(f"{csv_path}: unreadable as UTF-8 CSV: {exc}")
-    return header, rows
+    return header, columns, n_rows
 
 
-def _impute_numeric(cells: list[str], name: str) -> tuple[np.ndarray, int]:
-    # A missing cell parses to nan, which parse_number never returns.
-    parsed = [math.nan if c == MISSING_TOKEN else parse_number(c) for c in cells]
-    if None in parsed:
-        bad = cells[parsed.index(None)]
-        raise ParseError(0, f"column {name!r}: non-numeric cell {bad!r}")
-    values = np.array(parsed, dtype=np.float64)
+def _impute_numeric(values: np.ndarray, name: str) -> tuple[NumericColumn, int]:
     missing = np.isnan(values)
     if missing.all():
         raise MetadataMismatch(f"numeric column {name!r} has no values to impute from")
     values[missing] = np.median(values[~missing])
-    return values, int(missing.sum())
+    return NumericColumn(values), int(missing.sum())
 
 
-def _impute_categorical(cells: list[str], name: str) -> tuple[list[str], int]:
-    present = [c for c in cells if c != MISSING_TOKEN]
-    if not present:
-        raise MetadataMismatch(f"categorical column {name!r} has no values to impute from")
-    counts = Counter(present)
-    # Mode; ties broken by value text ascending for determinism.
-    mode = min(counts, key=lambda c: (-counts[c], c))
-    imputed = sum(1 for c in cells if c == MISSING_TOKEN)
-    return [mode if c == MISSING_TOKEN else c for c in cells], imputed
+def _impute_categorical(cells: list[str], name: str) -> tuple[CategoricalColumn, int]:
+    imputed = cells.count(MISSING_TOKEN)
+    if imputed:
+        counts = Counter(cells)
+        del counts[MISSING_TOKEN]
+        if not counts:
+            raise MetadataMismatch(f"categorical column {name!r} has no values to impute from")
+        # Mode; ties broken by value text ascending for determinism.
+        mode = min(counts, key=lambda c: (-counts[c], c))
+        cells = [mode if c == MISSING_TOKEN else c for c in cells]
+    return CategoricalColumn.from_values(cells), imputed
 
 
 def load_dataset(
@@ -362,8 +390,8 @@ def load_dataset(
     the positive label; synthetic backend output may legitimately collapse to
     one class and is flagged as degenerate downstream instead of rejected here.
     """
-    header, rows = _read_csv(csv_path)
-    if not rows:
+    header, cell_columns, n_rows = _read_csv(csv_path)
+    if not n_rows:
         raise EmptyTable(f"{csv_path}: no data rows")
 
     required = [metadata.label_column, *metadata.protected_attributes]
@@ -375,7 +403,7 @@ def load_dataset(
             f"label column {metadata.label_column!r} is also a protected attribute"
         )
 
-    schema = infer_schema(header, rows, metadata.declared_kinds)
+    schema, parsed = infer_schema(header, cell_columns, metadata.declared_kinds)
     if schema.kind_of(metadata.label_column) is not ColumnKind.CATEGORICAL:
         raise LabelNotBinary(
             f"label column {metadata.label_column!r} is numeric, not a binary category"
@@ -384,32 +412,43 @@ def load_dataset(
         if schema.kind_of(col) is not ColumnKind.CATEGORICAL:
             raise MetadataMismatch(f"protected attribute {col!r} is numeric, not categorical")
 
-    required_idx = [header.index(c) for c in required]
-    kept = [row for row in rows if all(row[j] != MISSING_TOKEN for j in required_idx)]
-    dropped = len(rows) - len(kept)
-    if not kept:
-        raise EmptyTable("all rows dropped: label or protected attribute always missing")
+    required_cells = [cell_columns[header.index(c)] for c in required]
+    dropped = 0
+    if any(MISSING_TOKEN in cells for cells in required_cells):
+        # A row is kept iff none of its required cells is the (falsy) missing token.
+        keep = list(map(all, zip(*required_cells)))
+        dropped = keep.count(False)
+        if dropped == n_rows:
+            raise EmptyTable("all rows dropped: label or protected attribute always missing")
+        keep_mask = np.array(keep)
 
     columns: list[Column] = []
     imputed_counts: dict[str, int] = {}
-    for j, (name, kind) in enumerate(schema.columns):
-        cells = [row[j] for row in kept]
-        if kind is ColumnKind.NUMERIC:
-            values, n_imputed = _impute_numeric(cells, name)
-            columns.append(NumericColumn(values))
+    for (name, kind), cells, values in zip(schema.columns, cell_columns, parsed):
+        if dropped and values is None:
+            cells = list(compress(cells, keep))
+        elif dropped:
+            values = values[keep_mask]
+        if kind is ColumnKind.CATEGORICAL:
+            column, n_imputed = _impute_categorical(cells, name)
         else:
-            values, n_imputed = _impute_categorical(cells, name)
-            columns.append(CategoricalColumn.from_values(values))
+            if values is None:  # declared numeric: only the kept cells must parse
+                values = _parse_numeric(cells)
+                if values is None:
+                    bad = next(c for c in cells if c != MISSING_TOKEN and parse_number(c) is None)
+                    raise ParseError(0, f"column {name!r}: non-numeric cell {bad!r}")
+            column, n_imputed = _impute_numeric(values, name)
+        columns.append(column)
         if n_imputed:
             imputed_counts[name] = n_imputed
 
     dataset = Dataset(
         schema,
         tuple(columns),
-        IngestStats(rows_read=len(rows), rows_dropped=dropped, imputed=imputed_counts),
+        IngestStats(rows_read=n_rows, rows_dropped=dropped, imputed=imputed_counts),
     )
 
-    label_values = set(dataset.decoded(metadata.label_column).tolist())
+    label_values = set(dataset.column(metadata.label_column).categories)
     if require_binary_label and len(label_values) != 2:
         raise LabelNotBinary(
             f"label column {metadata.label_column!r} has {len(label_values)} distinct "

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -77,6 +78,58 @@ class TestRenderJson:
     def test_deterministic(self):
         doc = {"x": 0.1234567, "y": [1, {"z": False}]}
         assert render_json(doc) == render_json(doc)
+
+    def test_random_documents_round_trip(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            doc = {_random_text(rng): _random_value(rng, 3) for _ in range(rng.randint(0, 5))}
+            text = render_json(doc)
+            # parse_float=str keeps each number's text, so the %.6f form is checked exactly.
+            assert json.loads(text, parse_float=str) == _floats_as_text(doc)
+
+
+# Characters that stress the string escaper: every control character, the two
+# JSON escapes, and the code points some JSON writers treat specially.
+_HOSTILE_CHARS = [chr(c) for c in range(0x20)] + [
+    "\x7f", "\\", '"', "/", "\u2028", "\u2029", "\ufeff", "é", "\U0001f600"
+]
+
+
+def _random_text(rng: random.Random) -> str:
+    chars = []
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < 0.5:
+            chars.append(rng.choice(_HOSTILE_CHARS))
+        else:
+            code = rng.randint(0x20, 0x10FFFF)
+            # Surrogates are not characters: no valid UTF-8 text holds one.
+            chars.append(chr(code) if not 0xD800 <= code <= 0xDFFF else "?")
+    return "".join(chars)
+
+
+def _random_value(rng: random.Random, depth: int):
+    kind = rng.randrange(7 if depth else 5)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.randint(-(10**12), 10**12)
+    if kind == 2:
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-9, 15)
+    if kind in (3, 4):
+        return _random_text(rng)
+    if kind == 5:
+        return [_random_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    return {_random_text(rng): _random_value(rng, depth - 1) for _ in range(rng.randint(0, 4))}
+
+
+def _floats_as_text(value):
+    if isinstance(value, float):
+        return "%.6f" % value
+    if isinstance(value, list):
+        return [_floats_as_text(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _floats_as_text(v) for k, v in value.items()}
+    return value
 
 
 class TestRatioSerialization:

@@ -1,3 +1,6 @@
+import csv
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,9 +15,11 @@ from fairsynth.errors import (
     ValidationFailure,
 )
 from fairsynth.schema import (
+    _READ_BLOCK_ROWS,
     CategoricalColumn,
     ColumnKind,
     Dataset,
+    IngestStats,
     Metadata,
     NumericColumn,
     SplitSpec,
@@ -45,39 +50,38 @@ def test_parse_number_rejects_non_numbers_and_non_finite():
 
 
 def test_infer_schema_numeric_above_cutoff():
-    values = [[f"{i}.5"] for i in range(40)]
-    schema = infer_schema(["v"], values)
+    schema, parsed = infer_schema(["v"], [[f"{i}.5" for i in range(40)]])
     assert schema.kind_of("v") is ColumnKind.NUMERIC
+    assert parsed[0].tolist() == [i + 0.5 for i in range(40)]
 
 
 def test_infer_schema_non_numeric_tokens_categorical():
-    schema = infer_schema(["sex"], [["M"], ["F"], ["F"], ["M"]])
+    schema, _ = infer_schema(["sex"], [["M", "F", "F", "M"]])
     assert schema.kind_of("sex") is ColumnKind.CATEGORICAL
 
 
 def test_infer_schema_low_cardinality_numeric_is_categorical():
     # parseable values, but only 2 distinct: under the cutoff of 20
-    rows = [["0"], ["1"], ["0"], ["1"]]
-    schema = infer_schema(["flag"], rows)
+    schema, parsed = infer_schema(["flag"], [["0", "1", "0", "1"]])
     assert schema.kind_of("flag") is ColumnKind.CATEGORICAL
+    assert parsed == [None]
 
 
 def test_infer_schema_declared_kind_overrides():
-    rows = [["0"], ["1"], ["0"], ["1"]]
-    schema = infer_schema(["flag"], rows, {"flag": ColumnKind.NUMERIC})
+    schema, _ = infer_schema(["flag"], [["0", "1", "0", "1"]], {"flag": ColumnKind.NUMERIC})
     assert schema.kind_of("flag") is ColumnKind.NUMERIC
 
 
 def test_infer_schema_errors():
     with pytest.raises(EmptyTable):
-        infer_schema(["a"], [])
+        infer_schema(["a"], [[]])
     with pytest.raises(DuplicateColumnName):
-        infer_schema(["a", "a"], [["1", "2"]])
+        infer_schema(["a", "a"], [["1"], ["2"]])
 
 
 def test_infer_schema_is_pure():
-    rows = [["x"], ["y"], ["x"]]
-    assert infer_schema(["c"], rows) == infer_schema(["c"], rows)
+    columns = [["x", "y", "x"]]
+    assert infer_schema(["c"], columns)[0] == infer_schema(["c"], columns)[0]
 
 
 def test_load_dataset_drops_rows_missing_protected(tmp_path):
@@ -167,6 +171,173 @@ def test_load_dataset_ragged_row_is_parse_error(tmp_path):
     with pytest.raises(ParseError) as err:
         load_dataset(p, Metadata("label", "yes"))
     assert err.value.line == 2
+
+
+def test_ragged_row_after_multiline_field_reports_physical_line(tmp_path):
+    p = tmp_path / "t.csv"
+    lines = ["a,label"] + ["1,yes"] * 4200 + ['"two\r\nlines",no', "1,yes,extra", "2,no"]
+    write_lines(p, lines)
+    with pytest.raises(ParseError) as err:
+        load_dataset(p, Metadata("label", "yes"))
+    # header + 4200 rows + the two physical lines of the quoted field, then the ragged row
+    assert err.value.line == 4204
+
+
+def test_declared_numeric_checks_only_kept_rows(tmp_path):
+    p = tmp_path / "t.csv"
+    md = Metadata("label", "yes", declared_kinds={"v": ColumnKind.NUMERIC})
+    write_lines(p, ["v,label", "1,yes", "oops,", "3,no"])
+    data = load_dataset(p, md)  # "oops" sits only in a row dropped for its missing label
+    assert data.decoded("v").tolist() == [1.0, 3.0]
+    assert data.ingest.rows_dropped == 1
+    # The first bad kept cell in file order is named, whichever rule it breaks.
+    write_lines(p, ["v,label", "1,yes", "2,", "1e999,no", "x,yes", "3,no"])
+    with pytest.raises(ParseError, match="non-numeric cell '1e999'"):
+        load_dataset(p, md)
+    write_lines(p, ["v,label", "1,yes", "x,no", "1e999,yes", "3,no"])
+    with pytest.raises(ParseError, match="non-numeric cell 'x'"):
+        load_dataset(p, md)
+
+
+def _reference_load(path, md):
+    """Row-wise ingest in plain Python: the oracle for the columnar loader."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                message = f"expected {len(header)} fields, found {len(row)}"
+                raise ParseError(reader.line_num, message)
+            rows.append(row)
+    declared = md.declared_kinds or {}
+    kinds = []
+    for j, name in enumerate(header):
+        parsed = [parse_number(row[j]) for row in rows if row[j] != ""]
+        numeric = None not in parsed and len(set(parsed)) > 20
+        inferred = ColumnKind.NUMERIC if numeric else ColumnKind.CATEGORICAL
+        kinds.append((name, declared.get(name, inferred)))
+    required = [header.index(c) for c in (md.label_column, *md.protected_attributes)]
+    kept = [row for row in rows if all(row[j] != "" for j in required)]
+    columns, imputed = [], {}
+    for j, (name, kind) in enumerate(kinds):
+        cells = [row[j] for row in kept]
+        present = [c for c in cells if c != ""]
+        if kind is ColumnKind.NUMERIC:
+            values = [parse_number(c) for c in present]
+            fill = np.median(np.array(values))
+            it = iter(values)
+            columns.append(NumericColumn(np.array([next(it) if c else fill for c in cells])))
+        else:
+            counts = Counter(present)
+            mode = min(counts, key=lambda c: (-counts[c], c))
+            table = {}
+            codes = [table.setdefault(c or mode, len(table)) for c in cells]
+            columns.append(CategoricalColumn(np.array(codes), tuple(table)))
+        if len(present) < len(cells):
+            imputed[name] = len(cells) - len(present)
+    stats = IngestStats(rows_read=len(rows), rows_dropped=len(rows) - len(kept), imputed=imputed)
+    return Dataset(TableSchema(tuple(kinds)), tuple(columns), stats)
+
+
+_QUOTED = ["a,b", 'say "hi"', "two\nlines", "crlf\r\nline", "plain", '",\r\n"']
+_BAD_TOKENS = ["nan", "inf", "1e999", " 1", "1_0"]
+
+
+def _hostile_rows(rng, n):
+    """Seeded rows over every ingest rule: missing cells in each column kind,
+    quoted separators and line breaks, odd number spellings, and columns at
+    the cardinality cutoff."""
+
+    def sometimes_missing(values, rate):
+        return ["" if rng.random() < rate else v for v in values]
+
+    def draw(choices):
+        return [str(rng.choice(choices)) for _ in range(n)]
+
+    label = sometimes_missing(draw(["yes", "no"]), 0.03)
+    group = sometimes_missing(draw(["A", "B", "C"]), 0.03)
+    label[:3], group[:3] = ["yes", "no", "yes"], ["A", "B", "C"]
+    label[-1] = ""  # dropped
+    spellings = ["-0", "0", "+.5", "5.", "1e3", ".25"]
+    num = [s if rng.random() < 0.1 else repr(float(rng.normal(0, 10))) for s in draw(spellings)]
+    num = sometimes_missing(num, 0.05)
+    cat = sometimes_missing(draw(["x", "x", "y", "z"]), 0.1)
+    cat[:3] = ["", "z", "x"]  # the mode "x" first appears at a missing cell
+    text = sometimes_missing(draw(_QUOTED), 0.05)
+    # Numbers and one hostile token, which may sit in a dropped row.
+    tok = [repr(float(v)) for v in rng.random(n)]
+    tok[int(rng.integers(3, n))] = str(rng.choice(_BAD_TOKENS))
+    # 20 distinct values, though "-0" and "0" are 21 distinct strings.
+    d20 = [str(i % 20) for i in range(n)]
+    d20[20::40] = ["-0"] * len(d20[20::40])
+    # 21 distinct values, the 21st only in the dropped last row.
+    d21 = [str(i % 20) for i in range(n - 1)] + ["20"]
+    # "a" and "b" tie for the mode among kept rows; the text tie-break picks "a".
+    kept = [i for i in range(n) if label[i] and group[i]]
+    paired = kept[1 : 1 + 2 * ((len(kept) - 1) // 2)]
+    tie = [""] * n
+    for k, i in enumerate(paired):
+        tie[i] = "ba"[k % 2]
+    for i in set(range(n)) - set(kept):
+        tie[i] = "c"
+    header = ["label", "grp", "num", "cat", "text", "tok", "d20", "d21", "tie"]
+    return header, [list(r) for r in zip(label, group, num, cat, text, tok, d20, d21, tie)]
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _assert_same_ingest(got, want):
+    assert got == want
+    assert got.schema == want.schema
+    assert got.ingest == want.ingest
+    for a, b in zip(got.columns, want.columns):
+        if isinstance(b, NumericColumn):
+            assert a.values.tobytes() == b.values.tobytes()  # bitwise, so -0.0 != 0.0
+        else:
+            assert a.categories == b.categories
+            assert a.codes.tolist() == b.codes.tolist()
+
+
+def test_columnar_ingest_matches_row_wise_reference(tmp_path):
+    rng = np.random.default_rng(2026)
+    inferred = Metadata("label", "yes", ("grp",))
+    declared = Metadata(
+        "label", "yes", ("grp",), {"d20": ColumnKind.NUMERIC, "num": ColumnKind.CATEGORICAL}
+    )
+    for case in range(8):
+        n = 2 * _READ_BLOCK_ROWS + int(rng.integers(1, 2 * _READ_BLOCK_ROWS))
+        header, rows = _hostile_rows(rng, n)
+        p = tmp_path / f"t{case}.csv"
+        _write_rows(p, header, rows)
+        for md in (inferred, declared):
+            _assert_same_ingest(load_dataset(p, md), _reference_load(p, md))
+        want = _reference_load(p, inferred)
+        kinds = {name: kind.value for name, kind in want.schema.columns}
+        assert kinds == {
+            "label": "categorical", "grp": "categorical", "num": "numeric",
+            "cat": "categorical", "text": "categorical", "tok": "categorical",
+            "d20": "categorical", "d21": "numeric", "tie": "categorical",
+        }
+        assert want.column("cat").categories[0] == "x"
+        assert want.column("tie").categories == ("a", "b")
+        assert set(want.ingest.imputed) == {"num", "cat", "text", "tie"}
+        assert want.ingest.rows_dropped > 0
+        # A ragged row on either side of a read-block boundary names the same line.
+        for at in (_READ_BLOCK_ROWS - 1, _READ_BLOCK_ROWS, n - 1):
+            ragged = rows[:at] + [rows[at] + ["extra"]] + rows[at + 1 :]
+            _write_rows(p, header, ragged)
+            with pytest.raises(ParseError) as want_err:
+                _reference_load(p, inferred)
+            with pytest.raises(ParseError) as got_err:
+                load_dataset(p, inferred)
+            assert got_err.value.line == want_err.value.line
+            assert str(got_err.value) == str(want_err.value)
 
 
 def test_split_holdout_partition():
