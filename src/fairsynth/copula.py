@@ -10,7 +10,6 @@ positive definiteness before factorization.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,39 +132,41 @@ class CopulaModel:
             raise NotFitted("model has no factorized correlation")
 
 
-def fit_marginal(values, kind: ColumnKind) -> MarginalModel:
+def fit_marginal(column: Column) -> MarginalModel:
     """Fit one column's marginal model.
 
     Numeric columns keep a sorted copy of the values; categorical columns get
-    frequencies ordered by descending frequency (ties by category text
-    ascending) plus the cumulative interval bounds derived from that order.
+    the frequencies of the categories that occur, descending (ties by text
+    ascending), plus the cumulative interval bounds derived from that order.
     """
-    if kind is ColumnKind.NUMERIC:
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size < 2:
+    if isinstance(column, NumericColumn):
+        if len(column) < 2:
             raise TooFewValues("numeric marginal needs at least 2 values")
-        return NumericMarginal(np.sort(arr))
-    seq = [str(v) for v in values]
-    if not seq:
+        return NumericMarginal(np.sort(column.values))
+    n = len(column)
+    if n == 0:
         raise TooFewValues("categorical marginal needs at least 1 value")
-    counts = Counter(seq)
-    ordered = sorted(counts, key=lambda c: (-counts[c], c))
-    n = len(seq)
-    freqs = np.array([counts[c] / n for c in ordered], dtype=np.float64)
+    counts = np.bincount(column.codes, minlength=len(column.categories))
+    # A sliced column's table can hold categories that no row uses; skip them.
+    present = np.flatnonzero(counts).tolist()
+    order = sorted(present, key=lambda k: (-counts[k], column.categories[k]))
+    freqs = counts[order] / n
     upper = np.cumsum(freqs)
     upper[-1] = 1.0  # guarantee full coverage of [0, 1)
-    return CategoricalMarginal(tuple(ordered), freqs, upper)
+    return CategoricalMarginal(tuple(column.categories[k] for k in order), freqs, upper)
 
 
-def to_normal_scores(values, marginal: MarginalModel, rng: np.random.Generator) -> np.ndarray:
-    """Forward copula transform of raw values into standard-normal scores.
+def to_normal_scores(
+    column: Column, marginal: MarginalModel, rng: np.random.Generator
+) -> np.ndarray:
+    """Forward copula transform of a column into standard-normal scores.
 
     Numeric value with (average, 1-based) rank r among the n fitted values
     maps through u = r/(n+1); categorical values draw u uniformly inside the
     category's interval so score space carries no point masses.
     """
     if isinstance(marginal, NumericMarginal):
-        arr = np.asarray(values, dtype=np.float64)
+        arr = column.values
         fitted = marginal.sorted_values
         n = len(fitted)
         less = np.searchsorted(fitted, arr, side="left")
@@ -175,16 +176,17 @@ def to_normal_scores(values, marginal: MarginalModel, rng: np.random.Generator) 
         u = rank / (n + 1)
         return ndtri(u)
     index = {c: i for i, c in enumerate(marginal.categories)}
-    seq = [str(v) for v in values]
-    try:
-        idx = np.array([index[v] for v in seq], dtype=np.int64)
-    except KeyError as exc:
-        raise UnknownCategory(f"value {exc.args[0]!r} absent from fitted marginal")
+    # Marginal slot of each table entry; -1 marks a category the fit never saw.
+    slots = np.array([index.get(c, -1) for c in column.categories], dtype=np.int64)
+    idx = slots[column.codes]
+    if (idx < 0).any():
+        value = column.categories[column.codes[np.argmax(idx < 0)]]
+        raise UnknownCategory(f"value {value!r} absent from fitted marginal")
     upper = marginal.upper_bounds
     lower = np.concatenate(([0.0], upper[:-1]))
     lo = lower[idx]
     width = upper[idx] - lo
-    u = lo + rng.random(len(seq)) * width
+    u = lo + rng.random(len(idx)) * width
     return ndtri(u)
 
 
@@ -241,18 +243,16 @@ def fit(train: Dataset, config: SynthesizerConfig) -> CopulaModel:
         raise ValidationFailure(
             f"unknown native backend {config.backend!r}; expected one of {NATIVE_BACKENDS}"
         )
-    marginals = {
-        name: fit_marginal(train.decoded(name), kind) for name, kind in train.schema.columns
-    }
-
     names = train.schema.names
+    marginals = {name: fit_marginal(col) for name, col in zip(names, train.columns)}
+
     d = len(names)
     if config.backend == "independent":
         corr = np.eye(d)
     else:
         rng = np.random.default_rng(config.seed)
         scores = np.column_stack(
-            [to_normal_scores(train.decoded(name), marginals[name], rng) for name in names]
+            [to_normal_scores(col, marginals[name], rng) for name, col in zip(names, train.columns)]
         )
         corr = estimate_correlation(scores)
         lam = config.correlation_shrinkage
@@ -330,7 +330,10 @@ def model_to_json_dict(model: CopulaModel) -> dict:
 
 
 def model_from_json_dict(doc: dict) -> CopulaModel:
-    """Rebuild a fitted model; a malformed document raises ``NotFitted``."""
+    """Rebuild a fitted model; a malformed document raises ``NotFitted``, as
+    does one that breaks a marginal's invariants: finite, non-negative
+    frequencies summing to 1 within 1e-9, distinct category texts, and finite
+    ascending sorted values."""
     try:
         order = tuple(doc["column_order"])
         raw_marginals = doc["marginals"]
@@ -344,12 +347,22 @@ def model_from_json_dict(doc: dict) -> CopulaModel:
                 values = np.asarray(m["sorted_values"], dtype=np.float64)
                 if values.shape[0] < 2:
                     raise NotFitted(f"numeric marginal {name!r} needs at least 2 values")
+                if not np.isfinite(values).all() or np.any(np.diff(values) < 0):
+                    raise NotFitted(f"numeric marginal {name!r} needs finite ascending values")
                 marginals[name] = NumericMarginal(values)
             else:
                 categories = tuple(map(str, m["categories"]))
                 freqs = np.asarray(m["frequencies"], dtype=np.float64)
                 if not categories or freqs.shape != (len(categories),):
                     raise NotFitted(f"categorical marginal {name!r} needs a frequency per category")
+                if len(set(categories)) != len(categories):
+                    raise NotFitted(f"categorical marginal {name!r} repeats a category")
+                if not (np.isfinite(freqs).all() and (freqs >= 0).all()):
+                    raise NotFitted(
+                        f"categorical marginal {name!r} has a negative or non-finite frequency"
+                    )
+                if abs(freqs.sum() - 1.0) > 1e-9:
+                    raise NotFitted(f"categorical marginal {name!r} frequencies do not sum to 1")
                 upper = np.cumsum(freqs)
                 upper[-1] = 1.0
                 marginals[name] = CategoricalMarginal(categories, freqs, upper)

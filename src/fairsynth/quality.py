@@ -165,8 +165,8 @@ def quality_report(real: Dataset, synth: Dataset, schema: TableSchema) -> Qualit
         for name_b, kind_b in cols[i + 1:]:
             if kind_a is ColumnKind.NUMERIC and kind_b is ColumnKind.NUMERIC:
                 score = correlation_similarity(
-                    real.decoded(name_a), real.decoded(name_b),
-                    synth.decoded(name_a), synth.decoded(name_b),
+                    real.column(name_a).values, real.column(name_b).values,
+                    synth.column(name_a).values, synth.column(name_b).values,
                 )
                 trends.append((name_a, name_b, CORRELATION_SIMILARITY, score))
             else:

@@ -39,14 +39,16 @@ CATEGORICAL_CARDINALITY_CUTOFF = 20
 #: The only cell token treated as missing.
 MISSING_TOKEN = ""
 
-# Plain decimal syntax with optional exponent; deliberately rejects
-# "nan"/"inf"/underscores so ingested numerics are always finite.
-_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
+# Plain decimal syntax with optional exponent in ASCII digits; deliberately
+# rejects "nan"/"inf"/underscores and other scripts' digits (which float()
+# would accept) so ingested numerics are always finite, plain decimals.
+_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
 
 
 def _read_json(path: str | Path):
-    """Parse a JSON file; a file that is not UTF-8 JSON is a ValidationFailure."""
-    with open(path, encoding="utf-8") as fh:
+    """Parse a JSON file, with or without a UTF-8 byte order mark; a file that
+    is not UTF-8 JSON is a ValidationFailure."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
@@ -336,8 +338,9 @@ def _checked_rows(reader, width: int):
 
 
 def _read_csv(csv_path: str | Path) -> tuple[list[str], list[list[str]], int]:
-    """Read an RFC-4180 CSV column by column; returns (header, columns, row count)."""
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    """Read an RFC-4180 CSV column by column, skipping a UTF-8 byte order mark;
+    returns (header, columns, row count)."""
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

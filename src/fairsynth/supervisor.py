@@ -31,7 +31,7 @@ from .errors import (
 )
 from .external import ExternalBackend, run_external_backend
 from .quality import QualityReport, quality_report
-from .schema import Dataset, Metadata, SplitSpec, holdout_size, split_holdout, write_csv
+from .schema import ColumnKind, Dataset, Metadata, SplitSpec, holdout_size, split_holdout, write_csv
 from .scoring import DEFAULT_PARITY_THRESHOLD, CompositeScore, synth_score
 from .tstr import FairnessReport, fairness_report
 
@@ -172,34 +172,37 @@ def balance_groups(
     train: Dataset, metadata: Metadata, seed: int, attribute: str | None = None
 ) -> Dataset:
     """Oversample (group x label) cells with replacement until every cell of
-    the chosen protected attribute matches the largest cell count.
+    the chosen categorical attribute matches the largest cell count.
 
     Defaults to the first protected attribute; deterministic for a fixed seed
-    (cells are processed in sorted order). Already-balanced input comes back
-    unchanged.
+    (cells are processed in (group, label) text order). Already-balanced input
+    comes back unchanged.
     """
     if attribute is None:
         attrs = metadata.protected_attributes
         attribute = attrs[0] if attrs else None
     if attribute is None or attribute not in train.schema:
         return train
-    groups = train.decoded(attribute).tolist()
-    labels = train.decoded(metadata.label_column).tolist()
-    cells: dict[tuple[str, str], list[int]] = {}
-    for i, key in enumerate(zip(groups, labels)):
-        cells.setdefault(key, []).append(i)
-    target = max(len(idx) for idx in cells.values())
+    if train.schema.kind_of(attribute) is not ColumnKind.CATEGORICAL:
+        raise ValidationFailure(f"balance attribute {attribute!r} is not categorical")
+    group = train.column(attribute)
+    label = train.column(metadata.label_column)
+    # Cell k holds the rows with group code k // width and label code k % width.
+    width = len(label.categories)
+    cells = group.codes.astype(np.int64) * width + label.codes
+    texts = [(g, y) for g in group.categories for y in label.categories]
+    sizes = np.bincount(cells, minlength=len(texts))
+    target = sizes.max()
+    order = sorted(np.flatnonzero(sizes).tolist(), key=texts.__getitem__)
     rng = np.random.default_rng(seed)
-    extra: list[int] = []
-    for key in sorted(cells):
-        idx = cells[key]
-        deficit = target - len(idx)
-        if deficit > 0:
-            extra.extend(rng.choice(np.array(idx), size=deficit, replace=True).tolist())
+    extra = [
+        rng.choice(np.flatnonzero(cells == k), size=target - sizes[k], replace=True)
+        for k in order
+        if sizes[k] < target
+    ]
     if not extra:
         return train
-    indices = np.concatenate([np.arange(train.row_count), np.array(extra, dtype=np.int64)])
-    return train.take(indices)
+    return train.take(np.concatenate([np.arange(train.row_count), *extra]))
 
 
 def run_pipeline(

@@ -103,7 +103,7 @@ def fit_encoder(synth_train: Dataset, metadata: Metadata) -> Encoder:
             continue
         feature_columns.append(name)
         if kind is ColumnKind.NUMERIC:
-            values = synth_train.decoded(name)
+            values = synth_train.column(name).values
             mean = float(values.mean())
             std = float(values.std())
             if std == 0.0:
@@ -131,7 +131,7 @@ def fit_encoder(synth_train: Dataset, metadata: Metadata) -> Encoder:
 
 def encode(encoder: Encoder, data: Dataset):
     """(X, y, groups): standardized/one-hot features, binary labels, and per
-    protected attribute the group label of each row.
+    protected attribute its ``CategoricalColumn`` (group codes of the rows).
 
     Categories unseen at fit time encode as an all-zero block and are logged.
     """
@@ -143,7 +143,7 @@ def encode(encoder: Encoder, data: Dataset):
     unseen: set[tuple[str, str]] = set()
     for name in encoder.feature_columns:
         if name in encoder.numeric_stats:
-            values = data.decoded(name)
+            values = data.column(name).values
             if name in encoder.constant_numeric:
                 blocks.append(np.zeros((n, 1)))
                 continue
@@ -161,10 +161,10 @@ def encode(encoder: Encoder, data: Dataset):
     for name, value in sorted(unseen):
         logger.warning("category %r of column %r unseen at fit time; encoded as zeros", value, name)
     X = np.hstack(blocks) if blocks else np.zeros((n, 0))
-    y = (data.decoded(encoder.label_column) == encoder.positive_label).astype(np.int64)
-    groups = {
-        attr: data.decoded(attr).tolist() for attr in encoder.protected_attributes
-    }
+    label = data.column(encoder.label_column)
+    positive = np.array([c == encoder.positive_label for c in label.categories], dtype=np.int64)
+    y = positive[label.codes]
+    groups = {attr: data.column(attr) for attr in encoder.protected_attributes}
     return X, y, groups
 
 
@@ -256,25 +256,20 @@ def predict(model: LogisticModel, X: np.ndarray) -> np.ndarray:
 def group_fpr(y_true, y_pred, groups, min_support: int = 5) -> dict[str, GroupRate]:
     """Per group: negatives, false positives, and fpr = fp/negatives; fpr is
     None (UNDEFINED) when negatives < min_support. Counts are integers and the
-    rate a single exact division, so a brute-force recount matches bitwise."""
-    y_true = list(y_true)
-    y_pred = list(y_pred)
-    groups = list(groups)
+    rate a single exact division, so a brute-force recount matches bitwise.
+    ``groups`` holds one label per row (category codes, say); keys are those labels."""
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
+    if not isinstance(groups, np.ndarray):
+        groups = np.array(list(groups), dtype=object)
     if not (len(y_true) == len(y_pred) == len(groups)):
         raise LengthMismatch("y_true, y_pred and groups must have equal lengths")
-    negatives: dict[str, int] = {}
-    false_pos: dict[str, int] = {}
-    for yt, yp, g in zip(y_true, y_pred, groups):
-        if g not in negatives:
-            negatives[g] = 0
-            false_pos[g] = 0
-        if yt == 0:
-            negatives[g] += 1
-            if yp == 1:
-                false_pos[g] += 1
+    keys, inverse = np.unique(groups, return_inverse=True)
+    negative = y_true == 0
+    negatives = np.bincount(inverse[negative], minlength=len(keys)).tolist()
+    false_pos = np.bincount(inverse[negative & (y_pred == 1)], minlength=len(keys)).tolist()
     out: dict[str, GroupRate] = {}
-    for g in negatives:
-        neg, fp = negatives[g], false_pos[g]
+    for g, neg, fp in zip(keys.tolist(), negatives, false_pos):
         rate = fp / neg if neg >= min_support else None
         out[g] = GroupRate(fpr=rate, negatives=neg, false_positives=fp)
     return out
@@ -325,7 +320,9 @@ def fairness_report(
     fpr_maps: dict[str, dict[str, float | None]] = {}
     counts: dict[str, dict[str, tuple[int, int]]] = {}
     for attr in metadata.protected_attributes:
-        rates = sorted(group_fpr(y_test, y_pred, test_groups[attr], hyperparams.min_support).items())
+        col = test_groups[attr]
+        by_code = group_fpr(y_test, y_pred, col.codes, hyperparams.min_support)
+        rates = sorted((col.categories[k], r) for k, r in by_code.items())
         fpr_maps[attr] = {g: r.fpr for g, r in rates}
         counts[attr] = {g: (r.negatives, r.false_positives) for g, r in rates}
         for g, r in rates:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -399,6 +400,21 @@ _HOSTILE = {
     ),
     "model_frequencies_mismatch": (
         "model", lambda csv, model: _with_marginal(model, "Race", frequencies=[1.0])
+    ),
+    "model_frequency_negative": (
+        "model", lambda csv, model: _with_marginal(model, "Race", frequencies=[-1, 1, 0.5, 0.5])
+    ),
+    "model_frequency_nan": (
+        "model", lambda csv, model: _with_marginal(model, "Race", frequencies=[math.nan] * 4)
+    ),
+    "model_frequencies_sum_below_one": (
+        "model", lambda csv, model: _with_marginal(model, "Race", frequencies=[0.2] * 4)
+    ),
+    "model_category_duplicated": (
+        "model", lambda csv, model: _with_marginal(model, "Race", categories=["Asian"] * 4)
+    ),
+    "model_sorted_values_descending": (
+        "model", lambda csv, model: _with_marginal(model, "symptom_scale", sorted_values=[2.0, 1.0])
     ),
     "run_parity_threshold_nan": ("flag", None),
     "score_parity_threshold_nan": ("flag", None),

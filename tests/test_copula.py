@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 
 from fairsynth.copula import (
     CategoricalMarginal,
+    NumericMarginal,
     SynthesizerConfig,
     estimate_correlation,
     fit,
     fit_marginal,
     load_model,
+    model_from_json_dict,
     model_to_json_dict,
     nearest_psd,
     sample,
@@ -20,7 +23,13 @@ from fairsynth.copula import (
     std_normal_quantile,
     to_normal_scores,
 )
-from fairsynth.errors import DomainError, TooFewValues, UnknownCategory, ValidationFailure
+from fairsynth.errors import (
+    DomainError,
+    NotFitted,
+    TooFewValues,
+    UnknownCategory,
+    ValidationFailure,
+)
 from fairsynth.schema import (
     CategoricalColumn,
     ColumnKind,
@@ -83,32 +92,32 @@ class TestNormalQuantile:
 
 class TestFitMarginal:
     def test_categorical_tie_broken_lexicographically(self):
-        m = fit_marginal(["a", "a", "b", "b"], ColumnKind.CATEGORICAL)
+        m = fit_marginal(CategoricalColumn.from_values(["a", "a", "b", "b"]))
         assert m.categories == ("a", "b")
         assert m.frequencies.tolist() == [0.5, 0.5]
         assert m.bounds("a") == (0.0, 0.5)
         assert m.bounds("b") == (0.5, 1.0)
 
     def test_numeric_sorted(self):
-        m = fit_marginal([3.0, 1.0, 2.0], ColumnKind.NUMERIC)
+        m = fit_marginal(NumericColumn([3.0, 1.0, 2.0]))
         assert m.sorted_values.tolist() == [1.0, 2.0, 3.0]
 
     def test_single_category(self):
-        m = fit_marginal(["x"], ColumnKind.CATEGORICAL)
+        m = fit_marginal(CategoricalColumn.from_values(["x"]))
         assert m.frequencies.tolist() == [1.0]
         assert m.bounds("x") == (0.0, 1.0)
 
     def test_too_few_values(self):
         with pytest.raises(TooFewValues):
-            fit_marginal([1.0], ColumnKind.NUMERIC)
+            fit_marginal(NumericColumn([1.0]))
         with pytest.raises(TooFewValues):
-            fit_marginal([], ColumnKind.CATEGORICAL)
+            fit_marginal(CategoricalColumn.from_values([]))
 
     def test_frequency_invariants(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             values = [str(c) for c in rng.integers(0, 8, int(rng.integers(1, 60)))]
-            m = fit_marginal(values, ColumnKind.CATEGORICAL)
+            m = fit_marginal(CategoricalColumn.from_values(values))
             assert abs(m.frequencies.sum() - 1.0) <= 1e-9
             assert m.upper_bounds[-1] == 1.0
             assert np.all(np.diff(m.upper_bounds) > 0) or len(m.upper_bounds) == 1
@@ -117,29 +126,107 @@ class TestFitMarginal:
             assert key == sorted(key)
 
 
+def _reference_fit_marginal(values, kind):
+    """The string-keyed fit that category codes replaced: the oracle for it."""
+    if kind is ColumnKind.NUMERIC:
+        return NumericMarginal(np.sort(np.asarray(values, dtype=np.float64)))
+    seq = [str(v) for v in values]
+    counts = Counter(seq)
+    ordered = sorted(counts, key=lambda c: (-counts[c], c))
+    freqs = np.array([counts[c] / len(seq) for c in ordered], dtype=np.float64)
+    upper = np.cumsum(freqs)
+    upper[-1] = 1.0
+    return CategoricalMarginal(tuple(ordered), freqs, upper)
+
+
+def _reference_correlation(train, seed):
+    """``fit``'s score correlation with string lookups into each marginal."""
+    rng = np.random.default_rng(seed)
+    scores = []
+    for name, kind in train.schema.columns:
+        values = train.decoded(name)
+        m = _reference_fit_marginal(values, kind)
+        if kind is ColumnKind.NUMERIC:
+            scores.append(to_normal_scores(NumericColumn(values), m, rng))
+            continue
+        index = {c: i for i, c in enumerate(m.categories)}
+        idx = np.array([index[str(v)] for v in values], dtype=np.int64)
+        lower = np.concatenate(([0.0], m.upper_bounds[:-1]))
+        u = lower[idx] + rng.random(len(idx)) * (m.upper_bounds[idx] - lower[idx])
+        scores.append(std_normal_quantile(u))
+    return estimate_correlation(np.column_stack(scores))
+
+
+def _coded_slices(rng):
+    """Seeded slices, built with ``take``, of a table whose category tables
+    are out of text order; a slice's tables keep categories it lacks, and
+    small slices over few categories tie often."""
+    n = 60
+    schema, columns = [], []
+    for j, width in enumerate((2, 3, 6)):
+        texts = rng.permutation([f"{chr(ord('a') + i)}{j}" for i in range(width)]).tolist()
+        columns.append(CategoricalColumn(rng.integers(0, width, n), tuple(texts)))
+        schema.append((f"c{j}", ColumnKind.CATEGORICAL))
+    columns.append(NumericColumn(rng.standard_normal(n)))
+    schema.append(("x", ColumnKind.NUMERIC))
+    data = Dataset(TableSchema(tuple(schema)), tuple(columns))
+    for _ in range(40):
+        yield data.take(rng.choice(n, size=int(rng.integers(2, 30)), replace=False))
+    # "z" and "a" tie in code order z, a; "y" is in the table but not the slice.
+    tied = CategoricalColumn(np.array([0, 1, 2, 2, 0, 1]), ("z", "y", "a"))
+    yield Dataset(
+        TableSchema((("t", ColumnKind.CATEGORICAL), ("x", ColumnKind.NUMERIC))),
+        (tied, NumericColumn(np.arange(6.0))),
+    ).take(np.array([0, 2, 3, 4]))
+
+
+class TestCodedFitMatchesStringReference:
+    def test_marginals_and_correlation(self):
+        rng = np.random.default_rng(11)
+        for train in _coded_slices(rng):
+            for (name, kind), col in zip(train.schema.columns, train.columns):
+                got = fit_marginal(col)
+                want = _reference_fit_marginal(train.decoded(name), kind)
+                if kind is ColumnKind.NUMERIC:
+                    assert got.sorted_values.tobytes() == want.sorted_values.tobytes()
+                else:
+                    assert got.categories == want.categories
+                    assert got.frequencies.tobytes() == want.frequencies.tobytes()
+                    assert got.upper_bounds.tobytes() == want.upper_bounds.tobytes()
+            model = fit(train, SynthesizerConfig(seed=5))
+            assert model.correlation.tobytes() == _reference_correlation(train, 5).tobytes()
+
+    def test_unknown_category_names_first_unseen_row(self):
+        m = fit_marginal(CategoricalColumn.from_values(["a", "b"]))
+        column = CategoricalColumn(np.array([1, 2, 0]), ("x", "a", "w"))
+        with pytest.raises(UnknownCategory, match="'w'"):
+            to_normal_scores(column, m, np.random.default_rng(0))
+
+
 class TestNormalScores:
     def test_numeric_middle_rank(self):
-        m = fit_marginal([1.0, 2.0, 3.0], ColumnKind.NUMERIC)
-        z = to_normal_scores([2.0], m, np.random.default_rng(0))
+        m = fit_marginal(NumericColumn([1.0, 2.0, 3.0]))
+        z = to_normal_scores(NumericColumn([2.0]), m, np.random.default_rng(0))
         assert z[0] == 0.0  # u = 2/4 = 0.5
 
     def test_numeric_tie_average_rank(self):
-        m = fit_marginal([1.0, 2.0, 2.0, 3.0], ColumnKind.NUMERIC)
-        z = to_normal_scores([2.0], m, np.random.default_rng(0))
+        m = fit_marginal(NumericColumn([1.0, 2.0, 2.0, 3.0]))
+        z = to_normal_scores(NumericColumn([2.0]), m, np.random.default_rng(0))
         # ranks 2 and 3 average to 2.5; u = 2.5/5 = 0.5
         assert z[0] == 0.0
 
     def test_categorical_full_interval_reproducible(self):
-        m = fit_marginal(["x", "x"], ColumnKind.CATEGORICAL)
-        a = to_normal_scores(["x"] * 10, m, np.random.default_rng(9))
-        b = to_normal_scores(["x"] * 10, m, np.random.default_rng(9))
+        m = fit_marginal(CategoricalColumn.from_values(["x", "x"]))
+        xs = CategoricalColumn.from_values(["x"] * 10)
+        a = to_normal_scores(xs, m, np.random.default_rng(9))
+        b = to_normal_scores(xs, m, np.random.default_rng(9))
         assert a.tolist() == b.tolist()
         assert np.all(np.isfinite(a))
 
     def test_unknown_category(self):
-        m = fit_marginal(["a", "b"], ColumnKind.CATEGORICAL)
+        m = fit_marginal(CategoricalColumn.from_values(["a", "b"]))
         with pytest.raises(UnknownCategory):
-            to_normal_scores(["z"], m, np.random.default_rng(0))
+            to_normal_scores(CategoricalColumn.from_values(["z"]), m, np.random.default_rng(0))
 
 
 class TestEstimateCorrelation:
@@ -311,6 +398,12 @@ class TestPersistence:
         model = fit(demo_data, SynthesizerConfig())
         doc = model_to_json_dict(model)
         assert set(doc) == {"marginals", "correlation", "column_order", "fitted_rows", "seed"}
+
+    def test_non_finite_sorted_values_not_fitted(self, demo_data):
+        doc = model_to_json_dict(fit(demo_data, SynthesizerConfig()))
+        doc["marginals"]["symptom_scale"]["sorted_values"][-1] = math.inf
+        with pytest.raises(NotFitted, match="finite"):
+            model_from_json_dict(doc)
 
     def test_file_is_plain_json(self, tmp_path, demo_data):
         model = fit(demo_data, SynthesizerConfig())

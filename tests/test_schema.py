@@ -1,4 +1,6 @@
+import codecs
 import csv
+import json
 from collections import Counter
 
 import numpy as np
@@ -47,6 +49,25 @@ def test_parse_number_accepts_decimals_and_exponents():
 def test_parse_number_rejects_non_numbers_and_non_finite():
     for token in ["", "M", "nan", "inf", "-inf", "1e999", "1.2.3", "0x10", " 1"]:
         assert parse_number(token) is None, token
+
+
+def test_parse_number_rejects_non_ascii_digits():
+    # float() reads Arabic-Indic and fullwidth digits; a plain decimal does not.
+    assert parse_number("\u0661\u0662\u0663") is None
+    assert parse_number("\uff11\uff12") is None
+
+
+def test_byte_order_mark_skipped_on_read_and_never_written(tmp_path, demo_data, demo_md):
+    plain = tmp_path / "plain.csv"
+    write_csv(demo_data, plain)
+    assert not plain.read_bytes().startswith(codecs.BOM_UTF8)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    md_path = tmp_path / "metadata.json"
+    md_path.write_bytes(codecs.BOM_UTF8 + json.dumps(demo_md.to_json_dict()).encode("utf-8"))
+    md = Metadata.from_json_file(md_path)
+    assert md == demo_md
+    assert load_dataset(bom, md) == load_dataset(plain, md)
 
 
 def test_infer_schema_numeric_above_cutoff():
@@ -201,7 +222,7 @@ def test_declared_numeric_checks_only_kept_rows(tmp_path):
 
 def _reference_load(path, md):
     """Row-wise ingest in plain Python: the oracle for the columnar loader."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         rows = []
@@ -241,7 +262,7 @@ def _reference_load(path, md):
 
 
 _QUOTED = ["a,b", 'say "hi"', "two\nlines", "crlf\r\nline", "plain", '",\r\n"']
-_BAD_TOKENS = ["nan", "inf", "1e999", " 1", "1_0"]
+_BAD_TOKENS = ["nan", "inf", "1e999", " 1", "1_0", "\u0661\u0662\u0663", "\uff11\uff12"]
 
 
 def _hostile_rows(rng, n):

@@ -5,7 +5,16 @@ import pytest
 
 from fairsynth.errors import AllIterationsFailed, InsufficientRows, ValidationFailure
 from fairsynth.quality import QualityReport
-from fairsynth.schema import SplitSpec, split_holdout
+from fairsynth.schema import (
+    CategoricalColumn,
+    ColumnKind,
+    Dataset,
+    Metadata,
+    NumericColumn,
+    SplitSpec,
+    TableSchema,
+    split_holdout,
+)
 from fairsynth.scoring import synth_score
 from fairsynth.supervisor import (
     BUDGET,
@@ -162,6 +171,61 @@ class TestBalanceGroups:
         a = balance_groups(demo_data, demo_md, seed=3, attribute="Race")
         b = balance_groups(demo_data, demo_md, seed=3, attribute="Race")
         assert a == b
+
+
+def _reference_balance_indices(train, metadata, seed, attribute):
+    """Row indices the string-keyed balance_groups took: the oracle for the
+    code-keyed one."""
+    groups = train.decoded(attribute).tolist()
+    labels = train.decoded(metadata.label_column).tolist()
+    cells = {}
+    for i, key in enumerate(zip(groups, labels)):
+        cells.setdefault(key, []).append(i)
+    target = max(len(idx) for idx in cells.values())
+    rng = np.random.default_rng(seed)
+    extra = []
+    for key in sorted(cells):
+        idx = cells[key]
+        deficit = target - len(idx)
+        if deficit > 0:
+            extra.extend(rng.choice(np.array(idx), size=deficit, replace=True).tolist())
+    return list(range(train.row_count)) + extra
+
+
+class TestCodedBalanceMatchesStringReference:
+    def test_same_indices(self):
+        # Group and label tables are out of text order, slices (built with
+        # take) lack some table entries, and cells tie at and below the target.
+        md = Metadata("y", "pos", ("g",))
+        rng = np.random.default_rng(13)
+        schema = TableSchema(
+            (("g", ColumnKind.CATEGORICAL), ("y", ColumnKind.CATEGORICAL),
+             ("row", ColumnKind.NUMERIC))
+        )
+        n = 80
+        data = Dataset(
+            schema,
+            (
+                CategoricalColumn(rng.integers(0, 5, n), ("q", "c", "x", "a", "m")),
+                CategoricalColumn(rng.integers(0, 2, n), ("pos", "neg")),
+                NumericColumn(np.arange(n, dtype=np.float64)),
+            ),
+        )
+        for seed in range(40):
+            rows = rng.choice(n, size=int(rng.integers(2, 40)), replace=False)
+            train = data.take(rows)
+            got = balance_groups(train, md, seed=seed, attribute="g")
+            want = _reference_balance_indices(train, md, seed, "g")
+            assert got.column("row").values.tolist() == rows[want].tolist()
+
+    def test_numeric_attribute_rejected(self):
+        md = Metadata("y", "pos", ("g",))
+        schema = TableSchema((("v", ColumnKind.NUMERIC), ("y", ColumnKind.CATEGORICAL)))
+        data = Dataset(
+            schema, (NumericColumn([1.0, 2.0]), CategoricalColumn.from_values(["pos", "neg"]))
+        )
+        with pytest.raises(ValidationFailure, match="not categorical"):
+            balance_groups(data, md, seed=0, attribute="v")
 
 
 class TestPlanRefinement:

@@ -97,7 +97,7 @@ class TestEncoder:
         assert X[:, 1:].tolist() == [
             [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
         ]
-        assert groups["g"] == ["zzz", "c", "a", "zzz", "yyy"]
+        assert groups["g"].decoded().tolist() == ["zzz", "c", "a", "zzz", "yyy"]
         warned = sorted(r.getMessage() for r in caplog.records)
         assert len(warned) == 2
         assert "'yyy'" in warned[0] and "'zzz'" in warned[1]
@@ -258,6 +258,36 @@ def oracle_group_fpr(y_true, y_pred, groups, min_support):
     return out
 
 
+def _reference_group_fpr(y_true, y_pred, groups, min_support):
+    """The string-keyed counting loop that category codes replaced."""
+    negatives, false_pos = {}, {}
+    for yt, yp, g in zip(y_true, y_pred, groups):
+        negatives.setdefault(g, 0)
+        false_pos.setdefault(g, 0)
+        if yt == 0:
+            negatives[g] += 1
+            false_pos[g] += yp == 1
+    return {
+        g: (false_pos[g] / negatives[g] if negatives[g] >= min_support else None,
+            negatives[g], false_pos[g])
+        for g in negatives
+    }
+
+
+def _shuffled_tables(data, rng):
+    """``data`` with every category table permuted out of text order."""
+    columns = []
+    for col in data.columns:
+        if isinstance(col, CategoricalColumn):
+            slot = rng.permutation(len(col.categories))
+            table = [""] * len(slot)
+            for code, text in enumerate(col.categories):
+                table[slot[code]] = text
+            col = CategoricalColumn(slot[col.codes], tuple(table))
+        columns.append(col)
+    return Dataset(data.schema, tuple(columns))
+
+
 class TestGroupFpr:
     def test_hand_confusion(self):
         rates = group_fpr([0, 0, 1], [1, 0, 1], ["A", "A", "A"], min_support=1)
@@ -359,11 +389,44 @@ class TestFairnessReport:
         model = train_logreg(X, y)
         y_pred = predict(model, X)
         for attr in ("Race", "Sex"):
-            expect = oracle_group_fpr(y.tolist(), y_pred.tolist(), groups[attr], 5)
+            labels = groups[attr].decoded().tolist()
+            expect = oracle_group_fpr(y.tolist(), y_pred.tolist(), labels, 5)
             got = report.by_attribute[attr]
             for g, (fpr, neg, fp) in expect.items():
                 assert got.fpr[g] == fpr
                 assert got.counts[g] == (neg, fp)
+
+    def test_coded_counts_match_string_reference(self, demo_data, demo_md):
+        # Category tables out of text order; the holdout, built with take,
+        # lacks one race that its table still holds, and small groups fall
+        # below min_support.
+        rng = np.random.default_rng(17)
+        data = _shuffled_tables(demo_data, rng)
+        race = data.column("Race").codes
+        any_excluded = False
+        for absent in range(4):
+            perm = rng.permutation(data.row_count)
+            synth = data.take(perm[:600])
+            rest = perm[600:700]
+            holdout = data.take(rest[race[rest] != absent])
+            report = fairness_report(synth, holdout, demo_md, TstrHyperparams(min_support=8))
+            enc = fit_encoder(synth, demo_md)
+            X, y, _ = encode(enc, synth)
+            X_test, y_test, _ = encode(enc, holdout)
+            positive = [int(v == "positive") for v in holdout.decoded("Diagnosis").tolist()]
+            assert y_test.tolist() == positive
+            y_pred = predict(train_logreg(X, y), X_test).tolist()
+            excluded = []
+            for attr in demo_md.protected_attributes:
+                labels = holdout.decoded(attr).tolist()
+                want = sorted(_reference_group_fpr(positive, y_pred, labels, 8).items())
+                got = report.by_attribute[attr]
+                assert list(got.counts.items()) == [(g, (neg, fp)) for g, (_, neg, fp) in want]
+                assert list(got.fpr.items()) == [(g, fpr) for g, (fpr, _, _) in want]
+                excluded += [(attr, g) for g, (fpr, _, _) in want if fpr is None]
+            assert [(a, g) for a, g, _ in report.excluded_groups] == excluded
+            any_excluded |= bool(excluded)
+        assert any_excluded
 
     def test_constant_positive_classifier_degenerate(self, demo_data, demo_md):
         # single-class synthetic training labels force the all-positive model
