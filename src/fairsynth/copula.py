@@ -52,7 +52,8 @@ def std_normal_cdf(z):
 def std_normal_quantile(u):
     """Inverse standard normal CDF on (0,1); raises DomainError outside."""
     arr = np.asarray(u, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
     out = ndtri(arr)
     return float(out) if np.isscalar(u) else out
@@ -142,6 +143,7 @@ def fit_marginal(column: Column) -> MarginalModel:
     if isinstance(column, NumericColumn):
         if len(column) < 2:
             raise TooFewValues("numeric marginal needs at least 2 values")
+        # np.sort, not values[argsort]: an unstable argsort may swap -0.0 and 0.0.
         return NumericMarginal(np.sort(column.values))
     n = len(column)
     if n == 0:
@@ -162,17 +164,21 @@ def to_normal_scores(
     """Forward copula transform of a column into standard-normal scores.
 
     Numeric value with (average, 1-based) rank r among the n fitted values
-    maps through u = r/(n+1); categorical values draw u uniformly inside the
-    category's interval so score space carries no point masses.
+    maps through u = r/(n+1); the values are looked up in ascending order, so
+    each binary search starts from the previous one's bound, and the ranks are
+    scattered back to row order. Categorical values draw u uniformly inside
+    the category's interval so score space carries no point masses.
     """
     if isinstance(marginal, NumericMarginal):
-        arr = column.values
         fitted = marginal.sorted_values
         n = len(fitted)
+        order = np.argsort(column.values)
+        arr = column.values[order]
         less = np.searchsorted(fitted, arr, side="left")
         leq = np.searchsorted(fitted, arr, side="right")
         ties = leq - less
-        rank = np.where(ties > 0, less + (ties + 1) / 2.0, less + 0.5)
+        rank = np.empty(len(arr))
+        rank[order] = np.where(ties > 0, less + (ties + 1) / 2.0, less + 0.5)
         u = rank / (n + 1)
         return ndtri(u)
     index = {c: i for i, c in enumerate(marginal.categories)}
@@ -275,7 +281,12 @@ def _inverse_numeric(u: np.ndarray, marginal: NumericMarginal) -> np.ndarray:
     n = len(xs)
     positions = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
     # np.interp clamps outside the grid, enforcing the fitted [min, max] range.
-    return np.interp(u, positions, xs)
+    # It runs on u in ascending order, where each lookup starts from the
+    # previous one's interval; the values are scattered back to row order.
+    order = np.argsort(u)
+    out = np.empty(len(u))
+    out[order] = np.interp(u[order], positions, xs)
+    return out
 
 
 def _inverse_categorical(u: np.ndarray, marginal: CategoricalMarginal) -> np.ndarray:

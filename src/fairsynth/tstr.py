@@ -23,6 +23,7 @@ from .errors import (
     LengthMismatch,
     NonFiniteLoss,
     SchemaMismatch,
+    ValidationFailure,
 )
 from .schema import ColumnKind, Dataset, Metadata
 
@@ -90,9 +91,14 @@ class FairnessReport:
 
 def fit_encoder(synth_train: Dataset, metadata: Metadata) -> Encoder:
     """Feature layout from synthetic rows only: per-numeric (mean, std), per-
-    categorical sorted vocabulary; the label column never becomes a feature."""
+    categorical sorted vocabulary; the label column never becomes a feature.
+    The label and the protected attributes must be categorical."""
     if synth_train.row_count == 0:
         raise EmptyDataset("cannot fit an encoder on an empty dataset")
+    schema = synth_train.schema
+    for name in (metadata.label_column, *metadata.protected_attributes):
+        if name in schema and schema.kind_of(name) is not ColumnKind.CATEGORICAL:
+            raise ValidationFailure(f"column {name!r} is not categorical")
     numeric_stats: dict[str, tuple[float, float]] = {}
     constant: set[str] = set()
     category_maps: dict[str, tuple[str, ...]] = {}

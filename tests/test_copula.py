@@ -5,9 +5,11 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from fairsynth.copula import (
     CategoricalMarginal,
+    CopulaModel,
     NumericMarginal,
     SynthesizerConfig,
     estimate_correlation,
@@ -88,6 +90,12 @@ class TestNormalQuantile:
         for u in [0.0, 1.0, -0.5, 1.5]:
             with pytest.raises(DomainError):
                 std_normal_quantile(u)
+
+    def test_nan_is_outside_the_domain(self):
+        with pytest.raises(DomainError):
+            std_normal_quantile(float("nan"))
+        with pytest.raises(DomainError):
+            std_normal_quantile(np.array([0.25, np.nan, 0.75]))
 
 
 class TestFitMarginal:
@@ -227,6 +235,84 @@ class TestNormalScores:
         m = fit_marginal(CategoricalColumn.from_values(["a", "b"]))
         with pytest.raises(UnknownCategory):
             to_normal_scores(CategoricalColumn.from_values(["z"]), m, np.random.default_rng(0))
+
+
+def _reference_scores(values, marginal):
+    """Numeric normal scores with one searchsorted pair over the needles in
+    row order, as before the lookups were sorted: the oracle for them."""
+    fitted = marginal.sorted_values
+    less = np.searchsorted(fitted, values, side="left")
+    leq = np.searchsorted(fitted, values, side="right")
+    ties = leq - less
+    rank = np.where(ties > 0, less + (ties + 1) / 2.0, less + 0.5)
+    return ndtri(rank / (len(fitted) + 1))
+
+
+def _reference_inverse(u, marginal):
+    """The numeric inverse ECDF with np.interp over u in row order."""
+    xs = marginal.sorted_values
+    positions = np.arange(1, len(xs) + 1, dtype=np.float64) / (len(xs) + 1)
+    return np.interp(u, positions, xs)
+
+
+def _assert_scores_match(values, fitted_values):
+    m = fit_marginal(NumericColumn(fitted_values))
+    got = to_normal_scores(NumericColumn(values), m, np.random.default_rng(0))
+    want = _reference_scores(np.asarray(values, dtype=np.float64), m)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSortedLookupMatchesUnsortedReference:
+    def test_heavy_ties(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            values = np.round(rng.standard_normal(int(rng.integers(2, 400))), 1)
+            _assert_scores_match(values, values)
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            values = rng.choice([-0.0, 0.0, -1.5, 2.0], size=int(rng.integers(2, 50)))
+            _assert_scores_match(values, values)
+            _assert_scores_match(values[::-1], values)
+
+    def test_foreign_needles(self):
+        rng = np.random.default_rng(23)
+        fitted = np.round(rng.uniform(-5, 5, 60), 1)
+        inside = rng.uniform(fitted.min(), fitted.max(), 40)
+        needles = np.concatenate(
+            ([-100.0, fitted.min() - 1e-9, fitted.max() + 1e-9, 100.0], inside, fitted[:20])
+        )
+        _assert_scores_match(rng.permutation(needles), fitted)
+
+    def test_empty_and_single_needle(self):
+        fitted = [3.0, 1.0, 1.0, 2.0]
+        _assert_scores_match(np.array([]), fitted)
+        for needle in (0.0, 1.0, 1.5, 3.0, 4.0):
+            _assert_scores_match([needle], fitted)
+
+    def test_sample_inverse(self):
+        # Column scales 0, 1 and 1e3 in the factor give u = 0.5 on every row
+        # (the middle plotting position of three values), generic u, and u
+        # saturated at exactly 0.0 or 1.0.
+        rng = np.random.default_rng(24)
+        fitted = {
+            "half": np.array([-0.0, 0.0, 1.0]),
+            "plain": np.round(rng.standard_normal(200), 1),
+            "edge": np.array([0.0, -0.0, 2.0, 2.0, -3.0]),
+        }
+        marginals = {name: fit_marginal(NumericColumn(v)) for name, v in fitted.items()}
+        order = tuple(fitted)
+        cholesky = np.diag([0.0, 1.0, 1e3])
+        model = CopulaModel(marginals, np.eye(3), cholesky, order, 200, 0)
+        for n_rows in (0, 1, 500):
+            out = sample(model, n_rows, 7)
+            u = ndtr(np.random.default_rng(7).standard_normal((n_rows, 3)) @ cholesky.T)
+            if n_rows == 500:
+                assert set(np.unique(u[:, 2])) >= {0.0, 1.0}
+            for j, name in enumerate(order):
+                want = _reference_inverse(u[:, j], marginals[name])
+                assert out.column(name).values.tobytes() == want.tobytes()
 
 
 class TestEstimateCorrelation:

@@ -3,10 +3,12 @@ import pytest
 from scipy.optimize import minimize
 
 from fairsynth.copula import SynthesizerConfig, fit, sample
+from fairsynth.demo import DemoSpec, make_demo_dataset
 from fairsynth.errors import (
     DimensionMismatch,
     EmptyDataset,
     LengthMismatch,
+    ValidationFailure,
 )
 from fairsynth.schema import (
     CategoricalColumn,
@@ -380,6 +382,15 @@ class TestMaxRelativeFpr:
 
 
 class TestFairnessReport:
+    def test_numeric_attribute_or_label_rejected(self):
+        data = make_demo_dataset(DemoSpec(n_rows=300, seed=0))
+        for md in (
+            Metadata("Diagnosis", "positive", ("Race", "symptom_scale")),
+            Metadata("functioning_score", "positive", ("Race",)),
+        ):
+            with pytest.raises(ValidationFailure, match="is not categorical"):
+                fairness_report(data, data, md)
+
     def test_fpr_equals_brute_force(self, demo_data, demo_md):
         # synthetic == holdout == demo data: the report's per-group FPRs must
         # equal a direct confusion-matrix recount of the same predictions
