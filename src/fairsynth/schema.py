@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -43,6 +44,11 @@ MISSING_TOKEN = ""
 # rejects "nan"/"inf"/underscores and other scripts' digits (which float()
 # would accept) so ingested numerics are always finite, plain decimals.
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
+
+# A character no plain decimal holds. Over the remaining characters float()
+# accepts exactly _NUMBER_RE's language, so one search of a column's joined
+# cells plus float() applies parse_number's rule to every cell.
+_NON_NUMBER_CHAR = re.compile(r"[^0-9+\-.eE]")
 
 
 def _read_json(path: str | Path):
@@ -273,10 +279,13 @@ def _parse_numeric(cells: list[str]) -> np.ndarray | None:
     nan; None unless every non-missing cell is a plain, finite decimal."""
     # The missing token "" is the only falsy cell, so filter(None, ...) and
     # map(bool, ...) pick out the present cells without a Python-level loop.
-    if not all(map(_NUMBER_RE.match, filter(None, cells))):
+    if _NON_NUMBER_CHAR.search("".join(cells)):
         return None
     n_missing = cells.count(MISSING_TOKEN)
-    values = np.fromiter(map(float, filter(None, cells)), np.float64, len(cells) - n_missing)
+    try:
+        values = np.fromiter(map(float, filter(None, cells)), np.float64, len(cells) - n_missing)
+    except ValueError:  # such as "1e", "." or "1+2"
+        return None
     if np.isinf(values).any():  # overflow, such as "1e999"
         return None
     if not n_missing:
@@ -295,9 +304,10 @@ def infer_schema(
 
     A column is numeric iff every non-missing cell parses as a plain decimal
     number and the distinct parsed values exceed the cardinality cutoff;
-    declared kinds always win. Also returns, per column, the parsed values
-    (nan where missing) of an inferred numeric column and None for any other
-    column, so ingest parses each cell once.
+    declared kinds always win. The rule sees only which cells occur, so a
+    column may be given by its distinct cells. Also returns per column the
+    parsed values (nan where missing) of an inferred numeric column, else
+    None, so ingest parses each cell once.
     """
     if not header or not columns[0]:
         raise EmptyTable("table needs at least one column and one data row")
@@ -337,25 +347,42 @@ def _checked_rows(reader, width: int):
         yield row
 
 
-def _read_csv(csv_path: str | Path) -> tuple[list[str], list[list[str]], int]:
+def _read_csv(csv_path: str | Path) -> tuple[list[str], list[tuple], int]:
     """Read an RFC-4180 CSV column by column, skipping a UTF-8 byte order mark;
-    returns (header, columns, row count)."""
+    returns (header, columns, row count). Each column is (keys, codes) with
+    ``keys[codes]`` its cells in file order: its distinct cells in first-
+    appearance order while it has at most the cutoff plus one (the missing
+    token), and past that all its cells as keys with codes None."""
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
-            columns: list[list[str]] = [[] for _ in header]
+            tables: list[dict[str, int] | None] = [{} for _ in header]
+            columns: list = [array("i") for _ in header]  # codes, or cells past the limit
             n_rows = 0
             rows = _checked_rows(reader, len(header))
             while block := list(islice(rows, _READ_BLOCK_ROWS)):
                 n_rows += len(block)
-                for column, cells in zip(columns, zip(*block)):
-                    column.extend(cells)
+                for j, cells in enumerate(zip(*block)):
+                    table = tables[j]
+                    if table is not None:
+                        for cell in dict.fromkeys(cells):
+                            table.setdefault(cell, len(table))
+                        if len(table) <= CATEGORICAL_CARDINALITY_CUTOFF + 1:
+                            columns[j].extend(map(table.__getitem__, cells))
+                            continue
+                        keys = list(table)
+                        columns[j] = list(map(keys.__getitem__, columns[j]))
+                        tables[j] = None
+                    columns[j].extend(cells)
         except StopIteration:
             raise EmptyTable(f"{csv_path}: no header row")
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationFailure(f"{csv_path}: unreadable as UTF-8 CSV: {exc}")
-    return header, columns, n_rows
+    return header, [
+        (column, None) if table is None else (list(table), np.frombuffer(column, np.int32))
+        for table, column in zip(tables, columns)
+    ], n_rows
 
 
 def _impute_numeric(values: np.ndarray, name: str) -> tuple[NumericColumn, int]:
@@ -366,17 +393,32 @@ def _impute_numeric(values: np.ndarray, name: str) -> tuple[NumericColumn, int]:
     return NumericColumn(values), int(missing.sum())
 
 
-def _impute_categorical(cells: list[str], name: str) -> tuple[CategoricalColumn, int]:
-    imputed = cells.count(MISSING_TOKEN)
-    if imputed:
-        counts = Counter(cells)
-        del counts[MISSING_TOKEN]
-        if not counts:
-            raise MetadataMismatch(f"categorical column {name!r} has no values to impute from")
-        # Mode; ties broken by value text ascending for determinism.
-        mode = min(counts, key=lambda c: (-counts[c], c))
-        cells = [mode if c == MISSING_TOKEN else c for c in cells]
-    return CategoricalColumn.from_values(cells), imputed
+def _kept_rows(keys: list[str], codes: np.ndarray | None, keep: np.ndarray) -> tuple:
+    """A column restricted to the kept rows; a coded column keeps only the
+    keys those rows use, renumbered by first appearance among them."""
+    if codes is None:
+        return list(compress(keys, keep.tolist())), None
+    used, first, inverse = np.unique(codes[keep], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return [keys[k] for k in used[order].tolist()], np.argsort(order)[inverse]
+
+
+def _impute_mode(keys: list[str], codes: np.ndarray, name: str) -> tuple[CategoricalColumn, int]:
+    """Categories of a coded column whose keys all occur. The missing key is
+    replaced by the mode (ties broken by text), which takes its place in
+    first-appearance order; ``keys`` is overwritten."""
+    if MISSING_TOKEN not in keys:
+        return CategoricalColumn(codes, keys), 0
+    if len(keys) == 1:
+        raise MetadataMismatch(f"categorical column {name!r} has no values to impute from")
+    missing = keys.index(MISSING_TOKEN)
+    counts = np.bincount(codes, minlength=len(keys))
+    imputed = int(counts[missing])
+    counts[missing] = 0
+    top = counts.max()
+    keys[missing] = min(k for k, c in zip(keys, counts.tolist()) if c == top)
+    table = CategoricalColumn.from_values(keys)
+    return CategoricalColumn(table.codes[codes], table.categories), imputed
 
 
 def load_dataset(
@@ -393,7 +435,7 @@ def load_dataset(
     the positive label; synthetic backend output may legitimately collapse to
     one class and is flagged as degenerate downstream instead of rejected here.
     """
-    header, cell_columns, n_rows = _read_csv(csv_path)
+    header, read, n_rows = _read_csv(csv_path)
     if not n_rows:
         raise EmptyTable(f"{csv_path}: no data rows")
 
@@ -406,7 +448,7 @@ def load_dataset(
             f"label column {metadata.label_column!r} is also a protected attribute"
         )
 
-    schema, parsed = infer_schema(header, cell_columns, metadata.declared_kinds)
+    schema, parsed = infer_schema(header, [keys for keys, _ in read], metadata.declared_kinds)
     if schema.kind_of(metadata.label_column) is not ColumnKind.CATEGORICAL:
         raise LabelNotBinary(
             f"label column {metadata.label_column!r} is numeric, not a binary category"
@@ -414,33 +456,41 @@ def load_dataset(
     for col in metadata.protected_attributes:
         if schema.kind_of(col) is not ColumnKind.CATEGORICAL:
             raise MetadataMismatch(f"protected attribute {col!r} is numeric, not categorical")
+    for j, (_, kind) in enumerate(schema.columns):
+        if kind is ColumnKind.CATEGORICAL and read[j][1] is None:
+            interned = CategoricalColumn.from_values(read[j][0])
+            read[j] = list(interned.categories), interned.codes
 
-    required_cells = [cell_columns[header.index(c)] for c in required]
-    dropped = 0
-    if any(MISSING_TOKEN in cells for cells in required_cells):
-        # A row is kept iff none of its required cells is the (falsy) missing token.
-        keep = list(map(all, zip(*required_cells)))
-        dropped = keep.count(False)
-        if dropped == n_rows:
-            raise EmptyTable("all rows dropped: label or protected attribute always missing")
-        keep_mask = np.array(keep)
+    # A row is kept iff none of its required cells is the missing token.
+    keep = np.ones(n_rows, dtype=bool)
+    for col in required:
+        keys, codes = read[header.index(col)]
+        if MISSING_TOKEN in keys:
+            keep &= codes != keys.index(MISSING_TOKEN)
+    dropped = n_rows - int(np.count_nonzero(keep))
+    if dropped == n_rows:
+        raise EmptyTable("all rows dropped: label or protected attribute always missing")
 
     columns: list[Column] = []
     imputed_counts: dict[str, int] = {}
-    for (name, kind), cells, values in zip(schema.columns, cell_columns, parsed):
-        if dropped and values is None:
-            cells = list(compress(cells, keep))
-        elif dropped:
-            values = values[keep_mask]
-        if kind is ColumnKind.CATEGORICAL:
-            column, n_imputed = _impute_categorical(cells, name)
+    for (name, kind), (keys, codes), values in zip(schema.columns, read, parsed):
+        if values is not None:  # inferred numeric, parsed per key of all rows
+            if codes is not None:
+                values = values[codes]
+            column, n_imputed = _impute_numeric(values[keep] if dropped else values, name)
         else:
-            if values is None:  # declared numeric: only the kept cells must parse
-                values = _parse_numeric(cells)
+            if dropped:
+                keys, codes = _kept_rows(keys, codes, keep)
+            if kind is ColumnKind.CATEGORICAL:
+                column, n_imputed = _impute_mode(keys, codes, name)
+            else:  # declared numeric: only the kept cells must parse
+                values = _parse_numeric(keys)
                 if values is None:
-                    bad = next(c for c in cells if c != MISSING_TOKEN and parse_number(c) is None)
+                    bad = next(c for c in keys if c != MISSING_TOKEN and parse_number(c) is None)
                     raise ParseError(0, f"column {name!r}: non-numeric cell {bad!r}")
-            column, n_imputed = _impute_numeric(values, name)
+                if codes is not None:
+                    values = values[codes]
+                column, n_imputed = _impute_numeric(values, name)
         columns.append(column)
         if n_imputed:
             imputed_counts[name] = n_imputed

@@ -140,10 +140,14 @@ def encode(encoder: Encoder, data: Dataset):
     protected attribute its ``CategoricalColumn`` (group codes of the rows).
 
     Categories unseen at fit time encode as an all-zero block and are logged.
+    Every encoded column must be present with the kind it had at fit time.
     """
-    for name in encoder.feature_columns + (encoder.label_column,):
+    for name in encoder.feature_columns + (encoder.label_column, *encoder.protected_attributes):
         if name not in data.schema:
             raise SchemaMismatch(f"column {name!r} missing from dataset")
+        want = ColumnKind.NUMERIC if name in encoder.numeric_stats else ColumnKind.CATEGORICAL
+        if data.schema.kind_of(name) is not want:
+            raise SchemaMismatch(f"column {name!r} is not {want.value} as at fit time")
     n = data.row_count
     blocks: list[np.ndarray] = []
     unseen: set[tuple[str, str]] = set()

@@ -1,11 +1,13 @@
 import codecs
 import csv
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from fairsynth.demo import DemoSpec, make_demo_dataset
 from fairsynth.errors import (
     DuplicateColumnName,
     EmptyTable,
@@ -28,6 +30,7 @@ from fairsynth.schema import (
     TableSchema,
     holdout_size,
     infer_schema,
+    _parse_numeric,
     load_dataset,
     parse_number,
     split_holdout,
@@ -55,6 +58,43 @@ def test_parse_number_rejects_non_ascii_digits():
     # float() reads Arabic-Indic and fullwidth digits; a plain decimal does not.
     assert parse_number("\u0661\u0662\u0663") is None
     assert parse_number("\uff11\uff12") is None
+
+
+def test_one_scan_numeric_check_matches_parse_number():
+    rng = np.random.default_rng(11)
+    alphabet = np.array(list("0123456789+-.eE_ nNaIif\u0661\uff11"))
+    weights = np.r_[np.full(10, 5.0), np.full(5, 4.0), np.ones(10)]
+    picks = rng.choice(len(alphabet), size=(100_000, 7), p=weights / weights.sum())
+    lengths = rng.integers(1, 8, len(picks))
+    accepted = 0
+    for row, length in zip(alphabet[picks].tolist(), lengths.tolist()):
+        token = "".join(row[:length])
+        want, got = parse_number(token), _parse_numeric([token])
+        if want is None:
+            assert got is None, token
+        else:
+            accepted += 1
+            assert got is not None and got.tobytes() == np.float64(want).tobytes(), token
+    assert accepted > 10_000
+
+
+def test_categorical_ingest_peak_memory_stays_near_file_size(tmp_path, demo_md):
+    data = make_demo_dataset(DemoSpec(n_rows=50_000, seed=5))
+    names = [name for name, kind in data.schema.columns if kind is ColumnKind.CATEGORICAL]
+    assert len(names) == 4
+    schema = TableSchema(tuple((name, ColumnKind.CATEGORICAL) for name in names))
+    p = tmp_path / "categorical.csv"
+    write_csv(Dataset(schema, tuple(data.column(name) for name in names)), p)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(p, demo_md)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.row_count == 50_000
+    # Per-cell strings of four low-cardinality columns would cost several
+    # times the file; codes cost four bytes a cell.
+    assert peak < 3 * p.stat().st_size
 
 
 def test_byte_order_mark_skipped_on_read_and_never_written(tmp_path, demo_data, demo_md):
@@ -278,8 +318,8 @@ def _hostile_rows(rng, n):
 
     label = sometimes_missing(draw(["yes", "no"]), 0.03)
     group = sometimes_missing(draw(["A", "B", "C"]), 0.03)
-    label[:3], group[:3] = ["yes", "no", "yes"], ["A", "B", "C"]
-    label[-1] = ""  # dropped
+    label[:5], group[:5] = ["yes", "no", "yes", "", "no"], ["A", "B", "C", "A", "B"]
+    label[-1] = ""  # dropped, like row 3
     spellings = ["-0", "0", "+.5", "5.", "1e3", ".25"]
     num = [s if rng.random() < 0.1 else repr(float(rng.normal(0, 10))) for s in draw(spellings)]
     num = sometimes_missing(num, 0.05)
@@ -294,6 +334,14 @@ def _hostile_rows(rng, n):
     d20[20::40] = ["-0"] * len(d20[20::40])
     # 21 distinct values, the 21st only in the dropped last row.
     d21 = [str(i % 20) for i in range(n - 1)] + ["20"]
+    # Text past the interning limit from the first read block, with missing cells.
+    many = sometimes_missing([f"w{v}" for v in rng.integers(0, n // 4, n)], 0.05)
+    # 21 distinct cells in the first read block; the 22nd ("" or "21") comes later.
+    late = [str(i % 21) for i in range(_READ_BLOCK_ROWS)]
+    late += sometimes_missing([str(i % 22) for i in range(_READ_BLOCK_ROWS, n)], 0.05)
+    # "r" first appears in the dropped row 3, before "q" in the kept row 4.
+    early = draw(["p", "q", "r"])
+    early[:5] = ["p", "p", "p", "r", "q"]
     # "a" and "b" tie for the mode among kept rows; the text tie-break picks "a".
     kept = [i for i in range(n) if label[i] and group[i]]
     paired = kept[1 : 1 + 2 * ((len(kept) - 1) // 2)]
@@ -302,8 +350,10 @@ def _hostile_rows(rng, n):
         tie[i] = "ba"[k % 2]
     for i in set(range(n)) - set(kept):
         tie[i] = "c"
-    header = ["label", "grp", "num", "cat", "text", "tok", "d20", "d21", "tie"]
-    return header, [list(r) for r in zip(label, group, num, cat, text, tok, d20, d21, tie)]
+    header = ["label", "grp", "num", "cat", "text", "tok", "d20", "d21", "tie", "many", "late",
+              "early"]
+    columns = [label, group, num, cat, text, tok, d20, d21, tie, many, late, early]
+    return header, [list(r) for r in zip(*columns)]
 
 
 def _write_rows(path, header, rows):
@@ -329,7 +379,10 @@ def test_columnar_ingest_matches_row_wise_reference(tmp_path):
     rng = np.random.default_rng(2026)
     inferred = Metadata("label", "yes", ("grp",))
     declared = Metadata(
-        "label", "yes", ("grp",), {"d20": ColumnKind.NUMERIC, "num": ColumnKind.CATEGORICAL}
+        "label",
+        "yes",
+        ("grp",),
+        {"d20": ColumnKind.NUMERIC, "num": ColumnKind.CATEGORICAL, "late": ColumnKind.CATEGORICAL},
     )
     for case in range(8):
         n = 2 * _READ_BLOCK_ROWS + int(rng.integers(1, 2 * _READ_BLOCK_ROWS))
@@ -344,10 +397,12 @@ def test_columnar_ingest_matches_row_wise_reference(tmp_path):
             "label": "categorical", "grp": "categorical", "num": "numeric",
             "cat": "categorical", "text": "categorical", "tok": "categorical",
             "d20": "categorical", "d21": "numeric", "tie": "categorical",
+            "many": "categorical", "late": "numeric", "early": "categorical",
         }
         assert want.column("cat").categories[0] == "x"
         assert want.column("tie").categories == ("a", "b")
-        assert set(want.ingest.imputed) == {"num", "cat", "text", "tie"}
+        assert want.column("early").categories == ("p", "q", "r")  # kept-row order
+        assert set(want.ingest.imputed) == {"num", "cat", "text", "tie", "many", "late"}
         assert want.ingest.rows_dropped > 0
         # A ragged row on either side of a read-block boundary names the same line.
         for at in (_READ_BLOCK_ROWS - 1, _READ_BLOCK_ROWS, n - 1):

@@ -3,11 +3,12 @@ import pytest
 from scipy.optimize import minimize
 
 from fairsynth.copula import SynthesizerConfig, fit, sample
-from fairsynth.demo import DemoSpec, make_demo_dataset
+from fairsynth.demo import DemoSpec, demo_metadata, make_demo_dataset
 from fairsynth.errors import (
     DimensionMismatch,
     EmptyDataset,
     LengthMismatch,
+    SchemaMismatch,
     ValidationFailure,
 )
 from fairsynth.schema import (
@@ -390,6 +391,25 @@ class TestFairnessReport:
         ):
             with pytest.raises(ValidationFailure, match="is not categorical"):
                 fairness_report(data, data, md)
+
+    def test_holdout_column_of_another_kind_is_schema_mismatch(self):
+        data = make_demo_dataset(DemoSpec(n_rows=300, seed=0))
+        # Race is protected, Diagnosis the label, symptom_scale a numeric feature.
+        for name in ("Race", "Diagnosis", "symptom_scale"):
+            kinds = dict(data.schema.columns)
+            col = data.column(name)
+            if kinds[name] is ColumnKind.NUMERIC:
+                swapped = CategoricalColumn.from_values(map(repr, col.values.tolist()))
+                kinds[name] = ColumnKind.CATEGORICAL
+            else:
+                swapped = NumericColumn(col.codes.astype(np.float64))
+                kinds[name] = ColumnKind.NUMERIC
+            holdout = Dataset(
+                TableSchema(tuple(kinds.items())),
+                tuple(swapped if n == name else c for n, c in zip(kinds, data.columns)),
+            )
+            with pytest.raises(SchemaMismatch, match=repr(name)):
+                fairness_report(data, holdout, demo_metadata())
 
     def test_fpr_equals_brute_force(self, demo_data, demo_md):
         # synthetic == holdout == demo data: the report's per-group FPRs must
