@@ -410,6 +410,8 @@ class TestFairnessReport:
             )
             with pytest.raises(SchemaMismatch, match=repr(name)):
                 fairness_report(data, holdout, demo_metadata())
+        with pytest.raises(SchemaMismatch, match="'Nope'"):
+            fairness_report(data, data, Metadata("Diagnosis", "positive", ("Race", "Nope")))
 
     def test_fpr_equals_brute_force(self, demo_data, demo_md):
         # synthetic == holdout == demo data: the report's per-group FPRs must
