@@ -205,7 +205,10 @@ def estimate_correlation(scores: np.ndarray) -> np.ndarray:
     active = variances >= CONSTANT_VARIANCE
     corr = np.eye(d)
     if active.sum() >= 2:
-        sub = np.corrcoef(scores[:, active].T)
+        # np.corrcoef's bits depend on its input's memory layout: it always
+        # gets a C-ordered (active columns, n) array, whatever the caller's.
+        sub = scores.T if active.all() else scores[:, active].T
+        sub = np.corrcoef(np.ascontiguousarray(sub))
         sub = np.clip(sub, -1.0, 1.0)
         ij = np.where(active)[0]
         corr[np.ix_(ij, ij)] = sub
@@ -257,10 +260,10 @@ def fit(train: Dataset, config: SynthesizerConfig) -> CopulaModel:
         corr = np.eye(d)
     else:
         rng = np.random.default_rng(config.seed)
-        scores = np.column_stack(
-            [to_normal_scores(col, marginals[name], rng) for name, col in zip(names, train.columns)]
-        )
-        corr = estimate_correlation(scores)
+        scores = np.empty((d, train.row_count))
+        for row, name, col in zip(scores, names, train.columns):
+            row[:] = to_normal_scores(col, marginals[name], rng)
+        corr = estimate_correlation(scores.T)
         lam = config.correlation_shrinkage
         if lam > 0.0:
             corr = (1.0 - lam) * corr + lam * np.eye(d)
@@ -301,9 +304,8 @@ def sample(model: CopulaModel, n_rows: int, seed: int) -> Dataset:
         raise ValidationFailure("n_rows must be non-negative")
     rng = np.random.default_rng(seed)
     d = len(model.column_order)
-    normals = rng.standard_normal((n_rows, d))
-    z = normals @ model.cholesky.T
-    u = ndtr(z)
+    u = rng.standard_normal((n_rows, d)) @ model.cholesky.T
+    ndtr(u, out=u)
 
     columns: list[Column] = []
     for j, name in enumerate(model.column_order):

@@ -82,19 +82,18 @@ class TableSchema:
     """Ordered (name, kind) pairs matching source-file column order."""
 
     columns: tuple[tuple[str, ColumnKind], ...]
+    # Derived from ``columns`` once; every ``Dataset.column`` lookup reads it.
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [name for name, _ in self.columns]
+        names = tuple(name for name, _ in self.columns)
         for name in names:
             if not name:
                 raise DuplicateColumnName("empty column name")
         dupes = [n for n, c in Counter(names).items() if c > 1]
         if dupes:
             raise DuplicateColumnName(f"duplicate column name(s): {dupes}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.columns)
+        object.__setattr__(self, "names", names)
 
     def kind_of(self, name: str) -> ColumnKind:
         for col, kind in self.columns:
@@ -274,7 +273,7 @@ class Dataset:
         return True
 
 
-def _parse_numeric(cells: list[str]) -> np.ndarray | None:
+def _parse_numeric(cells: Sequence[str]) -> np.ndarray | None:
     """Parse a column's cells under ``parse_number``'s rule, missing cells as
     nan; None unless every non-missing cell is a plain, finite decimal."""
     # The missing token "" is the only falsy cell, so filter(None, ...) and
@@ -297,7 +296,7 @@ def _parse_numeric(cells: list[str]) -> np.ndarray | None:
 
 def infer_schema(
     header: Sequence[str],
-    columns: Sequence[list[str]],
+    columns: Sequence[list[str] | np.ndarray],
     declared_kinds: Mapping[str, ColumnKind] | None = None,
 ) -> tuple[TableSchema, list[np.ndarray | None]]:
     """Infer per-column kinds from raw string cells, given column by column.
@@ -305,28 +304,31 @@ def infer_schema(
     A column is numeric iff every non-missing cell parses as a plain decimal
     number and the distinct parsed values exceed the cardinality cutoff;
     declared kinds always win. The rule sees only which cells occur, so a
-    column may be given by its distinct cells. Also returns per column the
-    parsed values (nan where missing) of an inferred numeric column, else
-    None, so ingest parses each cell once.
+    column may be given by its distinct cells, or by its parsed values (a
+    float64 array, nan where missing) when every cell is known to parse. Also
+    returns per column the parsed values of a numeric column when known (not
+    for a declared-numeric column given as cells), else None, so ingest
+    parses each cell once.
     """
-    if not header or not columns[0]:
+    if not header or not len(columns[0]):
         raise EmptyTable("table needs at least one column and one data row")
     declared = declared_kinds or {}
     kinds = []
     parsed: list[np.ndarray | None] = []
     for name, cells in zip(header, columns):
-        values = None
+        values = cells if isinstance(cells, np.ndarray) else None
         if name in declared:
             kind = declared[name]
         else:
-            values = _parse_numeric(cells)
+            if values is None:
+                values = _parse_numeric(cells)
             if values is not None:
                 distinct = np.unique(values[~np.isnan(values)])
                 if len(distinct) <= CATEGORICAL_CARDINALITY_CUTOFF:
                     values = None
             kind = ColumnKind.CATEGORICAL if values is None else ColumnKind.NUMERIC
         kinds.append((name, kind))
-        parsed.append(values)
+        parsed.append(values if kind is ColumnKind.NUMERIC else None)
     return TableSchema(tuple(kinds)), parsed
 
 
@@ -347,18 +349,38 @@ def _checked_rows(reader, width: int):
         yield row
 
 
-def _read_csv(csv_path: str | Path) -> tuple[list[str], list[tuple], int]:
+def _read_cells(csv_path: str | Path, indices: list[int]) -> list[list[str]]:
+    """The cells of the columns at ``indices``, in file order, from another
+    read of a CSV that ``_read_csv`` has already read whole."""
+    cells: list[list[str]] = [[] for _ in indices]
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        while block := list(islice(reader, _READ_BLOCK_ROWS)):
+            by_column = list(zip(*block))
+            for out, j in zip(cells, indices):
+                out.extend(by_column[j])
+    return cells
+
+
+def _read_csv(csv_path: str | Path) -> tuple[list[str], list, int]:
     """Read an RFC-4180 CSV column by column, skipping a UTF-8 byte order mark;
     returns (header, columns, row count). Each column is (keys, codes) with
     ``keys[codes]`` its cells in file order: its distinct cells in first-
     appearance order while it has at most the cutoff plus one (the missing
-    token), and past that all its cells as keys with codes None."""
+    token). Past that, codes are None and keys are either the column's
+    float64 values (nan where missing), parsed per read block while every
+    cell is a plain decimal or missing, or else all its cells. A column that
+    stops parsing partway through the file is read once more for its cells."""
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
             tables: list[dict[str, int] | None] = [{} for _ in header]
-            columns: list = [array("i") for _ in header]  # codes, or cells past the limit
+            # Codes while interned; past the limit the parsed blocks, or the
+            # cells, or None for a column whose cells must be read again.
+            columns: list = [array("i") for _ in header]
+            numeric = [False] * len(header)
             n_rows = 0
             rows = _checked_rows(reader, len(header))
             while block := list(islice(rows, _READ_BLOCK_ROWS)):
@@ -368,20 +390,38 @@ def _read_csv(csv_path: str | Path) -> tuple[list[str], list[tuple], int]:
                     if table is not None:
                         for cell in dict.fromkeys(cells):
                             table.setdefault(cell, len(table))
+                        columns[j].extend(map(table.__getitem__, cells))
                         if len(table) <= CATEGORICAL_CARDINALITY_CUTOFF + 1:
-                            columns[j].extend(map(table.__getitem__, cells))
                             continue
                         keys = list(table)
-                        columns[j] = list(map(keys.__getitem__, columns[j]))
+                        values = _parse_numeric(keys)
+                        numeric[j] = values is not None
+                        if numeric[j]:
+                            columns[j] = [values[np.frombuffer(columns[j], np.int32)]]
+                        else:
+                            columns[j] = list(map(keys.__getitem__, columns[j]))
                         tables[j] = None
-                    columns[j].extend(cells)
+                    elif numeric[j]:
+                        values = _parse_numeric(cells)
+                        if values is None:
+                            columns[j], numeric[j] = None, False
+                        else:
+                            columns[j].append(values)
+                    elif columns[j] is not None:
+                        columns[j].extend(cells)
         except StopIteration:
             raise EmptyTable(f"{csv_path}: no header row")
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationFailure(f"{csv_path}: unreadable as UTF-8 CSV: {exc}")
+    stale = [j for j, column in enumerate(columns) if column is None]
+    if stale:
+        for j, cells in zip(stale, _read_cells(csv_path, stale)):
+            columns[j] = cells
     return header, [
-        (column, None) if table is None else (list(table), np.frombuffer(column, np.int32))
-        for table, column in zip(tables, columns)
+        (list(table), np.frombuffer(column, np.int32))
+        if table is not None
+        else (np.concatenate(column) if is_numeric else column, None)
+        for table, column, is_numeric in zip(tables, columns, numeric)
     ], n_rows
 
 
@@ -456,6 +496,17 @@ def load_dataset(
     for col in metadata.protected_attributes:
         if schema.kind_of(col) is not ColumnKind.CATEGORICAL:
             raise MetadataMismatch(f"protected attribute {col!r} is numeric, not categorical")
+    # A column parsed while read that is categorical after all (declared so,
+    # or at most the cutoff distinct values in more spellings) is read again
+    # for its cells.
+    stale = [
+        j
+        for j, (_, kind) in enumerate(schema.columns)
+        if kind is ColumnKind.CATEGORICAL and isinstance(read[j][0], np.ndarray)
+    ]
+    if stale:
+        for j, cells in zip(stale, _read_cells(csv_path, stale)):
+            read[j] = cells, None
     for j, (_, kind) in enumerate(schema.columns):
         if kind is ColumnKind.CATEGORICAL and read[j][1] is None:
             interned = CategoricalColumn.from_values(read[j][0])
@@ -474,7 +525,7 @@ def load_dataset(
     columns: list[Column] = []
     imputed_counts: dict[str, int] = {}
     for (name, kind), (keys, codes), values in zip(schema.columns, read, parsed):
-        if values is not None:  # inferred numeric, parsed per key of all rows
+        if values is not None:  # numeric, parsed per key or per cell of all rows
             if codes is not None:
                 values = values[codes]
             column, n_imputed = _impute_numeric(values[keep] if dropped else values, name)

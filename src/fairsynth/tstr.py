@@ -36,6 +36,9 @@ UNDEFINED = None
 MAX_NEWTON_STEPS = 50
 MAX_STEP_HALVINGS = 40
 
+# Rows per block of the Newton Hessian's Gram matrix.
+_GRAM_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class TstrHyperparams:
@@ -149,28 +152,29 @@ def encode(encoder: Encoder, data: Dataset):
         if data.schema.kind_of(name) is not want:
             raise SchemaMismatch(f"column {name!r} is not {want.value} as at fit time")
     n = data.row_count
-    blocks: list[np.ndarray] = []
+    X = np.zeros((n, len(encoder.feature_names)))
     unseen: set[tuple[str, str]] = set()
+    k = 0  # first feature of the column
     for name in encoder.feature_columns:
         if name in encoder.numeric_stats:
-            values = data.column(name).values
-            if name in encoder.constant_numeric:
-                blocks.append(np.zeros((n, 1)))
-                continue
-            mean, std = encoder.numeric_stats[name]
-            blocks.append(((values - mean) / std).reshape(n, 1))
+            if name not in encoder.constant_numeric:  # a constant stays all zero
+                mean, std = encoder.numeric_stats[name]
+                X[:, k] = (data.column(name).values - mean) / std
+            k += 1
         else:
             col = data.column(name)
             vocab = encoder.category_maps[name]
-            index = {c: k for k, c in enumerate(vocab)}
-            # Vocabulary slot of each code; -1 (unseen) picks the all-zero row.
+            index = {c: i for i, c in enumerate(vocab)}
+            # Vocabulary slot of each code; -1 (unseen) leaves the row all zero.
             slots = np.array([index.get(c, -1) for c in col.categories], dtype=np.int64)
-            blocks.append(np.eye(len(vocab) + 1)[:, : len(vocab)][slots[col.codes]])
+            slot = slots[col.codes]
+            rows = np.flatnonzero(slot >= 0)
+            X[rows, k + slot[rows]] = 1.0
             present = np.unique(col.codes).tolist()
-            unseen.update((name, col.categories[k]) for k in present if slots[k] < 0)
+            unseen.update((name, col.categories[c]) for c in present if slots[c] < 0)
+            k += len(vocab)
     for name, value in sorted(unseen):
         logger.warning("category %r of column %r unseen at fit time; encoded as zeros", value, name)
-    X = np.hstack(blocks) if blocks else np.zeros((n, 0))
     label = data.column(encoder.label_column)
     positive = np.array([c == encoder.positive_label for c in label.categories], dtype=np.int64)
     y = positive[label.codes]
@@ -228,9 +232,15 @@ def train_logreg(
             break
         s = expit(X @ w + b)
         s *= (1.0 - s) / n
-        # Hessian in blocks, without an augmented [X | 1] copy of X.
+        # Hessian in blocks, without an augmented [X | 1] copy of X; the Gram
+        # matrix X' diag(s) X is summed over row blocks, so no n x d scaled
+        # copy of X is ever alive.
+        gram = l2 * np.eye(d)
+        for start in range(0, n, _GRAM_BLOCK_ROWS):
+            rows = X[start : start + _GRAM_BLOCK_ROWS]
+            gram += (rows.T * s[start : start + _GRAM_BLOCK_ROWS]) @ rows
         col = (X.T @ s)[:, None]
-        hessian = np.block([[(X.T * s) @ X + l2 * np.eye(d), col], [col.T, s.sum()]])
+        hessian = np.block([[gram, col], [col.T, s.sum()]])
         direction = np.linalg.solve(hessian, grad)
         for t in 0.5 ** np.arange(MAX_STEP_HALVINGS):
             loss = logistic_loss(w - t * direction[:d], b - t * direction[d], X, y, l2)
@@ -322,6 +332,7 @@ def fairness_report(
     encoder = fit_encoder(synth, metadata)
     X_train, y_train, _ = encode(encoder, synth)
     model = train_logreg(X_train, y_train, hyperparams)
+    del X_train, y_train  # free before the holdout's matrix is built
     X_test, y_test, test_groups = encode(encoder, real_holdout)
     y_pred = predict(model, X_test)
     degenerate = bool(np.all(y_pred == y_pred[0]))

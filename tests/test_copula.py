@@ -343,6 +343,17 @@ class TestEstimateCorrelation:
         assert r[0, 0] == 1.0 and r[1, 1] == 1.0
         assert r[0, 1] == 0.0
 
+    def test_memory_layout_does_not_change_bits(self):
+        # fit passes the transpose of its (columns, rows) score array.
+        rng = np.random.default_rng(7)
+        scores = rng.standard_normal((2000, 5)) @ rng.standard_normal((5, 5))
+        with_constant = np.insert(scores, 2, 3.0, axis=1)
+        for table in (scores, with_constant):
+            want = estimate_correlation(np.ascontiguousarray(table))
+            got = estimate_correlation(np.asfortranarray(table))
+            assert got.tobytes() == want.tobytes()
+        assert want[2, [0, 1, 3, 4, 5]].tolist() == [0.0] * 5
+
 
 class TestNearestPsd:
     def test_identity_unchanged(self):

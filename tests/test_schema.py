@@ -20,6 +20,7 @@ from fairsynth.errors import (
 )
 from fairsynth.schema import (
     _READ_BLOCK_ROWS,
+    _read_csv,
     CategoricalColumn,
     ColumnKind,
     Dataset,
@@ -342,6 +343,16 @@ def _hostile_rows(rng, n):
     # "r" first appears in the dropped row 3, before "q" in the kept row 4.
     early = draw(["p", "q", "r"])
     early[:5] = ["p", "p", "p", "r", "q"]
+    # Numbers for several read blocks, then one text cell in the last block;
+    # the spellings are not what repr() of their values gives back.
+    stops = [f"{v:+.3f}" for v in rng.normal(0, 5, n)]
+    stops[n - 2] = "x"
+    # Numbers whose only bad cell sits in the dropped last row, after block 1.
+    dnum = [f"{v:.2f}0" for v in rng.random(n)]
+    dnum[-1] = "oops"
+    # 80 distinct cells but only 20 distinct values.
+    spellings = ["{}", "{}.0", "+{}", "{}e0"]
+    spell = [str(rng.choice(spellings)).format(i % 20) for i in range(n)]
     # "a" and "b" tie for the mode among kept rows; the text tie-break picks "a".
     kept = [i for i in range(n) if label[i] and group[i]]
     paired = kept[1 : 1 + 2 * ((len(kept) - 1) // 2)]
@@ -351,8 +362,9 @@ def _hostile_rows(rng, n):
     for i in set(range(n)) - set(kept):
         tie[i] = "c"
     header = ["label", "grp", "num", "cat", "text", "tok", "d20", "d21", "tie", "many", "late",
-              "early"]
-    columns = [label, group, num, cat, text, tok, d20, d21, tie, many, late, early]
+              "early", "stops", "dnum", "spell"]
+    columns = [label, group, num, cat, text, tok, d20, d21, tie, many, late, early, stops, dnum,
+               spell]
     return header, [list(r) for r in zip(*columns)]
 
 
@@ -382,7 +394,13 @@ def test_columnar_ingest_matches_row_wise_reference(tmp_path):
         "label",
         "yes",
         ("grp",),
-        {"d20": ColumnKind.NUMERIC, "num": ColumnKind.CATEGORICAL, "late": ColumnKind.CATEGORICAL},
+        {
+            "d20": ColumnKind.NUMERIC,
+            "num": ColumnKind.CATEGORICAL,
+            "late": ColumnKind.CATEGORICAL,
+            "dnum": ColumnKind.NUMERIC,
+            "spell": ColumnKind.NUMERIC,
+        },
     )
     for case in range(8):
         n = 2 * _READ_BLOCK_ROWS + int(rng.integers(1, 2 * _READ_BLOCK_ROWS))
@@ -398,7 +416,9 @@ def test_columnar_ingest_matches_row_wise_reference(tmp_path):
             "cat": "categorical", "text": "categorical", "tok": "categorical",
             "d20": "categorical", "d21": "numeric", "tie": "categorical",
             "many": "categorical", "late": "numeric", "early": "categorical",
+            "stops": "categorical", "dnum": "categorical", "spell": "categorical",
         }
+        assert dict(_reference_load(p, declared).schema.columns)["dnum"] is ColumnKind.NUMERIC
         assert want.column("cat").categories[0] == "x"
         assert want.column("tie").categories == ("a", "b")
         assert want.column("early").categories == ("p", "q", "r")  # kept-row order
@@ -414,6 +434,22 @@ def test_columnar_ingest_matches_row_wise_reference(tmp_path):
                 load_dataset(p, inferred)
             assert got_err.value.line == want_err.value.line
             assert str(got_err.value) == str(want_err.value)
+
+
+def test_read_csv_parses_numeric_columns_per_block(tmp_path):
+    p = tmp_path / "t.csv"
+    n = 3 * _READ_BLOCK_ROWS + 5
+    cells = [f"{i / 4}" for i in range(n)]
+    cells[_READ_BLOCK_ROWS + 1] = ""
+    write_lines(p, ["v,label"] + [f"{c},{'yes' if i % 2 else 'no'}" for i, c in enumerate(cells)])
+    header, columns, n_rows = _read_csv(p)
+    assert header == ["v", "label"] and n_rows == n
+    values, codes = columns[0]
+    assert codes is None
+    assert isinstance(values, np.ndarray) and values.dtype == np.float64
+    want = np.array([float(c) if c else np.nan for c in cells])
+    assert values.tobytes() == want.tobytes()
+    assert columns[1][0] == ["no", "yes"]
 
 
 def test_split_holdout_partition():
