@@ -353,6 +353,8 @@ def _read_cells(csv_path: str | Path, indices: list[int]) -> list[list[str]]:
     """The cells of the columns at ``indices``, in file order, from another
     read of a CSV that ``_read_csv`` has already read whole."""
     cells: list[list[str]] = [[] for _ in indices]
+    if not indices:
+        return cells
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -414,9 +416,8 @@ def _read_csv(csv_path: str | Path) -> tuple[list[str], list, int]:
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationFailure(f"{csv_path}: unreadable as UTF-8 CSV: {exc}")
     stale = [j for j, column in enumerate(columns) if column is None]
-    if stale:
-        for j, cells in zip(stale, _read_cells(csv_path, stale)):
-            columns[j] = cells
+    for j, cells in zip(stale, _read_cells(csv_path, stale)):
+        columns[j] = cells
     return header, [
         (list(table), np.frombuffer(column, np.int32))
         if table is not None
@@ -504,9 +505,8 @@ def load_dataset(
         for j, (_, kind) in enumerate(schema.columns)
         if kind is ColumnKind.CATEGORICAL and isinstance(read[j][0], np.ndarray)
     ]
-    if stale:
-        for j, cells in zip(stale, _read_cells(csv_path, stale)):
-            read[j] = cells, None
+    for j, cells in zip(stale, _read_cells(csv_path, stale)):
+        read[j] = cells, None
     for j, (_, kind) in enumerate(schema.columns):
         if kind is ColumnKind.CATEGORICAL and read[j][1] is None:
             interned = CategoricalColumn.from_values(read[j][0])
