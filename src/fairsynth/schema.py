@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 from array import array
 from collections import Counter
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import compress, count, islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -349,39 +350,66 @@ def _checked_rows(reader, width: int):
         yield row
 
 
-def _read_cells(csv_path: str | Path, indices: list[int]) -> list[list[str]]:
-    """The cells of the columns at ``indices``, in file order, from another
-    read of a CSV that ``_read_csv`` has already read whole."""
+def _read_cells(
+    fh, stamp: os.stat_result, header: list[str], n_rows: int, indices: list[int]
+) -> list[list[str]]:
+    """The cells of the columns at ``indices``, in file order, from a second
+    read of ``fh`` from its start. A file whose size, modification time,
+    header, row widths or row count differ from the first read's (``stamp``,
+    ``header``, ``n_rows``) is a ValidationFailure."""
+    changed = ValidationFailure(f"{fh.name}: file changed while it was read")
+    now = os.fstat(fh.fileno())
+    if (now.st_size, now.st_mtime_ns) != (stamp.st_size, stamp.st_mtime_ns):
+        raise changed
+    fh.seek(0)
+    reader = csv.reader(fh)
     cells: list[list[str]] = [[] for _ in indices]
-    if not indices:
-        return cells
-    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(reader)
+    try:
+        if next(reader, None) != header:
+            raise changed
         while block := list(islice(reader, _READ_BLOCK_ROWS)):
+            if any(len(row) != len(header) for row in block):
+                raise changed
             by_column = list(zip(*block))
             for out, j in zip(cells, indices):
                 out.extend(by_column[j])
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationFailure(f"{fh.name}: unreadable as UTF-8 CSV: {exc}")
+    if len(cells[0]) != n_rows:
+        raise changed
     return cells
 
 
-def _read_csv(csv_path: str | Path) -> tuple[list[str], list, int]:
+def _read_csv(
+    csv_path: str | Path, text_columns: Container[str] = ()
+) -> tuple[list[str], list, int]:
     """Read an RFC-4180 CSV column by column, skipping a UTF-8 byte order mark;
     returns (header, columns, row count). Each column is (keys, codes) with
     ``keys[codes]`` its cells in file order: its distinct cells in first-
     appearance order while it has at most the cutoff plus one (the missing
-    token). Past that, codes are None and keys are either the column's
-    float64 values (nan where missing), parsed per read block while every
-    cell is a plain decimal or missing, or else all its cells. A column that
-    stops parsing partway through the file is read once more for its cells."""
+    token), or while every cell parses and they hold at most the cutoff
+    distinct values. Past that, codes are None and keys are either the
+    column's float64 values (nan where missing), parsed per read block while
+    every cell is a plain decimal or missing, or else all its cells.
+
+    Columns named in ``text_columns``, and every column of an input that
+    cannot be read twice (a pipe), are never parsed. A column that stops
+    parsing partway through a file is read once more for its cells."""
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
+        stamp = os.fstat(fh.fileno())
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            seekable = fh.seekable()
+            parse = [seekable and name not in text_columns for name in header]
             tables: list[dict[str, int] | None] = [{} for _ in header]
             # Codes while interned; past the limit the parsed blocks, or the
             # cells, or None for a column whose cells must be read again.
             columns: list = [array("i") for _ in header]
+            # Distinct values among an interned column's first checked[j] keys,
+            # kept once it is past the cutoff plus one keys that all parse.
+            distinct: list[set[float]] = [set() for _ in header]
+            checked = [0] * len(header)
             numeric = [False] * len(header)
             n_rows = 0
             rows = _checked_rows(reader, len(header))
@@ -393,12 +421,19 @@ def _read_csv(csv_path: str | Path) -> tuple[list[str], list, int]:
                         for cell in dict.fromkeys(cells):
                             table.setdefault(cell, len(table))
                         columns[j].extend(map(table.__getitem__, cells))
-                        if len(table) <= CATEGORICAL_CARDINALITY_CUTOFF + 1:
+                        n_keys = len(table)
+                        if n_keys <= CATEGORICAL_CARDINALITY_CUTOFF + 1 or n_keys == checked[j]:
                             continue
                         keys = list(table)
-                        values = _parse_numeric(keys)
-                        numeric[j] = values is not None
+                        values = _parse_numeric(keys[checked[j] :])
+                        checked[j] = n_keys
+                        if values is not None:
+                            distinct[j].update(values[~np.isnan(values)].tolist())
+                            if len(distinct[j]) <= CATEGORICAL_CARDINALITY_CUTOFF:
+                                continue  # categorical by value so far
+                        numeric[j] = values is not None and parse[j]
                         if numeric[j]:
+                            values = _parse_numeric(keys)
                             columns[j] = [values[np.frombuffer(columns[j], np.int32)]]
                         else:
                             columns[j] = list(map(keys.__getitem__, columns[j]))
@@ -415,9 +450,10 @@ def _read_csv(csv_path: str | Path) -> tuple[list[str], list, int]:
             raise EmptyTable(f"{csv_path}: no header row")
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationFailure(f"{csv_path}: unreadable as UTF-8 CSV: {exc}")
-    stale = [j for j, column in enumerate(columns) if column is None]
-    for j, cells in zip(stale, _read_cells(csv_path, stale)):
-        columns[j] = cells
+        stale = [j for j, column in enumerate(columns) if column is None]
+        if stale:
+            for j, cells in zip(stale, _read_cells(fh, stamp, header, n_rows, stale)):
+                columns[j] = cells
     return header, [
         (list(table), np.frombuffer(column, np.int32))
         if table is not None
@@ -476,7 +512,10 @@ def load_dataset(
     the positive label; synthetic backend output may legitimately collapse to
     one class and is flagged as degenerate downstream instead of rejected here.
     """
-    header, read, n_rows = _read_csv(csv_path)
+    declared = metadata.declared_kinds or {}
+    header, read, n_rows = _read_csv(
+        csv_path, {name for name, kind in declared.items() if kind is ColumnKind.CATEGORICAL}
+    )
     if not n_rows:
         raise EmptyTable(f"{csv_path}: no data rows")
 
@@ -489,7 +528,7 @@ def load_dataset(
             f"label column {metadata.label_column!r} is also a protected attribute"
         )
 
-    schema, parsed = infer_schema(header, [keys for keys, _ in read], metadata.declared_kinds)
+    schema, parsed = infer_schema(header, [keys for keys, _ in read], declared)
     if schema.kind_of(metadata.label_column) is not ColumnKind.CATEGORICAL:
         raise LabelNotBinary(
             f"label column {metadata.label_column!r} is numeric, not a binary category"
@@ -497,16 +536,8 @@ def load_dataset(
     for col in metadata.protected_attributes:
         if schema.kind_of(col) is not ColumnKind.CATEGORICAL:
             raise MetadataMismatch(f"protected attribute {col!r} is numeric, not categorical")
-    # A column parsed while read that is categorical after all (declared so,
-    # or at most the cutoff distinct values in more spellings) is read again
-    # for its cells.
-    stale = [
-        j
-        for j, (_, kind) in enumerate(schema.columns)
-        if kind is ColumnKind.CATEGORICAL and isinstance(read[j][0], np.ndarray)
-    ]
-    for j, cells in zip(stale, _read_cells(csv_path, stale)):
-        read[j] = cells, None
+    # _read_csv parses no column declared categorical and none with at most
+    # the cutoff distinct values, so a categorical column is coded or cells.
     for j, (_, kind) in enumerate(schema.columns):
         if kind is ColumnKind.CATEGORICAL and read[j][1] is None:
             interned = CategoricalColumn.from_values(read[j][0])

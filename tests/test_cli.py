@@ -488,7 +488,9 @@ class TestSeedEnvVar:
 
 #: sha256 of every file that ``demo`` and then ``run``, ``supervise`` and
 #: ``bench --out`` with default flags write. A change that alters one of these
-#: outputs on purpose updates its digest and says why.
+#: outputs on purpose updates its digest and says why; so it does for the
+#: perfbench ``--seed 1`` artifacts pinned in ``perfbench_sha256.json``, which
+#: CI checks.
 ARTIFACT_SHA256 = {
     "d/demo.csv": "8a9eedede6e65cb884971282899bbe6d770e82850cf4df4e0ce238c4261b8592",
     "d/metadata.json": "dd7426918cc32d5a4ba0e2651ba07fd2daea9540119791e12145227af7b98cc7",

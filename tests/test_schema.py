@@ -1,12 +1,17 @@
 import codecs
 import csv
+import io
 import json
+import os
+import signal
+import threading
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from fairsynth import schema
 from fairsynth.demo import DemoSpec, make_demo_dataset
 from fairsynth.errors import (
     DuplicateColumnName,
@@ -450,6 +455,106 @@ def test_read_csv_parses_numeric_columns_per_block(tmp_path):
     want = np.array([float(c) if c else np.nan for c in cells])
     assert values.tobytes() == want.tobytes()
     assert columns[1][0] == ["no", "yes"]
+
+
+def test_read_csv_reads_declared_and_few_valued_columns_once(tmp_path, monkeypatch):
+    # A numeric column declared categorical stays cells; one with 60 spellings
+    # of 20 values stays coded. Neither makes ingest read the file again.
+    def read_again(*args):
+        raise AssertionError("file read twice")
+
+    monkeypatch.setattr(schema, "_read_cells", read_again)
+    p = tmp_path / "t.csv"
+    n = 3 * _READ_BLOCK_ROWS
+    ids = [str(1000 + i) for i in range(n)]
+    spell = [("{}", "{}.0", "+{}")[i % 3].format(i % 20) for i in range(n)]
+    label = ["yes" if i % 3 else "no" for i in range(n)]
+    rows = [f"{a},{b},g,{c}" for a, b, c in zip(ids, spell, label)]
+    write_lines(p, ["id,spell,grp,label"] + rows)
+    header, columns, _ = _read_csv(p, {"id"})
+    assert columns[0] == (ids, None)
+    keys, codes = columns[1]
+    assert len(keys) == 60 and [keys[c] for c in codes.tolist()] == spell
+    md = Metadata("label", "yes", ("grp",), {"id": ColumnKind.CATEGORICAL})
+    got = load_dataset(p, md)
+    assert dict(got.schema.columns)["spell"] is ColumnKind.CATEGORICAL
+    _assert_same_ingest(got, _reference_load(p, md))
+
+
+def _late_text_table(path):
+    """A CSV whose column "v" parses for two read blocks, then holds a text
+    cell, so ingest reads the file a second time for its cells."""
+    n = 3 * _READ_BLOCK_ROWS
+    rows = [f"{i / 7!r},{'ab'[i % 2]},{'yes' if i % 3 else 'no'}" for i in range(n)]
+    lines = ["v,grp,label"] + rows
+    lines[-1] = "x,a,yes"
+    write_lines(path, lines)
+    return lines
+
+
+def test_pipe_and_byte_order_mark_inputs_match_reference(tmp_path):
+    md = Metadata("label", "yes", ("grp",))
+    p = tmp_path / "t.csv"
+    _late_text_table(p)
+    want = _reference_load(p, md)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(codecs.BOM_UTF8 + p.read_bytes())
+    _assert_same_ingest(load_dataset(bom, md), want)
+    # A pipe cannot be read twice, so no column of it is parsed while read.
+    # A second open of the pipe would wait for a writer forever; the alarm
+    # turns that into a failure.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(bom.read_bytes()))
+
+    def opened_twice(signum, frame):
+        raise TimeoutError("pipe input opened a second time")
+
+    previous = signal.signal(signal.SIGALRM, opened_twice)
+    signal.alarm(60)
+    writer.start()
+    try:
+        got = load_dataset(fifo, md)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        writer.join()
+    _assert_same_ingest(got, want)
+
+
+@pytest.mark.parametrize(
+    "edit, seen_by_stat",
+    [
+        (lambda lines: lines[: len(lines) // 2], False),
+        (lambda lines: lines + ["1.5,a,yes"], False),
+        (lambda lines: [], False),
+        (lambda lines: ["w" + lines[0][1:]] + lines[1:], False),
+        (lambda lines: lines[:9] + [lines[9].replace(".", ",")] + lines[10:], False),
+        (lambda lines: lines[:-2] + ["y" + lines[-2][1:]] + lines[-1:], True),
+    ],
+    ids=["truncated", "appended", "emptied", "renamed", "widened", "recelled"],
+)
+def test_file_changed_before_second_read_is_validation_failure(
+    tmp_path, monkeypatch, edit, seen_by_stat
+):
+    p = tmp_path / "t.csv"
+    lines = _late_text_table(p)
+    assert p.stat().st_size > 2 * io.DEFAULT_BUFFER_SIZE  # the re-read reaches the file
+    read_cells = schema._read_cells
+
+    def edit_then_read(fh, stamp, *args):
+        before = p.stat()
+        with open(p, "w", newline="", encoding="utf-8") as fh_out:  # same inode, truncated
+            fh_out.write("".join(line + "\r\n" for line in edit(lines)))
+        if seen_by_stat:  # a later modification time, even where the clock has not ticked
+            os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+        else:  # a change that size and modification time do not show
+            stamp = os.fstat(fh.fileno())
+        return read_cells(fh, stamp, *args)
+
+    monkeypatch.setattr(schema, "_read_cells", edit_then_read)
+    with pytest.raises(ValidationFailure, match="changed while it was read"):
+        load_dataset(p, Metadata("label", "yes", ("grp",)))
 
 
 def test_split_holdout_partition():
