@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     EmptyDataset,
     NotFitted,
+    SchemaMismatch,
     TooFewValues,
     UnknownCategory,
     ValidationFailure,
@@ -145,6 +146,12 @@ def fit_marginal(column: Column) -> MarginalModel:
             raise TooFewValues("numeric marginal needs at least 2 values")
         # np.sort, not values[argsort]: an unstable argsort may swap -0.0 and 0.0.
         return NumericMarginal(np.sort(column.values))
+    return _fit_categorical(column)[0]
+
+
+def _fit_categorical(column: CategoricalColumn) -> tuple[CategoricalMarginal, list[int]]:
+    """``fit_marginal`` of a categorical column, and the codes of its
+    categories in the marginal's order."""
     n = len(column)
     if n == 0:
         raise TooFewValues("categorical marginal needs at least 1 value")
@@ -155,7 +162,8 @@ def fit_marginal(column: Column) -> MarginalModel:
     freqs = counts[order] / n
     upper = np.cumsum(freqs)
     upper[-1] = 1.0  # guarantee full coverage of [0, 1)
-    return CategoricalMarginal(tuple(column.categories[k] for k in order), freqs, upper)
+    marginal = CategoricalMarginal(tuple(column.categories[k] for k in order), freqs, upper)
+    return marginal, order
 
 
 def to_normal_scores(
@@ -167,8 +175,14 @@ def to_normal_scores(
     maps through u = r/(n+1); the values are looked up in ascending order, so
     each binary search starts from the previous one's bound, and the ranks are
     scattered back to row order. Categorical values draw u uniformly inside
-    the category's interval so score space carries no point masses.
+    the category's interval so score space carries no point masses. ``fit``
+    scores the columns it fits with ``_fit_scores``, which gives the same
+    scores; this function scores other data against a fitted marginal.
     """
+    if isinstance(column, NumericColumn) != isinstance(marginal, NumericMarginal):
+        raise SchemaMismatch(
+            f"cannot score a {type(column).__name__} against a {type(marginal).__name__}"
+        )
     if isinstance(marginal, NumericMarginal):
         fitted = marginal.sorted_values
         n = len(fitted)
@@ -253,16 +267,12 @@ def fit(train: Dataset, config: SynthesizerConfig) -> CopulaModel:
             f"unknown native backend {config.backend!r}; expected one of {NATIVE_BACKENDS}"
         )
     names = train.schema.names
-    marginals = {name: fit_marginal(col) for name, col in zip(names, train.columns)}
-
     d = len(names)
     if config.backend == "independent":
+        marginals = [fit_marginal(col) for col in train.columns]
         corr = np.eye(d)
     else:
-        rng = np.random.default_rng(config.seed)
-        scores = np.empty((d, train.row_count))
-        for row, name, col in zip(scores, names, train.columns):
-            row[:] = to_normal_scores(col, marginals[name], rng)
+        marginals, scores = _fit_scores(train.columns, np.random.default_rng(config.seed))
         corr = estimate_correlation(scores.T)
         lam = config.correlation_shrinkage
         if lam > 0.0:
@@ -270,13 +280,59 @@ def fit(train: Dataset, config: SynthesizerConfig) -> CopulaModel:
 
     cholesky = np.linalg.cholesky(corr)
     return CopulaModel(
-        marginals=marginals,
+        marginals=dict(zip(names, marginals)),
         correlation=corr,
         cholesky=cholesky,
         column_order=names,
         fitted_rows=train.row_count,
         seed=config.seed,
     )
+
+
+def _fit_scores(
+    columns: tuple[Column, ...], rng: np.random.Generator
+) -> tuple[list[MarginalModel], np.ndarray]:
+    """Each column's marginal, and the (columns, rows) matrix of the normal
+    scores of the rows it was fitted on.
+
+    The scores equal ``to_normal_scores(column, fit_marginal(column), rng)``
+    drawn in column order, bit for bit, without searching the marginal: a
+    numeric column's fitted values are its own, so a run of equal values
+    starting at sorted position s with length t has the average rank
+    s + (t + 1) / 2, and ``ndtri`` runs once per run. ``!=`` ties -0.0 with
+    0.0, as ``searchsorted`` does. A categorical column reads its interval
+    through per-code tables in the marginal's category order.
+    """
+    # Every marginal is fitted before any column is scored: the marginals
+    # outlive the fit, and allocated between scoring temporaries they fragment
+    # the heap (2 MB more peak RSS on perfbench wide-run).
+    fitted = [
+        (fit_marginal(col), None) if isinstance(col, NumericColumn) else _fit_categorical(col)
+        for col in columns
+    ]
+    scores = np.empty((len(columns), len(columns[0])))
+    for row, col, (marginal, category_codes) in zip(scores, columns, fitted):
+        if isinstance(col, NumericColumn):
+            n = len(col)
+            order = np.argsort(col.values)
+            ordered = col.values[order]
+            starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+            lengths = np.diff(starts, append=n)
+            run_scores = ndtri((starts + (lengths + 1) / 2.0) / (n + 1))
+            row[order] = np.repeat(run_scores, lengths)
+            continue
+        upper = marginal.upper_bounds
+        lower = np.concatenate(([0.0], upper[:-1]))
+        # Codes no row uses keep a zero interval that nothing reads.
+        lower_of = np.zeros(len(col.categories))
+        width_of = np.zeros(len(col.categories))
+        lower_of[category_codes] = lower
+        width_of[category_codes] = upper - lower
+        rng.random(out=row)
+        row *= width_of[col.codes]
+        row += lower_of[col.codes]
+        ndtri(row, out=row)
+    return [marginal for marginal, _ in fitted], scores
 
 
 def _inverse_numeric(u: np.ndarray, marginal: NumericMarginal) -> np.ndarray:

@@ -60,9 +60,10 @@ def tv_complement(real_col, synth_col) -> float:
 def correlation_similarity(real_a, real_b, synth_a, synth_b) -> float:
     """1 - |rho_real - rho_synth| / 2 with Pearson rho; a zero-variance column
     contributes rho = 0."""
-    rho_r = _pearson(np.asarray(real_a, dtype=np.float64), np.asarray(real_b, dtype=np.float64))
-    rho_s = _pearson(np.asarray(synth_a, dtype=np.float64), np.asarray(synth_b, dtype=np.float64))
-    return 1.0 - abs(rho_r - rho_s) / 2.0
+    ra, rb, sa, sb = (np.asarray(v, dtype=np.float64) for v in (real_a, real_b, synth_a, synth_b))
+    if ra.size != rb.size or sa.size != sb.size:
+        raise LengthMismatch("paired value sequences must have equal lengths")
+    return 1.0 - abs(_pearson(ra, rb) - _pearson(sa, sb)) / 2.0
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -72,6 +73,30 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
         return 0.0
     rho = float(np.corrcoef(x, y)[0, 1])
     return min(1.0, max(-1.0, rho))
+
+
+def _centred(values: np.ndarray) -> np.ndarray | None:
+    """``values`` minus their mean, as ``np.cov`` centres a row; None for a
+    constant column, whose rho is 0."""
+    if values.size == 0:
+        raise EmptyColumn("correlation requires nonempty columns")
+    if np.all(values == values[0]):
+        return None
+    return values - values.mean()
+
+
+def _centred_pearson(x: np.ndarray | None, y: np.ndarray | None) -> float:
+    """``_pearson`` of two columns from their ``_centred`` forms: the steps
+    ``np.corrcoef`` takes after centring, in its order, so the bits agree."""
+    if x is None or y is None:
+        return 0.0
+    pair = np.stack((x, y))
+    c = np.dot(pair, pair.T)
+    c *= np.true_divide(1, x.size - 1)
+    stddev = np.sqrt(np.diag(c))
+    c /= stddev[:, None]
+    c /= stddev[None, :]
+    return float(np.clip(c[0, 1], -1.0, 1.0))
 
 
 def contingency_similarity(real_a, real_b, synth_a, synth_b) -> float:
@@ -143,6 +168,18 @@ def quality_report(real: Dataset, synth: Dataset, schema: TableSchema) -> Qualit
     if real.schema != schema or synth.schema != schema:
         raise SchemaMismatch("real and synthetic datasets must share the given schema")
 
+    # Numeric pairs are scored first, from each numeric column centred once
+    # per side; the centred copies are freed before the columns are coded.
+    numeric = [name for name, kind in schema.columns if kind is ColumnKind.NUMERIC]
+    centred = [(_centred(real.column(n).values), _centred(synth.column(n).values)) for n in numeric]
+    correlations: dict[tuple[str, str], float] = {}
+    for i, (real_a, synth_a) in enumerate(centred):
+        for j in range(i + 1, len(numeric)):
+            real_b, synth_b = centred[j]
+            rho_r, rho_s = _centred_pearson(real_a, real_b), _centred_pearson(synth_a, synth_b)
+            correlations[numeric[i], numeric[j]] = 1.0 - abs(rho_r - rho_s) / 2.0
+    del centred
+
     # Each column is coded once: a categorical column's codes through one key
     # table for both category tables, a numeric column into quantile bins
     # whose edges come from the real data only.
@@ -164,11 +201,7 @@ def quality_report(real: Dataset, synth: Dataset, schema: TableSchema) -> Qualit
     for i, (name_a, kind_a) in enumerate(cols):
         for name_b, kind_b in cols[i + 1:]:
             if kind_a is ColumnKind.NUMERIC and kind_b is ColumnKind.NUMERIC:
-                score = correlation_similarity(
-                    real.column(name_a).values, real.column(name_b).values,
-                    synth.column(name_a).values, synth.column(name_b).values,
-                )
-                trends.append((name_a, name_b, CORRELATION_SIMILARITY, score))
+                trends.append((name_a, name_b, CORRELATION_SIMILARITY, correlations[name_a, name_b]))
             else:
                 score = _pair_tv(coded[name_a], coded[name_b])
                 trends.append((name_a, name_b, CONTINGENCY_SIMILARITY, score))

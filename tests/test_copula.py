@@ -12,6 +12,7 @@ from fairsynth.copula import (
     CopulaModel,
     NumericMarginal,
     SynthesizerConfig,
+    _fit_scores,
     estimate_correlation,
     fit,
     fit_marginal,
@@ -28,6 +29,7 @@ from fairsynth.copula import (
 from fairsynth.errors import (
     DomainError,
     NotFitted,
+    SchemaMismatch,
     TooFewValues,
     UnknownCategory,
     ValidationFailure,
@@ -39,6 +41,7 @@ from fairsynth.schema import (
     NumericColumn,
     TableSchema,
 )
+from fairsynth.supervisor import balance_groups
 
 
 def mp_cdf(z: float) -> float:
@@ -313,6 +316,67 @@ class TestSortedLookupMatchesUnsortedReference:
             for j, name in enumerate(order):
                 want = _reference_inverse(u[:, j], marginals[name])
                 assert out.column(name).values.tobytes() == want.tobytes()
+
+
+def _hostile_tables(demo_data, demo_metadata):
+    """Tables whose fit scores are easy to get wrong."""
+    rng = np.random.default_rng(31)
+    n = 300
+    yield "many ties", Dataset(
+        TableSchema((("a", ColumnKind.NUMERIC), ("b", ColumnKind.NUMERIC))),
+        (NumericColumn(rng.integers(0, 4, n) * 0.5), NumericColumn(np.round(rng.standard_normal(n)))),
+    )
+    yield "balanced slice", balance_groups(demo_data.take(np.arange(400)), demo_metadata, 3)
+    yield "signed zeros", Dataset(
+        TableSchema((("z", ColumnKind.NUMERIC), ("x", ColumnKind.NUMERIC))),
+        (NumericColumn(rng.choice([-0.0, 0.0, 1.0], n)), NumericColumn(rng.standard_normal(n))),
+    )
+    yield "constant", Dataset(
+        TableSchema((("k", ColumnKind.NUMERIC), ("x", ColumnKind.NUMERIC))),
+        (NumericColumn(np.full(n, -2.5)), NumericColumn(rng.standard_normal(n))),
+    )
+    yield "two rows", demo_data.take(np.array([5, 1]))
+    # Categories 1 and 3 are in every table but in no row of the slice.
+    table = Dataset(
+        TableSchema((("c", ColumnKind.CATEGORICAL), ("x", ColumnKind.NUMERIC))),
+        (CategoricalColumn(np.arange(n) % 5, ("q", "b", "z", "a", "m")), NumericColumn(np.arange(n) % 7.0)),
+    )
+    yield "sliced categories", table.take(np.flatnonzero(np.isin(np.arange(n) % 5, (0, 2, 4))))
+
+
+class TestFitScoresMatchOracle:
+    """``fit`` scores its own columns without ``to_normal_scores``; that
+    function, drawn in column order from the same rng, is the oracle."""
+
+    def test_scores_and_model(self, demo_data, demo_md):
+        for name, train in _hostile_tables(demo_data, demo_md):
+            marginals, got = _fit_scores(train.columns, np.random.default_rng(8))
+            rng = np.random.default_rng(8)
+            want = np.empty(got.shape)
+            for row, col, marginal in zip(want, train.columns, marginals):
+                oracle = fit_marginal(col)
+                assert vars(marginal).keys() == vars(oracle).keys(), name
+                for field, value in vars(oracle).items():
+                    assert np.array_equal(getattr(marginal, field), value), (name, field)
+                row[:] = to_normal_scores(col, oracle, rng)
+            assert got.tobytes() == want.tobytes(), name
+
+            for lam in (0.0, 0.3):
+                model = fit(train, SynthesizerConfig(seed=8, correlation_shrinkage=lam))
+                corr = estimate_correlation(want.T)
+                if lam > 0.0:
+                    corr = (1.0 - lam) * corr + lam * np.eye(len(train.columns))
+                assert model.correlation.tobytes() == corr.tobytes(), name
+                assert model.cholesky.tobytes() == np.linalg.cholesky(corr).tobytes(), name
+
+    def test_scoring_other_kind_is_schema_mismatch(self):
+        numeric = NumericColumn([1.0, 2.0, 3.0])
+        categorical = CategoricalColumn.from_values(["a", "b", "a"])
+        rng = np.random.default_rng(0)
+        with pytest.raises(SchemaMismatch):
+            to_normal_scores(numeric, fit_marginal(categorical), rng)
+        with pytest.raises(SchemaMismatch):
+            to_normal_scores(categorical, fit_marginal(numeric), rng)
 
 
 class TestEstimateCorrelation:

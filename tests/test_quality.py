@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fairsynth.errors import EmptyColumn, SchemaMismatch
+from fairsynth.errors import EmptyColumn, LengthMismatch, SchemaMismatch
 from fairsynth.quality import (
     contingency_similarity,
     correlation_similarity,
@@ -91,6 +91,13 @@ class TestCorrelationSimilarity:
         x = [0.0, 1.0, 2.0]
         # rho_real = 0 by convention, rho_synth = 1 -> 1 - 1/2
         assert correlation_similarity(const, x, x, x) == 0.5
+
+    def test_unequal_paired_lengths(self):
+        x, short = [1.0, 2.0, 3.0], [1.0, 2.0]
+        with pytest.raises(LengthMismatch):
+            correlation_similarity(x, short, x, [3.0, 2.0, 1.0])
+        with pytest.raises(LengthMismatch):
+            correlation_similarity(x, [3.0, 2.0, 1.0], short, x)
 
 
 class TestContingencySimilarity:
@@ -237,6 +244,41 @@ class TestQualityReport:
         ]
         assert list(report.pair_trends) == expect
         assert report.shapes["c"][1] < 1.0 and all(t[3] < 1.0 for t in expect)
+
+    def test_numeric_pairs_equal_correlation_similarity(self):
+        # Columns are centred once per side in quality_report; every pair must
+        # still carry correlation_similarity's bits, a constant column included.
+        names = ("a", "b", "k", "c", "d")
+        kinds = (ColumnKind.NUMERIC,) * 3 + (ColumnKind.CATEGORICAL, ColumnKind.NUMERIC)
+        schema = TableSchema(tuple(zip(names, kinds)))
+
+        def table(rng, n, constant):
+            return Dataset(schema, (
+                NumericColumn(rng.standard_normal(n) * 1e3 + 7.0),
+                NumericColumn(np.round(rng.standard_normal(n), 1)),
+                NumericColumn(np.full(n, constant)),
+                CategoricalColumn(rng.integers(0, 3, n), ("x", "y", "z")),
+                NumericColumn(rng.exponential(size=n)),
+            ))
+
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            real, synth = table(rng, 500, 2.5), table(rng, 333, -1.0)
+            # On the synthetic side "k" varies, so a pair with it is scored.
+            if seed % 2:
+                synth = Dataset(schema, tuple(
+                    NumericColumn(rng.standard_normal(333)) if n == "k" else col
+                    for n, col in zip(names, synth.columns)
+                ))
+            pairs = [t for t in quality_report(real, synth, schema).pair_trends
+                     if t[2] == "CorrelationSimilarity"]
+            assert len(pairs) == 6
+            for a, b, _, score in pairs:
+                want = correlation_similarity(
+                    real.column(a).values, real.column(b).values,
+                    synth.column(a).values, synth.column(b).values,
+                )
+                assert score == want, (seed, a, b)
 
     def test_mixed_pair_uses_real_bin_edges(self):
         # real numeric spread differs from synth; identical joint structure
