@@ -20,9 +20,7 @@ from .errors import (
     DomainError,
     EmptyDataset,
     NotFitted,
-    SchemaMismatch,
     TooFewValues,
-    UnknownCategory,
     ValidationFailure,
 )
 from .schema import (
@@ -166,50 +164,6 @@ def _fit_categorical(column: CategoricalColumn) -> tuple[CategoricalMarginal, li
     return marginal, order
 
 
-def to_normal_scores(
-    column: Column, marginal: MarginalModel, rng: np.random.Generator
-) -> np.ndarray:
-    """Forward copula transform of a column into standard-normal scores.
-
-    Numeric value with (average, 1-based) rank r among the n fitted values
-    maps through u = r/(n+1); the values are looked up in ascending order, so
-    each binary search starts from the previous one's bound, and the ranks are
-    scattered back to row order. Categorical values draw u uniformly inside
-    the category's interval so score space carries no point masses. ``fit``
-    scores the columns it fits with ``_fit_scores``, which gives the same
-    scores; this function scores other data against a fitted marginal.
-    """
-    if isinstance(column, NumericColumn) != isinstance(marginal, NumericMarginal):
-        raise SchemaMismatch(
-            f"cannot score a {type(column).__name__} against a {type(marginal).__name__}"
-        )
-    if isinstance(marginal, NumericMarginal):
-        fitted = marginal.sorted_values
-        n = len(fitted)
-        order = np.argsort(column.values)
-        arr = column.values[order]
-        less = np.searchsorted(fitted, arr, side="left")
-        leq = np.searchsorted(fitted, arr, side="right")
-        ties = leq - less
-        rank = np.empty(len(arr))
-        rank[order] = np.where(ties > 0, less + (ties + 1) / 2.0, less + 0.5)
-        u = rank / (n + 1)
-        return ndtri(u)
-    index = {c: i for i, c in enumerate(marginal.categories)}
-    # Marginal slot of each table entry; -1 marks a category the fit never saw.
-    slots = np.array([index.get(c, -1) for c in column.categories], dtype=np.int64)
-    idx = slots[column.codes]
-    if (idx < 0).any():
-        value = column.categories[column.codes[np.argmax(idx < 0)]]
-        raise UnknownCategory(f"value {value!r} absent from fitted marginal")
-    upper = marginal.upper_bounds
-    lower = np.concatenate(([0.0], upper[:-1]))
-    lo = lower[idx]
-    width = upper[idx] - lo
-    u = lo + rng.random(len(idx)) * width
-    return ndtri(u)
-
-
 def estimate_correlation(scores: np.ndarray) -> np.ndarray:
     """Pearson correlation of score columns, constant columns pinned to zero
     correlation, repaired to a usable correlation matrix."""
@@ -295,13 +249,13 @@ def _fit_scores(
     """Each column's marginal, and the (columns, rows) matrix of the normal
     scores of the rows it was fitted on.
 
-    The scores equal ``to_normal_scores(column, fit_marginal(column), rng)``
-    drawn in column order, bit for bit, without searching the marginal: a
-    numeric column's fitted values are its own, so a run of equal values
-    starting at sorted position s with length t has the average rank
-    s + (t + 1) / 2, and ``ndtri`` runs once per run. ``!=`` ties -0.0 with
-    0.0, as ``searchsorted`` does. A categorical column reads its interval
-    through per-code tables in the marginal's category order.
+    A numeric value with (average, 1-based) rank r among the column's n
+    values maps through u = r/(n+1): a run of equal values starting at sorted
+    position s with length t has the average rank s + (t + 1) / 2, so
+    ``ndtri`` runs once per run, and ``!=`` ties -0.0 with 0.0. A categorical
+    value draws u uniformly inside its category's interval of the marginal,
+    one ``rng.random`` draw per row in column order, so score space carries
+    no point masses.
     """
     # Every marginal is fitted before any column is scored: the marginals
     # outlive the fit, and allocated between scoring temporaries they fragment

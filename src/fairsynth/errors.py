@@ -53,10 +53,6 @@ class TooFewValues(ValidationFailure):
     pass
 
 
-class UnknownCategory(ValidationFailure):
-    pass
-
-
 class DomainError(ValidationFailure):
     pass
 

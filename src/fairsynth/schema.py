@@ -8,12 +8,13 @@ immutable once built and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 import re
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import compress, count, islice
@@ -41,14 +42,12 @@ CATEGORICAL_CARDINALITY_CUTOFF = 20
 #: The only cell token treated as missing.
 MISSING_TOKEN = ""
 
-# Plain decimal syntax with optional exponent in ASCII digits; deliberately
-# rejects "nan"/"inf"/underscores and other scripts' digits (which float()
-# would accept) so ingested numerics are always finite, plain decimals.
-_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
-
-# A character no plain decimal holds. Over the remaining characters float()
-# accepts exactly _NUMBER_RE's language, so one search of a column's joined
-# cells plus float() applies parse_number's rule to every cell.
+# A character no plain decimal holds. A plain decimal is an optional sign,
+# ASCII digits with an optional fraction, and an optional exponent; this
+# rejects "nan", "inf", underscores, spaces and other scripts' digits, which
+# float() would accept. Over the remaining characters float() accepts exactly
+# the plain decimals, so one search of a column's joined cells plus float()
+# checks every cell.
 _NON_NUMBER_CHAR = re.compile(r"[^0-9+\-.eE]")
 
 
@@ -65,17 +64,6 @@ def _read_json(path: str | Path):
 class ColumnKind(Enum):
     NUMERIC = "numeric"
     CATEGORICAL = "categorical"
-
-
-def parse_number(token: str) -> float | None:
-    """Return the float value of ``token`` or None when it is not a plain,
-    finite decimal literal."""
-    if not _NUMBER_RE.match(token):
-        return None
-    value = float(token)
-    if not math.isfinite(value):
-        return None
-    return value
 
 
 @dataclass(frozen=True)
@@ -275,8 +263,8 @@ class Dataset:
 
 
 def _parse_numeric(cells: Sequence[str]) -> np.ndarray | None:
-    """Parse a column's cells under ``parse_number``'s rule, missing cells as
-    nan; None unless every non-missing cell is a plain, finite decimal."""
+    """Parse a column's cells, missing cells as nan; None unless every
+    non-missing cell is a plain, finite decimal."""
     # The missing token "" is the only falsy cell, so filter(None, ...) and
     # map(bool, ...) pick out the present cells without a Python-level loop.
     if _NON_NUMBER_CHAR.search("".join(cells)):
@@ -402,7 +390,9 @@ def _read_csv(
             header = next(reader)
             seekable = fh.seekable()
             parse = [seekable and name not in text_columns for name in header]
-            tables: list[dict[str, int] | None] = [{} for _ in header]
+            # A cell's code is its table's size when first seen: first-
+            # appearance order, assigned inside map() without a Python loop.
+            tables: list[dict[str, int] | None] = [defaultdict(count().__next__) for _ in header]
             # Codes while interned; past the limit the parsed blocks, or the
             # cells, or None for a column whose cells must be read again.
             columns: list = [array("i") for _ in header]
@@ -418,8 +408,6 @@ def _read_csv(
                 for j, cells in enumerate(zip(*block)):
                     table = tables[j]
                     if table is not None:
-                        for cell in dict.fromkeys(cells):
-                            table.setdefault(cell, len(table))
                         columns[j].extend(map(table.__getitem__, cells))
                         n_keys = len(table)
                         if n_keys <= CATEGORICAL_CARDINALITY_CUTOFF + 1 or n_keys == checked[j]:
@@ -568,7 +556,7 @@ def load_dataset(
             else:  # declared numeric: only the kept cells must parse
                 values = _parse_numeric(keys)
                 if values is None:
-                    bad = next(c for c in keys if c != MISSING_TOKEN and parse_number(c) is None)
+                    bad = next(c for c in keys if _parse_numeric([c]) is None)
                     raise ParseError(0, f"column {name!r}: non-numeric cell {bad!r}")
                 if codes is not None:
                     values = values[codes]
@@ -605,17 +593,43 @@ def load_synthetic(csv_path: str | Path, metadata: Metadata, schema: TableSchema
     return load_dataset(csv_path, pinned, require_binary_label=False)
 
 
+# Rows go to the file this many at a time, each block as one joined string.
+_WRITE_BLOCK_ROWS = 1024
+
+
 def write_csv(dataset: Dataset, csv_path: str | Path) -> None:
     """Write a Dataset as RFC-4180 CSV (CRLF, UTF-8, minimal quoting); floats
-    use the shortest round-trip form."""
-    columns = [
-        map(repr, col.values.tolist()) if isinstance(col, NumericColumn) else col.decoded().tolist()
+    use the shortest round-trip form.
+
+    The bytes are ``csv.writer``'s: each category is quoted once by the
+    writer itself, in a row of the table's width so that a lone empty field
+    reads ``""``, and ``repr`` of a finite float never needs quoting."""
+    lone = len(dataset.columns) == 1
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+
+    def quoted(category: str) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([category] if lone else [category, ""])
+        return buf.getvalue()[: -2 if lone else -3]  # drop "\r\n" or ",\r\n"
+
+    tables = [
+        None if isinstance(col, NumericColumn) else list(map(quoted, col.categories))
         for col in dataset.columns
     ]
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.schema.names)
-        writer.writerows(zip(*columns))
+        csv.writer(fh).writerow(dataset.schema.names)
+        for start in range(0, dataset.row_count, _WRITE_BLOCK_ROWS):
+            rows = slice(start, start + _WRITE_BLOCK_ROWS)
+            cells = [
+                map(repr, col.values[rows].tolist())
+                if table is None
+                else map(table.__getitem__, col.codes[rows].tolist())
+                for col, table in zip(dataset.columns, tables)
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*cells))))
+            fh.write("\r\n")
 
 
 def split_holdout(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

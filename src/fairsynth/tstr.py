@@ -153,7 +153,6 @@ def encode(encoder: Encoder, data: Dataset):
             raise SchemaMismatch(f"column {name!r} is not {want.value} as at fit time")
     n = data.row_count
     X = np.zeros((n, len(encoder.feature_names)))
-    unseen: set[tuple[str, str]] = set()
     k = 0  # first feature of the column
     for name in encoder.feature_columns:
         if name in encoder.numeric_stats:
@@ -171,10 +170,13 @@ def encode(encoder: Encoder, data: Dataset):
             rows = np.flatnonzero(slot >= 0)
             X[rows, k + slot[rows]] = 1.0
             present = np.unique(col.codes).tolist()
-            unseen.update((name, col.categories[c]) for c in present if slots[c] < 0)
+            unseen = [col.categories[c] for c in present if slots[c] < 0]
+            if unseen:
+                logger.warning(
+                    "column %r: %d categories unseen at fit time, first %r; encoded as zeros",
+                    name, len(unseen), min(unseen),
+                )
             k += len(vocab)
-    for name, value in sorted(unseen):
-        logger.warning("category %r of column %r unseen at fit time; encoded as zeros", value, name)
     label = data.column(encoder.label_column)
     positive = np.array([c == encoder.positive_label for c in label.categories], dtype=np.int64)
     y = positive[label.codes]

@@ -24,24 +24,64 @@ from fairsynth.copula import (
     save_model,
     std_normal_cdf,
     std_normal_quantile,
-    to_normal_scores,
 )
 from fairsynth.errors import (
     DomainError,
     NotFitted,
     SchemaMismatch,
     TooFewValues,
-    UnknownCategory,
     ValidationFailure,
 )
 from fairsynth.schema import (
     CategoricalColumn,
+    Column,
     ColumnKind,
     Dataset,
     NumericColumn,
     TableSchema,
 )
 from fairsynth.supervisor import balance_groups
+
+
+def to_normal_scores(column: Column, marginal, rng: np.random.Generator) -> np.ndarray:
+    """Forward copula transform of a column against a fitted marginal: the
+    oracle for ``fit``'s own scores.
+
+    Numeric value with (average, 1-based) rank r among the n fitted values
+    maps through u = r/(n+1); the values are looked up in ascending order and
+    the ranks scattered back to row order. Categorical values draw u
+    uniformly inside the category's interval. A category the marginal lacks
+    is a ValidationFailure naming the first such row's value.
+    """
+    if isinstance(column, NumericColumn) != isinstance(marginal, NumericMarginal):
+        raise SchemaMismatch(
+            f"cannot score a {type(column).__name__} against a {type(marginal).__name__}"
+        )
+    if isinstance(marginal, NumericMarginal):
+        fitted = marginal.sorted_values
+        n = len(fitted)
+        order = np.argsort(column.values)
+        arr = column.values[order]
+        less = np.searchsorted(fitted, arr, side="left")
+        leq = np.searchsorted(fitted, arr, side="right")
+        ties = leq - less
+        rank = np.empty(len(arr))
+        rank[order] = np.where(ties > 0, less + (ties + 1) / 2.0, less + 0.5)
+        u = rank / (n + 1)
+        return ndtri(u)
+    index = {c: i for i, c in enumerate(marginal.categories)}
+    # Marginal slot of each table entry; -1 marks a category the fit never saw.
+    slots = np.array([index.get(c, -1) for c in column.categories], dtype=np.int64)
+    idx = slots[column.codes]
+    if (idx < 0).any():
+        value = column.categories[column.codes[np.argmax(idx < 0)]]
+        raise ValidationFailure(f"value {value!r} absent from fitted marginal")
+    upper = marginal.upper_bounds
+    lower = np.concatenate(([0.0], upper[:-1]))
+    lo = lower[idx]
+    width = upper[idx] - lo
+    u = lo + rng.random(len(idx)) * width
+    return ndtri(u)
 
 
 def mp_cdf(z: float) -> float:
@@ -210,7 +250,7 @@ class TestCodedFitMatchesStringReference:
     def test_unknown_category_names_first_unseen_row(self):
         m = fit_marginal(CategoricalColumn.from_values(["a", "b"]))
         column = CategoricalColumn(np.array([1, 2, 0]), ("x", "a", "w"))
-        with pytest.raises(UnknownCategory, match="'w'"):
+        with pytest.raises(ValidationFailure, match="'w'"):
             to_normal_scores(column, m, np.random.default_rng(0))
 
 
@@ -236,7 +276,7 @@ class TestNormalScores:
 
     def test_unknown_category(self):
         m = fit_marginal(CategoricalColumn.from_values(["a", "b"]))
-        with pytest.raises(UnknownCategory):
+        with pytest.raises(ValidationFailure):
             to_normal_scores(CategoricalColumn.from_values(["z"]), m, np.random.default_rng(0))
 
 
@@ -345,8 +385,9 @@ def _hostile_tables(demo_data, demo_metadata):
 
 
 class TestFitScoresMatchOracle:
-    """``fit`` scores its own columns without ``to_normal_scores``; that
-    function, drawn in column order from the same rng, is the oracle."""
+    """``fit`` scores its own columns without searching its marginals;
+    ``to_normal_scores``, drawn in column order from the same rng, is the
+    oracle."""
 
     def test_scores_and_model(self, demo_data, demo_md):
         for name, train in _hostile_tables(demo_data, demo_md):

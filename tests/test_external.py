@@ -109,7 +109,7 @@ def test_placeholder_substitution(tmp_path, backend_inputs, demo_data):
         ),
     )
     run_external_backend(spec, train_csv, metadata_json, 123, 7, 9, out_csv, demo_data.schema)
-    got = json.load(open(echo))
+    got = json.loads(echo.read_text(encoding="utf-8"))
     assert got[:3] == ["123", "7", "9"]
     assert got[3] == str(metadata_json)
     assert got[4] == str(out_csv)

@@ -2,7 +2,9 @@ import codecs
 import csv
 import io
 import json
+import math
 import os
+import re
 import signal
 import threading
 import tracemalloc
@@ -25,6 +27,7 @@ from fairsynth.errors import (
 )
 from fairsynth.schema import (
     _READ_BLOCK_ROWS,
+    _WRITE_BLOCK_ROWS,
     _read_csv,
     CategoricalColumn,
     ColumnKind,
@@ -38,7 +41,6 @@ from fairsynth.schema import (
     infer_schema,
     _parse_numeric,
     load_dataset,
-    parse_number,
     split_holdout,
     write_csv,
 )
@@ -48,22 +50,44 @@ def write_lines(path, lines):
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
 
 
+# Plain decimal syntax with optional exponent in ASCII digits; rejects
+# "nan"/"inf"/underscores and other scripts' digits, which float() accepts.
+_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z", re.ASCII)
+
+
+def parse_number(token: str) -> float | None:
+    """The float value of ``token``, or None when it is not a plain, finite
+    decimal literal: one cell at a time, the oracle for ``_parse_numeric``."""
+    if not _NUMBER_RE.match(token):
+        return None
+    value = float(token)
+    if not math.isfinite(value):
+        return None
+    return value
+
+
+def _parsed(token: str) -> float | None:
+    values = _parse_numeric([token])
+    return None if values is None else float(values[0])
+
+
 def test_parse_number_accepts_decimals_and_exponents():
-    assert parse_number("1.5") == 1.5
-    assert parse_number("-2") == -2.0
-    assert parse_number("3e2") == 300.0
-    assert parse_number(".5") == 0.5
+    assert _parsed("1.5") == 1.5
+    assert _parsed("-2") == -2.0
+    assert _parsed("3e2") == 300.0
+    assert _parsed(".5") == 0.5
 
 
 def test_parse_number_rejects_non_numbers_and_non_finite():
-    for token in ["", "M", "nan", "inf", "-inf", "1e999", "1.2.3", "0x10", " 1"]:
-        assert parse_number(token) is None, token
+    for token in ["M", "nan", "inf", "-inf", "1e999", "1.2.3", "0x10", " 1"]:
+        assert _parsed(token) is None, token
+    assert np.isnan(_parsed(""))  # the missing token parses as missing
 
 
 def test_parse_number_rejects_non_ascii_digits():
     # float() reads Arabic-Indic and fullwidth digits; a plain decimal does not.
-    assert parse_number("\u0661\u0662\u0663") is None
-    assert parse_number("\uff11\uff12") is None
+    assert _parsed("\u0661\u0662\u0663") is None
+    assert _parsed("\uff11\uff12") is None
 
 
 def test_one_scan_numeric_check_matches_parse_number():
@@ -626,6 +650,93 @@ def test_round_trip_random_tables(tmp_path):
         write_csv(data, p)
         md = Metadata("label", "yes", declared_kinds={"v": ColumnKind.NUMERIC})
         assert load_dataset(p, md) == data
+
+
+def _writer_oracle(dataset: Dataset, path) -> None:
+    """``write_csv`` as one ``csv.writer`` pass over the decoded rows."""
+    columns = [
+        map(repr, col.values.tolist()) if isinstance(col, NumericColumn) else col.decoded().tolist()
+        for col in dataset.columns
+    ]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dataset.schema.names)
+        writer.writerows(zip(*columns))
+
+
+_AWKWARD = ["a,b", 'say "hi"', "two\nlines", "cr\ronly", "crlf\r\nline", '""', "", " lead",
+            "caf\u00e9 \u6771\u4eac", "plain"]
+
+
+def _assert_writes_like_oracle(tmp_path, dataset):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(dataset, got)
+    _writer_oracle(dataset, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(41)
+    floats = np.array([-0.0, 0.0, 5e-324, 1e16, 1e-05, 0.1, -2.5, 1.7976931348623157e308])
+    n = 2 * _WRITE_BLOCK_ROWS + 3
+    schema = TableSchema(
+        (
+            ("x", ColumnKind.NUMERIC),
+            ('odd, "name"\r\n', ColumnKind.CATEGORICAL),
+            ("c", ColumnKind.CATEGORICAL),
+        )
+    )
+    odd = CategoricalColumn(rng.integers(0, len(_AWKWARD), n), _AWKWARD)
+    # Codes out of table order, and a table entry no row uses.
+    few = CategoricalColumn(rng.integers(1, 3, n), ("unused", "", "q"))
+    dataset = Dataset(schema, (NumericColumn(rng.choice(floats, n)), odd, few))
+    for rows in (np.arange(n), np.arange(_WRITE_BLOCK_ROWS), np.arange(1), np.arange(0)):
+        _assert_writes_like_oracle(tmp_path, dataset.take(rows))
+    # A one-column table writes its lone empty field as "", whatever its kind.
+    for categories in (("",), ("", "x"), _AWKWARD):
+        column = CategoricalColumn(np.arange(len(categories))[::-1], categories)
+        lone = Dataset(TableSchema((("only", ColumnKind.CATEGORICAL),)), (column,))
+        _assert_writes_like_oracle(tmp_path, lone)
+    lone = Dataset(TableSchema((("v", ColumnKind.NUMERIC),)), (NumericColumn(floats),))
+    _assert_writes_like_oracle(tmp_path, lone)
+    # A row of empty fields in a wider table.
+    empty = CategoricalColumn(np.zeros(3, np.int32), ("",))
+    schema = TableSchema((("a", ColumnKind.CATEGORICAL), ("b", ColumnKind.CATEGORICAL)))
+    _assert_writes_like_oracle(tmp_path, Dataset(schema, (empty, empty)))
+
+
+def test_write_csv_peak_memory_stays_below_file_size(tmp_path):
+    data = make_demo_dataset(DemoSpec(n_rows=50_000, seed=5))
+    p = tmp_path / "demo.csv"
+    tracemalloc.start()
+    try:
+        write_csv(data, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The rows are built and written one block at a time; no column of cell
+    # strings for the whole table is ever alive.
+    assert peak < p.stat().st_size
+
+
+def test_ingest_interns_codes_like_from_values(tmp_path):
+    n = 3 * _READ_BLOCK_ROWS + 7
+    # New cells first appear in later read blocks.
+    late = [("a", "b")[i % 2] if i < _READ_BLOCK_ROWS else f"n{i % (3 + i // _READ_BLOCK_ROWS)}"
+            for i in range(n)]
+    # Ten distinct cells in the first block; the key count passes the cutoff
+    # plus one in the middle of the second block.
+    cross = [f"t{i % 10}" for i in range(_READ_BLOCK_ROWS + _READ_BLOCK_ROWS // 2)]
+    cross += [f"t{i % 40}" for i in range(len(cross), n)]
+    label = ["yes" if i % 3 else "no" for i in range(n)]
+    p = tmp_path / "t.csv"
+    _write_rows(p, ["late", "cross", "label"], zip(late, cross, label))
+    loaded = load_dataset(p, Metadata("label", "yes"))
+    for name, cells in (("late", late), ("cross", cross), ("label", label)):
+        want = CategoricalColumn.from_values(cells)
+        got = loaded.column(name)
+        assert got.categories == want.categories, name
+        assert got.codes.tobytes() == want.codes.tobytes(), name
 
 
 def _numbered_dataset(n: int) -> Dataset:

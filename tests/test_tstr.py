@@ -101,9 +101,21 @@ class TestEncoder:
             [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
         ]
         assert groups["g"].decoded().tolist() == ["zzz", "c", "a", "zzz", "yyy"]
-        warned = sorted(r.getMessage() for r in caplog.records)
-        assert len(warned) == 2
-        assert "'yyy'" in warned[0] and "'zzz'" in warned[1]
+        # One line for the column: its unseen count and first unseen category.
+        assert [r.getMessage() for r in caplog.records] == [
+            "column 'g': 2 categories unseen at fit time, first 'yyy'; encoded as zeros"
+        ]
+
+    def test_unseen_categories_warn_once_per_column(self, caplog):
+        train = _toy_dataset([1.0, 2.0, 3.0], ["a", "b", "c"], ["yes", "no", "yes"])
+        enc = fit_encoder(train, TOY_MD)
+        groups = [f"u{i:02d}" for i in range(50)][::-1] + ["a"]
+        test = _toy_dataset(np.arange(51.0), groups, ["yes", "no"] * 25 + ["yes"])
+        with caplog.at_level("WARNING", logger="fairsynth.tstr"):
+            encode(enc, test)
+        assert len(caplog.records) == 1
+        assert "50 categories" in caplog.records[0].getMessage()
+        assert "first 'u00'" in caplog.records[0].getMessage()
 
     def test_positive_label_maps_to_one(self):
         data = _toy_dataset([1.0, 2.0], ["a", "b"], ["yes", "no"])
