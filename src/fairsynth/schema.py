@@ -11,15 +11,14 @@ import csv
 import io
 import json
 import math
-import os
 import re
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import compress, count, islice
+from itertools import count, filterfalse, islice
 from pathlib import Path
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -113,13 +112,15 @@ class Metadata:
             raise MetadataMismatch(f"metadata JSON missing label fields: {exc}")
         if not (isinstance(label_column, str) and isinstance(positive_label, str)):
             raise MetadataMismatch("metadata label column and positive label must be strings")
+        protected = doc.get("protected", [])
+        if not (isinstance(protected, list) and all(isinstance(p, str) for p in protected)):
+            raise MetadataMismatch('metadata "protected" must be a list of column names')
         try:
-            protected = tuple(doc.get("protected", ()))
             columns = doc.get("columns") or {}
             declared = {name: ColumnKind(spec["kind"]) for name, spec in columns.items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise MetadataMismatch(f"metadata JSON has malformed protected/columns fields: {exc}")
-        return cls(label_column, positive_label, protected, declared or None)
+            raise MetadataMismatch(f"metadata JSON has a malformed columns field: {exc}")
+        return cls(label_column, positive_label, tuple(protected), declared or None)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Metadata":
@@ -285,19 +286,17 @@ def _parse_numeric(cells: Sequence[str]) -> np.ndarray | None:
 
 def infer_schema(
     header: Sequence[str],
-    columns: Sequence[list[str] | np.ndarray],
+    columns: Sequence[Sequence[str]],
     declared_kinds: Mapping[str, ColumnKind] | None = None,
 ) -> tuple[TableSchema, list[np.ndarray | None]]:
     """Infer per-column kinds from raw string cells, given column by column.
 
     A column is numeric iff every non-missing cell parses as a plain decimal
     number and the distinct parsed values exceed the cardinality cutoff;
-    declared kinds always win. The rule sees only which cells occur, so a
-    column may be given by its distinct cells, or by its parsed values (a
-    float64 array, nan where missing) when every cell is known to parse. Also
-    returns per column the parsed values of a numeric column when known (not
-    for a declared-numeric column given as cells), else None, so ingest
-    parses each cell once.
+    declared kinds always win, and a declared column's cells are not looked
+    at. The rule sees only which cells occur, so a column may be given by its
+    distinct cells. Also returns per column the parsed values of its cells
+    when it is inferred numeric (nan where missing), else None.
     """
     if not header or not len(columns[0]):
         raise EmptyTable("table needs at least one column and one data row")
@@ -305,19 +304,14 @@ def infer_schema(
     kinds = []
     parsed: list[np.ndarray | None] = []
     for name, cells in zip(header, columns):
-        values = cells if isinstance(cells, np.ndarray) else None
-        if name in declared:
-            kind = declared[name]
-        else:
-            if values is None:
-                values = _parse_numeric(cells)
-            if values is not None:
-                distinct = np.unique(values[~np.isnan(values)])
-                if len(distinct) <= CATEGORICAL_CARDINALITY_CUTOFF:
-                    values = None
-            kind = ColumnKind.CATEGORICAL if values is None else ColumnKind.NUMERIC
-        kinds.append((name, kind))
-        parsed.append(values if kind is ColumnKind.NUMERIC else None)
+        values = None if name in declared else _parse_numeric(cells)
+        if values is not None:
+            distinct = np.unique(values[~np.isnan(values)])
+            if len(distinct) <= CATEGORICAL_CARDINALITY_CUTOFF:
+                values = None
+        inferred = ColumnKind.CATEGORICAL if values is None else ColumnKind.NUMERIC
+        kinds.append((name, declared.get(name, inferred)))
+        parsed.append(values)
     return TableSchema(tuple(kinds)), parsed
 
 
@@ -338,116 +332,124 @@ def _checked_rows(reader, width: int):
         yield row
 
 
-def _read_cells(
-    fh, stamp: os.stat_result, header: list[str], n_rows: int, indices: list[int]
-) -> list[list[str]]:
-    """The cells of the columns at ``indices``, in file order, from a second
-    read of ``fh`` from its start. A file whose size, modification time,
-    header, row widths or row count differ from the first read's (``stamp``,
-    ``header``, ``n_rows``) is a ValidationFailure."""
-    changed = ValidationFailure(f"{fh.name}: file changed while it was read")
-    now = os.fstat(fh.fileno())
-    if (now.st_size, now.st_mtime_ns) != (stamp.st_size, stamp.st_mtime_ns):
-        raise changed
-    fh.seek(0)
-    reader = csv.reader(fh)
-    cells: list[list[str]] = [[] for _ in indices]
-    try:
-        if next(reader, None) != header:
-            raise changed
-        while block := list(islice(reader, _READ_BLOCK_ROWS)):
-            if any(len(row) != len(header) for row in block):
-                raise changed
-            by_column = list(zip(*block))
-            for out, j in zip(cells, indices):
-                out.extend(by_column[j])
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ValidationFailure(f"{fh.name}: unreadable as UTF-8 CSV: {exc}")
-    if len(cells[0]) != n_rows:
-        raise changed
-    return cells
+def _parse_or_stray(cells: Sequence[str]) -> tuple[np.ndarray, list[int]]:
+    """Parse cells as ``_parse_numeric`` does, but read a cell that is not a
+    plain decimal as missing; also returns the indices of those cells."""
+    values = _parse_numeric(cells)
+    if values is not None:
+        return values, []
+    bad = [i for i, cell in enumerate(cells) if _parse_numeric([cell]) is None]
+    cells = list(cells)
+    for i in bad:
+        cells[i] = MISSING_TOKEN
+    return _parse_numeric(cells), bad
+
+
+def _stray_cell(name: str, cell: str, row: int) -> ParseError:
+    return ParseError(
+        0,
+        f"column {name!r}: non-numeric cell {cell!r} in data row {row}, among more than "
+        f"{CATEGORICAL_CARDINALITY_CUTOFF} distinct numbers; declare the column's kind "
+        f'under "columns" in the metadata',
+    )
+
+
+def _first_stray_key(keys: list[str]) -> int | None:
+    """The index of the first key that is neither missing nor a plain decimal,
+    if the keys also hold more than the cutoff distinct plain decimals; else
+    None."""
+    values: set[float] = set()
+    # A key holding a character no plain decimal holds is skipped at C speed,
+    # so a text column costs no per-key parse; the scan stops past the cutoff.
+    for key in filter(None, filterfalse(_NON_NUMBER_CHAR.search, keys)):
+        if _parse_numeric([key]) is not None:
+            values.add(float(key))
+            if len(values) > CATEGORICAL_CARDINALITY_CUTOFF:
+                return next(k for k, text in enumerate(keys) if _parse_numeric([text]) is None)
+    return None
 
 
 def _read_csv(
-    csv_path: str | Path, text_columns: Container[str] = ()
-) -> tuple[list[str], list, int]:
-    """Read an RFC-4180 CSV column by column, skipping a UTF-8 byte order mark;
-    returns (header, columns, row count). Each column is (keys, codes) with
-    ``keys[codes]`` its cells in file order: its distinct cells in first-
-    appearance order while it has at most the cutoff plus one (the missing
-    token), or while every cell parses and they hold at most the cutoff
-    distinct values. Past that, codes are None and keys are either the
-    column's float64 values (nan where missing), parsed per read block while
-    every cell is a plain decimal or missing, or else all its cells.
+    csv_path: str | Path, declared_kinds: Mapping[str, ColumnKind]
+) -> tuple[list[str], list, int, list[list[tuple[int, str]]]]:
+    """Read an RFC-4180 CSV once, column by column, skipping a UTF-8 byte
+    order mark; returns (header, columns, row count, strays).
 
-    Columns named in ``text_columns``, and every column of an input that
-    cannot be read twice (a pipe), are never parsed. A column that stops
-    parsing partway through a file is read once more for its cells."""
+    Each column is either interned, as (keys, codes) with ``keys[codes]`` its
+    cells in file order and keys in first-appearance order, or parsed, as
+    (float64 values, None) with nan where missing. A column is parsed, one
+    read block at a time, from the block where it has more than the cutoff
+    plus one (the missing token) distinct cells that all parse and hold more
+    than the cutoff distinct values; any other column stays interned. A
+    column declared categorical is never parsed, and one declared numeric
+    always is, after the read at the latest.
+
+    An undeclared column with more than the cutoff distinct plain decimals
+    and a cell that is neither missing nor a plain decimal is a ParseError
+    naming its first such cell: a parsed column raises when it meets the
+    cell, an interned one after the read. A column declared numeric reads
+    such a cell as missing instead, and ``strays[j]`` lists the (row index,
+    cell) of each in file order, so that only kept rows need to parse."""
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
-        stamp = os.fstat(fh.fileno())
         reader = csv.reader(fh)
         try:
             header = next(reader)
-            seekable = fh.seekable()
-            parse = [seekable and name not in text_columns for name in header]
             # A cell's code is its table's size when first seen: first-
             # appearance order, assigned inside map() without a Python loop.
+            # A column's table is None once it is parsed.
             tables: list[dict[str, int] | None] = [defaultdict(count().__next__) for _ in header]
-            # Codes while interned; past the limit the parsed blocks, or the
-            # cells, or None for a column whose cells must be read again.
+            # Codes while interned, then the parsed blocks.
             columns: list = [array("i") for _ in header]
-            # Distinct values among an interned column's first checked[j] keys,
-            # kept once it is past the cutoff plus one keys that all parse.
-            distinct: list[set[float]] = [set() for _ in header]
-            checked = [0] * len(header)
-            numeric = [False] * len(header)
+            # An interned column stays so for good once declared categorical or
+            # once its keys do not all parse.
+            text = [declared_kinds.get(name) is ColumnKind.CATEGORICAL for name in header]
+            strays: list[list[tuple[int, str]]] = [[] for _ in header]
             n_rows = 0
             rows = _checked_rows(reader, len(header))
             while block := list(islice(rows, _READ_BLOCK_ROWS)):
-                n_rows += len(block)
                 for j, cells in enumerate(zip(*block)):
                     table = tables[j]
-                    if table is not None:
-                        columns[j].extend(map(table.__getitem__, cells))
-                        n_keys = len(table)
-                        if n_keys <= CATEGORICAL_CARDINALITY_CUTOFF + 1 or n_keys == checked[j]:
-                            continue
-                        keys = list(table)
-                        values = _parse_numeric(keys[checked[j] :])
-                        checked[j] = n_keys
-                        if values is not None:
-                            distinct[j].update(values[~np.isnan(values)].tolist())
-                            if len(distinct[j]) <= CATEGORICAL_CARDINALITY_CUTOFF:
-                                continue  # categorical by value so far
-                        numeric[j] = values is not None and parse[j]
-                        if numeric[j]:
-                            values = _parse_numeric(keys)
-                            columns[j] = [values[np.frombuffer(columns[j], np.int32)]]
-                        else:
-                            columns[j] = list(map(keys.__getitem__, columns[j]))
+                    if table is None:
+                        values, bad = _parse_or_stray(cells)
+                        if bad and header[j] not in declared_kinds:
+                            raise _stray_cell(header[j], cells[bad[0]], n_rows + bad[0] + 1)
+                        strays[j] += [(n_rows + i, cells[i]) for i in bad]
+                        columns[j].append(values)
+                        continue
+                    before = len(table)
+                    columns[j].extend(map(table.__getitem__, cells))
+                    n_keys = len(table)
+                    if text[j] or n_keys == before or n_keys <= CATEGORICAL_CARDINALITY_CUTOFF + 1:
+                        continue
+                    values = _parse_numeric(list(table))
+                    if values is None:
+                        text[j] = True
+                    elif len(np.unique(values[~np.isnan(values)])) > CATEGORICAL_CARDINALITY_CUTOFF:
+                        columns[j] = [values[np.frombuffer(columns[j], np.int32)]]
                         tables[j] = None
-                    elif numeric[j]:
-                        values = _parse_numeric(cells)
-                        if values is None:
-                            columns[j], numeric[j] = None, False
-                        else:
-                            columns[j].append(values)
-                    elif columns[j] is not None:
-                        columns[j].extend(cells)
+                n_rows += len(block)
         except StopIteration:
             raise EmptyTable(f"{csv_path}: no header row")
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationFailure(f"{csv_path}: unreadable as UTF-8 CSV: {exc}")
-        stale = [j for j, column in enumerate(columns) if column is None]
-        if stale:
-            for j, cells in zip(stale, _read_cells(fh, stamp, header, n_rows, stale)):
-                columns[j] = cells
-    return header, [
-        (list(table), np.frombuffer(column, np.int32))
-        if table is not None
-        else (np.concatenate(column) if is_numeric else column, None)
-        for table, column, is_numeric in zip(tables, columns, numeric)
-    ], n_rows
+    read = []
+    for name, table, column, column_strays, is_text in zip(header, tables, columns, strays, text):
+        if table is None:
+            read.append((np.concatenate(column), None))
+            continue
+        keys, codes = list(table), np.frombuffer(column, np.int32)
+        if declared_kinds.get(name) is ColumnKind.NUMERIC:
+            values, bad = _parse_or_stray(keys)
+            stray_rows = np.flatnonzero(np.isin(codes, bad)).tolist()
+            column_strays += [(row, keys[codes[row]]) for row in stray_rows]
+            read.append((values[codes], None))
+            continue
+        if is_text and name not in declared_kinds:
+            k = _first_stray_key(keys)
+            if k is not None:
+                raise _stray_cell(name, keys[k], column.index(k) + 1)
+        read.append((keys, codes))
+    return header, read, n_rows, strays
 
 
 def _impute_numeric(values: np.ndarray, name: str) -> tuple[NumericColumn, int]:
@@ -458,11 +460,9 @@ def _impute_numeric(values: np.ndarray, name: str) -> tuple[NumericColumn, int]:
     return NumericColumn(values), int(missing.sum())
 
 
-def _kept_rows(keys: list[str], codes: np.ndarray | None, keep: np.ndarray) -> tuple:
-    """A column restricted to the kept rows; a coded column keeps only the
-    keys those rows use, renumbered by first appearance among them."""
-    if codes is None:
-        return list(compress(keys, keep.tolist())), None
+def _kept_rows(keys: list[str], codes: np.ndarray, keep: np.ndarray) -> tuple:
+    """An interned column restricted to the kept rows: only the keys those
+    rows use, renumbered by first appearance among them."""
     used, first, inverse = np.unique(codes[keep], return_index=True, return_inverse=True)
     order = np.argsort(first)
     return [keys[k] for k in used[order].tolist()], np.argsort(order)[inverse]
@@ -501,9 +501,7 @@ def load_dataset(
     one class and is flagged as degenerate downstream instead of rejected here.
     """
     declared = metadata.declared_kinds or {}
-    header, read, n_rows = _read_csv(
-        csv_path, {name for name, kind in declared.items() if kind is ColumnKind.CATEGORICAL}
-    )
+    header, read, n_rows, strays = _read_csv(csv_path, declared)
     if not n_rows:
         raise EmptyTable(f"{csv_path}: no data rows")
 
@@ -516,7 +514,11 @@ def load_dataset(
             f"label column {metadata.label_column!r} is also a protected attribute"
         )
 
-    schema, parsed = infer_schema(header, [keys for keys, _ in read], declared)
+    # A column parsed while read is numeric; infer_schema reads the keys of
+    # the interned ones.
+    parsed_while_read = [name for name, (_, codes) in zip(header, read) if codes is None]
+    kinds = {**declared, **dict.fromkeys(parsed_while_read, ColumnKind.NUMERIC)}
+    schema, parsed = infer_schema(header, [keys for keys, _ in read], kinds)
     if schema.kind_of(metadata.label_column) is not ColumnKind.CATEGORICAL:
         raise LabelNotBinary(
             f"label column {metadata.label_column!r} is numeric, not a binary category"
@@ -524,12 +526,6 @@ def load_dataset(
     for col in metadata.protected_attributes:
         if schema.kind_of(col) is not ColumnKind.CATEGORICAL:
             raise MetadataMismatch(f"protected attribute {col!r} is numeric, not categorical")
-    # _read_csv parses no column declared categorical and none with at most
-    # the cutoff distinct values, so a categorical column is coded or cells.
-    for j, (_, kind) in enumerate(schema.columns):
-        if kind is ColumnKind.CATEGORICAL and read[j][1] is None:
-            interned = CategoricalColumn.from_values(read[j][0])
-            read[j] = list(interned.categories), interned.codes
 
     # A row is kept iff none of its required cells is the missing token.
     keep = np.ones(n_rows, dtype=bool)
@@ -543,24 +539,21 @@ def load_dataset(
 
     columns: list[Column] = []
     imputed_counts: dict[str, int] = {}
-    for (name, kind), (keys, codes), values in zip(schema.columns, read, parsed):
-        if values is not None:  # numeric, parsed per key or per cell of all rows
-            if codes is not None:
-                values = values[codes]
-            column, n_imputed = _impute_numeric(values[keep] if dropped else values, name)
-        else:
+    for (name, kind), (keys, codes), values, column_strays in zip(
+        schema.columns, read, parsed, strays
+    ):
+        if kind is ColumnKind.CATEGORICAL:
             if dropped:
                 keys, codes = _kept_rows(keys, codes, keep)
-            if kind is ColumnKind.CATEGORICAL:
-                column, n_imputed = _impute_mode(keys, codes, name)
-            else:  # declared numeric: only the kept cells must parse
-                values = _parse_numeric(keys)
-                if values is None:
-                    bad = next(c for c in keys if _parse_numeric([c]) is None)
-                    raise ParseError(0, f"column {name!r}: non-numeric cell {bad!r}")
-                if codes is not None:
-                    values = values[codes]
-                column, n_imputed = _impute_numeric(values, name)
+            column, n_imputed = _impute_mode(keys, codes, name)
+        else:
+            # Parsed while read, or inferred numeric from its keys. A declared
+            # column's stray cells read as missing; only a kept one is an error.
+            bad = next((cell for row, cell in column_strays if keep[row]), None)
+            if bad is not None:
+                raise ParseError(0, f"column {name!r}: non-numeric cell {bad!r}")
+            values = keys if codes is None else values[codes]
+            column, n_imputed = _impute_numeric(values[keep] if dropped else values, name)
         columns.append(column)
         if n_imputed:
             imputed_counts[name] = n_imputed

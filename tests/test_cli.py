@@ -352,6 +352,15 @@ def _not_positive_definite(model):
     return model
 
 
+def _with_cell(csv, row, column, cell):
+    """The demo CSV (no quoted fields) with one data cell replaced."""
+    lines = csv.split(b"\r\n")
+    fields = lines[row].split(b",")
+    fields[lines[0].split(b",").index(column.encode())] = cell
+    lines[row] = b",".join(fields)
+    return b"\r\n".join(lines)
+
+
 def _with_marginal(model, name, **fields):
     model["marginals"][name].update(fields)
     return model
@@ -384,6 +393,9 @@ _HOSTILE = {
     ),
     "data_not_utf8": ("data", lambda csv, model: csv.replace(b"inpatient", b"inpat\xffient", 1)),
     "data_ragged_row": ("data", lambda csv, model: csv + b"White,Male,1.0\r\n"),
+    "data_stray_na_in_numbers": (
+        "data", lambda csv, model: _with_cell(csv, 10, "symptom_scale", b"NA")
+    ),
     "data_nul_byte_in_label": (
         "data", lambda csv, model: csv.replace(b",negative", b",nega\x00tive", 1)
     ),

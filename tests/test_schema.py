@@ -1,6 +1,5 @@
 import codecs
 import csv
-import io
 import json
 import math
 import os
@@ -9,6 +8,7 @@ import signal
 import threading
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +138,16 @@ def test_byte_order_mark_skipped_on_read_and_never_written(tmp_path, demo_data, 
     md = Metadata.from_json_file(md_path)
     assert md == demo_md
     assert load_dataset(bom, md) == load_dataset(plain, md)
+
+
+def test_metadata_protected_must_be_a_list_of_strings():
+    doc = {"label": {"column": "Diagnosis", "positive": "positive"}}
+    assert Metadata.from_json_dict({**doc, "protected": ["Race"]}).protected_attributes == ("Race",)
+    assert Metadata.from_json_dict(doc).protected_attributes == ()
+    # A bare string would otherwise become one attribute per character.
+    for protected in ("Race", [1], {"Race": True}, None):
+        with pytest.raises(MetadataMismatch, match='metadata "protected" must be a list'):
+            Metadata.from_json_dict({**doc, "protected": protected})
 
 
 def test_infer_schema_numeric_above_cutoff():
@@ -288,6 +298,20 @@ def test_declared_numeric_checks_only_kept_rows(tmp_path):
     write_lines(p, ["v,label", "1,yes", "x,no", "1e999,yes", "3,no"])
     with pytest.raises(ParseError, match="non-numeric cell 'x'"):
         load_dataset(p, md)
+    # The same past the interning limit, where the column is parsed while read
+    # and its stray cells are read as missing until the kept rows are known.
+    n = 3 * _READ_BLOCK_ROWS
+    cells = [repr(i / 7) for i in range(n)]
+    labels = ["yes" if i % 2 else "no" for i in range(n)]
+    cells[_READ_BLOCK_ROWS + 3], labels[_READ_BLOCK_ROWS + 3] = "oops", ""
+    write_lines(p, ["v,label"] + [f"{c},{y}" for c, y in zip(cells, labels)])
+    data = load_dataset(p, md)
+    assert data.ingest.rows_dropped == 1 and not data.ingest.imputed
+    assert data.decoded("v").tolist() == [i / 7 for i in range(n) if i != _READ_BLOCK_ROWS + 3]
+    cells[n - 5], cells[n - 2] = "1e999", "x"
+    write_lines(p, ["v,label"] + [f"{c},{y}" for c, y in zip(cells, labels)])
+    with pytest.raises(ParseError, match="non-numeric cell '1e999'"):
+        load_dataset(p, md)
 
 
 def _reference_load(path, md):
@@ -305,7 +329,16 @@ def _reference_load(path, md):
     kinds = []
     for j, name in enumerate(header):
         parsed = [parse_number(row[j]) for row in rows if row[j] != ""]
-        numeric = None not in parsed and len(set(parsed)) > 20
+        distinct = set(parsed) - {None}
+        if name not in declared and None in parsed and len(distinct) > 20:
+            row = next(i for i, r in enumerate(rows) if r[j] != "" and parse_number(r[j]) is None)
+            raise ParseError(
+                0,
+                f"column {name!r}: non-numeric cell {rows[row][j]!r} in data row {row + 1}, "
+                f'among more than 20 distinct numbers; declare the column\'s kind under "columns" '
+                f"in the metadata",
+            )
+        numeric = None not in parsed and len(distinct) > 20
         inferred = ColumnKind.NUMERIC if numeric else ColumnKind.CATEGORICAL
         kinds.append((name, declared.get(name, inferred)))
     required = [header.index(c) for c in (md.label_column, *md.protected_attributes)]
@@ -316,6 +349,9 @@ def _reference_load(path, md):
         present = [c for c in cells if c != ""]
         if kind is ColumnKind.NUMERIC:
             values = [parse_number(c) for c in present]
+            if None in values:
+                bad = present[values.index(None)]
+                raise ParseError(0, f"column {name!r}: non-numeric cell {bad!r}")
             fill = np.median(np.array(values))
             it = iter(values)
             columns.append(NumericColumn(np.array([next(it) if c else fill for c in cells])))
@@ -356,6 +392,8 @@ def _hostile_rows(rng, n):
     cat = sometimes_missing(draw(["x", "x", "y", "z"]), 0.1)
     cat[:3] = ["", "z", "x"]  # the mode "x" first appears at a missing cell
     text = sometimes_missing(draw(_QUOTED), 0.05)
+    # tok, stops and dnum each hold more than 20 distinct numbers and one
+    # non-numeric cell, so each is a ParseError unless its kind is declared.
     # Numbers and one hostile token, which may sit in a dropped row.
     tok = [repr(float(v)) for v in rng.random(n)]
     tok[int(rng.integers(3, n))] = str(rng.choice(_BAD_TOKENS))
@@ -416,14 +454,30 @@ def _assert_same_ingest(got, want):
             assert a.codes.tolist() == b.codes.tolist()
 
 
+def _assert_same_outcome(path, md):
+    """The loader gives the oracle's Dataset, or raises its ParseError text."""
+    try:
+        want = _reference_load(path, md)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got_err:
+            load_dataset(path, md)
+        assert str(got_err.value) == str(exc)
+        return str(exc)
+    _assert_same_ingest(load_dataset(path, md), want)
+    return None
+
+
 def test_columnar_ingest_matches_row_wise_reference(tmp_path):
     rng = np.random.default_rng(2026)
-    inferred = Metadata("label", "yes", ("grp",))
+    strays = {"tok": ColumnKind.CATEGORICAL, "stops": ColumnKind.CATEGORICAL,
+              "dnum": ColumnKind.CATEGORICAL}
+    inferred = Metadata("label", "yes", ("grp",), strays)
     declared = Metadata(
         "label",
         "yes",
         ("grp",),
         {
+            **strays,
             "d20": ColumnKind.NUMERIC,
             "num": ColumnKind.CATEGORICAL,
             "late": ColumnKind.CATEGORICAL,
@@ -438,6 +492,14 @@ def test_columnar_ingest_matches_row_wise_reference(tmp_path):
         _write_rows(p, header, rows)
         for md in (inferred, declared):
             _assert_same_ingest(load_dataset(p, md), _reference_load(p, md))
+        # Left undeclared, each stray column alone fails as the oracle does.
+        for name in strays:
+            others = {k: v for k, v in strays.items() if k != name}
+            message = _assert_same_outcome(p, Metadata("label", "yes", ("grp",), others))
+            assert message is not None and f"column {name!r}" in message
+        # Declared numeric, "x" in stops fails only where its row is kept.
+        _assert_same_outcome(p, replace(declared, declared_kinds={
+            **declared.declared_kinds, "stops": ColumnKind.NUMERIC}))
         want = _reference_load(p, inferred)
         kinds = {name: kind.value for name, kind in want.schema.columns}
         assert kinds == {
@@ -471,7 +533,7 @@ def test_read_csv_parses_numeric_columns_per_block(tmp_path):
     cells = [f"{i / 4}" for i in range(n)]
     cells[_READ_BLOCK_ROWS + 1] = ""
     write_lines(p, ["v,label"] + [f"{c},{'yes' if i % 2 else 'no'}" for i, c in enumerate(cells)])
-    header, columns, n_rows = _read_csv(p)
+    header, columns, n_rows, strays = _read_csv(p, {})
     assert header == ["v", "label"] and n_rows == n
     values, codes = columns[0]
     assert codes is None
@@ -479,15 +541,19 @@ def test_read_csv_parses_numeric_columns_per_block(tmp_path):
     want = np.array([float(c) if c else np.nan for c in cells])
     assert values.tobytes() == want.tobytes()
     assert columns[1][0] == ["no", "yes"]
+    assert strays == [[], []]
 
 
 def test_read_csv_reads_declared_and_few_valued_columns_once(tmp_path, monkeypatch):
-    # A numeric column declared categorical stays cells; one with 60 spellings
-    # of 20 values stays coded. Neither makes ingest read the file again.
-    def read_again(*args):
-        raise AssertionError("file read twice")
+    # A numeric column declared categorical stays interned; one with 60
+    # spellings of 20 values stays interned too. The file is opened once.
+    opened = []
 
-    monkeypatch.setattr(schema, "_read_cells", read_again)
+    def open_once(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(schema, "open", open_once, raising=False)
     p = tmp_path / "t.csv"
     n = 3 * _READ_BLOCK_ROWS
     ids = [str(1000 + i) for i in range(n)]
@@ -495,41 +561,26 @@ def test_read_csv_reads_declared_and_few_valued_columns_once(tmp_path, monkeypat
     label = ["yes" if i % 3 else "no" for i in range(n)]
     rows = [f"{a},{b},g,{c}" for a, b, c in zip(ids, spell, label)]
     write_lines(p, ["id,spell,grp,label"] + rows)
-    header, columns, _ = _read_csv(p, {"id"})
-    assert columns[0] == (ids, None)
+    header, columns, _, _ = _read_csv(p, {"id": ColumnKind.CATEGORICAL})
+    keys, codes = columns[0]
+    assert keys == ids and codes.tolist() == list(range(n))
     keys, codes = columns[1]
     assert len(keys) == 60 and [keys[c] for c in codes.tolist()] == spell
     md = Metadata("label", "yes", ("grp",), {"id": ColumnKind.CATEGORICAL})
     got = load_dataset(p, md)
     assert dict(got.schema.columns)["spell"] is ColumnKind.CATEGORICAL
     _assert_same_ingest(got, _reference_load(p, md))
+    assert opened == [p, p]
 
 
-def _late_text_table(path):
-    """A CSV whose column "v" parses for two read blocks, then holds a text
-    cell, so ingest reads the file a second time for its cells."""
-    n = 3 * _READ_BLOCK_ROWS
-    rows = [f"{i / 7!r},{'ab'[i % 2]},{'yes' if i % 3 else 'no'}" for i in range(n)]
-    lines = ["v,grp,label"] + rows
-    lines[-1] = "x,a,yes"
-    write_lines(path, lines)
-    return lines
-
-
-def test_pipe_and_byte_order_mark_inputs_match_reference(tmp_path):
-    md = Metadata("label", "yes", ("grp",))
-    p = tmp_path / "t.csv"
-    _late_text_table(p)
-    want = _reference_load(p, md)
-    bom = tmp_path / "bom.csv"
-    bom.write_bytes(codecs.BOM_UTF8 + p.read_bytes())
-    _assert_same_ingest(load_dataset(bom, md), want)
-    # A pipe cannot be read twice, so no column of it is parsed while read.
-    # A second open of the pipe would wait for a writer forever; the alarm
-    # turns that into a failure.
+def _through_fifo(tmp_path, data: bytes, read):
+    """``read`` of a FIFO that a thread fills with ``data``. A second open of
+    the pipe would wait for a writer forever; the alarm turns that into a
+    failure. ``data`` stays below the pipe's buffer, so the writer finishes
+    even when ``read`` stops early."""
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    writer = threading.Thread(target=lambda: fifo.write_bytes(bom.read_bytes()))
+    writer = threading.Thread(target=lambda: fifo.write_bytes(data))
 
     def opened_twice(signum, frame):
         raise TimeoutError("pipe input opened a second time")
@@ -538,47 +589,72 @@ def test_pipe_and_byte_order_mark_inputs_match_reference(tmp_path):
     signal.alarm(60)
     writer.start()
     try:
-        got = load_dataset(fifo, md)
+        return read(fifo)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
         writer.join()
-    _assert_same_ingest(got, want)
+        fifo.unlink()
 
 
-@pytest.mark.parametrize(
-    "edit, seen_by_stat",
-    [
-        (lambda lines: lines[: len(lines) // 2], False),
-        (lambda lines: lines + ["1.5,a,yes"], False),
-        (lambda lines: [], False),
-        (lambda lines: ["w" + lines[0][1:]] + lines[1:], False),
-        (lambda lines: lines[:9] + [lines[9].replace(".", ",")] + lines[10:], False),
-        (lambda lines: lines[:-2] + ["y" + lines[-2][1:]] + lines[-1:], True),
-    ],
-    ids=["truncated", "appended", "emptied", "renamed", "widened", "recelled"],
-)
-def test_file_changed_before_second_read_is_validation_failure(
-    tmp_path, monkeypatch, edit, seen_by_stat
-):
+def test_pipe_and_byte_order_mark_inputs_match_reference(tmp_path):
+    md = Metadata("label", "yes", ("grp",))
     p = tmp_path / "t.csv"
-    lines = _late_text_table(p)
-    assert p.stat().st_size > 2 * io.DEFAULT_BUFFER_SIZE  # the re-read reaches the file
-    read_cells = schema._read_cells
+    n = 3 * _READ_BLOCK_ROWS
+    rows = [f"{i / 7!r},{'ab'[i % 2]},{'yes' if i % 3 else 'no'}" for i in range(n)]
+    write_lines(p, ["v,grp,label"] + rows)
+    want = _reference_load(p, md)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(codecs.BOM_UTF8 + p.read_bytes())
+    _assert_same_ingest(load_dataset(bom, md), want)
+    # A pipe is read like a file: once, its numeric column parsed while read.
+    header, columns, n_rows, strays = _through_fifo(
+        tmp_path, bom.read_bytes(), lambda fifo: _read_csv(fifo, {})
+    )
+    file_header, file_columns, file_rows, file_strays = _read_csv(bom, {})
+    assert (header, n_rows, strays) == (file_header, file_rows, file_strays)
+    assert columns[0][1] is None and columns[0][0].dtype == np.float64
+    assert columns[0][0].tobytes() == want.column("v").values.tobytes()
+    for (keys, codes), (file_keys, file_codes) in zip(columns, file_columns):
+        if file_codes is None:
+            assert codes is None and keys.tobytes() == file_keys.tobytes()
+        else:
+            assert keys == file_keys and codes.tobytes() == file_codes.tobytes()
+    _assert_same_ingest(_through_fifo(tmp_path, bom.read_bytes(), lambda f: load_dataset(f, md)),
+                        want)
 
-    def edit_then_read(fh, stamp, *args):
-        before = p.stat()
-        with open(p, "w", newline="", encoding="utf-8") as fh_out:  # same inode, truncated
-            fh_out.write("".join(line + "\r\n" for line in edit(lines)))
-        if seen_by_stat:  # a later modification time, even where the clock has not ticked
-            os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
-        else:  # a change that size and modification time do not show
-            stamp = os.fstat(fh.fileno())
-        return read_cells(fh, stamp, *args)
 
-    monkeypatch.setattr(schema, "_read_cells", edit_then_read)
-    with pytest.raises(ValidationFailure, match="changed while it was read"):
-        load_dataset(p, Metadata("label", "yes", ("grp",)))
+@pytest.mark.parametrize("row", [2, 3 * _READ_BLOCK_ROWS - 40])
+def test_stray_cell_in_numbers_column_fails_fast(tmp_path, row):
+    """A numbers column with one "NA" is a ParseError that names the cell and
+    its data row, whether the column was still interned when the cell came
+    (few distinct values before it) or already parsed, and from a pipe."""
+    n = 3 * _READ_BLOCK_ROWS
+    want = (
+        f"line 0: column 'v': non-numeric cell 'NA' in data row {row}, among more than 20 "
+        f'distinct numbers; declare the column\'s kind under "columns" in the metadata'
+    )
+    md = Metadata("label", "yes")
+    for before in (lambda i: i % 5, lambda i: i / 7):
+        cells = [repr(before(i)) if i < row - 1 else repr(i / 7) for i in range(n)]
+        cells[row - 1] = "NA"
+        p = tmp_path / "t.csv"
+        labels = ["yes" if i % 3 else "no" for i in range(n)]
+        write_lines(p, ["v,label"] + [f"{c},{y}" for c, y in zip(cells, labels)])
+        with pytest.raises(ParseError) as err:
+            load_dataset(p, md)
+        assert str(err.value) == want
+        with pytest.raises(ParseError) as err:
+            _through_fifo(tmp_path, p.read_bytes(), lambda fifo: load_dataset(fifo, md))
+        assert str(err.value) == want
+        with pytest.raises(ParseError) as err:
+            _reference_load(p, md)
+        assert str(err.value) == want
+        # A declared kind reads the column as declared.
+        text = load_dataset(p, replace(md, declared_kinds={"v": ColumnKind.CATEGORICAL}))
+        assert "NA" in text.column("v").categories
+        with pytest.raises(ParseError, match="non-numeric cell 'NA'"):
+            load_dataset(p, replace(md, declared_kinds={"v": ColumnKind.NUMERIC}))
 
 
 def test_split_holdout_partition():
