@@ -30,8 +30,11 @@ class DuplicateColumnName(ValidationFailure):
 
 
 class ParseError(ValidationFailure):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    """A cell or row that cannot be read; ``line`` is the physical line of a
+    row-level error, None for a cell-level one."""
+
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

@@ -5,18 +5,29 @@ is loaded back and checked against the training schema.
 
 from __future__ import annotations
 
+import os
+import select
 import subprocess
+import tempfile
+import time
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 from .errors import BackendFailed, SchemaMismatch, Timeout, ValidationFailure
 from .schema import Dataset, Metadata, TableSchema, _read_json, load_synthetic
 
 DEFAULT_TIMEOUT_SECONDS = 600
 
-#: subprocess waits through poll(), whose timeout is a C int of milliseconds
-#: (about 24.8 days); a longer timeout raises OverflowError mid-run.
+#: A backend is waited for through poll(), whose timeout is a C int of
+#: milliseconds (about 24.8 days); a longer timeout raises OverflowError
+#: mid-run.
 MAX_TIMEOUT_SECONDS = 7 * 24 * 3600
+
+#: A failed backend's error keeps this many characters from the end of its
+#: stderr.
+STDERR_EXCERPT_CHARS = 500
 
 
 @dataclass(frozen=True)
@@ -67,6 +78,125 @@ def _substitute(template: str, mapping: dict[str, str]) -> str:
     return out
 
 
+def _wait(process: subprocess.Popen, timeout: float) -> None:
+    """``process.wait(timeout)``, woken by the exit itself through a pidfd
+    (Linux 5.3 and later) rather than by ``Popen.wait``'s polling sleeps of up
+    to 50 ms."""
+    try:
+        pidfd = os.pidfd_open(process.pid)
+    except (AttributeError, OSError):  # no pidfd on this system
+        process.wait(timeout)
+        return
+    try:
+        poller = select.poll()
+        poller.register(pidfd, select.POLLIN)
+        if not poller.poll(timeout * 1000):
+            raise subprocess.TimeoutExpired(process.args, timeout)
+    finally:
+        os.close(pidfd)
+    process.wait()
+
+
+@dataclass
+class ExternalRun:
+    """A launched backend process, its stderr file and its deadline.
+
+    ``collect`` judges the process once it exits; ``close`` kills and reaps
+    it if it still runs and closes the stderr file."""
+
+    spec: ExternalBackend
+    process: subprocess.Popen
+    stderr: BinaryIO
+    deadline: float  # time.monotonic() at launch plus timeout_seconds
+    metadata_json: Path
+    out_csv: Path
+
+    def close(self) -> None:
+        if self.process.poll() is None:
+            self.process.kill()
+            self.process.wait()
+        self.stderr.close()
+
+    def _stderr_tail(self) -> str:
+        """The last STDERR_EXCERPT_CHARS characters of stderr, read from the
+        end of the file and decoded as text mode would, with an undecodable
+        byte replaced. A UTF-8 character is at most 4 bytes and decoding
+        falls back in step within 3 bytes of any cut, so the excerpt is that
+        of the whole stream."""
+        size = self.stderr.seek(0, os.SEEK_END)
+        self.stderr.seek(max(0, size - 4 * STDERR_EXCERPT_CHARS - 3))
+        text = self.stderr.read().decode("utf-8", errors="replace")
+        return text.replace("\r\n", "\n").replace("\r", "\n")[-STDERR_EXCERPT_CHARS:]
+
+    def collect(self, expected_schema: TableSchema) -> Dataset:
+        """Wait for the process, then load its output CSV.
+
+        The process gets what is left of its timeout, counted from launch;
+        one still running then is killed (Timeout). A process that has exited
+        is judged by its exit code, however late it is waited for: a nonzero
+        exit or a missing output file is BackendFailed.
+
+        The output is ingested with the training schema's column kinds
+        forced, so kind inference cannot drift, then rejected on any
+        column-name or kind mismatch. Synthetic labels are allowed to
+        collapse to a single class; the degenerate-classifier guard
+        downstream handles that case.
+        """
+        if self.process.poll() is None:
+            try:
+                _wait(self.process, max(0.0, self.deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                self.close()
+                raise Timeout(f"backend {self.spec.name!r} exceeded {self.spec.timeout_seconds}s")
+        if self.process.returncode != 0:
+            raise BackendFailed(self.process.returncode, self._stderr_tail())
+        if not self.out_csv.is_file():
+            raise BackendFailed(
+                0, f"backend {self.spec.name!r} exited 0 but wrote no {self.out_csv}"
+            )
+        metadata = Metadata.from_json_file(self.metadata_json)
+        synth = load_synthetic(self.out_csv, metadata, expected_schema)
+        if synth.schema != expected_schema:
+            raise SchemaMismatch(
+                f"backend {self.spec.name!r} returned columns {synth.schema.names}, "
+                f"expected {expected_schema.names}"
+            )
+        return synth
+
+
+def launch_external_backend(
+    spec: ExternalBackend,
+    train_csv: str | Path,
+    metadata_json: str | Path,
+    n_rows: int,
+    epochs: int,
+    seed: int,
+    out_csv: str | Path,
+) -> ExternalRun:
+    """Start the backend command with its placeholders substituted. Its
+    stdout is discarded and its stderr goes to an unnamed file in the output
+    CSV's directory, so the process never blocks on a full pipe."""
+    mapping = {
+        "{train_csv}": str(train_csv),
+        "{metadata_json}": str(metadata_json),
+        "{rows}": str(n_rows),
+        "{epochs}": str(epochs),
+        "{seed}": str(seed),
+        "{out_csv}": str(out_csv),
+    }
+    argv = [_substitute(tok, mapping) for tok in spec.command]
+    out_csv = Path(out_csv)
+    deadline = time.monotonic() + spec.timeout_seconds
+    with ExitStack() as cleanup:  # closes the stderr file if the launch fails
+        try:
+            stderr = cleanup.enter_context(tempfile.TemporaryFile(dir=out_csv.parent))
+            process = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=stderr)
+        except OSError as exc:
+            raise BackendFailed(-1, f"could not spawn backend {spec.name!r}: {exc}")
+        cleanup.pop_all()
+    return ExternalRun(spec, process, stderr, deadline, Path(metadata_json), out_csv)
+
+
 def run_external_backend(
     spec: ExternalBackend,
     train_csv: str | Path,
@@ -77,39 +207,8 @@ def run_external_backend(
     out_csv: str | Path,
     expected_schema: TableSchema,
 ) -> Dataset:
-    """Spawn the backend command and load its output CSV.
-
-    The output is ingested with the training schema's column kinds forced, so
-    kind inference cannot drift, then rejected on any column-name or kind
-    mismatch. Synthetic labels are allowed to collapse to a single class; the
-    degenerate-classifier guard downstream handles that case.
-    """
-    mapping = {
-        "{train_csv}": str(train_csv),
-        "{metadata_json}": str(metadata_json),
-        "{rows}": str(n_rows),
-        "{epochs}": str(epochs),
-        "{seed}": str(seed),
-        "{out_csv}": str(out_csv),
-    }
-    argv = [_substitute(tok, mapping) for tok in spec.command]
-    try:
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=spec.timeout_seconds
-        )
-    except subprocess.TimeoutExpired:
-        raise Timeout(f"backend {spec.name!r} exceeded {spec.timeout_seconds}s")
-    except OSError as exc:
-        raise BackendFailed(-1, f"could not spawn backend {spec.name!r}: {exc}")
-    if proc.returncode != 0:
-        raise BackendFailed(proc.returncode, (proc.stderr or "")[-500:])
-    if not Path(out_csv).is_file():
-        raise BackendFailed(0, f"backend {spec.name!r} exited 0 but wrote no {out_csv}")
-
-    synth = load_synthetic(out_csv, Metadata.from_json_file(metadata_json), expected_schema)
-    if synth.schema != expected_schema:
-        raise SchemaMismatch(
-            f"backend {spec.name!r} returned columns {synth.schema.names}, "
-            f"expected {expected_schema.names}"
-        )
-    return synth
+    """Run the backend command to its end and load its output CSV."""
+    with closing(
+        launch_external_backend(spec, train_csv, metadata_json, n_rows, epochs, seed, out_csv)
+    ) as run:
+        return run.collect(expected_schema)

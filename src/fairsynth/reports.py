@@ -10,18 +10,24 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable
 
+from .copula import NATIVE_BACKENDS
 from .errors import FairsynthError, ValidationFailure
 from .external import ExternalBackend
 from .quality import QualityReport
 from .schema import Dataset, Metadata, SplitSpec, write_csv
 from .scoring import CompositeScore
 from .supervisor import (
+    PipelineResult,
     RunConfig,
     SupervisorResult,
     Targets,
+    evaluate_synthetic,
+    launch_synthesis,
     run_pipeline,
 )
 from .tstr import FairnessReport
@@ -227,6 +233,21 @@ class BenchResult:
     rows: tuple[BenchRow, ...]
 
 
+def _bench_row(backend: str, pipeline: Callable[[], PipelineResult]) -> BenchRow:
+    """The row of ``pipeline()``, or of the FairsynthError it raises."""
+    try:
+        result = pipeline()
+    except FairsynthError as exc:
+        return BenchRow(backend=backend, error=str(exc))
+    return BenchRow(
+        backend=backend,
+        quality=result.composite.quality,
+        max_rel_fpr=result.composite.max_rel_fpr,
+        synth_score=result.composite.synth_score,
+        degenerate=result.composite.degenerate,
+    )
+
+
 def batch_evaluate(
     backends: list[str],
     config: RunConfig,
@@ -237,36 +258,51 @@ def batch_evaluate(
     external_backends: dict[str, ExternalBackend] | None = None,
 ) -> BenchResult:
     """One full pipeline per backend (no refinement) with a shared split and
-    seed; per-backend failures land in their row, the rest still run."""
+    seed; per-backend failures land in their row, the rest still run.
+
+    The first external backend's process is launched before the native
+    backends are fitted, and runs while they are evaluated; the other
+    externals then run one after another, so at most one external process
+    runs at a time and evaluations stay serial. The rows, in list order, are
+    those of one ``run_pipeline`` per backend, with one exception: the first
+    external, if it has exited by the time it is waited for, is judged by its
+    exit code even when the natives took it past its ``timeout_seconds``.
+    """
     if not backends:
         raise ValidationFailure("bench needs at least one backend")
     if split is None:
         split = SplitSpec(train_rows=config.train_rows, seed=config.seed)
-    rows: list[BenchRow] = []
-    for backend in backends:
-        run_cfg = replace(config, backend=backend)
-        try:
-            result = run_pipeline(
-                run_cfg,
-                data,
-                metadata,
-                split,
-                parity_threshold=targets.parity_threshold,
-                external_backends=external_backends,
+    threshold = targets.parity_threshold
+    configs = [replace(config, backend=backend) for backend in backends]
+    externals = [i for i, cfg in enumerate(configs) if cfg.backend not in NATIVE_BACKENDS]
+    rows: dict[int, BenchRow] = {}
+    with ExitStack() as stack:
+        launched = None
+        if externals:
+            first = externals.pop(0)
+            try:
+                launched = launch_synthesis(
+                    configs[first], data, metadata, split, external_backends, stack
+                )
+            except FairsynthError as exc:
+                rows[first] = BenchRow(backend=backends[first], error=str(exc))
+        for i, cfg in enumerate(configs):
+            if cfg.backend in NATIVE_BACKENDS:
+                rows[i] = _bench_row(
+                    backends[i], lambda: run_pipeline(cfg, data, metadata, split, threshold)
+                )
+        if launched is not None:
+            holdout, schema, run = launched
+            rows[first] = _bench_row(
+                backends[first],
+                lambda: evaluate_synthetic(run.collect(schema), holdout, metadata, threshold),
             )
-        except FairsynthError as exc:
-            rows.append(BenchRow(backend=backend, error=str(exc)))
-            continue
-        rows.append(
-            BenchRow(
-                backend=backend,
-                quality=result.composite.quality,
-                max_rel_fpr=result.composite.max_rel_fpr,
-                synth_score=result.composite.synth_score,
-                degenerate=result.composite.degenerate,
-            )
+    for i in externals:
+        rows[i] = _bench_row(
+            backends[i],
+            lambda: run_pipeline(configs[i], data, metadata, split, threshold, external_backends),
         )
-    return BenchResult(config=config, rows=tuple(rows))
+    return BenchResult(config=config, rows=tuple(rows[i] for i in range(len(backends))))
 
 
 def bench_doc(result: BenchResult) -> dict:

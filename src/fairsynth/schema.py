@@ -14,7 +14,7 @@ import math
 import re
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count, filterfalse, islice
 from pathlib import Path
@@ -115,10 +115,15 @@ class Metadata:
         protected = doc.get("protected", [])
         if not (isinstance(protected, list) and all(isinstance(p, str) for p in protected)):
             raise MetadataMismatch('metadata "protected" must be a list of column names')
+        columns = doc.get("columns", {})
+        if not isinstance(columns, dict):
+            raise MetadataMismatch(
+                "metadata JSON has a malformed columns field: expected an object, not "
+                f"{type(columns).__name__}"
+            )
         try:
-            columns = doc.get("columns") or {}
             declared = {name: ColumnKind(spec["kind"]) for name, spec in columns.items()}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MetadataMismatch(f"metadata JSON has a malformed columns field: {exc}")
         return cls(label_column, positive_label, tuple(protected), declared or None)
 
@@ -160,7 +165,7 @@ class NumericColumn:
     def __post_init__(self):
         arr = np.ascontiguousarray(self.values, dtype=np.float64)
         if arr.size and not np.isfinite(arr).all():
-            raise ParseError(0, "numeric column contains non-finite values")
+            raise ParseError(None, "numeric column contains non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -347,7 +352,7 @@ def _parse_or_stray(cells: Sequence[str]) -> tuple[np.ndarray, list[int]]:
 
 def _stray_cell(name: str, cell: str, row: int) -> ParseError:
     return ParseError(
-        0,
+        None,
         f"column {name!r}: non-numeric cell {cell!r} in data row {row}, among more than "
         f"{CATEGORICAL_CARDINALITY_CUTOFF} distinct numbers; declare the column's kind "
         f'under "columns" in the metadata',
@@ -370,10 +375,13 @@ def _first_stray_key(keys: list[str]) -> int | None:
 
 
 def _read_csv(
-    csv_path: str | Path, declared_kinds: Mapping[str, ColumnKind]
+    csv_path: str | Path, declared_kinds: Mapping[str, ColumnKind], pinned: bool = False
 ) -> tuple[list[str], list, int, list[list[tuple[int, str]]]]:
     """Read an RFC-4180 CSV once, column by column, skipping a UTF-8 byte
     order mark; returns (header, columns, row count, strays).
+
+    A declared column the header lacks is a MetadataMismatch, unless the
+    kinds are ``pinned`` from a schema whose names the caller checks itself.
 
     Each column is either interned, as (keys, codes) with ``keys[codes]`` its
     cells in file order and keys in first-appearance order, or parsed, as
@@ -394,6 +402,11 @@ def _read_csv(
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            absent = None if pinned else next((n for n in declared_kinds if n not in header), None)
+            if absent is not None:
+                raise MetadataMismatch(
+                    f'column {absent!r} declared under "columns" in metadata is absent'
+                )
             # A cell's code is its table's size when first seen: first-
             # appearance order, assigned inside map() without a Python loop.
             # A column's table is None once it is parsed.
@@ -487,7 +500,10 @@ def _impute_mode(keys: list[str], codes: np.ndarray, name: str) -> tuple[Categor
 
 
 def load_dataset(
-    csv_path: str | Path, metadata: Metadata, require_binary_label: bool = True
+    csv_path: str | Path,
+    metadata: Metadata,
+    require_binary_label: bool = True,
+    pinned: TableSchema | None = None,
 ) -> Dataset:
     """Load a CSV into a ``Dataset`` under ``metadata``.
 
@@ -499,9 +515,13 @@ def load_dataset(
     ``require_binary_label=False`` admits single-class labels, with or without
     the positive label; synthetic backend output may legitimately collapse to
     one class and is flagged as degenerate downstream instead of rejected here.
+
+    A column declared under ``metadata.declared_kinds`` must be in the file.
+    ``pinned`` replaces the declared kinds with a schema's; a schema column
+    the file lacks is then left to the caller's schema check.
     """
-    declared = metadata.declared_kinds or {}
-    header, read, n_rows, strays = _read_csv(csv_path, declared)
+    declared = (metadata.declared_kinds or {}) if pinned is None else dict(pinned.columns)
+    header, read, n_rows, strays = _read_csv(csv_path, declared, pinned is not None)
     if not n_rows:
         raise EmptyTable(f"{csv_path}: no data rows")
 
@@ -549,9 +569,11 @@ def load_dataset(
         else:
             # Parsed while read, or inferred numeric from its keys. A declared
             # column's stray cells read as missing; only a kept one is an error.
-            bad = next((cell for row, cell in column_strays if keep[row]), None)
-            if bad is not None:
-                raise ParseError(0, f"column {name!r}: non-numeric cell {bad!r}")
+            for row, cell in column_strays:
+                if keep[row]:
+                    raise ParseError(
+                        None, f"column {name!r}: non-numeric cell {cell!r} in data row {row + 1}"
+                    )
             values = keys if codes is None else values[codes]
             column, n_imputed = _impute_numeric(values[keep] if dropped else values, name)
         columns.append(column)
@@ -582,8 +604,7 @@ def load_synthetic(csv_path: str | Path, metadata: Metadata, schema: TableSchema
     """Load synthetic rows with ``schema``'s column kinds forced, so kind
     inference cannot drift from the real table. A single-class label is
     admitted; it is flagged as degenerate downstream."""
-    pinned = replace(metadata, declared_kinds=dict(schema.columns))
-    return load_dataset(csv_path, pinned, require_binary_label=False)
+    return load_dataset(csv_path, metadata, require_binary_label=False, pinned=schema)
 
 
 # Rows go to the file this many at a time, each block as one joined string.

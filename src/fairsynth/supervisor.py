@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -29,9 +30,23 @@ from .errors import (
     InsufficientRows,
     ValidationFailure,
 )
-from .external import ExternalBackend, run_external_backend
+from .external import (
+    ExternalBackend,
+    ExternalRun,
+    launch_external_backend,
+    run_external_backend,
+)
 from .quality import QualityReport, quality_report
-from .schema import ColumnKind, Dataset, Metadata, SplitSpec, holdout_size, split_holdout, write_csv
+from .schema import (
+    ColumnKind,
+    Dataset,
+    Metadata,
+    SplitSpec,
+    TableSchema,
+    holdout_size,
+    split_holdout,
+    write_csv,
+)
 from .scoring import DEFAULT_PARITY_THRESHOLD, CompositeScore, synth_score
 from .tstr import FairnessReport, fairness_report
 
@@ -205,56 +220,79 @@ def balance_groups(
     return train.take(np.concatenate([np.arange(train.row_count), *extra]))
 
 
-def run_pipeline(
-    config: RunConfig,
-    real: Dataset,
-    metadata: Metadata,
-    split: SplitSpec,
-    parity_threshold: float = DEFAULT_PARITY_THRESHOLD,
-    external_backends: dict[str, ExternalBackend] | None = None,
-) -> PipelineResult:
-    """One generator + evaluator pass; same inputs give an identical result."""
+def _train_and_holdout(
+    config: RunConfig, real: Dataset, metadata: Metadata, split: SplitSpec
+) -> tuple[Dataset, Dataset]:
     # config.train_rows wins; the split spec contributes fraction and seed so
     # the holdout stays fixed across refinement iterations.
     train, holdout = split_holdout(real, replace(split, train_rows=config.train_rows))
     if config.balance_groups:
         train = balance_groups(train, metadata, seed=config.seed, attribute=config.balance_attribute)
+    return train, holdout
 
-    if config.backend in NATIVE_BACKENDS:
-        synth_cfg = SynthesizerConfig(
-            backend=config.backend,
-            seed=config.seed,
-            correlation_shrinkage=config.correlation_shrinkage,
+
+def _external_inputs(
+    config: RunConfig,
+    real: Dataset,
+    metadata: Metadata,
+    split: SplitSpec,
+    external_backends: dict[str, ExternalBackend] | None,
+    tmp: Path,
+) -> tuple[Dataset, Dataset, tuple]:
+    """The synthesis step's inputs for an external backend: split the data
+    and write the train CSV and metadata JSON into ``tmp``. Returns the train
+    set, the holdout and the arguments of ``launch_external_backend``."""
+    train, holdout = _train_and_holdout(config, real, metadata, split)
+    backends = external_backends or {}
+    if config.backend not in backends:
+        raise ValidationFailure(
+            f"unknown backend {config.backend!r}; native backends are "
+            f"{', '.join(NATIVE_BACKENDS)} and configured external backends are "
+            f"{', '.join(sorted(backends)) or '(none)'}"
         )
-        model = fit(train, synth_cfg)
-        synthetic = sample(model, config.sample_rows, config.seed)
-    else:
-        backends = external_backends or {}
-        if config.backend not in backends:
-            raise ValidationFailure(
-                f"unknown backend {config.backend!r}; native backends are "
-                f"{', '.join(NATIVE_BACKENDS)} and configured external backends are "
-                f"{', '.join(sorted(backends)) or '(none)'}"
-            )
-        with tempfile.TemporaryDirectory() as tmp:
-            train_csv = Path(tmp) / "train.csv"
-            metadata_json = Path(tmp) / "metadata.json"
-            out_csv = Path(tmp) / "synthetic.csv"
-            write_csv(train, train_csv)
-            metadata_json.write_text(
-                json.dumps(metadata.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-            )
-            synthetic = run_external_backend(
-                backends[config.backend],
-                train_csv,
-                metadata_json,
-                config.sample_rows,
-                config.epochs,
-                config.seed,
-                out_csv,
-                train.schema,
-            )
+    write_csv(train, tmp / "train.csv")
+    (tmp / "metadata.json").write_text(
+        json.dumps(metadata.to_json_dict(), indent=2) + "\n", encoding="utf-8"
+    )
+    args = (
+        backends[config.backend],
+        tmp / "train.csv",
+        tmp / "metadata.json",
+        config.sample_rows,
+        config.epochs,
+        config.seed,
+        tmp / "synthetic.csv",
+    )
+    return train, holdout, args
 
+
+def launch_synthesis(
+    config: RunConfig,
+    real: Dataset,
+    metadata: Metadata,
+    split: SplitSpec,
+    external_backends: dict[str, ExternalBackend] | None,
+    stack: ExitStack,
+) -> tuple[Dataset, TableSchema, ExternalRun]:
+    """Start an external backend's synthesis step in a temporary directory.
+    Returns the holdout, the train schema its output must have and the
+    running process; closing ``stack`` kills the process if it still runs
+    and removes the directory."""
+    tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+    train, holdout, args = _external_inputs(config, real, metadata, split, external_backends, tmp)
+    run = launch_external_backend(*args)
+    stack.callback(run.close)
+    return holdout, train.schema, run
+
+
+def evaluate_synthetic(
+    synthetic: Dataset,
+    holdout: Dataset,
+    metadata: Metadata,
+    parity_threshold: float = DEFAULT_PARITY_THRESHOLD,
+) -> PipelineResult:
+    """The evaluation step: fidelity and TSTR fairness against the holdout,
+    folded into the composite score."""
     quality = quality_report(holdout, synthetic, holdout.schema)
     fairness = fairness_report(synthetic, holdout, metadata)
     composite = synth_score(
@@ -264,6 +302,33 @@ def run_pipeline(
         degenerate=fairness.degenerate,
     )
     return PipelineResult(synthetic, quality, fairness, composite)
+
+
+def run_pipeline(
+    config: RunConfig,
+    real: Dataset,
+    metadata: Metadata,
+    split: SplitSpec,
+    parity_threshold: float = DEFAULT_PARITY_THRESHOLD,
+    external_backends: dict[str, ExternalBackend] | None = None,
+) -> PipelineResult:
+    """One generator + evaluator pass; same inputs give an identical result."""
+    if config.backend in NATIVE_BACKENDS:
+        train, holdout = _train_and_holdout(config, real, metadata, split)
+        synth_cfg = SynthesizerConfig(
+            backend=config.backend,
+            seed=config.seed,
+            correlation_shrinkage=config.correlation_shrinkage,
+        )
+        model = fit(train, synth_cfg)
+        synthetic = sample(model, config.sample_rows, config.seed)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            train, holdout, args = _external_inputs(
+                config, real, metadata, split, external_backends, Path(tmp)
+            )
+            synthetic = run_external_backend(*args, train.schema)
+    return evaluate_synthetic(synthetic, holdout, metadata, parity_threshold)
 
 
 def plan_refinement(

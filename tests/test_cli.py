@@ -373,6 +373,12 @@ _HOSTILE = {
     "metadata_not_json": ("metadata", "{label: Diagnosis"),
     "metadata_kind_bogus": ("metadata", {**_METADATA, "columns": {"setting": {"kind": "bogus"}}}),
     "metadata_columns_not_mapping": ("metadata", {**_METADATA, "columns": ["setting"]}),
+    "metadata_columns_empty_list": ("metadata", {**_METADATA, "columns": []}),
+    "metadata_columns_null": ("metadata", {**_METADATA, "columns": None}),
+    "metadata_columns_false": ("metadata", {**_METADATA, "columns": False}),
+    "metadata_declares_absent_column": (
+        "metadata", {**_METADATA, "columns": {"symptom_scal": {"kind": "categorical"}}}
+    ),
     "metadata_positive_label_not_string": (
         "metadata", {**_METADATA, "label": {"column": "Diagnosis", "positive": ["positive"]}}
     ),
@@ -390,6 +396,12 @@ _HOSTILE = {
     ),
     "backends_timeout_beyond_poll": (
         "backends", '[{"name": "x", "command": ["true"], "timeout_seconds": 1e300}]'
+    ),
+    "backends_stderr_not_utf8": (
+        "backends",
+        json.dumps([{"name": "x", "command": [
+            sys.executable, "-c", "import sys; sys.stderr.buffer.write(b'caf\\xe9'); sys.exit(3)"
+        ]}]),
     ),
     "data_not_utf8": ("data", lambda csv, model: csv.replace(b"inpatient", b"inpat\xffient", 1)),
     "data_ragged_row": ("data", lambda csv, model: csv + b"White,Male,1.0\r\n"),
@@ -471,6 +483,19 @@ class TestMalformedInputSweep:
         assert main(argv) in (1, 2)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_declared_column_absent_is_a_bad_request(demo_dir, tmp_path, capsys):
+    metadata = tmp_path / "metadata.json"
+    metadata.write_text(
+        json.dumps({**_METADATA, "columns": {"symptom_scal": {"kind": "categorical"}}}),
+        encoding="utf-8",
+    )
+    argv = ["run", "--data", str(demo_dir / "demo.csv"), "--metadata", str(metadata),
+            *_small_flags(), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'symptom_scal'" in err[0], err
 
 
 class TestSeedEnvVar:

@@ -1,5 +1,8 @@
+import gc
 import json
+import os
 import sys
+import time
 
 import pytest
 
@@ -7,6 +10,7 @@ from fairsynth.errors import BackendFailed, SchemaMismatch, Timeout, ValidationF
 from fairsynth.external import (
     ExternalBackend,
     backend_from_json_dict,
+    launch_external_backend,
     load_backends_file,
     run_external_backend,
 )
@@ -44,6 +48,15 @@ def backend_inputs(tmp_path, demo_data, demo_md):
     write_csv(demo_data, train_csv)
     metadata_json.write_text(json.dumps(demo_md.to_json_dict()), encoding="utf-8")
     return train_csv, metadata_json, out_csv
+
+
+@pytest.fixture(params=["pidfd", "no-pidfd"])
+def wait_path(request, monkeypatch):
+    """Run a test once through the pidfd wait and once through Popen.wait's
+    fallback, as on a system without os.pidfd_open."""
+    if request.param == "no-pidfd":
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+    return request.param
 
 
 def test_identity_backend_returns_training_rows(backend_inputs, demo_data):
@@ -137,3 +150,114 @@ def test_backend_descriptor_validation(tmp_path):
     path.write_text(json.dumps({"name": "a"}), encoding="utf-8")
     with pytest.raises(ValidationFailure):
         load_backends_file(path)
+
+
+def _stderr_exit(data: bytes, code: int) -> tuple[str, ...]:
+    """A command that writes ``data`` to stderr and exits with ``code``."""
+    return (PY, "-c", f"import sys; sys.stderr.buffer.write({data!r}); sys.exit({code})")
+
+
+def test_non_utf8_stderr_is_backend_failed(backend_inputs, demo_data):
+    train_csv, metadata_json, out_csv = backend_inputs
+    spec = ExternalBackend("latin", _stderr_exit(b"caf\xe9", 3))
+    with pytest.raises(BackendFailed) as err:
+        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+    assert err.value.exit_code == 3
+    assert err.value.stderr_excerpt == "caf�"
+
+
+def test_stderr_excerpt_translates_newlines_as_text_mode(backend_inputs, demo_data):
+    train_csv, metadata_json, out_csv = backend_inputs
+    spec = ExternalBackend("lines", _stderr_exit(b"a\r\nb\rc\n", 2))
+    with pytest.raises(BackendFailed) as err:
+        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+    assert err.value.stderr_excerpt == "a\nb\nc\n"
+
+
+def test_stderr_excerpt_is_the_last_500_characters(backend_inputs, demo_data):
+    """More than 1 MB of stderr whose end mixes multi-byte characters, bare
+    carriage returns and CRLF pairs: the excerpt is the end of the whole
+    stream decoded and newline-translated."""
+    train_csv, metadata_json, out_csv = backend_inputs
+    tail = "".join(f"é{i}€\r\n𝄞\r" for i in range(200)).encode("utf-8")
+    script = (
+        "import sys\n"
+        "sys.stderr.buffer.write(b'x' * 1_200_000)\n"
+        f"sys.stderr.buffer.write({tail!r})\n"
+        "sys.exit(3)\n"
+    )
+    spec = ExternalBackend("chatty", (PY, "-c", script))
+    with pytest.raises(BackendFailed) as err:
+        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+    whole = (b"x" * 1_200_000 + tail).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    assert err.value.exit_code == 3
+    assert err.value.stderr_excerpt == whole[-500:]
+
+
+def test_unspawnable_command_is_backend_failed(backend_inputs, demo_data):
+    train_csv, metadata_json, out_csv = backend_inputs
+    spec = ExternalBackend("ghost", (str(train_csv.parent / "no-such-program"),))
+    with pytest.raises(BackendFailed) as err:
+        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+    assert err.value.exit_code == -1
+
+
+def test_timeout_kills_and_reaps_the_process(wait_path, backend_inputs, demo_data):
+    train_csv, metadata_json, out_csv = backend_inputs
+    spec = ExternalBackend("sleeper", (PY, "-c", "import time; time.sleep(30)"), timeout_seconds=1)
+    run = launch_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv)
+    begin = time.monotonic()
+    with pytest.raises(Timeout, match="exceeded 1s"):
+        run.collect(demo_data.schema)
+    assert time.monotonic() - begin < 10
+    assert run.process.returncode is not None  # killed and reaped
+    assert run.stderr.closed
+
+
+def test_exit_while_waited_for_is_not_a_timeout(wait_path, backend_inputs, demo_data):
+    """The wait returns when the process exits, well before its deadline."""
+    train_csv, metadata_json, out_csv = backend_inputs
+    script = "import shutil, sys, time; time.sleep(0.3); shutil.copy(sys.argv[1], sys.argv[2])"
+    spec = ExternalBackend("slow", (PY, "-c", script, "{train_csv}", "{out_csv}"), timeout_seconds=20)
+    run = launch_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv)
+    begin = time.monotonic()
+    try:
+        assert run.collect(demo_data.schema) == demo_data
+    finally:
+        run.close()
+    assert time.monotonic() - begin < 10
+
+
+def test_exit_before_a_passed_deadline_is_not_a_timeout(wait_path, backend_inputs, demo_data):
+    """A process that exited is judged by its exit code, even when it is
+    collected after its deadline."""
+    train_csv, metadata_json, out_csv = backend_inputs
+    spec = ExternalBackend("identity", COPY_CMD, timeout_seconds=1)
+    run = launch_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv)
+    try:
+        run.process.wait()
+        run.deadline = time.monotonic() - 1
+        assert run.collect(demo_data.schema) == demo_data
+    finally:
+        run.close()
+
+
+def test_missing_output_directory_is_backend_failed(backend_inputs, demo_data):
+    train_csv, metadata_json, out_csv = backend_inputs
+    missing = out_csv.parent / "no-such-dir" / "out.csv"
+    with pytest.raises(BackendFailed) as err:
+        run_external_backend(
+            ExternalBackend("identity", COPY_CMD), train_csv, metadata_json, 10, 1, 0, missing,
+            demo_data.schema,
+        )
+    assert err.value.exit_code == -1
+
+
+def test_failed_launch_closes_the_stderr_file(backend_inputs, demo_data):
+    """Popen rejects a NUL byte in argv with ValueError; the stderr file is
+    closed all the same, so no ResourceWarning fires when it is collected."""
+    train_csv, metadata_json, out_csv = backend_inputs
+    spec = ExternalBackend("nul", (PY, "-c", "pass\0"))
+    with pytest.raises(ValueError):
+        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+    gc.collect()

@@ -1,16 +1,22 @@
 import json
 import random
+import subprocess
 import sys
+import time
+from dataclasses import replace
 
 import pytest
 
-from fairsynth.errors import ValidationFailure
+from fairsynth import supervisor
+from fairsynth.errors import BackendFailed, FairsynthError, ValidationFailure
 from fairsynth.external import ExternalBackend
 from fairsynth.reports import (
     FAIRNESS_JSON,
     QUALITY_JSON,
     SUMMARY_JSON,
     SYNTHETIC_CSV,
+    BenchResult,
+    BenchRow,
     batch_evaluate,
     bench_doc,
     bench_table,
@@ -30,6 +36,17 @@ from fairsynth.supervisor import RunConfig, Targets, run_pipeline, supervise
 
 SPLIT = SplitSpec(train_rows=400, holdout_fraction=0.3, seed=0)
 SMALL = RunConfig(train_rows=400, sample_rows=300, seed=0)
+
+
+def _external(name: str, script: str, *args: str, timeout_seconds: int = 600) -> ExternalBackend:
+    """A Python child that runs ``script`` with argv[1:] = train CSV, output
+    CSV, then ``args``."""
+    return ExternalBackend(
+        name, (sys.executable, "-c", script, "{train_csv}", "{out_csv}", *args), timeout_seconds
+    )
+
+
+COPY = "import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2])"
 
 
 class TestRenderJson:
@@ -319,3 +336,140 @@ class TestBench:
         assert len(lines) == 3
         assert lines[1].startswith("gaussian_copula")
         assert lines[2].startswith("independent")
+
+
+class TestBenchOverlap:
+    """batch_evaluate runs an external backend's process while it evaluates
+    the native backends, one external at a time."""
+
+    EXTERNALS = {
+        "copy": _external("copy", COPY),
+        "broken": _external("broken", "import sys; sys.stderr.write('boom'); sys.exit(9)"),
+        "renamer": _external(
+            "renamer",
+            "import sys\n"
+            "text = open(sys.argv[1], newline='').read()\n"
+            "open(sys.argv[2], 'w', newline='').write(text.replace('Race', 'Rice', 1))\n",
+        ),
+    }
+
+    @staticmethod
+    def _sequential(backends, data, md, externals):
+        """The bench document of one run_pipeline per backend, in list order."""
+        rows = []
+        for backend in backends:
+            try:
+                result = run_pipeline(
+                    replace(SMALL, backend=backend),
+                    data,
+                    md,
+                    SplitSpec(SMALL.train_rows, seed=SMALL.seed),
+                    external_backends=externals,
+                )
+            except FairsynthError as exc:
+                rows.append(BenchRow(backend=backend, error=str(exc)))
+                continue
+            c = result.composite
+            rows.append(BenchRow(backend, c.quality, c.max_rel_fpr, c.synth_score, c.degenerate))
+        return render_json(bench_doc(BenchResult(SMALL, tuple(rows))))
+
+    @pytest.mark.parametrize(
+        "backends",
+        [
+            ["copy", "gaussian_copula", "independent"],
+            ["gaussian_copula", "copy", "independent"],
+            ["gaussian_copula", "independent", "copy"],
+            ["broken", "gaussian_copula", "copy", "no_such", "independent", "renamer", "copy"],
+        ],
+    )
+    def test_rows_equal_a_sequential_run(self, backends, demo_data, demo_md):
+        result = batch_evaluate(
+            backends, SMALL, Targets(), demo_data, demo_md, external_backends=self.EXTERNALS
+        )
+        want = self._sequential(backends, demo_data, demo_md, self.EXTERNALS)
+        assert render_json(bench_doc(result)) == want
+
+    def test_externals_never_run_at_once(self, demo_data, demo_md, tmp_path):
+        """Each child claims a marker file for 0.2 s and exits 7 if another
+        child holds it."""
+        hold = (
+            "import os, shutil, sys, time\n"
+            "try:\n"
+            "    fd = os.open(sys.argv[3], os.O_CREAT | os.O_EXCL | os.O_WRONLY)\n"
+            "except FileExistsError:\n"
+            "    sys.exit(7)\n"
+            "time.sleep(0.2)\n"
+            "shutil.copy(sys.argv[1], sys.argv[2])\n"
+            "os.close(fd)\n"
+            "os.remove(sys.argv[3])\n"
+        )
+        marker = str(tmp_path / "marker")
+        externals = {name: _external(name, hold, marker) for name in ("e1", "e2", "e3")}
+        result = batch_evaluate(
+            ["e1", "gaussian_copula", "e2", "e3", "independent"],
+            SMALL, Targets(), demo_data, demo_md, external_backends=externals,
+        )
+        assert [row.error for row in result.rows] == [None] * 5
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Every process started while the test runs."""
+        processes = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                processes.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        return processes
+
+    @pytest.mark.parametrize("crash", [RuntimeError, KeyboardInterrupt])
+    def test_native_crash_kills_and_reaps_the_running_external(
+        self, crash, started, demo_data, demo_md, monkeypatch
+    ):
+        def fit(*args, **kwargs):
+            raise crash("native step crashed")
+
+        monkeypatch.setattr(supervisor, "fit", fit)
+        sleeper = _external("sleeper", "import time; time.sleep(60)")
+        begin = time.monotonic()
+        with pytest.raises(crash, match="native step crashed"):
+            batch_evaluate(
+                ["gaussian_copula", "sleeper"], SMALL, Targets(), demo_data, demo_md,
+                external_backends={"sleeper": sleeper},
+            )
+        assert time.monotonic() - begin < 30
+        assert len(started) == 1  # launched before the native backend ran
+        assert started[0].returncode is not None  # killed and reaped
+
+    def test_large_stderr_row_holds_its_last_500_characters(self, demo_data, demo_md):
+        script = (
+            "import sys\n"
+            "sys.stderr.write('a' * 1_100_000 + ''.join(str(i % 10) for i in range(600)))\n"
+            "sys.exit(3)\n"
+        )
+        result = batch_evaluate(
+            ["chatty", "independent"], SMALL, Targets(), demo_data, demo_md,
+            external_backends={"chatty": _external("chatty", script)},
+        )
+        tail = "".join(str(i % 10) for i in range(600))[-500:]
+        assert result.rows[0].error == str(BackendFailed(3, tail))
+        assert result.rows[1].error is None
+
+    def test_exit_before_the_deadline_is_not_a_timeout(self, demo_data, demo_md, monkeypatch):
+        """The native backends take longer than the external's timeout; the
+        external exited long before it, so its row holds its rows' scores."""
+        fit = supervisor.fit
+
+        def slow_fit(*args, **kwargs):
+            time.sleep(1.5)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(supervisor, "fit", slow_fit)
+        quick = _external("quick", COPY, timeout_seconds=1)
+        result = batch_evaluate(
+            ["gaussian_copula", "quick"], SMALL, Targets(), demo_data, demo_md,
+            external_backends={"quick": quick},
+        )
+        assert [row.error for row in result.rows] == [None, None]

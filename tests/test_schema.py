@@ -150,6 +150,50 @@ def test_metadata_protected_must_be_a_list_of_strings():
             Metadata.from_json_dict({**doc, "protected": protected})
 
 
+def test_metadata_columns_must_be_an_object():
+    doc = {"label": {"column": "Diagnosis", "positive": "positive"}}
+    assert Metadata.from_json_dict(doc).declared_kinds is None
+    assert Metadata.from_json_dict({**doc, "columns": {}}).declared_kinds is None
+    kinds = Metadata.from_json_dict({**doc, "columns": {"v": {"kind": "numeric"}}}).declared_kinds
+    assert kinds == {"v": ColumnKind.NUMERIC}
+    # A falsy value is not "no declarations".
+    for columns in ([], "", 0, False, None, ["setting"], "setting"):
+        with pytest.raises(MetadataMismatch, match="malformed columns field"):
+            Metadata.from_json_dict({**doc, "columns": columns})
+
+
+def test_declared_column_absent_from_the_table_is_metadata_mismatch(tmp_path):
+    p = tmp_path / "t.csv"
+    write_lines(p, ["symptom_scale,label", "1,yes", "2,no"])
+    md = Metadata("label", "yes", declared_kinds={"symptom_scal": ColumnKind.CATEGORICAL})
+    with pytest.raises(MetadataMismatch, match="column 'symptom_scal' declared"):
+        load_dataset(p, md)
+    # The misspelt declaration is named, not the stray cell it meant to admit.
+    n = 3 * _READ_BLOCK_ROWS
+    cells = [repr(i / 7) for i in range(n)]
+    cells[n - 1] = "NA"
+    write_lines(p, ["symptom_scale,label"] + [f"{c},{'yes' if i % 2 else 'no'}"
+                                              for i, c in enumerate(cells)])
+    with pytest.raises(MetadataMismatch, match="column 'symptom_scal' declared"):
+        load_dataset(p, md)
+    fixed = Metadata("label", "yes", declared_kinds={"symptom_scale": ColumnKind.CATEGORICAL})
+    assert load_dataset(p, fixed).schema.kind_of("symptom_scale") is ColumnKind.CATEGORICAL
+
+
+def test_cell_level_parse_errors_carry_no_line(tmp_path):
+    p = tmp_path / "t.csv"
+    md = Metadata("label", "yes", declared_kinds={"v": ColumnKind.NUMERIC})
+    write_lines(p, ["v,label", "1,yes", "2,", "1e999,no", "3,no"])
+    with pytest.raises(ParseError) as err:
+        load_dataset(p, md)
+    assert err.value.line is None
+    assert str(err.value) == "column 'v': non-numeric cell '1e999' in data row 3"
+    with pytest.raises(ParseError) as err:
+        NumericColumn(np.array([1.0, np.inf]))
+    assert err.value.line is None
+    assert str(err.value) == "numeric column contains non-finite values"
+
+
 def test_infer_schema_numeric_above_cutoff():
     schema, parsed = infer_schema(["v"], [[f"{i}.5" for i in range(40)]])
     assert schema.kind_of("v") is ColumnKind.NUMERIC
@@ -333,7 +377,7 @@ def _reference_load(path, md):
         if name not in declared and None in parsed and len(distinct) > 20:
             row = next(i for i, r in enumerate(rows) if r[j] != "" and parse_number(r[j]) is None)
             raise ParseError(
-                0,
+                None,
                 f"column {name!r}: non-numeric cell {rows[row][j]!r} in data row {row + 1}, "
                 f'among more than 20 distinct numbers; declare the column\'s kind under "columns" '
                 f"in the metadata",
@@ -342,7 +386,8 @@ def _reference_load(path, md):
         inferred = ColumnKind.NUMERIC if numeric else ColumnKind.CATEGORICAL
         kinds.append((name, declared.get(name, inferred)))
     required = [header.index(c) for c in (md.label_column, *md.protected_attributes)]
-    kept = [row for row in rows if all(row[j] != "" for j in required)]
+    kept_at = [i for i, row in enumerate(rows) if all(row[j] != "" for j in required)]
+    kept = [rows[i] for i in kept_at]
     columns, imputed = [], {}
     for j, (name, kind) in enumerate(kinds):
         cells = [row[j] for row in kept]
@@ -350,8 +395,11 @@ def _reference_load(path, md):
         if kind is ColumnKind.NUMERIC:
             values = [parse_number(c) for c in present]
             if None in values:
-                bad = present[values.index(None)]
-                raise ParseError(0, f"column {name!r}: non-numeric cell {bad!r}")
+                k = next(k for k, c in enumerate(cells) if c and parse_number(c) is None)
+                raise ParseError(
+                    None,
+                    f"column {name!r}: non-numeric cell {cells[k]!r} in data row {kept_at[k] + 1}",
+                )
             fill = np.median(np.array(values))
             it = iter(values)
             columns.append(NumericColumn(np.array([next(it) if c else fill for c in cells])))
@@ -631,7 +679,7 @@ def test_stray_cell_in_numbers_column_fails_fast(tmp_path, row):
     (few distinct values before it) or already parsed, and from a pipe."""
     n = 3 * _READ_BLOCK_ROWS
     want = (
-        f"line 0: column 'v': non-numeric cell 'NA' in data row {row}, among more than 20 "
+        f"column 'v': non-numeric cell 'NA' in data row {row}, among more than 20 "
         f'distinct numbers; declare the column\'s kind under "columns" in the metadata'
     )
     md = Metadata("label", "yes")
