@@ -22,7 +22,6 @@ from .errors import (
     ValidationFailure,
 )
 from .external import load_backends_file
-from .quality import quality_report
 from .reports import (
     BENCH_JSON,
     BENCH_TABLE,
@@ -52,8 +51,7 @@ from .schema import (
     write_csv,
 )
 from .scoring import synth_score
-from .supervisor import RunConfig, Targets, supervise
-from .tstr import fairness_report
+from .supervisor import RunConfig, Targets, check_backend, evaluate_synthetic, supervise
 
 SEED_ENV_VAR = "MEMISIS_SEED"
 
@@ -169,12 +167,6 @@ def _external_backends(args):
     return {}
 
 
-def _check_backend(name: str, external: dict) -> None:
-    if name not in NATIVE_BACKENDS and name not in external:
-        valid = ", ".join([*NATIVE_BACKENDS, *sorted(external)])
-        raise ValidationFailure(f"unknown backend {name!r}; valid backends: {valid}")
-
-
 def _run_config(args, backend: str) -> RunConfig:
     return RunConfig(
         backend=backend,
@@ -212,7 +204,7 @@ def cmd_demo(args) -> int:
 
 def cmd_fit(args) -> int:
     external = _external_backends(args)
-    _check_backend(args.backend, external)
+    check_backend(args.backend, external)
     if args.backend not in NATIVE_BACKENDS:
         raise ValidationFailure(
             f"fit persists native models only; backend {args.backend!r} is external"
@@ -245,21 +237,14 @@ def cmd_evaluate(args) -> int:
     synth = load_synthetic(args.synthetic, metadata, data.schema)
     # The holdout does not depend on train_rows; one train row must remain.
     _, holdout = split_holdout(data, SplitSpec(1, args.holdout_fraction, args.seed))
-    quality = quality_report(holdout, synth, holdout.schema)
-    fairness = fairness_report(synth, holdout, metadata)
-    composite = synth_score(
-        quality.overall_score,
-        fairness.max_rel_fpr,
-        args.parity_threshold,
-        degenerate=fairness.degenerate,
-    )
+    result = evaluate_synthetic(synth, holdout, metadata, args.parity_threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / QUALITY_JSON).write_text(render_json(quality_doc(quality)), encoding="utf-8")
+    (out / QUALITY_JSON).write_text(render_json(quality_doc(result.quality)), encoding="utf-8")
     (out / FAIRNESS_JSON).write_text(
-        render_json(fairness_doc(fairness, composite)), encoding="utf-8"
+        render_json(fairness_doc(result.fairness, result.composite)), encoding="utf-8"
     )
-    _print_composite(composite)
+    _print_composite(result.composite)
     return 0
 
 
@@ -278,7 +263,7 @@ def cmd_score(args) -> int:
 
 def _supervised_run(args, max_refinements: int) -> int:
     external = _external_backends(args)
-    _check_backend(args.backend, external)
+    check_backend(args.backend, external)
     data, metadata = _load_inputs(args)
     config = _run_config(args, args.backend)
     split = SplitSpec(args.train_rows, args.holdout_fraction, args.seed)
@@ -326,7 +311,7 @@ def cmd_bench(args) -> int:
     if not backends:
         raise ValidationFailure("--backends must name at least one backend")
     for b in backends:
-        _check_backend(b, external)
+        check_backend(b, external)
     data, metadata = _load_inputs(args)
     config = _run_config(args, backends[0])
     split = SplitSpec(args.train_rows, args.holdout_fraction, args.seed)

@@ -49,12 +49,14 @@ def backend_from_json_dict(doc: dict) -> ExternalBackend:
     try:
         name = doc["name"]
         command = doc["command"]
-        timeout = int(doc.get("timeout_seconds", DEFAULT_TIMEOUT_SECONDS))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        timeout = doc.get("timeout_seconds", DEFAULT_TIMEOUT_SECONDS)
+    except (KeyError, TypeError) as exc:
         raise ValidationFailure(f"malformed external backend descriptor: {exc}")
     if not isinstance(name, str) or not isinstance(command, list):
         raise ValidationFailure("external backend needs a string name and a command list")
-    return ExternalBackend(name, tuple(str(tok) for tok in command), timeout)
+    if type(timeout) not in (int, float) or timeout % 1:  # bool, str, inf and nan too
+        raise ValidationFailure(f"timeout_seconds must be a whole number of seconds, got {timeout!r}")
+    return ExternalBackend(name, tuple(str(tok) for tok in command), int(timeout))
 
 
 def load_backends_file(path: str | Path) -> dict[str, ExternalBackend]:

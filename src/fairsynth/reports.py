@@ -292,10 +292,10 @@ def batch_evaluate(
                     backends[i], lambda: run_pipeline(cfg, data, metadata, split, threshold)
                 )
         if launched is not None:
-            holdout, schema, run = launched
+            holdout, synthesize = launched
             rows[first] = _bench_row(
                 backends[first],
-                lambda: evaluate_synthetic(run.collect(schema), holdout, metadata, threshold),
+                lambda: evaluate_synthetic(synthesize(), holdout, metadata, threshold),
             )
     for i in externals:
         rows[i] = _bench_row(

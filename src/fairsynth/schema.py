@@ -502,7 +502,6 @@ def _impute_mode(keys: list[str], codes: np.ndarray, name: str) -> tuple[Categor
 def load_dataset(
     csv_path: str | Path,
     metadata: Metadata,
-    require_binary_label: bool = True,
     pinned: TableSchema | None = None,
 ) -> Dataset:
     """Load a CSV into a ``Dataset`` under ``metadata``.
@@ -512,13 +511,12 @@ def load_dataset(
     mode). Drop/impute counts land in ``Dataset.ingest``. Every protected
     attribute must be categorical and differ from the label column.
 
-    ``require_binary_label=False`` admits single-class labels, with or without
-    the positive label; synthetic backend output may legitimately collapse to
-    one class and is flagged as degenerate downstream instead of rejected here.
-
     A column declared under ``metadata.declared_kinds`` must be in the file.
-    ``pinned`` replaces the declared kinds with a schema's; a schema column
-    the file lacks is then left to the caller's schema check.
+    A ``pinned`` schema marks synthetic rows: its kinds replace the declared
+    ones, a schema column the file lacks is left to the caller's schema
+    check, and a single-class label is admitted, with or without the
+    positive label (synthetic output may collapse to one class; it is
+    flagged as degenerate downstream instead of rejected here).
     """
     declared = (metadata.declared_kinds or {}) if pinned is None else dict(pinned.columns)
     header, read, n_rows, strays = _read_csv(csv_path, declared, pinned is not None)
@@ -587,12 +585,12 @@ def load_dataset(
     )
 
     label_values = set(dataset.column(metadata.label_column).categories)
-    if require_binary_label and len(label_values) != 2:
+    if pinned is None and len(label_values) != 2:
         raise LabelNotBinary(
             f"label column {metadata.label_column!r} has {len(label_values)} distinct "
             f"values, expected 2"
         )
-    if require_binary_label and metadata.positive_label not in label_values:
+    if pinned is None and metadata.positive_label not in label_values:
         raise MetadataMismatch(
             f"positive label {metadata.positive_label!r} does not occur in label column "
             f"{metadata.label_column!r}"
@@ -604,7 +602,7 @@ def load_synthetic(csv_path: str | Path, metadata: Metadata, schema: TableSchema
     """Load synthetic rows with ``schema``'s column kinds forced, so kind
     inference cannot drift from the real table. A single-class label is
     admitted; it is flagged as degenerate downstream."""
-    return load_dataset(csv_path, metadata, require_binary_label=False, pinned=schema)
+    return load_dataset(csv_path, metadata, pinned=schema)
 
 
 # Rows go to the file this many at a time, each block as one joined string.

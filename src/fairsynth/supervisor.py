@@ -20,6 +20,7 @@ import tempfile
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -30,19 +31,13 @@ from .errors import (
     InsufficientRows,
     ValidationFailure,
 )
-from .external import (
-    ExternalBackend,
-    ExternalRun,
-    launch_external_backend,
-    run_external_backend,
-)
+from .external import ExternalBackend, launch_external_backend
 from .quality import QualityReport, quality_report
 from .schema import (
     ColumnKind,
     Dataset,
     Metadata,
     SplitSpec,
-    TableSchema,
     holdout_size,
     split_holdout,
     write_csv,
@@ -220,50 +215,15 @@ def balance_groups(
     return train.take(np.concatenate([np.arange(train.row_count), *extra]))
 
 
-def _train_and_holdout(
-    config: RunConfig, real: Dataset, metadata: Metadata, split: SplitSpec
-) -> tuple[Dataset, Dataset]:
-    # config.train_rows wins; the split spec contributes fraction and seed so
-    # the holdout stays fixed across refinement iterations.
-    train, holdout = split_holdout(real, replace(split, train_rows=config.train_rows))
-    if config.balance_groups:
-        train = balance_groups(train, metadata, seed=config.seed, attribute=config.balance_attribute)
-    return train, holdout
-
-
-def _external_inputs(
-    config: RunConfig,
-    real: Dataset,
-    metadata: Metadata,
-    split: SplitSpec,
-    external_backends: dict[str, ExternalBackend] | None,
-    tmp: Path,
-) -> tuple[Dataset, Dataset, tuple]:
-    """The synthesis step's inputs for an external backend: split the data
-    and write the train CSV and metadata JSON into ``tmp``. Returns the train
-    set, the holdout and the arguments of ``launch_external_backend``."""
-    train, holdout = _train_and_holdout(config, real, metadata, split)
+def check_backend(name: str, external_backends: dict[str, ExternalBackend] | None) -> None:
+    """Raise ValidationFailure unless ``name`` is native or configured."""
     backends = external_backends or {}
-    if config.backend not in backends:
+    if name not in NATIVE_BACKENDS and name not in backends:
         raise ValidationFailure(
-            f"unknown backend {config.backend!r}; native backends are "
+            f"unknown backend {name!r}; native backends are "
             f"{', '.join(NATIVE_BACKENDS)} and configured external backends are "
             f"{', '.join(sorted(backends)) or '(none)'}"
         )
-    write_csv(train, tmp / "train.csv")
-    (tmp / "metadata.json").write_text(
-        json.dumps(metadata.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    args = (
-        backends[config.backend],
-        tmp / "train.csv",
-        tmp / "metadata.json",
-        config.sample_rows,
-        config.epochs,
-        config.seed,
-        tmp / "synthetic.csv",
-    )
-    return train, holdout, args
 
 
 def launch_synthesis(
@@ -273,16 +233,42 @@ def launch_synthesis(
     split: SplitSpec,
     external_backends: dict[str, ExternalBackend] | None,
     stack: ExitStack,
-) -> tuple[Dataset, TableSchema, ExternalRun]:
-    """Start an external backend's synthesis step in a temporary directory.
-    Returns the holdout, the train schema its output must have and the
-    running process; closing ``stack`` kills the process if it still runs
-    and removes the directory."""
+) -> tuple[Dataset, Callable[[], Dataset]]:
+    """The synthesis step. Returns the holdout and a ``synthesize()`` that
+    fits and samples a native backend, or collects an external one, whose
+    process is launched now in a temporary directory; closing ``stack`` kills
+    the process if it still runs and removes the directory."""
+    # config.train_rows wins; the split spec contributes fraction and seed so
+    # the holdout stays fixed across refinement iterations.
+    train, holdout = split_holdout(real, replace(split, train_rows=config.train_rows))
+    if config.balance_groups:
+        train = balance_groups(train, metadata, seed=config.seed, attribute=config.balance_attribute)
+    if config.backend in NATIVE_BACKENDS:
+        synth_cfg = SynthesizerConfig(
+            backend=config.backend,
+            seed=config.seed,
+            correlation_shrinkage=config.correlation_shrinkage,
+        )
+        # fit and sample are this module's names, looked up at the call.
+        return holdout, lambda: sample(fit(train, synth_cfg), config.sample_rows, config.seed)
+    check_backend(config.backend, external_backends)
     tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
-    train, holdout, args = _external_inputs(config, real, metadata, split, external_backends, tmp)
-    run = launch_external_backend(*args)
+    write_csv(train, tmp / "train.csv")
+    (tmp / "metadata.json").write_text(
+        json.dumps(metadata.to_json_dict(), indent=2) + "\n", encoding="utf-8"
+    )
+    run = launch_external_backend(
+        external_backends[config.backend],
+        tmp / "train.csv",
+        tmp / "metadata.json",
+        config.sample_rows,
+        config.epochs,
+        config.seed,
+        tmp / "synthetic.csv",
+    )
     stack.callback(run.close)
-    return holdout, train.schema, run
+    schema = train.schema  # the closure keeps the schema, not the train rows
+    return holdout, lambda: run.collect(schema)
 
 
 def evaluate_synthetic(
@@ -313,21 +299,11 @@ def run_pipeline(
     external_backends: dict[str, ExternalBackend] | None = None,
 ) -> PipelineResult:
     """One generator + evaluator pass; same inputs give an identical result."""
-    if config.backend in NATIVE_BACKENDS:
-        train, holdout = _train_and_holdout(config, real, metadata, split)
-        synth_cfg = SynthesizerConfig(
-            backend=config.backend,
-            seed=config.seed,
-            correlation_shrinkage=config.correlation_shrinkage,
+    with ExitStack() as stack:
+        holdout, synthesize = launch_synthesis(
+            config, real, metadata, split, external_backends, stack
         )
-        model = fit(train, synth_cfg)
-        synthetic = sample(model, config.sample_rows, config.seed)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            train, holdout, args = _external_inputs(
-                config, real, metadata, split, external_backends, Path(tmp)
-            )
-            synthetic = run_external_backend(*args, train.schema)
+        synthetic = synthesize()
     return evaluate_synthetic(synthetic, holdout, metadata, parity_threshold)
 
 

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -561,6 +563,20 @@ class TestArtifactDigests:
         }
         assert got == ARTIFACT_SHA256
 
+
+
+def test_every_traced_function_resolves():
+    """perfbench's tracer looks up each (module, function) pair it lists, and
+    a traced run fails on one that is gone."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "spans.py").read_text()
+    assignment = next(
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    )
+    traced = ast.literal_eval(assignment.value)
+    assert traced
+    for module, function in traced:
+        assert callable(getattr(importlib.import_module(f"fairsynth.{module}"), function))
 
 def _child_env():
     # The child must import the same fairsynth as this process, installed or not.

@@ -152,6 +152,15 @@ def test_backend_descriptor_validation(tmp_path):
         load_backends_file(path)
 
 
+@pytest.mark.parametrize("timeout, text", [(1.9, "1.9"), (0.5, "0.5"), (True, "True")])
+def test_timeout_must_be_a_whole_number_of_seconds(timeout, text):
+    doc = {"name": "a", "command": ["x"], "timeout_seconds": timeout}
+    with pytest.raises(ValidationFailure, match=f"whole number of seconds, got {text}$"):
+        backend_from_json_dict(doc)
+    # An integral float is a whole number of seconds.
+    assert backend_from_json_dict({**doc, "timeout_seconds": 5.0}).timeout_seconds == 5
+
+
 def _stderr_exit(data: bytes, code: int) -> tuple[str, ...]:
     """A command that writes ``data`` to stderr and exits with ``code``."""
     return (PY, "-c", f"import sys; sys.stderr.buffer.write({data!r}); sys.exit({code})")

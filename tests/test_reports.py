@@ -2,13 +2,14 @@ import json
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 
 import pytest
 
-from fairsynth import supervisor
-from fairsynth.errors import BackendFailed, FairsynthError, ValidationFailure
+from fairsynth import external, supervisor
+from fairsynth.errors import BackendFailed, FairsynthError, SchemaMismatch, ValidationFailure
 from fairsynth.external import ExternalBackend
 from fairsynth.reports import (
     FAIRNESS_JSON,
@@ -442,6 +443,59 @@ class TestBenchOverlap:
         assert time.monotonic() - begin < 30
         assert len(started) == 1  # launched before the native backend ran
         assert started[0].returncode is not None  # killed and reaped
+
+    CLEANUP_CASES = {
+        "success": (COPY, None),
+        "backend_failed": ("import sys; sys.exit(9)", BackendFailed),
+        "renamed_column": (
+            "import sys\n"
+            "text = open(sys.argv[1], newline='').read()\n"
+            "open(sys.argv[2], 'w', newline='').write(text.replace('setting', 'sitting', 1))\n",
+            SchemaMismatch,
+        ),
+        "interrupted": (COPY, KeyboardInterrupt),
+    }
+
+    @pytest.mark.parametrize("entry", ["run_pipeline", "batch_evaluate"])
+    @pytest.mark.parametrize("case", list(CLEANUP_CASES))
+    def test_no_directory_or_child_is_left_behind(
+        self, entry, case, started, demo_data, demo_md, monkeypatch, tmp_path
+    ):
+        """Every temporary directory is removed and every child reaped,
+        whether the external succeeds, fails, renames a column or the load
+        of its output is interrupted."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        script, error = self.CLEANUP_CASES[case]
+        externals = {"ext": _external("ext", script)}
+        if error is KeyboardInterrupt:
+            def interrupted(*args, **kwargs):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(external, "load_synthetic", interrupted)
+        if entry == "run_pipeline":
+            def call():
+                return run_pipeline(
+                    replace(SMALL, backend="ext"), demo_data, demo_md, SPLIT,
+                    external_backends=externals,
+                )
+        else:
+            # The first external runs beside the native backend, the second after it.
+            def call():
+                return batch_evaluate(
+                    ["ext", "independent", "ext"], SMALL, Targets(), demo_data, demo_md,
+                    external_backends=externals,
+                ).rows
+
+        if error is None:
+            call()
+        elif entry == "batch_evaluate" and error is not KeyboardInterrupt:
+            assert [row.error is None for row in call()] == [False, True, False]
+        else:
+            with pytest.raises(error):
+                call()
+        assert started
+        assert [process.returncode is None for process in started] == [False] * len(started)
+        assert list(tmp_path.iterdir()) == []
 
     def test_large_stderr_row_holds_its_last_500_characters(self, demo_data, demo_md):
         script = (

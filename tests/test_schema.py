@@ -41,6 +41,7 @@ from fairsynth.schema import (
     infer_schema,
     _parse_numeric,
     load_dataset,
+    load_synthetic,
     split_holdout,
     write_csv,
 )
@@ -283,10 +284,11 @@ def test_load_dataset_label_not_binary(tmp_path):
 def test_load_dataset_single_class_allowed_when_not_required(tmp_path):
     p = tmp_path / "t.csv"
     write_lines(p, ["label,v", "a,x", "a,y"])
-    data = load_dataset(p, Metadata("label", "a"), require_binary_label=False)
+    pinned = TableSchema((("label", ColumnKind.CATEGORICAL), ("v", ColumnKind.CATEGORICAL)))
+    data = load_synthetic(p, Metadata("label", "a"), pinned)
     assert data.row_count == 2
     # A synthetic label may collapse to the negative class alone.
-    data = load_dataset(p, Metadata("label", "b"), require_binary_label=False)
+    data = load_synthetic(p, Metadata("label", "b"), pinned)
     assert data.row_count == 2
 
 
