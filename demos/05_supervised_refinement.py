@@ -54,7 +54,7 @@ print(f"\nwinning config: seed {best.seed}, shrinkage {best.correlation_shrinkag
 # The standard artifact set: two report JSONs, the run summary, and the
 # synthetic CSV. Re-running this script reproduces every byte.
 out_dir = Path(__file__).parent / "out" / "supervised"
-bundle = write_reports(
+write_reports(
     result.best_quality,
     result.best_fairness,
     result.best_composite,
@@ -62,6 +62,6 @@ bundle = write_reports(
     out_dir,
     summary=summary_doc(result),
 )
-print(f"\nwrote reports to {bundle.out_dir}")
+print(f"\nwrote reports to {out_dir}")
 print("run summary head:")
 print("\n".join(render_json(summary_doc(result)).splitlines()[:6]))

@@ -110,7 +110,6 @@ class ExternalRun:
     process: subprocess.Popen
     stderr: BinaryIO
     deadline: float  # time.monotonic() at launch plus timeout_seconds
-    metadata_json: Path
     out_csv: Path
 
     def close(self) -> None:
@@ -130,7 +129,7 @@ class ExternalRun:
         text = self.stderr.read().decode("utf-8", errors="replace")
         return text.replace("\r\n", "\n").replace("\r", "\n")[-STDERR_EXCERPT_CHARS:]
 
-    def collect(self, expected_schema: TableSchema) -> Dataset:
+    def collect(self, metadata: Metadata, expected_schema: TableSchema) -> Dataset:
         """Wait for the process, then load its output CSV.
 
         The process gets what is left of its timeout, counted from launch;
@@ -138,7 +137,8 @@ class ExternalRun:
         is judged by its exit code, however late it is waited for: a nonzero
         exit or a missing output file is BackendFailed.
 
-        The output is ingested with the training schema's column kinds
+        The output is ingested under ``metadata``, the caller's copy of what
+        the backend was handed, with the training schema's column kinds
         forced, so kind inference cannot drift, then rejected on any
         column-name or kind mismatch. Synthetic labels are allowed to
         collapse to a single class; the degenerate-classifier guard
@@ -156,7 +156,6 @@ class ExternalRun:
             raise BackendFailed(
                 0, f"backend {self.spec.name!r} exited 0 but wrote no {self.out_csv}"
             )
-        metadata = Metadata.from_json_file(self.metadata_json)
         synth = load_synthetic(self.out_csv, metadata, expected_schema)
         if synth.schema != expected_schema:
             raise SchemaMismatch(
@@ -196,7 +195,7 @@ def launch_external_backend(
         except OSError as exc:
             raise BackendFailed(-1, f"could not spawn backend {spec.name!r}: {exc}")
         cleanup.pop_all()
-    return ExternalRun(spec, process, stderr, deadline, Path(metadata_json), out_csv)
+    return ExternalRun(spec, process, stderr, deadline, out_csv)
 
 
 def run_external_backend(
@@ -209,8 +208,10 @@ def run_external_backend(
     out_csv: str | Path,
     expected_schema: TableSchema,
 ) -> Dataset:
-    """Run the backend command to its end and load its output CSV."""
+    """Run the backend command to its end and load its output CSV under the
+    metadata file's contents as read before the launch."""
+    metadata = Metadata.from_json_file(metadata_json)
     with closing(
         launch_external_backend(spec, train_csv, metadata_json, n_rows, epochs, seed, out_csv)
     ) as run:
-        return run.collect(expected_schema)
+        return run.collect(metadata, expected_schema)

@@ -179,15 +179,6 @@ def failed_summary_doc(history) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ReportBundle:
-    out_dir: Path
-    quality_json: dict
-    fairness_json: dict
-    summary_json: dict | None
-    synthetic_csv: Path
-
-
 def write_reports(
     quality: QualityReport,
     fairness: FairnessReport,
@@ -195,26 +186,18 @@ def write_reports(
     synthetic: Dataset,
     out_dir: str | Path,
     summary: dict | None = None,
-) -> ReportBundle:
+) -> None:
     """Write the quality/fairness JSON reports plus the synthetic CSV (and the
     run summary when given); re-emitting the same inputs is byte-identical."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    q_doc = quality_doc(quality)
-    f_doc = fairness_doc(fairness, composite)
-    (out / QUALITY_JSON).write_text(render_json(q_doc), encoding="utf-8")
-    (out / FAIRNESS_JSON).write_text(render_json(f_doc), encoding="utf-8")
-    synthetic_csv = out / SYNTHETIC_CSV
-    write_csv(synthetic, synthetic_csv)
+    (out / QUALITY_JSON).write_text(render_json(quality_doc(quality)), encoding="utf-8")
+    (out / FAIRNESS_JSON).write_text(
+        render_json(fairness_doc(fairness, composite)), encoding="utf-8"
+    )
+    write_csv(synthetic, out / SYNTHETIC_CSV)
     if summary is not None:
         (out / SUMMARY_JSON).write_text(render_json(summary), encoding="utf-8")
-    return ReportBundle(
-        out_dir=out,
-        quality_json=q_doc,
-        fairness_json=f_doc,
-        summary_json=summary,
-        synthetic_csv=synthetic_csv,
-    )
 
 
 @dataclass(frozen=True)

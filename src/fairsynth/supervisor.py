@@ -18,7 +18,7 @@ import json
 import math
 import tempfile
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -79,7 +79,8 @@ class Targets:
             raise ValidationFailure("parity_threshold must be >= 1")
 
 
-# Refinement actions; each maps a RunConfig to the next one.
+# Refinement actions. An action is its name, which run_summary.json records
+# as action_taken; apply_action maps it to the next RunConfig.
 
 RESAMPLE = "resample"
 INCREASE_EPOCHS = "increase_epochs"
@@ -89,51 +90,22 @@ SHRINK_CORRELATION = "shrink_correlation"
 SHRINK_INCREMENT = 0.25
 EPOCH_FACTOR = 2
 
+# Stop reasons.
 TARGET_MET = "target_met"
 BUDGET = "budget"
 
 
-@dataclass(frozen=True)
-class Resample:
-    new_seed: int
-    kind: str = RESAMPLE
-
-
-@dataclass(frozen=True)
-class IncreaseEpochs:
-    factor: int = EPOCH_FACTOR
-    kind: str = INCREASE_EPOCHS
-
-
-@dataclass(frozen=True)
-class BalanceGroups:
-    attribute: str | None = None
-    kind: str = BALANCE_GROUPS
-
-
-@dataclass(frozen=True)
-class ShrinkCorrelation:
-    increment: float = SHRINK_INCREMENT
-    kind: str = SHRINK_CORRELATION
-
-
-RefinementAction = Resample | IncreaseEpochs | BalanceGroups | ShrinkCorrelation
-
-
-@dataclass(frozen=True)
-class Stop:
-    reason: str  # TARGET_MET or BUDGET
-
-
-def apply_action(config: RunConfig, action: RefinementAction) -> RunConfig:
-    if isinstance(action, Resample):
-        return replace(config, seed=action.new_seed)
-    if isinstance(action, IncreaseEpochs):
-        return replace(config, epochs=config.epochs * action.factor)
-    if isinstance(action, BalanceGroups):
-        return replace(config, balance_groups=True, balance_attribute=action.attribute)
-    if isinstance(action, ShrinkCorrelation):
-        shrinkage = min(1.0, config.correlation_shrinkage + action.increment)
+def apply_action(config: RunConfig, action: str, attribute: str | None = None) -> RunConfig:
+    """The RunConfig after ``action``. ``attribute`` is the protected
+    attribute that BALANCE_GROUPS balances (None: the first one)."""
+    if action == RESAMPLE:
+        return replace(config, seed=config.seed + 1)
+    if action == INCREASE_EPOCHS:
+        return replace(config, epochs=config.epochs * EPOCH_FACTOR)
+    if action == BALANCE_GROUPS:
+        return replace(config, balance_groups=True, balance_attribute=attribute)
+    if action == SHRINK_CORRELATION:
+        shrinkage = min(1.0, config.correlation_shrinkage + SHRINK_INCREMENT)
         return replace(config, correlation_shrinkage=shrinkage)
     raise ValidationFailure(f"unknown refinement action {action!r}")
 
@@ -147,27 +119,6 @@ class HistoryEntry:
     synthetic: Dataset | None = None
     action_taken: str | None = None
     error: str | None = None
-
-
-@dataclass
-class SupervisorState:
-    history: list[HistoryEntry] = field(default_factory=list)
-
-    @property
-    def iteration(self) -> int:
-        return len(self.history) - 1
-
-    @property
-    def best(self) -> int:
-        """Index of the highest composite score so far; ties go earliest."""
-        best_i, best_score = -1, -math.inf
-        for i, entry in enumerate(self.history):
-            if entry.composite is not None and entry.composite.synth_score > best_score:
-                best_i, best_score = i, entry.composite.synth_score
-        return best_i
-
-    def tried_actions(self) -> set[str]:
-        return {e.action_taken for e in self.history if e.action_taken is not None}
 
 
 @dataclass(frozen=True)
@@ -268,7 +219,7 @@ def launch_synthesis(
     )
     stack.callback(run.close)
     schema = train.schema  # the closure keeps the schema, not the train rows
-    return holdout, lambda: run.collect(schema)
+    return holdout, lambda: run.collect(metadata, schema)
 
 
 def evaluate_synthetic(
@@ -308,30 +259,37 @@ def run_pipeline(
 
 
 def plan_refinement(
-    state: SupervisorState, score: CompositeScore, targets: Targets, config: RunConfig
-) -> RefinementAction | Stop:
-    """Next move after an evaluation.
+    history: list[HistoryEntry],
+    score: CompositeScore | None,
+    targets: Targets,
+    config: RunConfig,
+) -> str:
+    """Next move after the last entry of ``history``, whose composite score
+    is ``score`` (None: the iteration failed): TARGET_MET, BUDGET or the name
+    of the next refinement action.
 
     Stop on target (score and parity both met) or on exhausted budget. A
-    parity failure walks the fixed action order balance-groups, then
-    correlation shrinkage, then resample; a pure quality shortfall doubles
-    epochs for external backends (epochs are a no-op for closed-form native
-    fits) and otherwise resamples.
+    failed iteration resamples. A parity failure walks the fixed action order
+    balance-groups, then correlation shrinkage, then resample; a pure quality
+    shortfall doubles epochs for external backends (epochs are a no-op for
+    closed-form native fits) and otherwise resamples.
     """
-    if score.synth_score >= targets.min_synth_score and score.parity_ok:
-        return Stop(TARGET_MET)
-    if state.iteration >= targets.max_refinements:
-        return Stop(BUDGET)
+    if score is not None and score.synth_score >= targets.min_synth_score and score.parity_ok:
+        return TARGET_MET
+    if len(history) > targets.max_refinements:
+        return BUDGET
+    if score is None:
+        return RESAMPLE
     if not score.parity_ok:
-        tried = state.tried_actions()
+        tried = {e.action_taken for e in history}
         if BALANCE_GROUPS not in tried:
-            return BalanceGroups()
+            return BALANCE_GROUPS
         if SHRINK_CORRELATION not in tried:
-            return ShrinkCorrelation()
-        return Resample(config.seed + 1)  # also after a resample: keep reseeding
+            return SHRINK_CORRELATION
+        return RESAMPLE  # also after a resample: keep reseeding
     if config.backend not in NATIVE_BACKENDS:
-        return IncreaseEpochs()
-    return Resample(config.seed + 1)
+        return INCREASE_EPOCHS
+    return RESAMPLE
 
 
 def _most_disparate_attribute(fairness: FairnessReport, metadata: Metadata) -> str | None:
@@ -384,11 +342,11 @@ def supervise(
             f"after the holdout split"
         )
 
-    state = SupervisorState()
+    history: list[HistoryEntry] = []
     config = initial
-    stop_reason = BUDGET
-    for iteration in range(targets.max_refinements + 1):
+    while True:
         entry = HistoryEntry(config=config)
+        history.append(entry)
         try:
             result = pipeline(
                 config,
@@ -400,42 +358,33 @@ def supervise(
             )
         except FairsynthError as exc:
             entry.error = str(exc)
-            state.history.append(entry)
-            if state.iteration >= targets.max_refinements:
-                stop_reason = BUDGET
-                break
-            action = Resample(config.seed + 1)
-            entry.action_taken = action.kind
-            config = apply_action(config, action)
-            continue
-        entry.composite = result.composite
-        entry.quality = result.quality
-        entry.fairness = result.fairness
-        entry.synthetic = result.synthetic
-        state.history.append(entry)
-
-        plan = plan_refinement(state, result.composite, targets, config)
-        if isinstance(plan, Stop):
-            stop_reason = plan.reason
+        else:
+            entry.composite = result.composite
+            entry.quality = result.quality
+            entry.fairness = result.fairness
+            entry.synthetic = result.synthetic
+        plan = plan_refinement(history, entry.composite, targets, config)
+        if plan in (TARGET_MET, BUDGET):
             break
-        if isinstance(plan, BalanceGroups) and plan.attribute is None:
-            plan = BalanceGroups(attribute=_most_disparate_attribute(result.fairness, metadata))
-        entry.action_taken = plan.kind
-        config = apply_action(config, plan)
+        attribute = None
+        if plan == BALANCE_GROUPS:
+            attribute = _most_disparate_attribute(entry.fairness, metadata)
+        entry.action_taken = plan
+        config = apply_action(config, plan, attribute)
 
-    best = state.best
-    if best < 0:
-        raise AllIterationsFailed(
-            "every pipeline iteration failed", history=list(state.history)
-        )
-    chosen = state.history[best]
+    scored = [i for i, e in enumerate(history) if e.composite is not None]
+    if not scored:
+        raise AllIterationsFailed("every pipeline iteration failed", history=history)
+    # The highest composite score; max keeps the earliest of tied iterations.
+    best = max(scored, key=lambda i: history[i].composite.synth_score)
+    chosen = history[best]
     return SupervisorResult(
-        stop_reason=stop_reason,
+        stop_reason=plan,
         best_iteration=best,
         best_config=chosen.config,
         best_synthetic=chosen.synthetic,
         best_quality=chosen.quality,
         best_fairness=chosen.fairness,
         best_composite=chosen.composite,
-        history=tuple(state.history),
+        history=tuple(history),
     )

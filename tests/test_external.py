@@ -84,6 +84,19 @@ def test_missing_output_is_backend_failed(backend_inputs, demo_data):
         run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
 
 
+def test_metadata_file_is_read_before_the_launch(backend_inputs, demo_data):
+    """A backend may remove the metadata file it was handed; its rows are
+    loaded under the metadata read before it started."""
+    train_csv, metadata_json, out_csv = backend_inputs
+    script = "import os, shutil, sys; os.remove(sys.argv[3]); shutil.copy(sys.argv[1], sys.argv[2])"
+    spec = ExternalBackend(
+        "forgetful", (PY, "-c", script, "{train_csv}", "{out_csv}", "{metadata_json}")
+    )
+    out = run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+    assert not metadata_json.exists()
+    assert out == demo_data
+
+
 def test_renamed_column_is_schema_mismatch(backend_inputs, demo_data):
     train_csv, metadata_json, out_csv = backend_inputs
     spec = ExternalBackend("renamer", RENAME_CMD)
@@ -211,19 +224,19 @@ def test_unspawnable_command_is_backend_failed(backend_inputs, demo_data):
     assert err.value.exit_code == -1
 
 
-def test_timeout_kills_and_reaps_the_process(wait_path, backend_inputs, demo_data):
+def test_timeout_kills_and_reaps_the_process(wait_path, backend_inputs, demo_data, demo_md):
     train_csv, metadata_json, out_csv = backend_inputs
     spec = ExternalBackend("sleeper", (PY, "-c", "import time; time.sleep(30)"), timeout_seconds=1)
     run = launch_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv)
     begin = time.monotonic()
     with pytest.raises(Timeout, match="exceeded 1s"):
-        run.collect(demo_data.schema)
+        run.collect(demo_md, demo_data.schema)
     assert time.monotonic() - begin < 10
     assert run.process.returncode is not None  # killed and reaped
     assert run.stderr.closed
 
 
-def test_exit_while_waited_for_is_not_a_timeout(wait_path, backend_inputs, demo_data):
+def test_exit_while_waited_for_is_not_a_timeout(wait_path, backend_inputs, demo_data, demo_md):
     """The wait returns when the process exits, well before its deadline."""
     train_csv, metadata_json, out_csv = backend_inputs
     script = "import shutil, sys, time; time.sleep(0.3); shutil.copy(sys.argv[1], sys.argv[2])"
@@ -231,13 +244,15 @@ def test_exit_while_waited_for_is_not_a_timeout(wait_path, backend_inputs, demo_
     run = launch_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv)
     begin = time.monotonic()
     try:
-        assert run.collect(demo_data.schema) == demo_data
+        assert run.collect(demo_md, demo_data.schema) == demo_data
     finally:
         run.close()
     assert time.monotonic() - begin < 10
 
 
-def test_exit_before_a_passed_deadline_is_not_a_timeout(wait_path, backend_inputs, demo_data):
+def test_exit_before_a_passed_deadline_is_not_a_timeout(
+    wait_path, backend_inputs, demo_data, demo_md
+):
     """A process that exited is judged by its exit code, even when it is
     collected after its deadline."""
     train_csv, metadata_json, out_csv = backend_inputs
@@ -246,7 +261,7 @@ def test_exit_before_a_passed_deadline_is_not_a_timeout(wait_path, backend_input
     try:
         run.process.wait()
         run.deadline = time.monotonic() - 1
-        assert run.collect(demo_data.schema) == demo_data
+        assert run.collect(demo_md, demo_data.schema) == demo_data
     finally:
         run.close()
 

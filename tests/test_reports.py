@@ -232,7 +232,7 @@ class TestDocumentLayouts:
 class TestWriteReports:
     def test_files_exist_and_parse(self, demo_data, demo_md, tmp_path):
         result = run_pipeline(SMALL, demo_data, demo_md, SPLIT)
-        bundle = write_reports(
+        write_reports(
             result.quality, result.fairness, result.composite, result.synthetic, tmp_path
         )
         for name in (QUALITY_JSON, FAIRNESS_JSON, SYNTHETIC_CSV):
@@ -240,7 +240,6 @@ class TestWriteReports:
         assert not (tmp_path / SUMMARY_JSON).exists()
         parsed = json.loads((tmp_path / QUALITY_JSON).read_text())
         assert parsed["overall_score"] == pytest.approx(result.quality.overall_score, abs=5e-7)
-        assert bundle.synthetic_csv == tmp_path / SYNTHETIC_CSV
 
     def test_reemission_is_byte_identical(self, demo_data, demo_md, tmp_path):
         result = run_pipeline(SMALL, demo_data, demo_md, SPLIT)
@@ -309,6 +308,25 @@ class TestBench:
         assert failed.error is not None and failed.quality is None
         table = bench_table(result)
         assert "ERROR" in table
+
+    def test_backend_that_removes_its_metadata_file_is_scored(self, demo_data, demo_md):
+        """The synthetic rows are loaded under the caller's metadata, not from
+        the metadata file handed to the backend, which the backend may remove."""
+        script = (
+            "import os, shutil, sys; os.remove(sys.argv[3]); shutil.copy(sys.argv[1], sys.argv[2])"
+        )
+        externals = {"forgetful": _external("forgetful", script, "{metadata_json}")}
+        result = batch_evaluate(
+            ["gaussian_copula", "forgetful"], SMALL, Targets(), demo_data, demo_md,
+            external_backends=externals,
+        )
+        assert [row.error for row in result.rows] == [None, None]
+        single = run_pipeline(
+            replace(SMALL, backend="forgetful"), demo_data, demo_md, SplitSpec(400, seed=0),
+            external_backends=externals,
+        )
+        assert single.synthetic.row_count == SMALL.train_rows
+        assert result.rows[1].synth_score == single.composite.synth_score
 
     def test_empty_backend_list_rejected(self, demo_data, demo_md):
         with pytest.raises(ValidationFailure):

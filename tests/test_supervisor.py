@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,17 +18,15 @@ from fairsynth.schema import (
 )
 from fairsynth.scoring import synth_score
 from fairsynth.supervisor import (
+    BALANCE_GROUPS,
     BUDGET,
+    INCREASE_EPOCHS,
+    RESAMPLE,
+    SHRINK_CORRELATION,
     TARGET_MET,
-    BalanceGroups,
     HistoryEntry,
-    IncreaseEpochs,
     PipelineResult,
-    Resample,
     RunConfig,
-    ShrinkCorrelation,
-    Stop,
-    SupervisorState,
     Targets,
     apply_action,
     balance_groups,
@@ -45,27 +44,35 @@ def _stub_quality(score):
     return QualityReport(score, {"v": ("KSComplement", score)}, (), score, score)
 
 
-def _stub_fairness(ratio):
-    attr = AttributeFairness(
-        {"A": 0.2, "B": 0.2}, {"A": (10, 2), "B": (10, 2)}, ratio
-    )
-    return FairnessReport({"Race": attr}, ratio, False, ())
+def _stub_fairness(ratios):
+    """A FairnessReport with ``ratios``' max_rel_fpr per protected attribute;
+    a bare ratio is Race's. The overall ratio is the largest defined one."""
+    if not isinstance(ratios, dict):
+        ratios = {"Race": ratios}
+    by_attribute = {
+        attr: AttributeFairness({"A": 0.2, "B": 0.2}, {"A": (10, 2), "B": (10, 2)}, ratio)
+        for attr, ratio in ratios.items()
+    }
+    overall = max((r for r in ratios.values() if r is not None), default=None)
+    return FairnessReport(by_attribute, overall, False, ())
 
 
 def _scripted(outcomes, demo_data):
-    """Pipeline stand-in driven by a list of (quality, ratio) or exceptions."""
+    """Pipeline stand-in driven by a list of (quality, ratio) or exceptions;
+    the ratio may be a dict of ratios per protected attribute."""
 
     def pipeline(config, real, metadata, split, parity_threshold=2.0, external_backends=None):
         item = outcomes[len(pipeline.calls)]
         pipeline.calls.append(config)
         if isinstance(item, Exception):
             raise item
-        q, ratio = item
+        q, ratios = item
+        fairness = _stub_fairness(ratios)
         return PipelineResult(
             demo_data.take(np.arange(5)),
             _stub_quality(q),
-            _stub_fairness(ratio),
-            synth_score(q, ratio, parity_threshold),
+            fairness,
+            synth_score(q, fairness.max_rel_fpr, parity_threshold),
         )
 
     pipeline.calls = []
@@ -93,24 +100,24 @@ class TestConfigs:
 
 class TestApplyAction:
     def test_resample_changes_only_seed(self):
-        cfg = apply_action(SMALL, Resample(new_seed=7))
+        cfg = apply_action(replace(SMALL, seed=6), RESAMPLE)
         assert cfg.seed == 7
         assert cfg == RunConfig(train_rows=400, sample_rows=300, seed=7)
 
     def test_increase_epochs_doubles(self):
-        cfg = apply_action(SMALL, IncreaseEpochs())
+        cfg = apply_action(SMALL, INCREASE_EPOCHS)
         assert cfg.epochs == SMALL.epochs * 2
-        cfg = apply_action(cfg, IncreaseEpochs())
+        cfg = apply_action(cfg, INCREASE_EPOCHS)
         assert cfg.epochs == SMALL.epochs * 4
 
     def test_balance_groups_sets_flag_and_attribute(self):
-        cfg = apply_action(SMALL, BalanceGroups(attribute="Race"))
+        cfg = apply_action(SMALL, BALANCE_GROUPS, attribute="Race")
         assert cfg.balance_groups and cfg.balance_attribute == "Race"
 
     def test_shrink_correlation_accumulates_and_caps(self):
         cfg = SMALL
         for expected in (0.25, 0.5, 0.75, 1.0, 1.0):
-            cfg = apply_action(cfg, ShrinkCorrelation())
+            cfg = apply_action(cfg, SHRINK_CORRELATION)
             assert cfg.correlation_shrinkage == expected
 
 
@@ -229,64 +236,63 @@ class TestCodedBalanceMatchesStringReference:
 
 
 class TestPlanRefinement:
-    def _state(self, actions):
-        state = SupervisorState()
-        for action in actions:
-            state.history.append(
-                HistoryEntry(config=SMALL, composite=synth_score(0.5, 3.0), action_taken=action)
-            )
+    def _history(self, actions):
+        history = [
+            HistoryEntry(config=SMALL, composite=synth_score(0.5, 3.0), action_taken=action)
+            for action in actions
+        ]
         # one evaluated-but-unrouted entry, as supervise sees it
-        state.history.append(HistoryEntry(config=SMALL, composite=synth_score(0.5, 3.0)))
-        return state
+        history.append(HistoryEntry(config=SMALL, composite=synth_score(0.5, 3.0)))
+        return history
 
     def test_stop_on_target(self):
-        plan = plan_refinement(self._state([]), synth_score(0.9, 1.2), Targets(), SMALL)
-        assert plan == Stop(TARGET_MET)
+        plan = plan_refinement(self._history([]), synth_score(0.9, 1.2), Targets(), SMALL)
+        assert plan == TARGET_MET
 
     def test_score_alone_is_not_enough(self):
-        plan = plan_refinement(self._state([]), synth_score(0.95, 2.5), Targets(), SMALL)
-        assert not isinstance(plan, Stop)
+        plan = plan_refinement(self._history([]), synth_score(0.95, 2.5), Targets(), SMALL)
+        assert plan not in (TARGET_MET, BUDGET)
 
     def test_stop_on_budget(self):
-        state = self._state(["resample", "resample", "resample"])
-        plan = plan_refinement(state, synth_score(0.2, 1.0), Targets(max_refinements=3), SMALL)
-        assert plan == Stop(BUDGET)
+        history = self._history(["resample", "resample", "resample"])
+        plan = plan_refinement(history, synth_score(0.2, 1.0), Targets(max_refinements=3), SMALL)
+        assert plan == BUDGET
 
     def test_parity_failure_tries_balance_first(self):
-        plan = plan_refinement(self._state([]), synth_score(0.9, 3.0), Targets(), SMALL)
-        assert isinstance(plan, BalanceGroups)
+        plan = plan_refinement(self._history([]), synth_score(0.9, 3.0), Targets(), SMALL)
+        assert plan == BALANCE_GROUPS
 
     def test_parity_failure_then_shrink(self):
-        state = self._state(["balance_groups"])
-        plan = plan_refinement(state, synth_score(0.9, 3.0), Targets(), SMALL)
-        assert isinstance(plan, ShrinkCorrelation)
+        history = self._history(["balance_groups"])
+        plan = plan_refinement(history, synth_score(0.9, 3.0), Targets(), SMALL)
+        assert plan == SHRINK_CORRELATION
 
     def test_parity_failure_then_resample(self):
-        state = self._state(["balance_groups", "shrink_correlation"])
-        plan = plan_refinement(state, synth_score(0.9, 3.0), Targets(), SMALL)
-        assert plan == Resample(SMALL.seed + 1)
+        history = self._history(["balance_groups", "shrink_correlation"])
+        plan = plan_refinement(history, synth_score(0.9, 3.0), Targets(), SMALL)
+        assert plan == RESAMPLE
 
     def test_parity_actions_exhausted_keeps_resampling(self):
-        state = self._state(["balance_groups", "shrink_correlation", "resample"])
+        history = self._history(["balance_groups", "shrink_correlation", "resample"])
         plan = plan_refinement(
-            state, synth_score(0.9, 3.0), Targets(max_refinements=9), SMALL
+            history, synth_score(0.9, 3.0), Targets(max_refinements=9), SMALL
         )
-        assert plan == Resample(SMALL.seed + 1)
+        assert plan == RESAMPLE
 
     def test_quality_shortfall_native_resamples(self):
-        plan = plan_refinement(self._state([]), synth_score(0.4, 1.0), Targets(), SMALL)
-        assert plan == Resample(SMALL.seed + 1)
+        plan = plan_refinement(self._history([]), synth_score(0.4, 1.0), Targets(), SMALL)
+        assert plan == RESAMPLE
 
     def test_quality_shortfall_external_increases_epochs(self):
         cfg = RunConfig(backend="ctgan_cmd", train_rows=400, sample_rows=300)
-        plan = plan_refinement(self._state([]), synth_score(0.4, 1.0), Targets(), cfg)
-        assert isinstance(plan, IncreaseEpochs)
+        plan = plan_refinement(self._history([]), synth_score(0.4, 1.0), Targets(), cfg)
+        assert plan == INCREASE_EPOCHS
 
     def test_infinite_ratio_is_a_parity_failure(self):
         plan = plan_refinement(
-            self._state([]), synth_score(0.9, float("inf")), Targets(), SMALL
+            self._history([]), synth_score(0.9, float("inf")), Targets(), SMALL
         )
-        assert isinstance(plan, BalanceGroups)
+        assert plan == BALANCE_GROUPS
 
 
 class TestRunPipeline:
@@ -404,6 +410,45 @@ class TestSupervise:
         assert result.history[0].action_taken == "resample"
         assert result.history[1].config.seed == SMALL.seed + 1
         assert result.best_iteration == 1
+
+    @pytest.mark.parametrize(
+        "ratios, chosen",
+        [
+            ({"Race": 2.5, "Sex": 4.0}, "Sex"),
+            ({"Race": 4.0, "Sex": float("inf")}, "Sex"),
+            ({"Sex": None, "Race": None}, "Race"),
+        ],
+        ids=["larger-ratio", "inf-beats-finite", "all-undefined-metadata-order"],
+    )
+    def test_balance_attribute_is_the_most_disparate(self, demo_data, demo_md, ratios, chosen):
+        assert demo_md.protected_attributes == ("Race", "Sex")
+        script = _scripted([(0.95, ratios), (0.95, 1.0)], demo_data)
+        result = supervise(
+            SMALL, demo_data, demo_md, SPLIT, Targets(max_refinements=1), pipeline=script
+        )
+        assert result.history[0].action_taken == "balance_groups"
+        assert script.calls[1].balance_groups
+        assert script.calls[1].balance_attribute == chosen
+
+    def test_failed_last_iteration_stops_on_budget(self, demo_data, demo_md):
+        script = _scripted([(0.5, 1.0), ValidationFailure("late")], demo_data)
+        result = supervise(
+            SMALL, demo_data, demo_md, SPLIT, Targets(max_refinements=1), pipeline=script
+        )
+        assert len(script.calls) == 2
+        assert result.history[1].error == "late"
+        assert result.history[1].action_taken is None
+        assert result.stop_reason == BUDGET
+        assert result.best_iteration == 0
+
+    def test_failure_then_parity_failures_walk_action_order(self, demo_data, demo_md):
+        script = _scripted([ValidationFailure("first")] + [(0.95, 3.0)] * 3, demo_data)
+        result = supervise(
+            SMALL, demo_data, demo_md, SPLIT, Targets(max_refinements=3), pipeline=script
+        )
+        actions = [e.action_taken for e in result.history]
+        assert actions == ["resample", "balance_groups", "shrink_correlation", None]
+        assert result.stop_reason == BUDGET
 
     def test_all_iterations_failed(self, demo_data, demo_md):
         script = _scripted([ValidationFailure("boom")] * 3, demo_data)
