@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import (
-    DomainError,
     EmptyDataset,
     NotFitted,
     TooFewValues,
@@ -40,22 +39,6 @@ PSD_EPS = 1e-6
 CONSTANT_VARIANCE = 1e-12
 
 NATIVE_BACKENDS = ("gaussian_copula", "independent")
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF; scalar in, float out (arrays pass through)."""
-    out = ndtr(z)
-    return float(out) if np.isscalar(z) else out
-
-
-def std_normal_quantile(u):
-    """Inverse standard normal CDF on (0,1); raises DomainError outside."""
-    arr = np.asarray(u, dtype=np.float64)
-    # Written so that NaN, which fails every comparison, is rejected too.
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    out = ndtri(arr)
-    return float(out) if np.isscalar(u) else out
 
 
 @dataclass(frozen=True)

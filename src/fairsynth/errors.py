@@ -56,10 +56,6 @@ class TooFewValues(ValidationFailure):
     pass
 
 
-class DomainError(ValidationFailure):
-    pass
-
-
 class NotFitted(ValidationFailure):
     pass
 

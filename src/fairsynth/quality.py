@@ -63,16 +63,9 @@ def correlation_similarity(real_a, real_b, synth_a, synth_b) -> float:
     ra, rb, sa, sb = (np.asarray(v, dtype=np.float64) for v in (real_a, real_b, synth_a, synth_b))
     if ra.size != rb.size or sa.size != sb.size:
         raise LengthMismatch("paired value sequences must have equal lengths")
-    return 1.0 - abs(_pearson(ra, rb) - _pearson(sa, sb)) / 2.0
-
-
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    if x.size == 0 or y.size == 0:
-        raise EmptyColumn("correlation requires nonempty columns")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        return 0.0
-    rho = float(np.corrcoef(x, y)[0, 1])
-    return min(1.0, max(-1.0, rho))
+    rho_r = _centred_pearson(_centred(ra), _centred(rb))
+    rho_s = _centred_pearson(_centred(sa), _centred(sb))
+    return 1.0 - abs(rho_r - rho_s) / 2.0
 
 
 def _centred(values: np.ndarray) -> np.ndarray | None:
@@ -86,8 +79,9 @@ def _centred(values: np.ndarray) -> np.ndarray | None:
 
 
 def _centred_pearson(x: np.ndarray | None, y: np.ndarray | None) -> float:
-    """``_pearson`` of two columns from their ``_centred`` forms: the steps
-    ``np.corrcoef`` takes after centring, in its order, so the bits agree."""
+    """Pearson rho of two columns from their ``_centred`` forms, clipped to
+    [-1, 1]: the steps ``np.corrcoef`` takes after centring, in its order, so
+    the bits agree with it."""
     if x is None or y is None:
         return 0.0
     pair = np.stack((x, y))

@@ -29,6 +29,7 @@ from .supervisor import (
     evaluate_synthetic,
     launch_synthesis,
     run_pipeline,
+    split_for,
 )
 from .tstr import FairnessReport
 
@@ -241,7 +242,9 @@ def batch_evaluate(
     external_backends: dict[str, ExternalBackend] | None = None,
 ) -> BenchResult:
     """One full pipeline per backend (no refinement) with a shared split and
-    seed; per-backend failures land in their row, the rest still run.
+    seed; per-backend failures land in their row, the rest still run. The
+    split is drawn once, before any backend runs, so a train_rows the table
+    cannot supply raises InsufficientRows.
 
     The first external backend's process is launched before the native
     backends are fitted, and runs while they are evaluated; the other
@@ -255,27 +258,27 @@ def batch_evaluate(
         raise ValidationFailure("bench needs at least one backend")
     if split is None:
         split = SplitSpec(train_rows=config.train_rows, seed=config.seed)
+    train, holdout = split_for(config, data, split)
     threshold = targets.parity_threshold
     configs = [replace(config, backend=backend) for backend in backends]
     externals = [i for i, cfg in enumerate(configs) if cfg.backend not in NATIVE_BACKENDS]
     rows: dict[int, BenchRow] = {}
     with ExitStack() as stack:
-        launched = None
+        synthesize = None
         if externals:
             first = externals.pop(0)
             try:
-                launched = launch_synthesis(
-                    configs[first], data, metadata, split, external_backends, stack
+                synthesize = launch_synthesis(
+                    configs[first], train, metadata, external_backends, stack
                 )
             except FairsynthError as exc:
                 rows[first] = BenchRow(backend=backends[first], error=str(exc))
         for i, cfg in enumerate(configs):
             if cfg.backend in NATIVE_BACKENDS:
                 rows[i] = _bench_row(
-                    backends[i], lambda: run_pipeline(cfg, data, metadata, split, threshold)
+                    backends[i], lambda: run_pipeline(cfg, train, holdout, metadata, threshold)
                 )
-        if launched is not None:
-            holdout, synthesize = launched
+        if synthesize is not None:
             rows[first] = _bench_row(
                 backends[first],
                 lambda: evaluate_synthetic(synthesize(), holdout, metadata, threshold),
@@ -283,7 +286,9 @@ def batch_evaluate(
     for i in externals:
         rows[i] = _bench_row(
             backends[i],
-            lambda: run_pipeline(configs[i], data, metadata, split, threshold, external_backends),
+            lambda: run_pipeline(
+                configs[i], train, holdout, metadata, threshold, external_backends
+            ),
         )
     return BenchResult(config=config, rows=tuple(rows[i] for i in range(len(backends))))
 

@@ -289,37 +289,6 @@ def _parse_numeric(cells: Sequence[str]) -> np.ndarray | None:
     return out
 
 
-def infer_schema(
-    header: Sequence[str],
-    columns: Sequence[Sequence[str]],
-    declared_kinds: Mapping[str, ColumnKind] | None = None,
-) -> tuple[TableSchema, list[np.ndarray | None]]:
-    """Infer per-column kinds from raw string cells, given column by column.
-
-    A column is numeric iff every non-missing cell parses as a plain decimal
-    number and the distinct parsed values exceed the cardinality cutoff;
-    declared kinds always win, and a declared column's cells are not looked
-    at. The rule sees only which cells occur, so a column may be given by its
-    distinct cells. Also returns per column the parsed values of its cells
-    when it is inferred numeric (nan where missing), else None.
-    """
-    if not header or not len(columns[0]):
-        raise EmptyTable("table needs at least one column and one data row")
-    declared = declared_kinds or {}
-    kinds = []
-    parsed: list[np.ndarray | None] = []
-    for name, cells in zip(header, columns):
-        values = None if name in declared else _parse_numeric(cells)
-        if values is not None:
-            distinct = np.unique(values[~np.isnan(values)])
-            if len(distinct) <= CATEGORICAL_CARDINALITY_CUTOFF:
-                values = None
-        inferred = ColumnKind.CATEGORICAL if values is None else ColumnKind.NUMERIC
-        kinds.append((name, declared.get(name, inferred)))
-        parsed.append(values)
-    return TableSchema(tuple(kinds)), parsed
-
-
 # Rows move from the CSV reader into per-column lists this many at a time.
 # No table-sized list of row lists is ever alive, and a block stays below
 # CPython's first-generation collection threshold (700 container allocations
@@ -387,10 +356,10 @@ def _read_csv(
     cells in file order and keys in first-appearance order, or parsed, as
     (float64 values, None) with nan where missing. A column is parsed, one
     read block at a time, from the block where it has more than the cutoff
-    plus one (the missing token) distinct cells that all parse and hold more
-    than the cutoff distinct values; any other column stays interned. A
-    column declared categorical is never parsed, and one declared numeric
-    always is, after the read at the latest.
+    distinct cells that all parse and hold more than the cutoff distinct
+    values; any other column stays interned. A column declared categorical is
+    never parsed, and one declared numeric always is, after the read at the
+    latest. So a column is numeric iff it comes back parsed.
 
     An undeclared column with more than the cutoff distinct plain decimals
     and a cell that is neither missing nor a plain decimal is a ParseError
@@ -432,7 +401,7 @@ def _read_csv(
                     before = len(table)
                     columns[j].extend(map(table.__getitem__, cells))
                     n_keys = len(table)
-                    if text[j] or n_keys == before or n_keys <= CATEGORICAL_CARDINALITY_CUTOFF + 1:
+                    if text[j] or n_keys == before or n_keys <= CATEGORICAL_CARDINALITY_CUTOFF:
                         continue
                     values = _parse_numeric(list(table))
                     if values is None:
@@ -532,11 +501,12 @@ def load_dataset(
             f"label column {metadata.label_column!r} is also a protected attribute"
         )
 
-    # A column parsed while read is numeric; infer_schema reads the keys of
-    # the interned ones.
-    parsed_while_read = [name for name, (_, codes) in zip(header, read) if codes is None]
-    kinds = {**declared, **dict.fromkeys(parsed_while_read, ColumnKind.NUMERIC)}
-    schema, parsed = infer_schema(header, [keys for keys, _ in read], kinds)
+    schema = TableSchema(
+        tuple(
+            (name, ColumnKind.CATEGORICAL if codes is not None else ColumnKind.NUMERIC)
+            for name, (_, codes) in zip(header, read)
+        )
+    )
     if schema.kind_of(metadata.label_column) is not ColumnKind.CATEGORICAL:
         raise LabelNotBinary(
             f"label column {metadata.label_column!r} is numeric, not a binary category"
@@ -557,23 +527,19 @@ def load_dataset(
 
     columns: list[Column] = []
     imputed_counts: dict[str, int] = {}
-    for (name, kind), (keys, codes), values, column_strays in zip(
-        schema.columns, read, parsed, strays
-    ):
-        if kind is ColumnKind.CATEGORICAL:
-            if dropped:
-                keys, codes = _kept_rows(keys, codes, keep)
+    for name, (cells, codes), column_strays in zip(header, read, strays):
+        if codes is not None:  # interned: the cells are its keys
+            keys, codes = _kept_rows(cells, codes, keep) if dropped else (cells, codes)
             column, n_imputed = _impute_mode(keys, codes, name)
         else:
-            # Parsed while read, or inferred numeric from its keys. A declared
-            # column's stray cells read as missing; only a kept one is an error.
+            # Parsed: the cells are its values. A declared column's stray
+            # cells read as missing; only a kept one is an error.
             for row, cell in column_strays:
                 if keep[row]:
                     raise ParseError(
                         None, f"column {name!r}: non-numeric cell {cell!r} in data row {row + 1}"
                     )
-            values = keys if codes is None else values[codes]
-            column, n_imputed = _impute_numeric(values[keep] if dropped else values, name)
+            column, n_imputed = _impute_numeric(cells[keep] if dropped else cells, name)
         columns.append(column)
         if n_imputed:
             imputed_counts[name] = n_imputed

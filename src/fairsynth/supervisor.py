@@ -1,11 +1,12 @@
 """Deterministic generator/evaluator orchestration.
 
-One pipeline run is: split real data, optionally rebalance the train slice,
-fit and sample a synthesizer, score the synthetic rows against the holdout
-(fidelity + TSTR fairness), and fold both into the composite score. The
-supervisor loops pipeline runs through a fixed refinement policy until the
-targets are met or the refinement budget is spent, then returns the best
-iteration by composite score (ties go to the earliest).
+The supervisor splits the real data once into a train slice and a holdout.
+One pipeline run is: optionally rebalance the train slice, fit and sample a
+synthesizer, score the synthetic rows against the holdout (fidelity + TSTR
+fairness), and fold both into the composite score. The supervisor loops
+pipeline runs through a fixed refinement policy until the targets are met or
+the refinement budget is spent, then returns the best iteration by composite
+score (ties go to the earliest).
 
 Separation contract: the synthetic bytes of iteration k depend only on the
 real data and that iteration's RunConfig; evaluator output reaches the
@@ -28,7 +29,6 @@ from .copula import NATIVE_BACKENDS, SynthesizerConfig, fit, sample
 from .errors import (
     AllIterationsFailed,
     FairsynthError,
-    InsufficientRows,
     ValidationFailure,
 )
 from .external import ExternalBackend, launch_external_backend
@@ -38,7 +38,6 @@ from .schema import (
     Dataset,
     Metadata,
     SplitSpec,
-    holdout_size,
     split_holdout,
     write_csv,
 )
@@ -177,21 +176,23 @@ def check_backend(name: str, external_backends: dict[str, ExternalBackend] | Non
         )
 
 
+def split_for(config: RunConfig, real: Dataset, split: SplitSpec) -> tuple[Dataset, Dataset]:
+    """The (train, holdout) split of ``real`` for ``config``: config.train_rows
+    wins, and the split spec contributes fraction and seed."""
+    return split_holdout(real, replace(split, train_rows=config.train_rows))
+
+
 def launch_synthesis(
     config: RunConfig,
-    real: Dataset,
+    train: Dataset,
     metadata: Metadata,
-    split: SplitSpec,
     external_backends: dict[str, ExternalBackend] | None,
     stack: ExitStack,
-) -> tuple[Dataset, Callable[[], Dataset]]:
-    """The synthesis step. Returns the holdout and a ``synthesize()`` that
+) -> Callable[[], Dataset]:
+    """The synthesis step on the train slice. Returns a ``synthesize()`` that
     fits and samples a native backend, or collects an external one, whose
     process is launched now in a temporary directory; closing ``stack`` kills
     the process if it still runs and removes the directory."""
-    # config.train_rows wins; the split spec contributes fraction and seed so
-    # the holdout stays fixed across refinement iterations.
-    train, holdout = split_holdout(real, replace(split, train_rows=config.train_rows))
     if config.balance_groups:
         train = balance_groups(train, metadata, seed=config.seed, attribute=config.balance_attribute)
     if config.backend in NATIVE_BACKENDS:
@@ -201,7 +202,7 @@ def launch_synthesis(
             correlation_shrinkage=config.correlation_shrinkage,
         )
         # fit and sample are this module's names, looked up at the call.
-        return holdout, lambda: sample(fit(train, synth_cfg), config.sample_rows, config.seed)
+        return lambda: sample(fit(train, synth_cfg), config.sample_rows, config.seed)
     check_backend(config.backend, external_backends)
     tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
     write_csv(train, tmp / "train.csv")
@@ -219,7 +220,7 @@ def launch_synthesis(
     )
     stack.callback(run.close)
     schema = train.schema  # the closure keeps the schema, not the train rows
-    return holdout, lambda: run.collect(metadata, schema)
+    return lambda: run.collect(metadata, schema)
 
 
 def evaluate_synthetic(
@@ -243,17 +244,16 @@ def evaluate_synthetic(
 
 def run_pipeline(
     config: RunConfig,
-    real: Dataset,
+    train: Dataset,
+    holdout: Dataset,
     metadata: Metadata,
-    split: SplitSpec,
     parity_threshold: float = DEFAULT_PARITY_THRESHOLD,
     external_backends: dict[str, ExternalBackend] | None = None,
 ) -> PipelineResult:
-    """One generator + evaluator pass; same inputs give an identical result."""
+    """One generator + evaluator pass over a split; same inputs give an
+    identical result."""
     with ExitStack() as stack:
-        holdout, synthesize = launch_synthesis(
-            config, real, metadata, split, external_backends, stack
-        )
+        synthesize = launch_synthesis(config, train, metadata, external_backends, stack)
         synthetic = synthesize()
     return evaluate_synthetic(synthetic, holdout, metadata, parity_threshold)
 
@@ -329,19 +329,14 @@ def supervise(
 ) -> SupervisorResult:
     """Bounded refinement loop: at most max_refinements + 1 pipeline runs.
 
-    A failed iteration is recorded in history with its error and refined by
+    ``real`` is split once, for ``initial``; no refinement action changes
+    train_rows, so every iteration sees the same train slice and holdout. A
+    failed iteration is recorded in history with its error and refined by
     resampling; if every iteration fails, AllIterationsFailed carries the full
     history. ``pipeline`` is injectable for testing the routing policy in
     isolation.
     """
-    n = real.row_count
-    available = n - holdout_size(n, split.holdout_fraction)
-    if initial.train_rows > available:
-        raise InsufficientRows(
-            f"train_rows={initial.train_rows} exceeds {available} rows available "
-            f"after the holdout split"
-        )
-
+    train, holdout = split_for(initial, real, split)
     history: list[HistoryEntry] = []
     config = initial
     while True:
@@ -350,9 +345,9 @@ def supervise(
         try:
             result = pipeline(
                 config,
-                real,
+                train,
+                holdout,
                 metadata,
-                split,
                 parity_threshold=targets.parity_threshold,
                 external_backends=external_backends,
             )

@@ -270,6 +270,18 @@ class TestExitCodes:
         assert code == 1
         assert "train_rows" in capsys.readouterr().err
 
+    def test_bench_insufficient_rows_is_one(self, demo_dir, tmp_path, capsys):
+        # 300 rows hold out 90, so 210 train rows are available.
+        out = tmp_path / "o"
+        code = main(["bench", *_data_flags(demo_dir), "--train-rows", "250", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: train_rows=250 exceeds 210 rows available after holding out 90 of 300"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_fit_bad_epochs_is_one(self, demo_dir, tmp_path, capsys):
         code = main(
             ["fit", *_data_flags(demo_dir), *_small_flags(), "--epochs", "0",

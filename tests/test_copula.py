@@ -22,16 +22,8 @@ from fairsynth.copula import (
     nearest_psd,
     sample,
     save_model,
-    std_normal_cdf,
-    std_normal_quantile,
 )
-from fairsynth.errors import (
-    DomainError,
-    NotFitted,
-    SchemaMismatch,
-    TooFewValues,
-    ValidationFailure,
-)
+from fairsynth.errors import NotFitted, SchemaMismatch, TooFewValues, ValidationFailure
 from fairsynth.schema import (
     CategoricalColumn,
     Column,
@@ -92,53 +84,42 @@ def mp_cdf(z: float) -> float:
 
 class TestNormalCdf:
     def test_zero(self):
-        assert std_normal_cdf(0.0) == 0.5
+        assert ndtr(0.0) == 0.5
 
     def test_against_high_precision_oracle(self):
         rng = np.random.default_rng(0)
         for z in [1.959963985, -1.959963985, *rng.uniform(-6, 6, 50)]:
-            assert abs(std_normal_cdf(float(z)) - mp_cdf(float(z))) <= 1e-10
+            assert abs(ndtr(float(z)) - mp_cdf(float(z))) <= 1e-10
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         for z in rng.uniform(-8, 8, 100):
-            assert abs(std_normal_cdf(z) + std_normal_cdf(-z) - 1.0) <= 1e-12
+            assert abs(ndtr(z) + ndtr(-z) - 1.0) <= 1e-12
 
 
 class TestNormalQuantile:
     def test_half(self):
-        assert std_normal_quantile(0.5) == 0.0
+        assert ndtri(0.5) == 0.0
 
     def test_bisection_oracle(self):
-        # invert std_normal_cdf by bisection, compare the closed form to it
+        # invert ndtr by bisection, compare the closed form to it
         def oracle(u, lo=-10.0, hi=10.0):
             for _ in range(80):
                 mid = (lo + hi) / 2
-                if std_normal_cdf(mid) < u:
+                if ndtr(mid) < u:
                     lo = mid
                 else:
                     hi = mid
             return (lo + hi) / 2
 
-        assert abs(std_normal_quantile(0.975) - 1.95996) <= 1e-5
+        assert abs(ndtri(0.975) - 1.95996) <= 1e-5
         rng = np.random.default_rng(2)
         for u in rng.uniform(0.001, 0.999, 25):
-            assert abs(std_normal_quantile(float(u)) - oracle(float(u))) <= 1e-8
+            assert abs(ndtri(float(u)) - oracle(float(u))) <= 1e-8
 
     def test_round_trip(self):
         for z in np.linspace(-6, 6, 121):
-            assert abs(std_normal_quantile(std_normal_cdf(float(z))) - z) <= 1e-7
-
-    def test_domain_error(self):
-        for u in [0.0, 1.0, -0.5, 1.5]:
-            with pytest.raises(DomainError):
-                std_normal_quantile(u)
-
-    def test_nan_is_outside_the_domain(self):
-        with pytest.raises(DomainError):
-            std_normal_quantile(float("nan"))
-        with pytest.raises(DomainError):
-            std_normal_quantile(np.array([0.25, np.nan, 0.75]))
+            assert abs(ndtri(ndtr(float(z))) - z) <= 1e-7
 
 
 class TestFitMarginal:
@@ -204,7 +185,7 @@ def _reference_correlation(train, seed):
         idx = np.array([index[str(v)] for v in values], dtype=np.int64)
         lower = np.concatenate(([0.0], m.upper_bounds[:-1]))
         u = lower[idx] + rng.random(len(idx)) * (m.upper_bounds[idx] - lower[idx])
-        scores.append(std_normal_quantile(u))
+        scores.append(ndtri(u))
     return estimate_correlation(np.column_stack(scores))
 
 

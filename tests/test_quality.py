@@ -22,6 +22,15 @@ from fairsynth.schema import (
 )
 
 
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson rho by ``np.corrcoef``, clipped to [-1, 1]; a constant column
+    gives 0. The bit-exact oracle of the numeric pair metric."""
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return 0.0
+    rho = float(np.corrcoef(x, y)[0, 1])
+    return min(1.0, max(-1.0, rho))
+
+
 class TestKsComplement:
     def test_identical(self):
         vals = [0.3, 1.2, -4.0, 0.3]
@@ -246,8 +255,9 @@ class TestQualityReport:
         assert report.shapes["c"][1] < 1.0 and all(t[3] < 1.0 for t in expect)
 
     def test_numeric_pairs_equal_correlation_similarity(self):
-        # Columns are centred once per side in quality_report; every pair must
-        # still carry correlation_similarity's bits, a constant column included.
+        # Columns are centred once per side in quality_report; every pair, and
+        # correlation_similarity, must still carry the bits of the np.corrcoef
+        # oracle, a constant column included.
         names = ("a", "b", "k", "c", "d")
         kinds = (ColumnKind.NUMERIC,) * 3 + (ColumnKind.CATEGORICAL, ColumnKind.NUMERIC)
         schema = TableSchema(tuple(zip(names, kinds)))
@@ -274,11 +284,11 @@ class TestQualityReport:
                      if t[2] == "CorrelationSimilarity"]
             assert len(pairs) == 6
             for a, b, _, score in pairs:
-                want = correlation_similarity(
-                    real.column(a).values, real.column(b).values,
-                    synth.column(a).values, synth.column(b).values,
-                )
+                ra, rb = real.column(a).values, real.column(b).values
+                sa, sb = synth.column(a).values, synth.column(b).values
+                want = 1.0 - abs(_pearson(ra, rb) - _pearson(sa, sb)) / 2.0
                 assert score == want, (seed, a, b)
+                assert correlation_similarity(ra, rb, sa, sb) == want, (seed, a, b)
 
     def test_mixed_pair_uses_real_bin_edges(self):
         # real numeric spread differs from synth; identical joint structure

@@ -9,7 +9,13 @@ from dataclasses import replace
 import pytest
 
 from fairsynth import external, supervisor
-from fairsynth.errors import BackendFailed, FairsynthError, SchemaMismatch, ValidationFailure
+from fairsynth.errors import (
+    BackendFailed,
+    FairsynthError,
+    InsufficientRows,
+    SchemaMismatch,
+    ValidationFailure,
+)
 from fairsynth.external import ExternalBackend
 from fairsynth.reports import (
     FAIRNESS_JSON,
@@ -32,7 +38,7 @@ from fairsynth.reports import (
     summary_doc,
     write_reports,
 )
-from fairsynth.schema import SplitSpec
+from fairsynth.schema import SplitSpec, split_holdout
 from fairsynth.supervisor import RunConfig, Targets, run_pipeline, supervise
 
 SPLIT = SplitSpec(train_rows=400, holdout_fraction=0.3, seed=0)
@@ -169,7 +175,7 @@ class TestRatioSerialization:
 
 @pytest.fixture(scope="module")
 def pipeline_result(demo_data, demo_md):
-    return run_pipeline(SMALL, demo_data, demo_md, SPLIT)
+    return run_pipeline(SMALL, *split_holdout(demo_data, SPLIT), demo_md)
 
 
 class TestDocumentLayouts:
@@ -231,7 +237,7 @@ class TestDocumentLayouts:
 
 class TestWriteReports:
     def test_files_exist_and_parse(self, demo_data, demo_md, tmp_path):
-        result = run_pipeline(SMALL, demo_data, demo_md, SPLIT)
+        result = run_pipeline(SMALL, *split_holdout(demo_data, SPLIT), demo_md)
         write_reports(
             result.quality, result.fairness, result.composite, result.synthetic, tmp_path
         )
@@ -242,7 +248,7 @@ class TestWriteReports:
         assert parsed["overall_score"] == pytest.approx(result.quality.overall_score, abs=5e-7)
 
     def test_reemission_is_byte_identical(self, demo_data, demo_md, tmp_path):
-        result = run_pipeline(SMALL, demo_data, demo_md, SPLIT)
+        result = run_pipeline(SMALL, *split_holdout(demo_data, SPLIT), demo_md)
         first, second = tmp_path / "one", tmp_path / "two"
         for out in (first, second):
             write_reports(
@@ -279,7 +285,7 @@ class TestBench:
 
     def test_rows_match_single_runs(self, demo_data, demo_md):
         result = batch_evaluate(["gaussian_copula"], SMALL, Targets(), demo_data, demo_md)
-        single = run_pipeline(SMALL, demo_data, demo_md, SplitSpec(400, seed=0))
+        single = run_pipeline(SMALL, *split_holdout(demo_data, SplitSpec(400, seed=0)), demo_md)
         row = result.rows[0]
         assert row.quality == single.composite.quality
         assert row.synth_score == single.composite.synth_score
@@ -322,11 +328,20 @@ class TestBench:
         )
         assert [row.error for row in result.rows] == [None, None]
         single = run_pipeline(
-            replace(SMALL, backend="forgetful"), demo_data, demo_md, SplitSpec(400, seed=0),
+            replace(SMALL, backend="forgetful"), *split_holdout(demo_data, SplitSpec(400, seed=0)),
+            demo_md,
             external_backends=externals,
         )
         assert single.synthetic.row_count == SMALL.train_rows
         assert result.rows[1].synth_score == single.composite.synth_score
+
+    def test_insufficient_rows_raises_before_any_backend_runs(self, demo_data, demo_md):
+        never = _external("never", "import sys; sys.exit(9)")
+        with pytest.raises(InsufficientRows, match="after holding out 600 of 2000"):
+            batch_evaluate(
+                ["never", "gaussian_copula"], replace(SMALL, train_rows=1900), Targets(),
+                demo_data, demo_md, external_backends={"never": never},
+            )
 
     def test_empty_backend_list_rejected(self, demo_data, demo_md):
         with pytest.raises(ValidationFailure):
@@ -380,9 +395,8 @@ class TestBenchOverlap:
             try:
                 result = run_pipeline(
                     replace(SMALL, backend=backend),
-                    data,
+                    *split_holdout(data, SplitSpec(SMALL.train_rows, seed=SMALL.seed)),
                     md,
-                    SplitSpec(SMALL.train_rows, seed=SMALL.seed),
                     external_backends=externals,
                 )
             except FairsynthError as exc:
@@ -493,7 +507,7 @@ class TestBenchOverlap:
         if entry == "run_pipeline":
             def call():
                 return run_pipeline(
-                    replace(SMALL, backend="ext"), demo_data, demo_md, SPLIT,
+                    replace(SMALL, backend="ext"), *split_holdout(demo_data, SPLIT), demo_md,
                     external_backends=externals,
                 )
         else:

@@ -38,7 +38,6 @@ from fairsynth.schema import (
     SplitSpec,
     TableSchema,
     holdout_size,
-    infer_schema,
     _parse_numeric,
     load_dataset,
     load_synthetic,
@@ -195,39 +194,83 @@ def test_cell_level_parse_errors_carry_no_line(tmp_path):
     assert str(err.value) == "numeric column contains non-finite values"
 
 
-def test_infer_schema_numeric_above_cutoff():
-    schema, parsed = infer_schema(["v"], [[f"{i}.5" for i in range(40)]])
-    assert schema.kind_of("v") is ColumnKind.NUMERIC
-    assert parsed[0].tolist() == [i + 0.5 for i in range(40)]
+# Column kinds are inferred while the CSV is read: a column is numeric iff
+# _read_csv returns it parsed, with codes None.
 
 
-def test_infer_schema_non_numeric_tokens_categorical():
-    schema, _ = infer_schema(["sex"], [["M", "F", "F", "M"]])
-    assert schema.kind_of("sex") is ColumnKind.CATEGORICAL
+def _one_column(tmp_path, cells, declared=None):
+    """The CSV of column ``c`` holding ``cells`` beside a two-class label, and
+    its metadata."""
+    p = tmp_path / "c.csv"
+    labels = ["yes", "no"] * len(cells)
+    write_lines(p, ["c,label"] + [f"{c},{y}" for c, y in zip(cells, labels)])
+    return p, Metadata("label", "yes", (), declared)
 
 
-def test_infer_schema_low_cardinality_numeric_is_categorical():
+def test_infer_schema_numeric_above_cutoff(tmp_path):
+    cells = [f"{i}.5" for i in range(40)]
+    p, md = _one_column(tmp_path, cells)
+    values, codes = _read_csv(p, {})[1][0]
+    assert codes is None and values.tolist() == [i + 0.5 for i in range(40)]
+    data = load_dataset(p, md)
+    assert data.schema.kind_of("c") is ColumnKind.NUMERIC
+    assert data.decoded("c").tolist() == [i + 0.5 for i in range(40)]
+
+
+def test_infer_schema_non_numeric_tokens_categorical(tmp_path):
+    p, md = _one_column(tmp_path, ["M", "F", "F", "M"])
+    data = load_dataset(p, md)
+    assert data.schema.kind_of("c") is ColumnKind.CATEGORICAL
+    assert data.column("c").categories == ("M", "F")
+
+
+def test_infer_schema_low_cardinality_numeric_is_categorical(tmp_path):
     # parseable values, but only 2 distinct: under the cutoff of 20
-    schema, parsed = infer_schema(["flag"], [["0", "1", "0", "1"]])
-    assert schema.kind_of("flag") is ColumnKind.CATEGORICAL
-    assert parsed == [None]
+    p, md = _one_column(tmp_path, ["0", "1", "0", "1"])
+    keys, codes = _read_csv(p, {})[1][0]
+    assert keys == ["0", "1"] and codes.tolist() == [0, 1, 0, 1]
+    data = load_dataset(p, md)
+    assert data.schema.kind_of("c") is ColumnKind.CATEGORICAL
+    assert data.column("c").categories == ("0", "1")
 
 
-def test_infer_schema_declared_kind_overrides():
-    schema, _ = infer_schema(["flag"], [["0", "1", "0", "1"]], {"flag": ColumnKind.NUMERIC})
-    assert schema.kind_of("flag") is ColumnKind.NUMERIC
+def test_infer_schema_declared_kind_overrides(tmp_path):
+    p, md = _one_column(tmp_path, ["0", "1", "0", "1"], {"c": ColumnKind.NUMERIC})
+    data = load_dataset(p, md)
+    assert data.schema.kind_of("c") is ColumnKind.NUMERIC
+    assert data.decoded("c").tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
-def test_infer_schema_errors():
+def test_infer_schema_errors(tmp_path):
+    p = tmp_path / "t.csv"
+    md = Metadata("label", "yes")
+    write_lines(p, ["a,label"])
     with pytest.raises(EmptyTable):
-        infer_schema(["a"], [[]])
+        load_dataset(p, md)
+    write_lines(p, ["a,a,label", "1,2,yes", "3,4,no"])
     with pytest.raises(DuplicateColumnName):
-        infer_schema(["a", "a"], [["1"], ["2"]])
+        load_dataset(p, md)
 
 
-def test_infer_schema_is_pure():
-    columns = [["x", "y", "x"]]
-    assert infer_schema(["c"], columns)[0] == infer_schema(["c"], columns)[0]
+def test_infer_schema_is_pure(tmp_path):
+    declared = {"c": ColumnKind.CATEGORICAL}
+    p, md = _one_column(tmp_path, ["x", "y", "x"], dict(declared))
+    first, second = load_dataset(p, md), load_dataset(p, md)
+    assert first.schema == second.schema
+    _assert_same_ingest(second, first)
+    assert md.declared_kinds == declared
+
+
+def test_read_csv_parses_a_column_from_21_distinct_cells(tmp_path):
+    # 21 distinct plain decimals are parsed; 20 plus the missing token, which
+    # hold only 20 distinct values, stay interned.
+    p = tmp_path / "t.csv"
+    plain = [f"{i}.5" for i in range(21)]
+    with_missing = [f"{i}.5" for i in range(20)] + [""]
+    write_lines(p, ["a,b"] + [f"{a},{b}" for a, b in zip(plain, with_missing)])
+    (values, codes), (keys, missing_codes) = _read_csv(p, {})[1]
+    assert codes is None and values.tolist() == [i + 0.5 for i in range(21)]
+    assert keys == with_missing and missing_codes.tolist() == list(range(21))
 
 
 def test_load_dataset_drops_rows_missing_protected(tmp_path):

@@ -32,6 +32,7 @@ from fairsynth.supervisor import (
     balance_groups,
     plan_refinement,
     run_pipeline,
+    split_for,
     supervise,
 )
 from fairsynth.tstr import AttributeFairness, FairnessReport
@@ -61,9 +62,10 @@ def _scripted(outcomes, demo_data):
     """Pipeline stand-in driven by a list of (quality, ratio) or exceptions;
     the ratio may be a dict of ratios per protected attribute."""
 
-    def pipeline(config, real, metadata, split, parity_threshold=2.0, external_backends=None):
+    def pipeline(config, train, holdout, metadata, parity_threshold=2.0, external_backends=None):
         item = outcomes[len(pipeline.calls)]
         pipeline.calls.append(config)
+        pipeline.splits.append((train, holdout))
         if isinstance(item, Exception):
             raise item
         q, ratios = item
@@ -76,6 +78,7 @@ def _scripted(outcomes, demo_data):
         )
 
     pipeline.calls = []
+    pipeline.splits = []
     return pipeline
 
 
@@ -297,7 +300,7 @@ class TestPlanRefinement:
 
 class TestRunPipeline:
     def test_artifacts(self, demo_data, demo_md):
-        result = run_pipeline(SMALL, demo_data, demo_md, SPLIT)
+        result = run_pipeline(SMALL, *split_holdout(demo_data, SPLIT), demo_md)
         assert result.synthetic.row_count == SMALL.sample_rows
         assert result.synthetic.schema == demo_data.schema
         assert 0.0 <= result.quality.overall_score <= 1.0
@@ -305,8 +308,8 @@ class TestRunPipeline:
         assert result.composite.synth_score <= result.quality.overall_score + 1e-15
 
     def test_deterministic(self, demo_data, demo_md):
-        a = run_pipeline(SMALL, demo_data, demo_md, SPLIT)
-        b = run_pipeline(SMALL, demo_data, demo_md, SPLIT)
+        a = run_pipeline(SMALL, *split_holdout(demo_data, SPLIT), demo_md)
+        b = run_pipeline(SMALL, *split_holdout(demo_data, SPLIT), demo_md)
         assert a.synthetic == b.synthetic
         assert a.quality == b.quality
         assert a.composite == b.composite
@@ -314,7 +317,7 @@ class TestRunPipeline:
     def test_unknown_backend(self, demo_data, demo_md):
         cfg = RunConfig(backend="nope", train_rows=400, sample_rows=300)
         with pytest.raises(ValidationFailure, match="nope"):
-            run_pipeline(cfg, demo_data, demo_md, SPLIT)
+            run_pipeline(cfg, *split_holdout(demo_data, SPLIT), demo_md)
 
     def test_holdout_fixed_across_train_rows(self, demo_data, demo_md):
         # the evaluator slice must not move when a refinement changes train_rows
@@ -463,8 +466,26 @@ class TestSupervise:
 
     def test_insufficient_rows_rejected_upfront(self, demo_data, demo_md):
         big = RunConfig(train_rows=1900, sample_rows=100)
-        with pytest.raises(InsufficientRows):
-            supervise(big, demo_data, demo_md, SplitSpec(1900, 0.3, 0), pipeline=_scripted([], demo_data))
+        script = _scripted([], demo_data)
+        with pytest.raises(InsufficientRows) as err:
+            supervise(big, demo_data, demo_md, SplitSpec(1900, 0.3, 0), pipeline=script)
+        assert str(err.value) == (
+            "train_rows=1900 exceeds 1400 rows available after holding out 600 of 2000"
+        )
+        assert script.calls == []
+
+    def test_split_drawn_once_for_every_iteration(self, demo_data, demo_md):
+        # The split spec's train_rows loses to the initial config's.
+        script = _scripted([(0.95, 3.0)] * 4, demo_data)
+        supervise(
+            SMALL, demo_data, demo_md, replace(SPLIT, train_rows=900),
+            Targets(max_refinements=3), pipeline=script,
+        )
+        train, holdout = script.splits[0]
+        assert all(split[0] is train and split[1] is holdout for split in script.splits)
+        want_train, want_holdout = split_holdout(demo_data, SPLIT)
+        assert train == want_train and holdout == want_holdout
+        assert len(script.splits) == 4
 
     def test_real_run_on_demo_data(self, demo_data, demo_md):
         result = supervise(SMALL, demo_data, demo_md, SPLIT, Targets(max_refinements=3))
@@ -481,7 +502,7 @@ class TestSupervise:
         for entry in result.history:
             if entry.synthetic is None:
                 continue
-            replay = run_pipeline(entry.config, demo_data, demo_md, SPLIT)
+            replay = run_pipeline(entry.config, *split_for(entry.config, demo_data, SPLIT), demo_md)
             assert replay.synthetic == entry.synthetic
 
     def test_deterministic(self, demo_data, demo_md):
