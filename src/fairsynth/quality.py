@@ -39,16 +39,18 @@ def ks_complement(real_col, synth_col) -> float:
     """1 - D where D is the two-sample KS statistic over pooled sample points.
 
     ECDF values are computed as count/n so the result is bit-identical to a
-    brute-force enumeration of the same ratios.
+    brute-force enumeration of the same ratios. Each side's sorted points are
+    evaluated in turn; together they are the pooled points.
     """
     r = np.sort(np.asarray(real_col, dtype=np.float64))
     s = np.sort(np.asarray(synth_col, dtype=np.float64))
     if r.size == 0 or s.size == 0:
         raise EmptyColumn("ks_complement requires nonempty columns")
-    pooled = np.union1d(r, s)
-    cdf_r = np.searchsorted(r, pooled, side="right") / r.size
-    cdf_s = np.searchsorted(s, pooled, side="right") / s.size
-    d = float(np.max(np.abs(cdf_r - cdf_s)))
+    d = 0.0
+    for points in (r, s):
+        cdf_r = np.searchsorted(r, points, side="right") / r.size
+        cdf_s = np.searchsorted(s, points, side="right") / s.size
+        d = max(d, float(np.max(np.abs(cdf_r - cdf_s))))
     return 1.0 - d
 
 

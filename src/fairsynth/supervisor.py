@@ -263,6 +263,8 @@ def plan_refinement(
     score: CompositeScore | None,
     targets: Targets,
     config: RunConfig,
+    *,
+    has_protected: bool = True,
 ) -> str:
     """Next move after the last entry of ``history``, whose composite score
     is ``score`` (None: the iteration failed): TARGET_MET, BUDGET or the name
@@ -270,9 +272,11 @@ def plan_refinement(
 
     Stop on target (score and parity both met) or on exhausted budget. A
     failed iteration resamples. A parity failure walks the fixed action order
-    balance-groups, then correlation shrinkage, then resample; a pure quality
-    shortfall doubles epochs for external backends (epochs are a no-op for
-    closed-form native fits) and otherwise resamples.
+    balance-groups, then correlation shrinkage, then resample; balance-groups
+    is skipped when the metadata names no protected attribute
+    (``has_protected`` false), since it would rerun the same synthesis. A
+    pure quality shortfall doubles epochs for external backends (epochs are
+    a no-op for closed-form native fits) and otherwise resamples.
     """
     if score is not None and score.synth_score >= targets.min_synth_score and score.parity_ok:
         return TARGET_MET
@@ -282,7 +286,7 @@ def plan_refinement(
         return RESAMPLE
     if not score.parity_ok:
         tried = {e.action_taken for e in history}
-        if BALANCE_GROUPS not in tried:
+        if has_protected and BALANCE_GROUPS not in tried:
             return BALANCE_GROUPS
         if SHRINK_CORRELATION not in tried:
             return SHRINK_CORRELATION
@@ -358,7 +362,10 @@ def supervise(
             entry.quality = result.quality
             entry.fairness = result.fairness
             entry.synthetic = result.synthetic
-        plan = plan_refinement(history, entry.composite, targets, config)
+        plan = plan_refinement(
+            history, entry.composite, targets, config,
+            has_protected=bool(metadata.protected_attributes),
+        )
         if plan in (TARGET_MET, BUDGET):
             break
         attribute = None

@@ -291,6 +291,12 @@ class TestPlanRefinement:
         plan = plan_refinement(self._history([]), synth_score(0.4, 1.0), Targets(), cfg)
         assert plan == INCREASE_EPOCHS
 
+    def test_no_protected_attribute_skips_balance(self):
+        plan = plan_refinement(
+            self._history([]), synth_score(0.9, None), Targets(), SMALL, has_protected=False
+        )
+        assert plan == SHRINK_CORRELATION
+
     def test_infinite_ratio_is_a_parity_failure(self):
         plan = plan_refinement(
             self._history([]), synth_score(0.9, float("inf")), Targets(), SMALL
@@ -383,6 +389,18 @@ class TestSupervise:
         assert configs[1].balance_groups and configs[1].balance_attribute == "Race"
         assert configs[2].correlation_shrinkage == 0.25
         assert configs[3].seed == SMALL.seed + 1
+
+    def test_no_protected_attribute_spends_no_iteration_on_a_no_op(self, demo_data, demo_md):
+        # Undefined parity walks the parity actions; with no attribute to
+        # balance, balance_groups would rerun iteration 0's synthesis.
+        md = replace(demo_md, protected_attributes=())
+        cfg = RunConfig(train_rows=1000, sample_rows=500)
+        result = supervise(cfg, demo_data, md, SplitSpec(train_rows=1000))
+        actions = [e.action_taken for e in result.history]
+        assert actions == ["shrink_correlation", "resample", "resample", None]
+        assert result.stop_reason == BUDGET
+        for before, after in zip(result.history, result.history[1:]):
+            assert before.synthetic != after.synthetic
 
     def test_parity_recovery_after_balance(self, demo_data, demo_md):
         script = _scripted([(0.95, 3.0), (0.95, 1.5)], demo_data)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from fairsynth.copula import SynthesizerConfig, fit, sample
 from fairsynth.demo import DemoSpec, demo_metadata, make_demo_dataset
@@ -23,6 +24,8 @@ from fairsynth.schema import (
 )
 from fairsynth.tstr import (
     INFINITE,
+    MAX_NEWTON_STEPS,
+    MAX_STEP_HALVINGS,
     UNDEFINED,
     LogisticModel,
     TstrHyperparams,
@@ -57,6 +60,62 @@ def _toy_dataset(numeric, cats, labels):
 
 
 TOY_MD = Metadata("label", "yes", ("g",))
+
+
+def _oracle_encode(encoder, data):
+    """``encode``'s X built one row at a time in plain Python: standardised
+    numerics, one-hot categories, and zeros for a constant numeric column or
+    a category unseen at fit time."""
+    rows = []
+    for i in range(data.row_count):
+        row = []
+        for name in encoder.feature_columns:
+            col = data.column(name)
+            if name in encoder.constant_numeric:
+                row.append(0.0)
+            elif name in encoder.numeric_stats:
+                mean, std = encoder.numeric_stats[name]
+                row.append((float(col.values[i]) - mean) / std)
+            else:
+                text = col.categories[int(col.codes[i])]
+                row.extend(1.0 if text == c else 0.0 for c in encoder.category_maps[name])
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(data.row_count, len(encoder.feature_names))
+
+
+def _reference_train_logreg(X, y, hp):
+    """The damped Newton solver before each step's logits were reused: the
+    logits recomputed for the gradient, the Hessian weights and every Armijo
+    trial, and the Gram matrix as the general product (rows.T * s) @ rows.
+    Returns (weights, bias, losses)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+    l2 = hp.l2_strength
+    w, b = np.zeros(d), 0.0
+    losses = [logistic_loss(w, b, X, y, l2)]
+    for _ in range(MAX_NEWTON_STEPS):
+        grad = np.append(*logistic_gradient(w, b, X, y, l2))
+        if np.max(np.abs(grad)) < hp.tolerance:
+            break
+        s = expit(X @ w + b)
+        s *= (1.0 - s) / n
+        gram = l2 * np.eye(d)
+        for start in range(0, n, 1024):
+            rows = X[start : start + 1024]
+            gram += (rows.T * s[start : start + 1024]) @ rows
+        col = (X.T @ s)[:, None]
+        hessian = np.block([[gram, col], [col.T, s.sum()]])
+        direction = np.linalg.solve(hessian, grad)
+        for t in 0.5 ** np.arange(MAX_STEP_HALVINGS):
+            loss = logistic_loss(w - t * direction[:d], b - t * direction[d], X, y, l2)
+            if loss <= losses[-1] - 1e-4 * t * float(grad @ direction):
+                break
+        else:
+            break
+        w, b = w - t * direction[:d], b - float(t * direction[d])
+        losses.append(loss)
+    return w, b, losses
 
 
 class TestEncoder:
@@ -117,6 +176,37 @@ class TestEncoder:
         assert "50 categories" in caplog.records[0].getMessage()
         assert "first 'u00'" in caplog.records[0].getMessage()
 
+    def test_matches_row_wise_oracle(self, demo_data, demo_md, caplog):
+        # Fit on a slice that uses no row of one race (its category table
+        # still holds it) and on which symptom_scale is constant; the
+        # holdout has that race (unseen at fit time) and a varying scale.
+        rng = np.random.default_rng(29)
+        data = _shuffled_tables(demo_data, rng)
+        race = data.column("Race").codes
+        absent = int(race[0])
+        fit_rows = np.flatnonzero(race != absent)[:700]
+        sliced = data.take(fit_rows)
+        synth = Dataset(
+            sliced.schema,
+            tuple(
+                NumericColumn(np.full(sliced.row_count, 3.25)) if name == "symptom_scale" else col
+                for (name, _), col in zip(sliced.schema.columns, sliced.columns)
+            ),
+        )
+        assert len(synth.column("Race").categories) == 4
+        holdout = data.take(rng.permutation(data.row_count)[:300])
+        enc = fit_encoder(synth, demo_md)
+        assert len(enc.category_maps["Race"]) == 3
+        assert enc.constant_numeric == frozenset({"symptom_scale"})
+        with caplog.at_level("WARNING", logger="fairsynth.tstr"):
+            for table in (synth, holdout):
+                X, _, _ = encode(enc, table)
+                want = _oracle_encode(enc, table)
+                assert X.shape == want.shape
+                assert np.array_equal(X.view(np.int64), want.view(np.int64))
+        assert np.any(holdout.column("Race").codes == absent)
+        assert len(caplog.records) == 1 and "'Race'" in caplog.records[0].getMessage()
+
     def test_positive_label_maps_to_one(self):
         data = _toy_dataset([1.0, 2.0], ["a", "b"], ["yes", "no"])
         enc = fit_encoder(data, TOY_MD)
@@ -176,6 +266,25 @@ class TestTrainLogreg:
             model = train_logreg(X, y, hp)
             grad_w, grad_b = logistic_gradient(model.weights, model.bias, X, y, hp.l2_strength)
             assert max(np.max(np.abs(grad_w)), abs(grad_b)) < hp.tolerance
+
+    def test_agrees_with_reference_solver_on_demo_tstr_sets(self, demo_data, demo_md):
+        # The TSTR sets of RunConfig seeds 0-9 on the demo (defaults: 1000
+        # train rows, 500 sampled rows), and one set of several Gram blocks.
+        train, holdout = split_holdout(demo_data, SplitSpec(1000, 0.3, 0))
+        hp = TstrHyperparams()
+        for seed, rows in [(seed, 500) for seed in range(10)] + [(0, 3000)]:
+            synthetic = sample(fit(train, SynthesizerConfig(seed=seed)), rows, seed)
+            enc = fit_encoder(synthetic, demo_md)
+            X, y, _ = encode(enc, synthetic)
+            model = train_logreg(X, y, hp)
+            w_ref, b_ref, losses_ref = _reference_train_logreg(X, y, hp)
+            got = np.append(model.weights, model.bias)
+            want = np.append(w_ref, b_ref)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), seed
+            assert len(model.loss_history) == len(losses_ref), seed
+            X_test, _, _ = encode(enc, holdout)
+            reference = LogisticModel(w_ref, b_ref, hp, tuple(losses_ref), False)
+            assert np.array_equal(predict(model, X_test), predict(reference, X_test)), seed
 
     def test_loss_at_most_lbfgs_optimum(self):
         rng = np.random.default_rng(8)
