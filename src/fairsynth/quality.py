@@ -6,6 +6,22 @@ total-variation complement. Numeric pairs use correlation similarity; any pair
 involving a categorical column is compared as a joint contingency table, with
 numeric columns discretized into 4 quantile bins whose edges come from the
 real column.
+
+``quality_report`` counts the contingency tables of all pairs at once. Every
+column is coded once per side into a span of levels (numeric columns into
+their 4 bins, categorical ones over one key table for both sides), and each
+side's level co-occurrence counts G = X.T @ X come from one-hot blocks X of at
+most ``ONE_HOT_CELLS`` float32 cells. A pair's score is then 1 - 1/2 * the
+exact sum of |G_real / n_real - G_synth / n_synth| over its two spans, and a
+categorical shape the same sum over its own span. The counts are exact: each
+product is 0 or 1 and each block has fewer than 2**24 rows, so every partial
+sum is an integer that float32 holds; each frequency is then one division of
+the same integers ``_tv`` divides; cells empty on both sides add exactly 0;
+and ``math.fsum`` is exact. So every score carries the bits of
+``contingency_similarity`` and ``tv_complement`` on the same labels. A column
+with more than ``MAX_LEVELS`` levels is scored pair by pair instead, and G is
+built in tiles of at most ``TILE_LEVELS`` levels a side, so memory stays
+bounded whatever the vocabulary or column count.
 """
 
 from __future__ import annotations
@@ -24,6 +40,12 @@ CORRELATION_SIMILARITY = "CorrelationSimilarity"
 CONTINGENCY_SIMILARITY = "ContingencySimilarity"
 
 QUANTILE_BINS = 4
+# A column with more levels than this is scored pair by pair (``_pair_tv``).
+MAX_LEVELS = 64
+# Cells of one float32 one-hot block (512 kB).
+ONE_HOT_CELLS = 1 << 17
+# Levels a side of one tile of the co-occurrence counts (512 kB of float64).
+TILE_LEVELS = 256
 
 
 @dataclass(frozen=True)
@@ -39,19 +61,21 @@ def ks_complement(real_col, synth_col) -> float:
     """1 - D where D is the two-sample KS statistic over pooled sample points.
 
     ECDF values are computed as count/n so the result is bit-identical to a
-    brute-force enumeration of the same ratios. Each side's sorted points are
-    evaluated in turn; together they are the pooled points.
+    brute-force enumeration of the same ratios. The sorted sides are merged
+    once; at the last point of each run of equal values (-0.0 ties 0.0) the
+    running count of each side is its count of points at or below that value.
     """
     r = np.sort(np.asarray(real_col, dtype=np.float64))
     s = np.sort(np.asarray(synth_col, dtype=np.float64))
     if r.size == 0 or s.size == 0:
         raise EmptyColumn("ks_complement requires nonempty columns")
-    d = 0.0
-    for points in (r, s):
-        cdf_r = np.searchsorted(r, points, side="right") / r.size
-        cdf_s = np.searchsorted(s, points, side="right") / s.size
-        d = max(d, float(np.max(np.abs(cdf_r - cdf_s))))
-    return 1.0 - d
+    pooled = np.concatenate((r, s))
+    order = np.argsort(pooled, kind="stable")
+    merged = pooled[order]
+    ends = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
+    real_counts = np.cumsum(order < r.size)[ends]
+    synth_counts = ends + 1 - real_counts
+    return 1.0 - float(np.max(np.abs(real_counts / r.size - synth_counts / s.size)))
 
 
 def tv_complement(real_col, synth_col) -> float:
@@ -136,7 +160,76 @@ def _tv(real_keys: np.ndarray, synth_keys: np.ndarray, size: int) -> float:
 def _pair_tv(a: tuple, b: tuple) -> float:
     """``_tv`` of the joint keys of two columns coded like ``_coded``'s output."""
     (real_a, synth_a, size_a), (real_b, synth_b, size_b) = a, b
+    real_a, synth_a = (keys.astype(np.int64, copy=False) for keys in (real_a, synth_a))
     return _tv(real_a * size_b + real_b, synth_a * size_b + synth_b, size_a * size_b)
+
+
+def _joint_tvs(columns: list[tuple], numeric: list[bool]) -> np.ndarray:
+    """scores[i, j]: ``_pair_tv`` of columns i < j, and ``_tv`` of column i
+    as scores[i, i], for columns coded like ``_coded``'s output; nan where
+    columns i and j are both ``numeric``. All come from each side's level
+    co-occurrence counts.
+
+    Consecutive columns share a tile while their levels fit in
+    ``TILE_LEVELS``; the counts of each pair of tiles are built once."""
+    nr, ns = columns[0][0].size, columns[0][1].size
+    if nr == 0 or ns == 0:
+        raise EmptyColumn("total variation requires nonempty columns")
+    tiles: list[list[int]] = []
+    widths: list[int] = []
+    starts: list[int] = []  # each column's first slot in its tile
+    for i, (_, _, size) in enumerate(columns):
+        if not tiles or widths[-1] + size > TILE_LEVELS:
+            tiles.append([])
+            widths.append(0)
+        tiles[-1].append(i)
+        starts.append(widths[-1])
+        widths[-1] += size
+    # Per tile and side, each row's level slots, one column per tile column.
+    slots = []
+    for tile in tiles:
+        sides = (np.empty((nr, len(tile)), np.int16), np.empty((ns, len(tile)), np.int16))
+        for j, i in enumerate(tile):
+            for side, codes in zip(sides, columns[i]):
+                side[:, j] = codes + starts[i]
+        slots.append(sides)
+    spans = [slice(start, start + size) for start, (_, _, size) in zip(starts, columns)]
+
+    scores = np.full((len(columns), len(columns)), np.nan)
+    for p, left in enumerate(tiles):
+        for q in range(p, len(tiles)):
+            real, synth = (
+                _cooccurrences(slots[p][side], widths[p], slots[q][side], widths[q])
+                for side in (0, 1)
+            )
+            diff = np.abs(real / nr - synth / ns)
+            for k, i in enumerate(left):
+                for j in (left[k:] if p == q else tiles[q]):
+                    if not (numeric[i] and numeric[j]):
+                        cells = diff[spans[i], spans[j]].ravel().tolist()
+                        scores[i, j] = 1.0 - 0.5 * math.fsum(cells)
+    return scores
+
+
+def _cooccurrences(
+    left: np.ndarray, left_width: int, right: np.ndarray, right_width: int
+) -> np.ndarray:
+    """counts[i, j]: the rows that hold left level i and right level j, where
+    row k of ``left`` (``right``) lists row k's level slots in [0, width)."""
+    counts = np.zeros((left_width, right_width))
+    step = ONE_HOT_CELLS // max(left_width, right_width)
+    for lo in range(0, len(left), step):
+        block = _one_hot(left[lo:lo + step], left_width)
+        other = block if right is left else _one_hot(right[lo:lo + step], right_width)
+        counts += block.T @ other
+    return counts
+
+
+def _one_hot(slots: np.ndarray, width: int) -> np.ndarray:
+    """float32 rows with a one at each of the row's slots."""
+    block = np.zeros((len(slots), width), dtype=np.float32)
+    block.reshape(-1)[slots + np.arange(0, block.size, width)[:, None]] = 1.0
+    return block
 
 
 def quantile_bin_edges(real_values, bins: int = QUANTILE_BINS) -> np.ndarray:
@@ -178,29 +271,45 @@ def quality_report(real: Dataset, synth: Dataset, schema: TableSchema) -> Qualit
 
     # Each column is coded once: a categorical column's codes through one key
     # table for both category tables, a numeric column into quantile bins
-    # whose edges come from the real data only.
+    # whose edges come from the real data only. The codes of a column of at
+    # most MAX_LEVELS levels are held in 16 bits.
     coded: dict[str, tuple] = {}
-    shapes: dict[str, tuple[str, float]] = {}
+    ks: dict[str, float] = {}
     for (name, kind), r, s in zip(schema.columns, real.columns, synth.columns):
         if kind is ColumnKind.NUMERIC:
-            shapes[name] = (KS_COMPLEMENT, ks_complement(r.values, s.values))
+            ks[name] = ks_complement(r.values, s.values)
             edges = quantile_bin_edges(r.values)
-            coded[name] = (discretize(r.values, edges), discretize(s.values, edges), edges.size + 1)
+            codes = (discretize(r.values, edges), discretize(s.values, edges))
+            size = edges.size + 1
         else:
             real_keys, synth_keys, size = _coded(r.categories, s.categories)
-            coded[name] = (real_keys[r.codes], synth_keys[s.codes], size)
-            shapes[name] = (TV_COMPLEMENT, _tv(*coded[name]))
+            codes = (real_keys[r.codes], synth_keys[s.codes])
+        dtype = np.int16 if size <= MAX_LEVELS else np.int64
+        coded[name] = (*(c.astype(dtype, copy=False) for c in codes), size)
+    # Columns of at most MAX_LEVELS levels are scored together, the rest
+    # pair by pair.
+    narrow = {name: i for i, name in enumerate(n for n, c in coded.items() if c[2] <= MAX_LEVELS)}
+    joint = _joint_tvs([coded[n] for n in narrow], [n in ks for n in narrow]) if narrow else None
+
+    def tv(a: str, b: str) -> float:
+        if a in narrow and b in narrow:
+            return float(joint[narrow[a], narrow[b]])
+        return _tv(*coded[a]) if a == b else _pair_tv(coded[a], coded[b])
+
+    shapes: dict[str, tuple[str, float]] = {
+        name: (KS_COMPLEMENT, ks[name]) if name in ks else (TV_COMPLEMENT, tv(name, name))
+        for name in coded
+    }
     shapes_average = float(np.mean([score for _, score in shapes.values()]))
 
     trends: list[tuple[str, str, str, float]] = []
-    cols = schema.columns
-    for i, (name_a, kind_a) in enumerate(cols):
-        for name_b, kind_b in cols[i + 1:]:
-            if kind_a is ColumnKind.NUMERIC and kind_b is ColumnKind.NUMERIC:
-                trends.append((name_a, name_b, CORRELATION_SIMILARITY, correlations[name_a, name_b]))
+    names = list(coded)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            if a in ks and b in ks:
+                trends.append((a, b, CORRELATION_SIMILARITY, correlations[a, b]))
             else:
-                score = _pair_tv(coded[name_a], coded[name_b])
-                trends.append((name_a, name_b, CONTINGENCY_SIMILARITY, score))
+                trends.append((a, b, CONTINGENCY_SIMILARITY, tv(a, b)))
 
     if trends:
         trends_average = float(np.mean([t[3] for t in trends]))

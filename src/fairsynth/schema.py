@@ -481,7 +481,9 @@ def load_dataset(
     attribute must be categorical and differ from the label column.
 
     A column declared under ``metadata.declared_kinds`` must be in the file.
-    A ``pinned`` schema marks synthetic rows: its kinds replace the declared
+    An undeclared categorical column of more than the cutoff categories in
+    which most kept rows hold a category of their own is rejected as an ID
+    or free-text column. A ``pinned`` schema marks synthetic rows: its kinds replace the declared
     ones, a schema column the file lacks is left to the caller's schema
     check, and a single-class label is admitted, with or without the
     positive label (synthetic output may collapse to one class; it is
@@ -561,7 +563,27 @@ def load_dataset(
             f"positive label {metadata.positive_label!r} does not occur in label column "
             f"{metadata.label_column!r}"
         )
+    for name, column in zip(header, columns):
+        if isinstance(column, CategoricalColumn) and name not in declared:
+            _reject_ids(name, column)
     return dataset
+
+
+def _reject_ids(name: str, column: CategoricalColumn) -> None:
+    """An undeclared categorical column with more than the cutoff categories,
+    in which most rows hold a category no other row holds (a record ID or
+    free text), is a ValidationFailure: every later stage would pay for a
+    vocabulary as large as the table, and synthetic rows would replay its
+    real cells."""
+    if len(column.categories) <= CATEGORICAL_CARDINALITY_CUTOFF:
+        return
+    singles = int(np.count_nonzero(np.bincount(column.codes) == 1))
+    if 2 * singles > len(column):
+        raise ValidationFailure(
+            f"column {name!r} looks like an ID or free text: {len(column.categories)} distinct "
+            f"categories, and {singles} of its {len(column)} rows hold a category no other row "
+            f'holds; drop the column, or declare its kind under "columns" in the metadata'
+        )
 
 
 def load_synthetic(csv_path: str | Path, metadata: Metadata, schema: TableSchema) -> Dataset:

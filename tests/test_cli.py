@@ -512,6 +512,22 @@ def test_declared_column_absent_is_a_bad_request(demo_dir, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and "'symptom_scal'" in err[0], err
 
 
+def test_text_id_column_is_a_bad_request(demo_dir, tmp_path, capsys):
+    # Each demo row gets its own record ID: the run stops at ingest, before
+    # any fit, instead of synthesizing a copy of the column.
+    lines = (demo_dir / "demo.csv").read_text(encoding="utf-8").splitlines()
+    with_ids = [lines[0] + ",record_id"] + [f"{row},P{i:07d}" for i, row in enumerate(lines[1:])]
+    data = tmp_path / "ids.csv"
+    data.write_text("\r\n".join(with_ids) + "\r\n", encoding="utf-8")
+    argv = ["run", "--data", str(data), "--metadata", str(demo_dir / "metadata.json"),
+            *_small_flags(), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: column 'record_id' "), err
+    assert "300 distinct categories" in err[0] and '"columns"' in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
 class TestSeedEnvVar:
     def test_env_overrides_flag(self, demo_dir, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "3")

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fairsynth import quality
 from fairsynth.errors import EmptyColumn, LengthMismatch, SchemaMismatch
 from fairsynth.quality import (
     contingency_similarity,
@@ -332,3 +334,159 @@ class TestOracleSpotChecks:
                 for x in pooled
             )
             assert ks_complement(a, b) == 1.0 - d
+
+
+def _pairwise_report(real, synth):
+    """quality_report's shapes and pair trends, scored one column and one
+    pair at a time by the public metrics on decoded labels, numeric columns
+    binned by the real edges."""
+    labels, shapes = {}, {}
+    for name, kind in real.schema.columns:
+        r, s = real.decoded(name), synth.decoded(name)
+        if kind is ColumnKind.NUMERIC:
+            edges = quantile_bin_edges(r)
+            labels[name] = (discretize(r, edges).tolist(), discretize(s, edges).tolist())
+            shapes[name] = ("KSComplement", ks_complement(r, s))
+        else:
+            labels[name] = (r.tolist(), s.tolist())
+            shapes[name] = ("TVComplement", tv_complement(*labels[name]))
+    trends = []
+    columns = real.schema.columns
+    for i, (a, kind_a) in enumerate(columns):
+        for b, kind_b in columns[i + 1:]:
+            if kind_a is ColumnKind.NUMERIC and kind_b is ColumnKind.NUMERIC:
+                score = correlation_similarity(
+                    real.decoded(a), real.decoded(b), synth.decoded(a), synth.decoded(b)
+                )
+                trends.append((a, b, "CorrelationSimilarity", score))
+            else:
+                (ra, sa), (rb, sb) = labels[a], labels[b]
+                score = contingency_similarity(ra, rb, sa, sb)
+                trends.append((a, b, "ContingencySimilarity", score))
+    return shapes, trends
+
+
+WIDE = quality.MAX_LEVELS + 6  # levels of the column scored pair by pair
+
+_MIXED_SCHEMA = TableSchema((
+    ("x", ColumnKind.NUMERIC),
+    ("c", ColumnKind.CATEGORICAL),
+    ("t", ColumnKind.NUMERIC),
+    ("w", ColumnKind.CATEGORICAL),
+    ("d", ColumnKind.CATEGORICAL),
+    ("k", ColumnKind.CATEGORICAL),
+))
+
+
+def _mixed_table(rng, n, side):
+    """Every kind of column the report codes: continuous and tied numbers
+    (-0.0 next to 0.0), a column past the level bound, categories that only
+    one side's table lists (``side`` 0 or 1), and a single-level column."""
+    one_side = ("a", "b", "c", "d") if side == 0 else ("e", "c", "a")
+    return Dataset(_MIXED_SCHEMA, (
+        NumericColumn(rng.standard_normal(n) + 0.2 * side),
+        CategoricalColumn(rng.integers(0, 5, n), ("p", "q", "r", "s", "u")),
+        NumericColumn(rng.choice([-0.0, 0.0, 1.0, -2.5, 3.0], n)),
+        CategoricalColumn(rng.integers(0, WIDE, n), tuple(f"w{v}" for v in range(WIDE))),
+        CategoricalColumn(rng.integers(0, len(one_side), n), one_side),
+        CategoricalColumn(np.zeros(n, dtype=np.int32), ("only",)),
+    ))
+
+
+class TestCooccurrencePath:
+    """quality_report counts contingency tables of all narrow columns at once
+    (``quality._joint_tvs``); every score must still carry the bits of the
+    metric that scores one pair."""
+
+    @staticmethod
+    def _assert_exact(real, synth, monkeypatch):
+        calls = []
+        pair_tv = quality._pair_tv
+        monkeypatch.setattr(quality, "_pair_tv", lambda a, b: calls.append(1) or pair_tv(a, b))
+        report = quality_report(real, synth, real.schema)
+        # Only the five pairs with the wide column take the pair-by-pair route.
+        assert len(calls) == 5
+        shapes, trends = _pairwise_report(real, synth)
+        assert report.shapes == shapes
+        assert list(report.pair_trends) == trends
+
+    @pytest.mark.parametrize("n_real, n_synth", [
+        (1, 1), (1, 40), (40, 1), (2, 3), (6898, 7), (6899, 6898), (12001, 5000),
+    ])
+    def test_matches_pairwise_metrics(self, n_real, n_synth, monkeypatch):
+        # The narrow columns hold 19 levels, so a one-hot block holds 6,898
+        # rows: the larger sizes fill blocks exactly or end in a partial one.
+        assert quality.ONE_HOT_CELLS // 19 == 6898
+        rng = np.random.default_rng(n_real * 31 + n_synth)
+        real, synth = _mixed_table(rng, n_real, 0), _mixed_table(rng, n_synth, 1)
+        self._assert_exact(real, synth, monkeypatch)
+
+    def test_sliced_tables_with_unused_categories(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        real, synth = _mixed_table(rng, 900, 0), _mixed_table(rng, 700, 1)
+        # Rows of one category of "c" and "d" only: their tables keep the rest.
+        real = real.take(np.flatnonzero(real.column("c").codes == 2))
+        synth = synth.take(np.flatnonzero(synth.column("d").codes == 1)[:50])
+        assert set(real.column("c").codes.tolist()) == {2}
+        self._assert_exact(real, synth, monkeypatch)
+
+    def test_tiles_and_small_blocks(self, monkeypatch):
+        # Tiles of at most 9 levels and one-hot blocks of a few rows take the
+        # counts through every pair of tiles and many partial blocks.
+        monkeypatch.setattr(quality, "TILE_LEVELS", 9)
+        monkeypatch.setattr(quality, "ONE_HOT_CELLS", 50)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            real, synth = _mixed_table(rng, 301, 0), _mixed_table(rng, 97 + seed, 1)
+            self._assert_exact(real, synth, monkeypatch)
+            monkeypatch.undo()
+            monkeypatch.setattr(quality, "TILE_LEVELS", 9)
+            monkeypatch.setattr(quality, "ONE_HOT_CELLS", 50)
+
+    def test_empty_side(self):
+        schema = TableSchema((("a", ColumnKind.CATEGORICAL), ("b", ColumnKind.CATEGORICAL)))
+        full = Dataset(schema, (CategoricalColumn([0, 1], ("x", "y")),) * 2)
+        empty = full.take(np.array([], dtype=np.int64))
+        with pytest.raises(EmptyColumn):
+            quality_report(full, empty, schema)
+
+    def test_peak_memory_is_bounded(self):
+        # A 5,000-level column is scored pair by pair, and 300 four-level
+        # columns (1,200 levels) in tiles. Counts over all levels at once
+        # would take 200 MB a side for the first and 11 MB for the second.
+        def table(rng, n, levels):
+            columns = tuple(
+                CategoricalColumn(rng.integers(0, k, n), tuple(f"v{v}" for v in range(k)))
+                for k in levels
+            )
+            names = tuple((f"c{j}", ColumnKind.CATEGORICAL) for j in range(len(levels)))
+            return Dataset(TableSchema(names), columns)
+
+        rng = np.random.default_rng(3)
+        for levels, n, ceiling_mb in (((5000, 4, 3, 2), 4000, 4), ((4,) * 300, 1000, 16)):
+            real, synth = table(rng, n, levels), table(rng, n // 2, levels)
+            tracemalloc.start()
+            try:
+                report = quality_report(real, synth, real.schema)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(report.pair_trends) == len(levels) * (len(levels) - 1) // 2
+            assert peak < ceiling_mb * 2**20, (levels[:2], peak)
+
+
+def test_ks_merge_matches_brute_force_counts():
+    # Ties across the sides, -0.0 against 0.0, infinities and one-element
+    # sides: the merge must evaluate the same count pairs as the oracle.
+    rng = np.random.default_rng(8)
+    support = [-0.0, 0.0, 1.0, -1.5, 2.0, np.inf, -np.inf]
+    for _ in range(600):
+        a = [float(v) for v in rng.choice(support, int(rng.integers(1, 13)))]
+        b = [float(v) for v in rng.choice(support, int(rng.integers(1, 13)))]
+        d = max(
+            abs(sum(v <= x for v in a) / len(a) - sum(v <= x for v in b) / len(b))
+            for x in a + b
+        )
+        assert ks_complement(a, b) == 1.0 - d
+    assert ks_complement([-0.0], [0.0]) == 1.0
+    assert ks_complement([1.0], [2.0]) == 0.0

@@ -750,6 +750,59 @@ def test_stray_cell_in_numbers_column_fails_fast(tmp_path, row):
             load_dataset(p, replace(md, declared_kinds={"v": ColumnKind.NUMERIC}))
 
 
+def _id_table(path, ids, labels=None):
+    labels = labels or ["yes" if i % 3 else "no" for i in range(len(ids))]
+    write_lines(path, ["label,record_id"] + [f"{y},{v}" for y, v in zip(labels, ids)])
+
+
+def test_text_id_column_fails_fast(tmp_path):
+    """An undeclared categorical column in which most kept rows hold a
+    category of their own (a record ID) is a ValidationFailure that names the
+    column and its distinct count, from a file and from a pipe alike;
+    declared, it loads."""
+    n = 400
+    p = tmp_path / "ids.csv"
+    # Row 0 lacks its label and is dropped: 399 kept rows, each its own ID.
+    labels = [""] + ["yes" if i % 3 else "no" for i in range(1, n)]
+    _id_table(p, [f"P{i:07d}" for i in range(n)], labels)
+    want = (
+        "column 'record_id' looks like an ID or free text: 399 distinct categories, and 399 of "
+        'its 399 rows hold a category no other row holds; drop the column, or declare its kind '
+        'under "columns" in the metadata'
+    )
+    md = Metadata("label", "yes")
+    with pytest.raises(ValidationFailure) as err:
+        load_dataset(p, md)
+    assert str(err.value) == want
+    with pytest.raises(ValidationFailure) as err:
+        _through_fifo(tmp_path, p.read_bytes(), lambda fifo: load_dataset(fifo, md))
+    assert str(err.value) == want
+    declared = load_dataset(p, replace(md, declared_kinds={"record_id": ColumnKind.CATEGORICAL}))
+    assert len(declared.column("record_id").categories) == n - 1
+
+
+@pytest.mark.parametrize("singles, fails", [(200, False), (201, True)])
+def test_text_id_rule_needs_most_rows(tmp_path, singles, fails):
+    # 400 rows: `singles` IDs once each, the rest in pairs; half is not most.
+    n = 400
+    ids = [f"s{i}" for i in range(singles)] + [f"d{i // 2}" for i in range(n - singles)]
+    p = tmp_path / "ids.csv"
+    _id_table(p, ids)
+    md = Metadata("label", "yes")
+    if fails:
+        with pytest.raises(ValidationFailure, match="'record_id' looks like an ID"):
+            load_dataset(p, md)
+    else:
+        assert load_dataset(p, md).column("record_id").categories[0] == "s0"
+
+
+def test_text_id_rule_spares_few_categories(tmp_path):
+    # 20 rows with 20 distinct IDs: at the cardinality cutoff, not past it.
+    p = tmp_path / "ids.csv"
+    _id_table(p, [f"P{i}" for i in range(20)])
+    assert len(load_dataset(p, Metadata("label", "yes")).column("record_id").categories) == 20
+
+
 def test_split_holdout_partition():
     data = _numbered_dataset(10)
     train, holdout = split_holdout(data, SplitSpec(7, 0.3, 0))
