@@ -33,8 +33,6 @@ from .reports import (
     bench_table,
     cell,
     failed_summary_doc,
-    fairness_doc,
-    quality_doc,
     ratio_from_json,
     render_json,
     summary_doc,
@@ -50,7 +48,7 @@ from .schema import (
     split_holdout,
     write_csv,
 )
-from .scoring import synth_score
+from .scoring import DEFAULT_PARITY_THRESHOLD, synth_score
 from .supervisor import RunConfig, Targets, check_backend, evaluate_synthetic, supervise
 
 SEED_ENV_VAR = "MEMISIS_SEED"
@@ -59,15 +57,12 @@ DEMO_CSV = "demo.csv"
 DEMO_METADATA_JSON = "metadata.json"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; the CLI contract wants 1."""
+    """argparse exits with status 2 on usage errors; the CLI contract wants 1
+    and one ``error:`` line."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ValidationFailure(f"{self.prog}: {message}")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -75,18 +70,27 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metadata", required=True, help="metadata JSON")
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser, backend: bool = True) -> None:
-    if backend:
-        p.add_argument("--backend", default="gaussian_copula", help="synthesizer backend name")
-    p.add_argument("--train-rows", type=int, default=1000)
-    p.add_argument("--sample-rows", type=int, default=500)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--holdout-fraction", type=float, default=0.3)
-    p.add_argument("--shrinkage", type=float, default=0.0, help="correlation shrinkage in [0, 1]")
-    p.add_argument("--parity-threshold", type=float, default=2.0)
-    p.add_argument("--min-score", type=float, default=0.7)
-    p.add_argument("--backends-file", default=None, help="JSON list of external backend descriptors")
+def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+    """The flags fit shares with run, supervise and bench."""
+    _add_data_flags(p)
+    p.add_argument("--train-rows", type=int, default=RunConfig.train_rows)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--holdout-fraction", type=float, default=SplitSpec.holdout_fraction)
+    p.add_argument(
+        "--shrinkage",
+        type=float,
+        default=RunConfig.correlation_shrinkage,
+        help="correlation shrinkage in [0, 1]",
+    )
+
+
+def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+    """The flags run, supervise and bench share."""
+    _add_fit_flags(p)
+    p.add_argument("--sample-rows", type=int, default=RunConfig.sample_rows)
+    p.add_argument("--epochs", type=int, default=RunConfig.epochs)
+    p.add_argument("--parity-threshold", type=float, default=Targets.parity_threshold)
+    p.add_argument("--backends-file", help="JSON list of external backend descriptors")
 
 
 def _build_parser() -> _Parser:
@@ -94,62 +98,58 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("demo", help="generate the bundled demo dataset")
-    p.add_argument("--rows", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--disparity", type=float, default=0.3)
+    p.add_argument("--rows", type=int, default=DemoSpec.n_rows)
+    p.add_argument("--seed", type=int, default=DemoSpec.seed)
+    p.add_argument("--disparity", type=float, default=DemoSpec.disparity_strength)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_demo)
 
-    p = sub.add_parser("fit", help="fit a synthesizer on the train split")
-    _add_data_flags(p)
-    _add_pipeline_flags(p)
+    p = sub.add_parser("fit", help="fit a native synthesizer on the train split")
+    _add_fit_flags(p)
+    p.add_argument("--backend", choices=NATIVE_BACKENDS, default=SynthesizerConfig.backend)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("sample", help="sample rows from a fitted model")
     p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--rows", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rows", type=int, default=RunConfig.sample_rows)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--out", required=True, help="synthetic CSV path")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("evaluate", help="score an existing synthetic CSV against the holdout")
     _add_data_flags(p)
     p.add_argument("--synthetic", required=True, help="synthetic CSV path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--holdout-fraction", type=float, default=0.3)
-    p.add_argument("--parity-threshold", type=float, default=2.0)
+    p.add_argument("--seed", type=int, default=SplitSpec.seed)
+    p.add_argument("--holdout-fraction", type=float, default=SplitSpec.holdout_fraction)
+    p.add_argument("--parity-threshold", type=float, default=DEFAULT_PARITY_THRESHOLD)
     p.add_argument("--out", required=True, help="output directory for the reports")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("score", help="recompute the composite from existing reports")
     p.add_argument("--quality", required=True, help=f"path to {QUALITY_JSON}")
     p.add_argument("--fairness", required=True, help=f"path to {FAIRNESS_JSON}")
-    p.add_argument("--parity-threshold", type=float, default=2.0)
+    p.add_argument("--parity-threshold", type=float, default=DEFAULT_PARITY_THRESHOLD)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("run", help="single pipeline run, no refinement")
-    _add_data_flags(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("supervise", help="bounded refinement loop")
-    _add_data_flags(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--max-refinements", type=int, default=3)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_supervise)
+    # run is supervise with no refinement budget.
+    run_p = sub.add_parser("run", help="single pipeline run, no refinement")
+    supervise_p = sub.add_parser("supervise", help="bounded refinement loop")
+    for p in (run_p, supervise_p):
+        _add_pipeline_flags(p)
+        p.add_argument("--backend", default=RunConfig.backend, help="synthesizer backend name")
+        p.add_argument("--min-score", type=float, default=Targets.min_synth_score)
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(func=cmd_supervise)
+    run_p.set_defaults(max_refinements=0)
+    supervise_p.add_argument("--max-refinements", type=int, default=Targets.max_refinements)
 
     p = sub.add_parser("bench", help="one pipeline per backend, aligned table out")
-    _add_data_flags(p)
-    _add_pipeline_flags(p, backend=False)
+    _add_pipeline_flags(p)
     p.add_argument(
-        "--backends",
-        default="gaussian_copula,independent",
-        help="comma-separated backend names",
+        "--backends", default=",".join(NATIVE_BACKENDS), help="comma-separated backend names"
     )
-    p.add_argument("--out", default=None, help="optional output directory")
+    p.add_argument("--out", help="optional output directory")
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -162,9 +162,7 @@ def _load_inputs(args) -> tuple[Dataset, Metadata]:
 
 
 def _external_backends(args):
-    if getattr(args, "backends_file", None):
-        return load_backends_file(args.backends_file)
-    return {}
+    return load_backends_file(args.backends_file) if args.backends_file else {}
 
 
 def _run_config(args, backend: str) -> RunConfig:
@@ -203,15 +201,6 @@ def cmd_demo(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    external = _external_backends(args)
-    check_backend(args.backend, external)
-    if args.backend not in NATIVE_BACKENDS:
-        raise ValidationFailure(
-            f"fit persists native models only; backend {args.backend!r} is external"
-        )
-    # The native fit is closed-form; --epochs is validated like run's.
-    if args.epochs < 1:
-        raise ValidationFailure("epochs must be >= 1")
     data, metadata = _load_inputs(args)
     split = SplitSpec(args.train_rows, args.holdout_fraction, args.seed)
     train, _ = split_holdout(data, split)
@@ -238,11 +227,8 @@ def cmd_evaluate(args) -> int:
     # The holdout does not depend on train_rows; one train row must remain.
     _, holdout = split_holdout(data, SplitSpec(1, args.holdout_fraction, args.seed))
     result = evaluate_synthetic(synth, holdout, metadata, args.parity_threshold)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / QUALITY_JSON).write_text(render_json(quality_doc(result.quality)), encoding="utf-8")
-    (out / FAIRNESS_JSON).write_text(
-        render_json(fairness_doc(result.fairness, result.composite)), encoding="utf-8"
+    write_reports(
+        result.quality, result.fairness, result.composite, synthetic=None, out_dir=args.out
     )
     _print_composite(result.composite)
     return 0
@@ -261,7 +247,7 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _supervised_run(args, max_refinements: int) -> int:
+def cmd_supervise(args) -> int:
     external = _external_backends(args)
     check_backend(args.backend, external)
     data, metadata = _load_inputs(args)
@@ -270,7 +256,7 @@ def _supervised_run(args, max_refinements: int) -> int:
     targets = Targets(
         min_synth_score=args.min_score,
         parity_threshold=args.parity_threshold,
-        max_refinements=max_refinements,
+        max_refinements=args.max_refinements,
     )
     out = Path(args.out)
     try:
@@ -297,14 +283,6 @@ def _supervised_run(args, max_refinements: int) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    return _supervised_run(args, max_refinements=0)
-
-
-def cmd_supervise(args) -> int:
-    return _supervised_run(args, max_refinements=args.max_refinements)
-
-
 def cmd_bench(args) -> int:
     external = _external_backends(args)
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
@@ -315,7 +293,7 @@ def cmd_bench(args) -> int:
     data, metadata = _load_inputs(args)
     config = _run_config(args, backends[0])
     split = SplitSpec(args.train_rows, args.holdout_fraction, args.seed)
-    targets = Targets(min_synth_score=args.min_score, parity_threshold=args.parity_threshold)
+    targets = Targets(parity_threshold=args.parity_threshold)
     result = batch_evaluate(backends, config, targets, data, metadata, split, external)
     table = bench_table(result)
     print(table, end="")
@@ -330,10 +308,6 @@ def cmd_bench(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    try:
         if hasattr(args, "seed") and SEED_ENV_VAR in os.environ:
             raw = os.environ[SEED_ENV_VAR]
             try:

@@ -110,10 +110,6 @@ class CopulaModel:
         )
         return TableSchema(cols)
 
-    def ensure_fitted(self) -> None:
-        if self.cholesky is None or self.correlation is None:
-            raise NotFitted("model has no factorized correlation")
-
 
 def fit_marginal(column: Column) -> MarginalModel:
     """Fit one column's marginal model.
@@ -292,7 +288,6 @@ def _inverse_categorical(u: np.ndarray, marginal: CategoricalMarginal) -> np.nda
 
 def sample(model: CopulaModel, n_rows: int, seed: int) -> Dataset:
     """Draw ``n_rows`` synthetic rows; identical inputs give identical output."""
-    model.ensure_fitted()
     if n_rows < 0:
         raise ValidationFailure("n_rows must be non-negative")
     rng = np.random.default_rng(seed)

@@ -184,19 +184,20 @@ def write_reports(
     quality: QualityReport,
     fairness: FairnessReport,
     composite: CompositeScore,
-    synthetic: Dataset,
+    synthetic: Dataset | None,
     out_dir: str | Path,
     summary: dict | None = None,
 ) -> None:
-    """Write the quality/fairness JSON reports plus the synthetic CSV (and the
-    run summary when given); re-emitting the same inputs is byte-identical."""
+    """Write the quality/fairness JSON reports, plus the synthetic CSV and the
+    run summary when given; re-emitting the same inputs is byte-identical."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / QUALITY_JSON).write_text(render_json(quality_doc(quality)), encoding="utf-8")
     (out / FAIRNESS_JSON).write_text(
         render_json(fairness_doc(fairness, composite)), encoding="utf-8"
     )
-    write_csv(synthetic, out / SYNTHETIC_CSV)
+    if synthetic is not None:
+        write_csv(synthetic, out / SYNTHETIC_CSV)
     if summary is not None:
         (out / SUMMARY_JSON).write_text(render_json(summary), encoding="utf-8")
 

@@ -191,10 +191,7 @@ class CategoricalColumn:
         return len(self.codes)
 
     def decoded(self) -> np.ndarray:
-        table = np.array(self.categories, dtype=object)
-        if len(self.codes) == 0:
-            return np.array([], dtype=object)
-        return table[self.codes]
+        return np.array(self.categories, dtype=object)[self.codes]
 
     @classmethod
     def from_values(cls, values: Iterable[str]) -> "CategoricalColumn":

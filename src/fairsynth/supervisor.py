@@ -61,6 +61,8 @@ class RunConfig:
             raise ValidationFailure("train_rows, sample_rows and epochs must be positive")
         if not (0.0 <= self.correlation_shrinkage <= 1.0):
             raise ValidationFailure("correlation_shrinkage must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValidationFailure("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import importlib
@@ -11,7 +12,12 @@ from pathlib import Path
 import pytest
 
 import fairsynth
-from fairsynth.cli import SEED_ENV_VAR, main
+from fairsynth.cli import SEED_ENV_VAR, _build_parser, main
+from fairsynth.copula import NATIVE_BACKENDS, SynthesizerConfig
+from fairsynth.demo import DemoSpec
+from fairsynth.schema import SplitSpec
+from fairsynth.scoring import DEFAULT_PARITY_THRESHOLD
+from fairsynth.supervisor import RunConfig, Targets
 
 
 @pytest.fixture(autouse=True)
@@ -33,8 +39,12 @@ def _data_flags(demo_dir):
     ]
 
 
+def _fit_flags():
+    return ["--train-rows", "150"]
+
+
 def _small_flags():
-    return ["--train-rows", "150", "--sample-rows", "100"]
+    return [*_fit_flags(), "--sample-rows", "100"]
 
 
 class TestDemoCommand:
@@ -53,7 +63,7 @@ class TestFitSample:
     def test_fit_writes_model_json(self, demo_dir, tmp_path):
         model_path = tmp_path / "model.json"
         code = main(
-            ["fit", *_data_flags(demo_dir), *_small_flags(), "--out", str(model_path)]
+            ["fit", *_data_flags(demo_dir), *_fit_flags(), "--out", str(model_path)]
         )
         assert code == 0
         doc = json.loads(model_path.read_text())
@@ -62,7 +72,7 @@ class TestFitSample:
 
     def test_sample_from_model(self, demo_dir, tmp_path):
         model_path = tmp_path / "model.json"
-        main(["fit", *_data_flags(demo_dir), *_small_flags(), "--out", str(model_path)])
+        main(["fit", *_data_flags(demo_dir), *_fit_flags(), "--out", str(model_path)])
         out_csv = tmp_path / "synth.csv"
         code = main(["sample", "--model", str(model_path), "--rows", "40", "--out", str(out_csv)])
         assert code == 0
@@ -129,7 +139,7 @@ def evaluated(demo_dir, tmp_path_factory):
     model = tmp / "model.json"
     synth = tmp / "synth.csv"
     main(["fit", "--data", str(demo_dir / "demo.csv"), "--metadata",
-          str(demo_dir / "metadata.json"), *_small_flags(), "--out", str(model)])
+          str(demo_dir / "metadata.json"), *_fit_flags(), "--out", str(model)])
     main(["sample", "--model", str(model), "--rows", "100", "--out", str(synth)])
     return tmp, synth
 
@@ -282,15 +292,108 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_fit_bad_epochs_is_one(self, demo_dir, tmp_path, capsys):
-        code = main(
-            ["fit", *_data_flags(demo_dir), *_small_flags(), "--epochs", "0",
-             "--out", str(tmp_path / "m.json")]
-        )
+    def test_usage_error_is_one_error_line(self, capsys):
+        assert main(["run", "--seed", "abc"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'abc'" in err[0], err
+
+    def test_fit_dropped_flags_are_one(self, demo_dir, tmp_path, capsys):
+        # fit reads none of these: the native fit is closed-form and persists
+        # a native model only.
+        for flag, value in (
+            ("--sample-rows", "100"),
+            ("--epochs", "0"),
+            ("--parity-threshold", "2"),
+            ("--min-score", "0.5"),
+            ("--backends-file", "backends.json"),
+        ):
+            code = main(
+                ["fit", *_data_flags(demo_dir), *_fit_flags(), flag, value,
+                 "--out", str(tmp_path / "m.json")]
+            )
+            assert code == 1, flag
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0], err
+            assert not (tmp_path / "m.json").exists()
+
+    def test_bench_min_score_is_one(self, demo_dir, tmp_path, capsys):
+        code = main(["bench", *_data_flags(demo_dir), "--min-score", "0.5"])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "epochs" in err[0]
-        assert not (tmp_path / "m.json").exists()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--min-score" in err[0], err
+
+
+def _subcommands():
+    parser = _build_parser()
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+class TestFlags:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        flags = {
+            name: {opt for a in p._actions if a.dest != "help" for opt in a.option_strings}
+            for name, p in _subcommands().items()
+        }
+        assert flags["fit"] == {
+            "--data", "--metadata", "--backend", "--train-rows", "--seed",
+            "--holdout-fraction", "--shrinkage", "--out",
+        }
+        assert flags["bench"] == flags["run"] - {"--backend", "--min-score"} | {"--backends"}
+        assert flags["supervise"] == flags["run"] | {"--max-refinements"}
+        assert {name: len(f) for name, f in flags.items()} == {
+            "demo": 4, "fit": 8, "sample": 4, "evaluate": 7, "score": 3,
+            "run": 13, "supervise": 14, "bench": 12,
+        }
+
+    def test_defaults_are_the_library_defaults(self):
+        data = ["--data", "d.csv", "--metadata", "m.json"]
+        run, split, targets = RunConfig(), SplitSpec(1), Targets()
+        synthesizer, demo = SynthesizerConfig(), DemoSpec()
+        pipeline = {
+            "train_rows": run.train_rows,
+            "sample_rows": run.sample_rows,
+            "epochs": run.epochs,
+            "seed": run.seed,
+            "holdout_fraction": split.holdout_fraction,
+            "shrinkage": run.correlation_shrinkage,
+            "parity_threshold": targets.parity_threshold,
+            "backends_file": None,
+        }
+        supervised = {**pipeline, "backend": run.backend, "min_score": targets.min_synth_score}
+        cases = {
+            "demo": (["--out", "o"], {
+                "rows": demo.n_rows, "seed": demo.seed, "disparity": demo.disparity_strength,
+            }),
+            "fit": ([*data, "--out", "o"], {
+                "backend": synthesizer.backend,
+                "train_rows": run.train_rows,
+                "seed": synthesizer.seed,
+                "holdout_fraction": split.holdout_fraction,
+                "shrinkage": synthesizer.correlation_shrinkage,
+            }),
+            "sample": (["--model", "m.json", "--out", "o"], {
+                "rows": run.sample_rows, "seed": run.seed,
+            }),
+            "evaluate": ([*data, "--synthetic", "s.csv", "--out", "o"], {
+                "seed": split.seed,
+                "holdout_fraction": split.holdout_fraction,
+                "parity_threshold": DEFAULT_PARITY_THRESHOLD,
+            }),
+            "score": (["--quality", "q.json", "--fairness", "f.json"], {
+                "parity_threshold": DEFAULT_PARITY_THRESHOLD,
+            }),
+            "run": ([*data, "--out", "o"], {**supervised, "max_refinements": 0}),
+            "supervise": ([*data, "--out", "o"], {
+                **supervised, "max_refinements": targets.max_refinements,
+            }),
+            "bench": (data, {**pipeline, "backends": ",".join(NATIVE_BACKENDS), "out": None}),
+        }
+        assert set(cases) == set(_subcommands())
+        for command, (required, expected) in cases.items():
+            args = vars(_build_parser().parse_args([command, *required]))
+            given = {flag[2:].replace("-", "_") for flag in required[::2]}
+            got = {k: v for k, v in args.items() if k not in {"command", "func", *given}}
+            assert got == expected, command
 
 
 class TestMetadataInvariants:
@@ -324,7 +427,7 @@ def _seed_argv(command, demo_dir, evaluated, out):
     tmp, synth = evaluated
     return {
         "run": ["run", *_data_flags(demo_dir), *_small_flags(), "--out", out],
-        "fit": ["fit", *_data_flags(demo_dir), *_small_flags(), "--out", out],
+        "fit": ["fit", *_data_flags(demo_dir), *_fit_flags(), "--out", out],
         "demo": ["demo", "--rows", "60", "--out", out],
         "evaluate": ["evaluate", *_data_flags(demo_dir), "--synthetic", str(synth), "--out", out],
         "sample": ["sample", "--model", str(tmp / "model.json"), "--out", out],
@@ -532,7 +635,7 @@ class TestSeedEnvVar:
     def test_env_overrides_flag(self, demo_dir, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "3")
         model_path = tmp_path / "model.json"
-        main(["fit", *_data_flags(demo_dir), *_small_flags(), "--seed", "0",
+        main(["fit", *_data_flags(demo_dir), *_fit_flags(), "--seed", "0",
               "--out", str(model_path)])
         assert json.loads(model_path.read_text())["seed"] == 3
 

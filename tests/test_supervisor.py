@@ -91,6 +91,11 @@ class TestConfigs:
         with pytest.raises(ValidationFailure):
             RunConfig(correlation_shrinkage=1.5)
 
+    def test_run_config_rejects_negative_seed(self):
+        # A negative seed used to pass here and fail every pipeline run later.
+        with pytest.raises(ValidationFailure, match="seed must be non-negative"):
+            RunConfig(seed=-1)
+
     def test_targets_validation(self):
         with pytest.raises(ValidationFailure):
             Targets(min_synth_score=0.0)
