@@ -36,10 +36,10 @@ print(f"best iteration: {result.best_iteration}\n")
 
 print(f"{'it':>2}  {'synth_score':>11}  {'quality':>8}  {'ratio':>9}  action")
 for i, entry in enumerate(result.history):
-    if entry.composite is None:
+    if entry.result is None:
         print(f"{i:>2}  {'error':>11}  {'-':>8}  {'-':>9}  {entry.action_taken or ''}  ({entry.error})")
         continue
-    c = entry.composite
+    c = entry.result.composite
     ratio = "undefined" if c.max_rel_fpr is None else (
         "inf" if c.max_rel_fpr == float("inf") else f"{c.max_rel_fpr:.3f}")
     marker = " <- best" if i == result.best_iteration else ""

@@ -65,12 +65,6 @@ class CategoricalMarginal:
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "upper_bounds", ub)
 
-    def bounds(self, category: str) -> tuple[float, float]:
-        """The half-open interval [a, b) owned by ``category``."""
-        i = self.categories.index(category)
-        low = 0.0 if i == 0 else float(self.upper_bounds[i - 1])
-        return low, float(self.upper_bounds[i])
-
 
 MarginalModel = NumericMarginal | CategoricalMarginal
 

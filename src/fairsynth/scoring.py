@@ -25,7 +25,6 @@ class CompositeScore:
     max_rel_fpr: float | None  # float('inf') for INFINITE, None for UNDEFINED
     fairness_mult: float
     synth_score: float
-    parity_threshold: float
     degenerate: bool
     parity_ok: bool
     ratio_undefined: bool
@@ -68,7 +67,6 @@ def synth_score(
         max_rel_fpr=max_rel_fpr,
         fairness_mult=mult,
         synth_score=quality * mult,
-        parity_threshold=parity_threshold,
         degenerate=degenerate,
         parity_ok=parity_ok,
         ratio_undefined=ratio_undefined,

@@ -57,8 +57,13 @@ class RunConfig:
     balance_attribute: str | None = None
 
     def __post_init__(self):
-        if self.train_rows <= 0 or self.sample_rows <= 0 or self.epochs <= 0:
-            raise ValidationFailure("train_rows, sample_rows and epochs must be positive")
+        if self.sample_rows <= 0 or self.epochs <= 0:
+            raise ValidationFailure("sample_rows and epochs must be positive")
+        if self.train_rows < 2:
+            raise ValidationFailure(
+                f"train_rows must be at least 2, got {self.train_rows}: "
+                "a numeric marginal needs 2 values to fit"
+            )
         if not (0.0 <= self.correlation_shrinkage <= 1.0):
             raise ValidationFailure("correlation_shrinkage must lie in [0, 1]")
         if self.seed < 0:
@@ -111,23 +116,22 @@ def apply_action(config: RunConfig, action: str, attribute: str | None = None) -
     raise ValidationFailure(f"unknown refinement action {action!r}")
 
 
-@dataclass
-class HistoryEntry:
-    config: RunConfig
-    composite: CompositeScore | None = None
-    quality: QualityReport | None = None
-    fairness: FairnessReport | None = None
-    synthetic: Dataset | None = None
-    action_taken: str | None = None
-    error: str | None = None
-
-
 @dataclass(frozen=True)
 class PipelineResult:
+    """The record of one evaluation: the synthetic rows and their scores."""
+
     synthetic: Dataset
     quality: QualityReport
     fairness: FairnessReport
     composite: CompositeScore
+
+
+@dataclass
+class HistoryEntry:
+    config: RunConfig
+    result: PipelineResult | None = None  # None: the iteration failed
+    action_taken: str | None = None
+    error: str | None = None
 
 
 def balance_groups(
@@ -316,12 +320,14 @@ def _most_disparate_attribute(fairness: FairnessReport, metadata: Metadata) -> s
 class SupervisorResult:
     stop_reason: str  # TARGET_MET or BUDGET
     best_iteration: int
-    best_config: RunConfig
-    best_synthetic: Dataset
-    best_quality: QualityReport
-    best_fairness: FairnessReport
-    best_composite: CompositeScore
     history: tuple[HistoryEntry, ...]
+
+    # Read-only views of the best iteration's entry.
+    best_config = property(lambda self: self.history[self.best_iteration].config)
+    best_synthetic = property(lambda self: self.history[self.best_iteration].result.synthetic)
+    best_quality = property(lambda self: self.history[self.best_iteration].result.quality)
+    best_fairness = property(lambda self: self.history[self.best_iteration].result.fairness)
+    best_composite = property(lambda self: self.history[self.best_iteration].result.composite)
 
 
 def supervise(
@@ -349,7 +355,7 @@ def supervise(
         entry = HistoryEntry(config=config)
         history.append(entry)
         try:
-            result = pipeline(
+            entry.result = pipeline(
                 config,
                 train,
                 holdout,
@@ -359,36 +365,22 @@ def supervise(
             )
         except FairsynthError as exc:
             entry.error = str(exc)
-        else:
-            entry.composite = result.composite
-            entry.quality = result.quality
-            entry.fairness = result.fairness
-            entry.synthetic = result.synthetic
+        score = entry.result.composite if entry.result is not None else None
         plan = plan_refinement(
-            history, entry.composite, targets, config,
+            history, score, targets, config,
             has_protected=bool(metadata.protected_attributes),
         )
         if plan in (TARGET_MET, BUDGET):
             break
         attribute = None
         if plan == BALANCE_GROUPS:
-            attribute = _most_disparate_attribute(entry.fairness, metadata)
+            attribute = _most_disparate_attribute(entry.result.fairness, metadata)
         entry.action_taken = plan
         config = apply_action(config, plan, attribute)
 
-    scored = [i for i, e in enumerate(history) if e.composite is not None]
+    scored = [i for i, e in enumerate(history) if e.result is not None]
     if not scored:
         raise AllIterationsFailed("every pipeline iteration failed", history=history)
     # The highest composite score; max keeps the earliest of tied iterations.
-    best = max(scored, key=lambda i: history[i].composite.synth_score)
-    chosen = history[best]
-    return SupervisorResult(
-        stop_reason=plan,
-        best_iteration=best,
-        best_config=chosen.config,
-        best_synthetic=chosen.synthetic,
-        best_quality=chosen.quality,
-        best_fairness=chosen.fairness,
-        best_composite=chosen.composite,
-        history=tuple(history),
-    )
+    best = max(scored, key=lambda i: history[i].result.composite.synth_score)
+    return SupervisorResult(stop_reason=plan, best_iteration=best, history=tuple(history))

@@ -232,11 +232,12 @@ def test_criterion_08_supervisor_on_demo(demo_data, demo_md):
 
     assert len(result.history) <= targets.max_refinements + 1
     first_parity_failure = next(
-        e for e in result.history if e.composite is not None and not e.composite.parity_ok
+        e for e in result.history
+        if e.result is not None and not e.result.composite.parity_ok
     )
     assert first_parity_failure.action_taken == "balance_groups"
     scores = [
-        e.composite.synth_score for e in result.history if e.composite is not None
+        e.result.composite.synth_score for e in result.history if e.result is not None
     ]
     assert result.best_composite.synth_score == max(scores)
     assert result.stop_reason in ("target_met", "budget")

@@ -292,6 +292,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "supervise", "bench"])
+    def test_one_train_row_is_one(self, command, demo_dir, tmp_path, capsys):
+        # One train row cannot fit a numeric marginal; two can.
+        out = tmp_path / "o"
+        code = main([command, *_data_flags(demo_dir), "--train-rows", "1", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: train_rows must be at least 2, got 1: a numeric marginal needs 2 values to fit"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
+        code = main([command, *_data_flags(demo_dir), "--train-rows", "2", "--out", str(out)])
+        assert code == 0
+
     def test_usage_error_is_one_error_line(self, capsys):
         assert main(["run", "--seed", "abc"]) == 1
         err = capsys.readouterr().err.splitlines()

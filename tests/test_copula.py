@@ -127,8 +127,8 @@ class TestFitMarginal:
         m = fit_marginal(CategoricalColumn.from_values(["a", "a", "b", "b"]))
         assert m.categories == ("a", "b")
         assert m.frequencies.tolist() == [0.5, 0.5]
-        assert m.bounds("a") == (0.0, 0.5)
-        assert m.bounds("b") == (0.5, 1.0)
+        # "a" owns [0.0, 0.5) and "b" owns [0.5, 1.0)
+        assert m.upper_bounds.tolist() == [0.5, 1.0]
 
     def test_numeric_sorted(self):
         m = fit_marginal(NumericColumn([3.0, 1.0, 2.0]))
@@ -137,7 +137,8 @@ class TestFitMarginal:
     def test_single_category(self):
         m = fit_marginal(CategoricalColumn.from_values(["x"]))
         assert m.frequencies.tolist() == [1.0]
-        assert m.bounds("x") == (0.0, 1.0)
+        # "x" owns [0.0, 1.0)
+        assert m.upper_bounds.tolist() == [1.0]
 
     def test_too_few_values(self):
         with pytest.raises(TooFewValues):

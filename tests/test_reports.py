@@ -287,9 +287,12 @@ class TestBench:
         result = batch_evaluate(["gaussian_copula"], SMALL, Targets(), demo_data, demo_md)
         single = run_pipeline(SMALL, *split_holdout(demo_data, SplitSpec(400, seed=0)), demo_md)
         row = result.rows[0]
+        # The row keeps the whole record but its synthetic table.
+        assert row.result == replace(single, synthetic=None)
         assert row.quality == single.composite.quality
         assert row.synth_score == single.composite.synth_score
         assert row.max_rel_fpr == single.composite.max_rel_fpr
+        assert row.degenerate == single.composite.degenerate
 
     def test_deterministic(self, demo_data, demo_md):
         a = batch_evaluate(["gaussian_copula", "independent"], SMALL, Targets(), demo_data, demo_md)
@@ -310,8 +313,8 @@ class TestBench:
             external_backends={"broken": bad},
         )
         good, failed = result.rows
-        assert good.error is None and good.quality is not None
-        assert failed.error is not None and failed.quality is None
+        assert good.error is None and good.result is not None
+        assert failed.error is not None and failed.result is None
         table = bench_table(result)
         assert "ERROR" in table
 
@@ -402,8 +405,7 @@ class TestBenchOverlap:
             except FairsynthError as exc:
                 rows.append(BenchRow(backend=backend, error=str(exc)))
                 continue
-            c = result.composite
-            rows.append(BenchRow(backend, c.quality, c.max_rel_fpr, c.synth_score, c.degenerate))
+            rows.append(BenchRow(backend, result))
         return render_json(bench_doc(BenchResult(SMALL, tuple(rows))))
 
     @pytest.mark.parametrize(

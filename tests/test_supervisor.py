@@ -58,6 +58,13 @@ def _stub_fairness(ratios):
     return FairnessReport(by_attribute, overall, False, ())
 
 
+def _stub_result(q, ratios, parity_threshold=2.0, synthetic=None):
+    """A PipelineResult scored ``q`` with ``ratios`` as in _stub_fairness."""
+    fairness = _stub_fairness(ratios)
+    composite = synth_score(q, fairness.max_rel_fpr, parity_threshold)
+    return PipelineResult(synthetic, _stub_quality(q), fairness, composite)
+
+
 def _scripted(outcomes, demo_data):
     """Pipeline stand-in driven by a list of (quality, ratio) or exceptions;
     the ratio may be a dict of ratios per protected attribute."""
@@ -69,13 +76,7 @@ def _scripted(outcomes, demo_data):
         if isinstance(item, Exception):
             raise item
         q, ratios = item
-        fairness = _stub_fairness(ratios)
-        return PipelineResult(
-            demo_data.take(np.arange(5)),
-            _stub_quality(q),
-            fairness,
-            synth_score(q, fairness.max_rel_fpr, parity_threshold),
-        )
+        return _stub_result(q, ratios, parity_threshold, demo_data.take(np.arange(5)))
 
     pipeline.calls = []
     pipeline.splits = []
@@ -90,6 +91,12 @@ class TestConfigs:
             RunConfig(sample_rows=-5)
         with pytest.raises(ValidationFailure):
             RunConfig(correlation_shrinkage=1.5)
+
+    def test_run_config_rejects_one_train_row(self):
+        # One train row used to pass here and fail every fit later.
+        with pytest.raises(ValidationFailure, match="train_rows must be at least 2, got 1"):
+            RunConfig(train_rows=1)
+        assert RunConfig(train_rows=2).train_rows == 2
 
     def test_run_config_rejects_negative_seed(self):
         # A negative seed used to pass here and fail every pipeline run later.
@@ -246,11 +253,11 @@ class TestCodedBalanceMatchesStringReference:
 class TestPlanRefinement:
     def _history(self, actions):
         history = [
-            HistoryEntry(config=SMALL, composite=synth_score(0.5, 3.0), action_taken=action)
+            HistoryEntry(config=SMALL, result=_stub_result(0.5, 3.0), action_taken=action)
             for action in actions
         ]
         # one evaluated-but-unrouted entry, as supervise sees it
-        history.append(HistoryEntry(config=SMALL, composite=synth_score(0.5, 3.0)))
+        history.append(HistoryEntry(config=SMALL, result=_stub_result(0.5, 3.0)))
         return history
 
     def test_stop_on_target(self):
@@ -405,7 +412,7 @@ class TestSupervise:
         assert actions == ["shrink_correlation", "resample", "resample", None]
         assert result.stop_reason == BUDGET
         for before, after in zip(result.history, result.history[1:]):
-            assert before.synthetic != after.synthetic
+            assert before.result.synthetic != after.result.synthetic
 
     def test_parity_recovery_after_balance(self, demo_data, demo_md):
         script = _scripted([(0.95, 3.0), (0.95, 1.5)], demo_data)
@@ -515,18 +522,32 @@ class TestSupervise:
         assert len(result.history) <= 4
         assert result.stop_reason in (TARGET_MET, BUDGET)
         assert result.best_composite.synth_score == max(
-            e.composite.synth_score for e in result.history if e.composite is not None
+            e.result.composite.synth_score for e in result.history if e.result is not None
         )
+
+    def test_best_names_read_the_best_entry(self, demo_data, demo_md):
+        script = _scripted([(0.50, 1.0), (0.75, 1.0), (0.60, 1.0)], demo_data)
+        result = supervise(
+            SMALL, demo_data, demo_md, SPLIT,
+            Targets(min_synth_score=0.9, max_refinements=2), pipeline=script,
+        )
+        best = result.history[result.best_iteration]
+        assert result.best_iteration == 1
+        assert result.best_config is best.config
+        assert result.best_synthetic is best.result.synthetic
+        assert result.best_quality is best.result.quality
+        assert result.best_fairness is best.result.fairness
+        assert result.best_composite is best.result.composite
 
     def test_separation_invariant(self, demo_data, demo_md):
         # iteration k's synthetic rows are a function of (real data, config_k)
         # alone: replaying any history config standalone reproduces its bytes
         result = supervise(SMALL, demo_data, demo_md, SPLIT, Targets(max_refinements=3))
         for entry in result.history:
-            if entry.synthetic is None:
+            if entry.result is None:
                 continue
             replay = run_pipeline(entry.config, *split_for(entry.config, demo_data, SPLIT), demo_md)
-            assert replay.synthetic == entry.synthetic
+            assert replay.synthetic == entry.result.synthetic
 
     def test_deterministic(self, demo_data, demo_md):
         a = supervise(SMALL, demo_data, demo_md, SPLIT, Targets(max_refinements=2))
