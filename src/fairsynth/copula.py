@@ -10,7 +10,7 @@ positive definiteness before factorization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -184,8 +184,8 @@ def fit(train: Dataset, config: SynthesizerConfig) -> CopulaModel:
     """Fit a synthesizer on ``train``; column kinds come from its schema.
 
     ``gaussian_copula`` estimates the score correlation and shrinks it toward
-    the identity by ``correlation_shrinkage``; ``independent`` forces the
-    identity. The fit is closed-form.
+    the identity by ``correlation_shrinkage`` (``shrink_correlation``);
+    ``independent`` forces the identity. The fit is closed-form.
     """
     if train.row_count == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
@@ -194,26 +194,33 @@ def fit(train: Dataset, config: SynthesizerConfig) -> CopulaModel:
             f"unknown native backend {config.backend!r}; expected one of {NATIVE_BACKENDS}"
         )
     names = train.schema.names
-    d = len(names)
     if config.backend == "independent":
         marginals = [fit_marginal(col) for col in train.columns]
-        corr = np.eye(d)
+        corr = np.eye(len(names))
     else:
         marginals, scores = _fit_scores(train.columns, np.random.default_rng(config.seed))
         corr = estimate_correlation(scores.T)
-        lam = config.correlation_shrinkage
-        if lam > 0.0:
-            corr = (1.0 - lam) * corr + lam * np.eye(d)
 
-    cholesky = np.linalg.cholesky(corr)
-    return CopulaModel(
+    model = CopulaModel(
         marginals=dict(zip(names, marginals)),
         correlation=corr,
-        cholesky=cholesky,
+        cholesky=np.linalg.cholesky(corr),
         column_order=names,
         fitted_rows=train.row_count,
         seed=config.seed,
     )
+    if config.backend == "independent":
+        return model
+    return shrink_correlation(model, config.correlation_shrinkage)
+
+
+def shrink_correlation(model: CopulaModel, shrinkage: float) -> CopulaModel:
+    """``model`` with its correlation shrunk toward the identity by
+    ``shrinkage`` in [0, 1]; ``model`` itself when ``shrinkage`` is 0."""
+    if shrinkage == 0.0:
+        return model
+    corr = (1.0 - shrinkage) * model.correlation + shrinkage * np.eye(len(model.column_order))
+    return replace(model, correlation=corr, cholesky=np.linalg.cholesky(corr))
 
 
 def _fit_scores(

@@ -22,6 +22,11 @@ and ``math.fsum`` is exact. So every score carries the bits of
 with more than ``MAX_LEVELS`` levels is scored pair by pair instead, and G is
 built in tiles of at most ``TILE_LEVELS`` levels a side, so memory stays
 bounded whatever the vocabulary or column count.
+
+What depends on the real table alone, its numeric columns' bin edges and
+codes and their pairs' rho, is its ``RealSide``. ``quality_report`` builds it
+from a real table, or takes it built once by ``real_side`` to score many
+synthetic tables against one real table.
 """
 
 from __future__ import annotations
@@ -248,43 +253,81 @@ def discretize(values, edges: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, arr, side="left")
 
 
-def quality_report(real: Dataset, synth: Dataset, schema: TableSchema) -> QualityReport:
-    """Full fidelity report of ``synth`` against ``real`` under ``schema``.
+@dataclass(frozen=True)
+class RealSide:
+    """The real table's side of the quality report, built once by ``real_side``
+    and scored against by ``quality_report`` as often as there are synthetic
+    tables to score: per numeric column its quantile bin edges and the int16
+    bin codes of the real rows, and per pair of numeric columns (in schema
+    order) the real Pearson rho."""
+
+    table: Dataset
+    edges: dict[str, np.ndarray]
+    codes: dict[str, np.ndarray]
+    rhos: dict[tuple[str, str], float]
+
+
+def real_side(real: Dataset) -> RealSide:
+    """The side of ``quality_report`` that depends on ``real`` alone."""
+    numeric = [
+        (name, col.values)
+        for (name, kind), col in zip(real.schema.columns, real.columns)
+        if kind is ColumnKind.NUMERIC
+    ]
+    centred = [_centred(values) for _, values in numeric]
+    rhos = {
+        (numeric[i][0], numeric[j][0]): _centred_pearson(centred[i], centred[j])
+        for i in range(len(numeric))
+        for j in range(i + 1, len(numeric))
+    }
+    del centred
+    edges = {name: quantile_bin_edges(values) for name, values in numeric}
+    codes = {name: discretize(values, edges[name]).astype(np.int16) for name, values in numeric}
+    return RealSide(real, edges, codes, rhos)
+
+
+def quality_report(
+    real: Dataset | RealSide, synth: Dataset, schema: TableSchema
+) -> QualityReport:
+    """Full fidelity report of ``synth`` against ``real`` under ``schema``;
+    ``real`` may be given as its ``real_side``, built once for many reports.
 
     overall = (mean of shape scores + mean of pair-trend scores) / 2; a table
     with fewer than 2 columns reuses the shape average as the trend average.
     """
-    if real.schema != schema or synth.schema != schema:
+    table = real.table if isinstance(real, RealSide) else real
+    if table.schema != schema or synth.schema != schema:
         raise SchemaMismatch("real and synthetic datasets must share the given schema")
+    side = real if isinstance(real, RealSide) else real_side(real)
 
-    # Numeric pairs are scored first, from each numeric column centred once
-    # per side; the centred copies are freed before the columns are coded.
+    # Numeric pairs are scored first, from each synthetic numeric column
+    # centred once; the centred copies are freed before the columns are coded.
     numeric = [name for name, kind in schema.columns if kind is ColumnKind.NUMERIC]
-    centred = [(_centred(real.column(n).values), _centred(synth.column(n).values)) for n in numeric]
+    centred = [_centred(synth.column(n).values) for n in numeric]
     correlations: dict[tuple[str, str], float] = {}
-    for i, (real_a, synth_a) in enumerate(centred):
+    for i, synth_a in enumerate(centred):
         for j in range(i + 1, len(numeric)):
-            real_b, synth_b = centred[j]
-            rho_r, rho_s = _centred_pearson(real_a, real_b), _centred_pearson(synth_a, synth_b)
+            rho_r = side.rhos[numeric[i], numeric[j]]
+            rho_s = _centred_pearson(synth_a, centred[j])
             correlations[numeric[i], numeric[j]] = 1.0 - abs(rho_r - rho_s) / 2.0
     del centred
 
     # Each column is coded once: a categorical column's codes through one key
-    # table for both category tables, a numeric column into quantile bins
-    # whose edges come from the real data only. The codes of a column of at
-    # most MAX_LEVELS levels are held in 16 bits.
+    # table for both category tables, a numeric column into the quantile bins
+    # of the real side. The codes of a column of at most MAX_LEVELS levels are
+    # held in 16 bits.
     coded: dict[str, tuple] = {}
     ks: dict[str, float] = {}
-    for (name, kind), r, s in zip(schema.columns, real.columns, synth.columns):
+    for (name, kind), r, s in zip(schema.columns, table.columns, synth.columns):
         if kind is ColumnKind.NUMERIC:
             ks[name] = ks_complement(r.values, s.values)
-            edges = quantile_bin_edges(r.values)
-            codes = (discretize(r.values, edges), discretize(s.values, edges))
-            size = edges.size + 1
-        else:
-            real_keys, synth_keys, size = _coded(r.categories, s.categories)
-            codes = (real_keys[r.codes], synth_keys[s.codes])
+            edges = side.edges[name]
+            synth_codes = discretize(s.values, edges).astype(np.int16)
+            coded[name] = (side.codes[name], synth_codes, edges.size + 1)
+            continue
+        real_keys, synth_keys, size = _coded(r.categories, s.categories)
         dtype = np.int16 if size <= MAX_LEVELS else np.int64
+        codes = (real_keys[r.codes], synth_keys[s.codes])
         coded[name] = (*(c.astype(dtype, copy=False) for c in codes), size)
     # Columns of at most MAX_LEVELS levels are scored together, the rest
     # pair by pair.

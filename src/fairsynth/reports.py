@@ -18,12 +18,13 @@ from typing import Callable
 from .copula import NATIVE_BACKENDS
 from .errors import FairsynthError, ValidationFailure
 from .external import ExternalBackend
-from .quality import QualityReport
+from .quality import QualityReport, real_side
 from .schema import Dataset, Metadata, SplitSpec, write_csv
 from .scoring import CompositeScore
 from .supervisor import (
     PipelineResult,
     RunConfig,
+    SplitState,
     SupervisorResult,
     Targets,
     evaluate_synthetic,
@@ -244,7 +245,8 @@ def batch_evaluate(
     """One full pipeline per backend (no refinement) with a shared split and
     seed; per-backend failures land in their row, the rest still run. The
     split is drawn once, before any backend runs, so a train_rows the table
-    cannot supply raises InsufficientRows.
+    cannot supply raises InsufficientRows, and every backend is scored
+    against one ``real_side`` of the holdout.
 
     The first external backend's process is launched before the native
     backends are fitted, and runs while they are evaluated; the other
@@ -259,6 +261,7 @@ def batch_evaluate(
     if split is None:
         split = SplitSpec(train_rows=config.train_rows, seed=config.seed)
     train, holdout = split_for(config, data, split)
+    state = SplitState(real_side(holdout))
     threshold = targets.parity_threshold
     configs = [replace(config, backend=backend) for backend in backends]
     externals = [i for i, cfg in enumerate(configs) if cfg.backend not in NATIVE_BACKENDS]
@@ -276,18 +279,21 @@ def batch_evaluate(
         for i, cfg in enumerate(configs):
             if cfg.backend in NATIVE_BACKENDS:
                 rows[i] = _bench_row(
-                    backends[i], lambda: run_pipeline(cfg, train, holdout, metadata, threshold)
+                    backends[i],
+                    lambda: run_pipeline(cfg, train, holdout, metadata, threshold, state=state),
                 )
         if synthesize is not None:
             rows[first] = _bench_row(
                 backends[first],
-                lambda: evaluate_synthetic(synthesize(), holdout, metadata, threshold),
+                lambda: evaluate_synthetic(
+                    synthesize(), holdout, metadata, threshold, state.holdout
+                ),
             )
     for i in externals:
         rows[i] = _bench_row(
             backends[i],
             lambda: run_pipeline(
-                configs[i], train, holdout, metadata, threshold, external_backends
+                configs[i], train, holdout, metadata, threshold, external_backends, state
             ),
         )
     return BenchResult(config=config, rows=tuple(rows[i] for i in range(len(backends))))

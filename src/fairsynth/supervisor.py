@@ -25,14 +25,21 @@ from typing import Callable
 
 import numpy as np
 
-from .copula import NATIVE_BACKENDS, SynthesizerConfig, fit, sample
+from .copula import (
+    NATIVE_BACKENDS,
+    CopulaModel,
+    SynthesizerConfig,
+    fit,
+    sample,
+    shrink_correlation,
+)
 from .errors import (
     AllIterationsFailed,
     FairsynthError,
     ValidationFailure,
 )
 from .external import ExternalBackend, launch_external_backend
-from .quality import QualityReport, quality_report
+from .quality import QualityReport, RealSide, quality_report, real_side
 from .schema import (
     ColumnKind,
     Dataset,
@@ -127,6 +134,21 @@ class PipelineResult:
 
 
 @dataclass
+class SplitState:
+    """What the pipeline runs of one ``supervise`` or ``batch_evaluate`` call
+    share on their split: ``holdout`` is the holdout's ``real_side``. While
+    ``keep_fit`` is set, a gaussian_copula run keeps its unshrunk model in
+    ``fit``, keyed by its config with correlation_shrinkage 0. The next run
+    with that key shrinks the kept model instead of balancing and fitting
+    again, which gives the same floats.
+    """
+
+    holdout: RealSide
+    keep_fit: bool = False
+    fit: tuple[RunConfig, CopulaModel] | None = None
+
+
+@dataclass
 class HistoryEntry:
     config: RunConfig
     result: PipelineResult | None = None  # None: the iteration failed
@@ -188,28 +210,51 @@ def split_for(config: RunConfig, real: Dataset, split: SplitSpec) -> tuple[Datas
     return split_holdout(real, replace(split, train_rows=config.train_rows))
 
 
+def _balanced(config: RunConfig, train: Dataset, metadata: Metadata) -> Dataset:
+    """The train slice that ``config`` synthesizes from."""
+    if not config.balance_groups:
+        return train
+    return balance_groups(train, metadata, seed=config.seed, attribute=config.balance_attribute)
+
+
+def _native_model(
+    config: RunConfig, train: Dataset, metadata: Metadata, state: SplitState | None
+) -> CopulaModel:
+    """The fitted model of a native backend under ``config``, reusing and
+    keeping a gaussian_copula fit through ``state`` as ``SplitState`` says."""
+    if state is None or config.backend != "gaussian_copula":
+        synth_cfg = SynthesizerConfig(config.backend, config.seed, config.correlation_shrinkage)
+        return fit(_balanced(config, train, metadata), synth_cfg)
+    unshrunk = replace(config, correlation_shrinkage=0.0)
+    model = state.fit[1] if state.fit is not None and state.fit[0] == unshrunk else None
+    state.fit = None  # a model not reused is freed before the next fit
+    if model is None:
+        train = _balanced(config, train, metadata)
+        model = fit(train, SynthesizerConfig(config.backend, config.seed))
+    if state.keep_fit:
+        state.fit = (unshrunk, model)
+    return shrink_correlation(model, config.correlation_shrinkage)
+
+
 def launch_synthesis(
     config: RunConfig,
     train: Dataset,
     metadata: Metadata,
     external_backends: dict[str, ExternalBackend] | None,
     stack: ExitStack,
+    state: SplitState | None = None,
 ) -> Callable[[], Dataset]:
     """The synthesis step on the train slice. Returns a ``synthesize()`` that
     fits and samples a native backend, or collects an external one, whose
     process is launched now in a temporary directory; closing ``stack`` kills
     the process if it still runs and removes the directory."""
-    if config.balance_groups:
-        train = balance_groups(train, metadata, seed=config.seed, attribute=config.balance_attribute)
     if config.backend in NATIVE_BACKENDS:
-        synth_cfg = SynthesizerConfig(
-            backend=config.backend,
-            seed=config.seed,
-            correlation_shrinkage=config.correlation_shrinkage,
-        )
         # fit and sample are this module's names, looked up at the call.
-        return lambda: sample(fit(train, synth_cfg), config.sample_rows, config.seed)
+        return lambda: sample(
+            _native_model(config, train, metadata, state), config.sample_rows, config.seed
+        )
     check_backend(config.backend, external_backends)
+    train = _balanced(config, train, metadata)
     tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
     write_csv(train, tmp / "train.csv")
     (tmp / "metadata.json").write_text(
@@ -234,10 +279,13 @@ def evaluate_synthetic(
     holdout: Dataset,
     metadata: Metadata,
     parity_threshold: float = DEFAULT_PARITY_THRESHOLD,
+    holdout_side: RealSide | None = None,
 ) -> PipelineResult:
     """The evaluation step: fidelity and TSTR fairness against the holdout,
-    folded into the composite score."""
-    quality = quality_report(holdout, synthetic, holdout.schema)
+    folded into the composite score. ``holdout_side`` is ``real_side(holdout)``
+    when the caller has built it already."""
+    real = holdout if holdout_side is None else holdout_side
+    quality = quality_report(real, synthetic, holdout.schema)
     fairness = fairness_report(synthetic, holdout, metadata)
     composite = synth_score(
         quality.overall_score,
@@ -255,13 +303,16 @@ def run_pipeline(
     metadata: Metadata,
     parity_threshold: float = DEFAULT_PARITY_THRESHOLD,
     external_backends: dict[str, ExternalBackend] | None = None,
+    state: SplitState | None = None,
 ) -> PipelineResult:
     """One generator + evaluator pass over a split; same inputs give an
-    identical result."""
+    identical result, with or without the ``state`` of earlier runs on the
+    same split."""
     with ExitStack() as stack:
-        synthesize = launch_synthesis(config, train, metadata, external_backends, stack)
+        synthesize = launch_synthesis(config, train, metadata, external_backends, stack, state)
         synthetic = synthesize()
-    return evaluate_synthetic(synthetic, holdout, metadata, parity_threshold)
+    holdout_side = None if state is None else state.holdout
+    return evaluate_synthetic(synthetic, holdout, metadata, parity_threshold, holdout_side)
 
 
 def plan_refinement(
@@ -278,11 +329,13 @@ def plan_refinement(
 
     Stop on target (score and parity both met) or on exhausted budget. A
     failed iteration resamples. A parity failure walks the fixed action order
-    balance-groups, then correlation shrinkage, then resample; balance-groups
+    balance-groups, then correlation shrinkage, then resample. Balance-groups
     is skipped when the metadata names no protected attribute
-    (``has_protected`` false), since it would rerun the same synthesis. A
-    pure quality shortfall doubles epochs for external backends (epochs are
-    a no-op for closed-form native fits) and otherwise resamples.
+    (``has_protected`` false), and correlation shrinkage for every backend
+    but gaussian_copula, the only one that reads it: either would rerun the
+    same synthesis. A pure quality shortfall doubles epochs for external
+    backends (epochs are a no-op for closed-form native fits) and otherwise
+    resamples.
     """
     if score is not None and score.synth_score >= targets.min_synth_score and score.parity_ok:
         return TARGET_MET
@@ -294,7 +347,7 @@ def plan_refinement(
         tried = {e.action_taken for e in history}
         if has_protected and BALANCE_GROUPS not in tried:
             return BALANCE_GROUPS
-        if SHRINK_CORRELATION not in tried:
+        if config.backend == "gaussian_copula" and SHRINK_CORRELATION not in tried:
             return SHRINK_CORRELATION
         return RESAMPLE  # also after a resample: keep reseeding
     if config.backend not in NATIVE_BACKENDS:
@@ -342,18 +395,22 @@ def supervise(
     """Bounded refinement loop: at most max_refinements + 1 pipeline runs.
 
     ``real`` is split once, for ``initial``; no refinement action changes
-    train_rows, so every iteration sees the same train slice and holdout. A
+    train_rows, so every iteration sees the same train slice and holdout, and
+    shares one ``SplitState``: the holdout's side of the quality report, and
+    the fit of the previous iteration while another iteration can follow. A
     failed iteration is recorded in history with its error and refined by
     resampling; if every iteration fails, AllIterationsFailed carries the full
     history. ``pipeline`` is injectable for testing the routing policy in
     isolation.
     """
     train, holdout = split_for(initial, real, split)
+    state = SplitState(real_side(holdout))
     history: list[HistoryEntry] = []
     config = initial
     while True:
         entry = HistoryEntry(config=config)
         history.append(entry)
+        state.keep_fit = len(history) <= targets.max_refinements
         try:
             entry.result = pipeline(
                 config,
@@ -362,6 +419,7 @@ def supervise(
                 metadata,
                 parity_threshold=targets.parity_threshold,
                 external_backends=external_backends,
+                state=state,
             )
         except FairsynthError as exc:
             entry.error = str(exc)

@@ -475,6 +475,69 @@ class TestCooccurrencePath:
             assert peak < ceiling_mb * 2**20, (levels[:2], peak)
 
 
+class TestRealSide:
+    """quality_report against a ``real_side`` built once scores every
+    synthetic table with the bits of the one-shot report."""
+
+    @staticmethod
+    def _constant(table, name, value):
+        """``table`` with numeric column ``name`` set to ``value`` in every row."""
+        j = table.schema.names.index(name)
+        columns = list(table.columns)
+        columns[j] = NumericColumn(np.full(table.row_count, value))
+        return Dataset(table.schema, tuple(columns))
+
+    def test_prepared_equals_one_shot(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        # Side 0 lists categories "b" and "d" of column "d", which side 1
+        # lacks, and side 1 lists "e", which the real table lacks; "w" has
+        # 70 levels and takes the pair-by-pair route.
+        real = _mixed_table(rng, 1200, 0)
+        synths = [
+            _mixed_table(rng, 1, 1),
+            _mixed_table(rng, 500, 1),
+            self._constant(_mixed_table(rng, 800, 1), "x", 2.5),
+            real,
+        ]
+        edges_calls = []
+        bin_edges = quality.quantile_bin_edges
+        monkeypatch.setattr(
+            quality, "quantile_bin_edges", lambda v: edges_calls.append(1) or bin_edges(v)
+        )
+        side = quality.real_side(real)
+        assert len(edges_calls) == 2  # once per numeric column
+        prepared = [quality_report(side, synth, real.schema) for synth in synths]
+        assert len(edges_calls) == 2
+        monkeypatch.undo()
+        for synth, report in zip(synths, prepared):
+            assert report == quality_report(real, synth, real.schema)
+            shapes, trends = _pairwise_report(real, synth)
+            assert report.shapes == shapes
+            assert list(report.pair_trends) == trends
+
+    def test_constant_real_column(self):
+        rng = np.random.default_rng(22)
+        real = self._constant(_mixed_table(rng, 600, 0), "t", -0.0)
+        side = quality.real_side(real)
+        assert side.rhos == {("x", "t"): 0.0}
+        for synth in (_mixed_table(rng, 300, 1), self._constant(_mixed_table(rng, 9, 1), "t", 0.0)):
+            report = quality_report(side, synth, real.schema)
+            assert report == quality_report(real, synth, real.schema)
+            shapes, trends = _pairwise_report(real, synth)
+            assert (report.shapes, list(report.pair_trends)) == (shapes, trends)
+
+    def test_schema_checked_against_the_side(self):
+        rng = np.random.default_rng(23)
+        real = _mixed_table(rng, 50, 0)
+        other = Dataset(
+            TableSchema((("x", ColumnKind.NUMERIC),)), (NumericColumn(rng.standard_normal(5)),)
+        )
+        with pytest.raises(SchemaMismatch):
+            quality_report(quality.real_side(real), other, real.schema)
+        with pytest.raises(SchemaMismatch):
+            quality_report(quality.real_side(other), real, real.schema)
+
+
 def test_ks_merge_matches_brute_force_counts():
     # Ties across the sides, -0.0 against 0.0, infinities and one-element
     # sides: the merge must evaluate the same count pairs as the oracle.

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fairsynth import supervisor
 from fairsynth.errors import AllIterationsFailed, InsufficientRows, ValidationFailure
 from fairsynth.quality import QualityReport
 from fairsynth.schema import (
@@ -69,7 +70,9 @@ def _scripted(outcomes, demo_data):
     """Pipeline stand-in driven by a list of (quality, ratio) or exceptions;
     the ratio may be a dict of ratios per protected attribute."""
 
-    def pipeline(config, train, holdout, metadata, parity_threshold=2.0, external_backends=None):
+    def pipeline(
+        config, train, holdout, metadata, parity_threshold=2.0, external_backends=None, state=None
+    ):
         item = outcomes[len(pipeline.calls)]
         pipeline.calls.append(config)
         pipeline.splits.append((train, holdout))
@@ -309,6 +312,19 @@ class TestPlanRefinement:
         )
         assert plan == SHRINK_CORRELATION
 
+    @pytest.mark.parametrize("backend", ["independent", "ctgan_cmd"])
+    def test_shrink_skipped_where_the_backend_ignores_it(self, backend):
+        # Only gaussian_copula reads correlation_shrinkage; elsewhere the
+        # step would rerun the previous iteration's synthesis.
+        cfg = replace(SMALL, backend=backend)
+        history = self._history([BALANCE_GROUPS])
+        plan = plan_refinement(history, synth_score(0.9, 3.0), Targets(), cfg)
+        assert plan == RESAMPLE
+        plan = plan_refinement(
+            self._history([]), synth_score(0.9, None), Targets(), cfg, has_protected=False
+        )
+        assert plan == RESAMPLE
+
     def test_infinite_ratio_is_a_parity_failure(self):
         plan = plan_refinement(
             self._history([]), synth_score(0.9, float("inf")), Targets(), SMALL
@@ -413,6 +429,55 @@ class TestSupervise:
         assert result.stop_reason == BUDGET
         for before, after in zip(result.history, result.history[1:]):
             assert before.result.synthetic != after.result.synthetic
+
+    def test_independent_backend_spends_no_iteration_on_a_no_op(self, demo_data, demo_md):
+        # independent ignores correlation_shrinkage, so a shrink step would
+        # repeat the balanced iteration's synthetic table.
+        cfg = RunConfig(backend="independent", train_rows=1000, sample_rows=500, seed=3)
+        result = supervise(
+            cfg, demo_data, demo_md, SplitSpec(train_rows=1000, seed=3),
+            Targets(parity_threshold=1.0, max_refinements=3),
+        )
+        for before, after in zip(result.history, result.history[1:]):
+            assert before.result.synthetic != after.result.synthetic
+        actions = [e.action_taken for e in result.history]
+        assert actions == ["balance_groups", "resample", "resample", None]
+
+    def test_shrink_step_reuses_the_previous_fit(self, demo_data, demo_md, monkeypatch):
+        # A shrink-only step shrinks the model the previous iteration fitted
+        # instead of balancing and fitting the same slice again; every
+        # iteration still equals its replay from scratch.
+        fits = []
+        real_fit = supervisor.fit
+        monkeypatch.setattr(supervisor, "fit", lambda *a: fits.append(1) or real_fit(*a))
+        strict = Targets(parity_threshold=1.0, max_refinements=3)
+        result = supervise(SMALL, demo_data, demo_md, SPLIT, strict)
+        actions = [e.action_taken for e in result.history]
+        assert actions == ["balance_groups", "shrink_correlation", "resample", None]
+        assert len(fits) == len(result.history) - actions.count(SHRINK_CORRELATION)
+        monkeypatch.undo()
+        for entry in result.history:
+            replay = run_pipeline(
+                entry.config, *split_for(entry.config, demo_data, SPLIT), demo_md,
+                parity_threshold=strict.parity_threshold,
+            )
+            assert replay == entry.result
+
+    def test_fit_is_kept_only_while_another_iteration_can_follow(self, demo_data, demo_md):
+        kept = []
+
+        def pipeline(*args, state=None, **kwargs):
+            result = run_pipeline(*args, state=state, **kwargs)
+            kept.append(state.fit)
+            return result
+
+        # run is supervise with a budget of 0: it keeps no model.
+        supervise(SMALL, demo_data, demo_md, SPLIT, Targets(max_refinements=0), pipeline=pipeline)
+        assert kept == [None]
+        kept.clear()
+        strict = Targets(parity_threshold=1.0, max_refinements=2)
+        supervise(SMALL, demo_data, demo_md, SPLIT, strict, pipeline=pipeline)
+        assert [fit is not None for fit in kept] == [True, True, False]
 
     def test_parity_recovery_after_balance(self, demo_data, demo_md):
         script = _scripted([(0.95, 3.0), (0.95, 1.5)], demo_data)
