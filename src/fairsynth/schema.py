@@ -16,7 +16,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count, filterfalse, islice
+from itertools import chain, count, filterfalse, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -41,13 +41,14 @@ CATEGORICAL_CARDINALITY_CUTOFF = 20
 #: The only cell token treated as missing.
 MISSING_TOKEN = ""
 
-# A character no plain decimal holds. A plain decimal is an optional sign,
-# ASCII digits with an optional fraction, and an optional exponent; this
-# rejects "nan", "inf", underscores, spaces and other scripts' digits, which
-# float() would accept. Over the remaining characters float() accepts exactly
-# the plain decimals, so one search of a column's joined cells plus float()
-# checks every cell.
-_NON_NUMBER_CHAR = re.compile(r"[^0-9+\-.eE]")
+# The characters of a plain decimal: an optional sign, ASCII digits with an
+# optional fraction, and an optional exponent. Any other character rules out
+# "nan", "inf", underscores, spaces and other scripts' digits, which float()
+# would accept. Over these characters float() accepts exactly the plain
+# decimals, so one screen of a column's joined cells plus float() checks
+# every cell.
+_DECIMAL_BYTES = b"0123456789+-.eE"
+_NON_NUMBER_CHAR = re.compile(f"[^{re.escape(_DECIMAL_BYTES.decode())}]")
 
 
 def _read_json(path: str | Path):
@@ -270,7 +271,9 @@ def _parse_numeric(cells: Sequence[str]) -> np.ndarray | None:
     non-missing cell is a plain, finite decimal."""
     # The missing token "" is the only falsy cell, so filter(None, ...) and
     # map(bool, ...) pick out the present cells without a Python-level loop.
-    if _NON_NUMBER_CHAR.search("".join(cells)):
+    # Deleting the decimal characters leaves nothing iff no cell holds another.
+    joined = "".join(cells)
+    if not joined.isascii() or joined.encode("ascii").translate(None, _DECIMAL_BYTES):
         return None
     n_missing = cells.count(MISSING_TOKEN)
     try:
@@ -286,21 +289,63 @@ def _parse_numeric(cells: Sequence[str]) -> np.ndarray | None:
     return out
 
 
-# Rows move from the CSV reader into per-column lists this many at a time.
-# No table-sized list of row lists is ever alive, and a block stays below
-# CPython's first-generation collection threshold (700 container allocations
-# by default in 3.11), so its row lists are freed before any collector pass
-# has to traverse them.
+# The body is read this many physical lines at a time. A block that csv.reader
+# reads becomes row lists; a block stays below CPython's first-generation
+# collection threshold (700 container allocations by default in 3.11), so its
+# row lists are freed before any collector pass has to traverse them.
 _READ_BLOCK_ROWS = 256
 
 
-def _checked_rows(reader, width: int):
-    """Yield the reader's rows; a row of another width is a ParseError at the
-    physical line where it ends."""
-    for row in reader:
-        if len(row) != width:
-            raise ParseError(reader.line_num, f"expected {width} fields, found {len(row)}")
-        yield row
+def _read_blocks(fh, width: int, line: int):
+    """Yield the rows of ``fh`` one read block at a time, as (row count, the
+    block's cells of each column); ``line`` is the physical line the rows
+    start after. A row of another width is a ParseError at the physical line
+    where it ends.
+
+    A block without a '"' is split here. Its lines end in "\\r\\n", "\\n" or
+    "\\r", the only line ends of a ``newline=""`` stream, so every other
+    character is cell text, and a line holds one field more than it holds
+    commas unless it is blank: csv.reader reads a blank line as a row of 0
+    fields. A block with a '"', or too long for csv.reader's field limit, is
+    read by csv.reader until it has consumed the block's lines; a quoted cell
+    may carry it on into the stream. A UnicodeDecodeError is raised once
+    the lines read before it are checked, so errors come in file order."""
+    limit = csv.field_size_limit()
+    while True:
+        lines, unreadable = [], None
+        try:
+            lines += islice(fh, _READ_BLOCK_ROWS)  # keeps the lines read before an error
+        except UnicodeDecodeError as exc:
+            unreadable = exc
+        text = "".join(lines)
+        if '"' in text or len(text) > limit:
+            reader = csv.reader(chain(lines, () if unreadable else fh))
+            rows = []
+            for row in reader:
+                if len(row) != width:
+                    message = f"expected {width} fields, found {len(row)}"
+                    raise ParseError(line + reader.line_num, message)
+                rows.append(row)
+                if reader.line_num >= len(lines):
+                    break
+            line += reader.line_num
+            block = list(zip(*rows))
+        else:
+            rows = list(map(str.rstrip, lines, repeat("\r\n")))
+            commas = list(map(str.count, rows, repeat(",")))
+            if commas.count(width - 1) != len(rows) or (width == 1 and "" in rows):
+                for i, (row, n_commas) in enumerate(zip(rows, commas)):
+                    found = n_commas + 1 if row else 0
+                    if found != width:
+                        raise ParseError(line + i + 1, f"expected {width} fields, found {found}")
+            flat = ",".join(rows).split(",")
+            line += len(rows)
+            block = [flat[j::width] for j in range(width)]
+        if unreadable:
+            raise unreadable
+        if not rows:
+            return
+        yield len(rows), block
 
 
 def _parse_or_stray(cells: Sequence[str]) -> tuple[np.ndarray, list[int]]:
@@ -384,9 +429,8 @@ def _read_csv(
             text = [declared_kinds.get(name) is ColumnKind.CATEGORICAL for name in header]
             strays: list[list[tuple[int, str]]] = [[] for _ in header]
             n_rows = 0
-            rows = _checked_rows(reader, len(header))
-            while block := list(islice(rows, _READ_BLOCK_ROWS)):
-                for j, cells in enumerate(zip(*block)):
+            for n_block, block in _read_blocks(fh, len(header), reader.line_num):
+                for j, cells in enumerate(block):
                     table = tables[j]
                     if table is None:
                         values, bad = _parse_or_stray(cells)
@@ -406,7 +450,7 @@ def _read_csv(
                     elif len(np.unique(values[~np.isnan(values)])) > CATEGORICAL_CARDINALITY_CUTOFF:
                         columns[j] = [values[np.frombuffer(columns[j], np.int32)]]
                         tables[j] = None
-                n_rows += len(block)
+                n_rows += n_block
         except StopIteration:
             raise EmptyTable(f"{csv_path}: no header row")
         except (UnicodeDecodeError, csv.Error) as exc:

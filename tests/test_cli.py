@@ -1,23 +1,30 @@
 import argparse
 import ast
+import csv
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import fairsynth
+from fairsynth import cli
 from fairsynth.cli import SEED_ENV_VAR, _build_parser, main
 from fairsynth.copula import NATIVE_BACKENDS, SynthesizerConfig
 from fairsynth.demo import DemoSpec
+from fairsynth.errors import RuntimeFailure
 from fairsynth.schema import SplitSpec
 from fairsynth.scoring import DEFAULT_PARITY_THRESHOLD
-from fairsynth.supervisor import RunConfig, Targets
+from fairsynth.supervisor import RunConfig, Targets, run_pipeline, supervise
 
 
 @pytest.fixture(autouse=True)
@@ -756,3 +763,140 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# Cells, metadata fields and flag values the probe below draws from. For a
+# 400-row table a 0.3 holdout leaves 280 train rows.
+_PROBE_CELLS = ["", " ", "nan", "inf", "-inf", "1e308", "-1e308", "1e999", "5e-324", "NA", "x",
+                "-0", "positive", "negative", '"', "a,b", "two\r\nlines", "\x00", "\u0661"]
+_PROBE_METADATA = [
+    ("label", {"column": "nope", "positive": "positive"}),
+    ("label", {"column": "symptom_scale", "positive": "positive"}),
+    ("label", {"column": "Race", "positive": "Black"}),
+    ("label", {"column": "Diagnosis", "positive": "maybe"}),
+    ("label", {"column": "Diagnosis"}),
+    ("protected", []),
+    ("protected", ["Diagnosis"]),
+    ("protected", ["symptom_scale"]),
+    ("protected", ["nope"]),
+    ("protected", "Race"),
+    ("columns", {"symptom_scale": {"kind": "categorical"}}),
+    ("columns", {"Race": {"kind": "numeric"}}),
+    ("columns", {"Diagnosis": {"kind": "numeric"}}),
+    ("columns", {"nope": {"kind": "numeric"}}),
+    ("columns", {"Race": {"kind": "text"}}),
+    ("columns", []),
+]
+_PROBE_FLAGS = {
+    "--train-rows": ["1", "2", "279", "280", "281", "0"],
+    "--sample-rows": ["1", "2", "0"],
+    "--holdout-fraction": ["0.0005", "0.001", "0.5", "0.9995", "0", "1", "nan"],
+    "--shrinkage": ["0", "1", "-0.5", "nan"],
+    "--seed": ["0", str(2**32), str(2**64)],
+    "--parity-threshold": ["1", "1e308", "inf", "nan", "0.5"],
+    "--epochs": ["0", "1"],
+}
+_PROBE_KINDS = ["insert", "delete", "byte", "cell", "header", "columns", "rows", "metadata",
+                "flag"]
+
+
+def _mutated(rng, data: bytes, metadata: dict, kind: str) -> tuple[bytes, str, list[str]]:
+    """One ``kind`` of mutation of the demo CSV bytes, its metadata or the
+    flags: (CSV bytes, metadata text, extra flags)."""
+    if kind in ("insert", "delete", "byte"):
+        at = rng.randrange(len(data))
+        if kind == "insert":
+            byte = rng.choice([b'"', b",", b"\r", b"\n", bytes([rng.randrange(256)])])
+            new = byte + data[at : at + 1]
+        else:
+            new = b"" if kind == "delete" else bytes([rng.randrange(256)])
+        return data[:at] + new + data[at + 1 :], json.dumps(metadata), []
+    if kind == "metadata":
+        field, value = rng.choice(_PROBE_METADATA)
+        return data, json.dumps({**metadata, field: value}), []
+    if kind == "flag":
+        flag = rng.choice(sorted(_PROBE_FLAGS))
+        return data, json.dumps(metadata), [flag, rng.choice(_PROBE_FLAGS[flag])]
+    header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    j = rng.randrange(len(header))
+    if kind == "cell":
+        rows[rng.randrange(len(rows))][j] = rng.choice(_PROBE_CELLS)
+    elif kind == "header":
+        header[j] = rng.choice(["", header[j - 1], header[j] + " ", header[j].lower()])
+    elif kind == "rows":
+        rows = (rows * 2)[: rng.choice([0, 1, 2, 3, 10, 100, 2 * len(rows)])]
+    else:
+        op = rng.choice(["drop", "copy", "constant", "id"])
+        table = [header, *rows]
+        if op == "drop":
+            table = [row[:j] + row[j + 1 :] for row in table]
+        else:
+            added = {"copy": [f"{header[j]}2", *(row[j] for row in rows)],
+                     "constant": ["constant", *("1" for _ in rows)],
+                     "id": ["rid", *(f"r{i}" for i in range(len(rows)))]}[op]
+            table = [row + [cell] for row, cell in zip(table, added)]
+        header, *rows = table
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue().encode("utf-8"), json.dumps(metadata), []
+
+
+def test_mutation_probe_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch):
+    """Seeded single mutations of a 400-row demo table, its metadata and the
+    flags, each run through run, supervise or bench in-process: every call
+    exits 0, 1 or 2, a failure prints one error line, every JSON written
+    parses, and exit 2 comes only from a runtime failure."""
+    rng = random.Random(12)
+    demo = tmp_path / "demo"
+    assert main(["demo", "--rows", "400", "--seed", "0", "--out", str(demo)]) == 0
+    data = (demo / "demo.csv").read_bytes()
+    metadata = json.loads((demo / "metadata.json").read_text(encoding="utf-8"))
+    raised = []
+
+    def recorded(func):
+        def call(*args, **kwargs):
+            try:
+                return func(*args, **kwargs)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        return call
+
+    monkeypatch.setattr(cli, "cmd_supervise", recorded(cli.cmd_supervise))
+    monkeypatch.setattr(cli, "cmd_bench", recorded(cli.cmd_bench))
+    monkeypatch.setattr(cli, "supervise", partial(supervise, pipeline=recorded(run_pipeline)))
+    codes = Counter()
+    for i in range(300):
+        command = rng.choice(["run", "supervise", "bench"])
+        kind = rng.choice(_PROBE_KINDS)
+        csv_bytes, metadata_text, flags = _mutated(rng, data, metadata, kind)
+        call = tmp_path / f"c{i}"
+        call.mkdir()
+        (call / "data.csv").write_bytes(csv_bytes)
+        (call / "metadata.json").write_text(metadata_text, encoding="utf-8")
+        argv = [command, "--data", str(call / "data.csv"), "--metadata",
+                str(call / "metadata.json"), *_small_flags(), *flags, "--out", str(call / "o")]
+        if command == "supervise":
+            argv += ["--max-refinements", "1"]
+        raised.clear()
+        code = main(argv)
+        codes[code] += 1
+        case = (i, kind, argv[0], flags)
+        assert code in (0, 1, 2), case
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1 and err[0].startswith("error: "), (case, err)
+        for path in call.rglob("*.json"):
+            _strict_json(path.read_text(encoding="utf-8"))
+        if code == 2:
+            assert raised and all(isinstance(e, (RuntimeFailure, OSError)) for e in raised), (
+                case, raised)
+    assert codes[0] > 50 and codes[1] > 50, codes

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import io
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -748,6 +750,189 @@ def test_stray_cell_in_numbers_column_fails_fast(tmp_path, row):
         assert "NA" in text.column("v").categories
         with pytest.raises(ParseError, match="non-numeric cell 'NA'"):
             load_dataset(p, replace(md, declared_kinds={"v": ColumnKind.NUMERIC}))
+
+
+# Cell text, not line ends: str.splitlines() would split a line at each.
+_NOT_LINE_ENDS = ["n\x00ul", "vt\v", "ff\f", "fs\x1c", "nel\x85", "ls\u2028", "ps\u2029", "tab\t"]
+_LINE_ENDS = {"lf": ("\n",), "cr": ("\r",), "crlf": ("\r\n",), "mixed": ("\n", "\r", "\r\n")}
+# The metadata of _hostile_rows tables: with every column's kind inferred
+# but for the three stray columns, and with five more kinds declared.
+_STRAY_KINDS = {"tok": ColumnKind.CATEGORICAL, "stops": ColumnKind.CATEGORICAL,
+                "dnum": ColumnKind.CATEGORICAL}
+_HOSTILE_METADATA = (
+    Metadata("label", "yes", ("grp",), _STRAY_KINDS),
+    Metadata("label", "yes", ("grp",), {
+        **_STRAY_KINDS, "d20": ColumnKind.NUMERIC, "num": ColumnKind.CATEGORICAL,
+        "late": ColumnKind.CATEGORICAL, "dnum": ColumnKind.NUMERIC, "spell": ColumnKind.NUMERIC,
+    }),
+)
+
+
+def _quote_free_hostile_rows(rng, n, quoted_blocks=()):
+    """_hostile_rows whose text cells hold no quote, comma or line end,
+    except in the rows of the read blocks (by row index) in ``quoted_blocks``."""
+    header, rows = _hostile_rows(rng, n)
+    text = header.index("text")
+    for i, row in enumerate(rows):
+        if i // _READ_BLOCK_ROWS not in quoted_blocks:
+            # By index: numpy strings would drop a trailing "\x00".
+            row[text] = (_NOT_LINE_ENDS + [""])[rng.integers(len(_NOT_LINE_ENDS) + 1)]
+    return header, rows
+
+
+def _write_spelled(path, header, rows, ends, rng, quoted_blocks=()):
+    """Write ``rows`` under ``header``, each line ended by one of ``ends`` and
+    the last line by none. A row of a read block (by row index) in
+    ``quoted_blocks`` is spelled by csv.writer with every cell quoted; any
+    other row is its cells joined by commas."""
+    spelled = io.StringIO()
+    writer = csv.writer(spelled, quoting=csv.QUOTE_ALL, lineterminator="")
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        if i // _READ_BLOCK_ROWS in quoted_blocks:
+            spelled.seek(0)
+            spelled.truncate()
+            writer.writerow(row)
+            lines.append(spelled.getvalue())
+        else:
+            lines.append(",".join(row))
+    picks = rng.integers(0, len(ends), len(lines)).tolist()
+    text = "".join(line + ends[k] for line, k in zip(lines[:-1], picks)) + lines[-1]
+    path.write_bytes(text.encode("utf-8"))
+
+
+@pytest.mark.parametrize("ends", sorted(_LINE_ENDS))
+def test_quote_free_blocks_match_reference(tmp_path, ends):
+    """Blocks without a quote are split without csv.reader: at every line end
+    the stream knows, and nowhere else."""
+    rng = np.random.default_rng(23)
+    n = 2 * _READ_BLOCK_ROWS + int(rng.integers(1, _READ_BLOCK_ROWS))
+    header, rows = _quote_free_hostile_rows(rng, n)
+    p = tmp_path / "t.csv"
+    # The text column also last, where its odd characters end a line.
+    last = [j for j, name in enumerate(header) if name != "text"] + [header.index("text")]
+    for order in (range(len(header)), last):
+        spelled = [[row[j] for j in order] for row in rows]
+        _write_spelled(p, [header[j] for j in order], spelled, _LINE_ENDS[ends], rng)
+        for md in _HOSTILE_METADATA:
+            _assert_same_ingest(load_dataset(p, md), _reference_load(p, md))
+        assert set(load_dataset(p, md).column("text").categories) == set(_NOT_LINE_ENDS)
+    # A row one field short or long, first, either side of a block boundary
+    # and last, names the oracle's line and count.
+    for at in (0, _READ_BLOCK_ROWS - 1, _READ_BLOCK_ROWS, n - 1):
+        for ragged in (rows[at][:-1], rows[at] + ["extra"]):
+            _write_spelled(p, header, rows[:at] + [ragged] + rows[at + 1 :], _LINE_ENDS[ends], rng)
+            message = _assert_same_outcome(p, _HOSTILE_METADATA[0])
+            assert message is not None and f"found {len(ragged)}" in message
+
+
+def test_cell_over_the_field_limit_is_unreadable(tmp_path):
+    # A quote-free block keeps csv.reader's limit on the length of a field.
+    p = tmp_path / "t.csv"
+    limit = csv.field_size_limit()
+    md = Metadata("label", "yes")
+    write_lines(p, ["v,label", "x" * limit + ",yes", "1,no"])
+    assert load_dataset(p, md).row_count == 2
+    write_lines(p, ["v,label", "x" * (limit + 1) + ",yes", "1,no"])
+    with pytest.raises(ValidationFailure, match=r"field larger than field limit \(131072\)"):
+        load_dataset(p, md)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n"])
+def test_blank_line_is_a_row_of_no_fields(tmp_path, end):
+    """csv.reader reads a blank line as a row of 0 fields, so it is a width
+    error at its physical line, in a one-column table too."""
+    n = 3 * _READ_BLOCK_ROWS
+    labels = ["yes" if i % 3 else "no" for i in range(n)]
+    tables = {"v,label": [f"{i / 7!r},{y}" for i, y in enumerate(labels)], "label": labels}
+    md = Metadata("label", "yes")
+    p = tmp_path / "t.csv"
+    for header, lines in tables.items():
+        width = len(header.split(","))
+        # In the first, a middle and the last read block, and as the last line.
+        for at in (0, _READ_BLOCK_ROWS + 5, n - 3, n):
+            p.write_bytes(end.join([header, *lines[:at], "", *lines[at:]]).encode() + end.encode())
+            want = f"line {at + 2}: expected {width} fields, found 0"
+            assert _assert_same_outcome(p, md) == want
+            with pytest.raises(ParseError) as err:
+                load_dataset(p, md)
+            assert err.value.line == at + 2
+
+
+@pytest.mark.parametrize("after", [0, 40])
+@pytest.mark.parametrize("span", [2, 300])
+def test_quoted_cell_across_blocks_then_ragged_row(tmp_path, span, after):
+    """A quoted cell that opens on a read block's last line carries csv.reader
+    into the next lines; the quote-free rows after it keep their line numbers."""
+    rows = [f"{i % 5},{'yes' if i % 3 else 'no'}" for i in range(_READ_BLOCK_ROWS - 1 + after)]
+    cell = '"' + "\r\n".join(f"part {k}" for k in range(span)) + '",no'
+    # The header is line 1, so the cell opens on line 257, the first block's last.
+    lines = ["v,label", *rows[: _READ_BLOCK_ROWS - 1], cell, *rows[_READ_BLOCK_ROWS - 1 :]]
+    md = Metadata("label", "yes")
+    p = tmp_path / "t.csv"
+    write_lines(p, lines + ["2,no"])
+    assert _assert_same_outcome(p, md) is None
+    write_lines(p, lines + ["1,yes,extra", "2,no"])
+    line = 1 + _READ_BLOCK_ROWS + span + after
+    assert _assert_same_outcome(p, md) == f"line {line}: expected 2 fields, found 3"
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_rows_before_an_undecodable_byte_are_checked_first(tmp_path, quoted):
+    """Errors come in file order, though a read block reaches past the first
+    8 KiB decode chunk, where the bad byte sits."""
+    rows = [b"%d.%s,yes" % (i, b"1" * 40) for i in range(300)]
+    if quoted:
+        rows[2] = b'"2",no'
+    md = Metadata("label", "yes")
+    p = tmp_path / "t.csv"
+    for ragged, undecodable in ((5, 200), (250, 200)):
+        spelled = list(rows)
+        spelled[ragged], spelled[undecodable] = b"1,yes,extra", b"\xff,yes"
+        p.write_bytes(b"\r\n".join([b"v,label", *spelled]) + b"\r\n")
+        if ragged < undecodable:
+            assert _assert_same_outcome(p, md) == f"line {ragged + 2}: expected 2 fields, found 3"
+        else:
+            with pytest.raises(ValidationFailure, match="unreadable as UTF-8 CSV"):
+                load_dataset(p, md)
+
+
+def test_quoted_and_quote_free_blocks_alternate(tmp_path, monkeypatch):
+    rng = np.random.default_rng(29)
+    # Quoted rows hold multi-line cells, so a quoted block of rows spans more
+    # than one read block; two quote-free blocks of rows follow each.
+    n = 7 * _READ_BLOCK_ROWS + 17
+    quoted = (0, 3, 6)
+    header, rows = _quote_free_hostile_rows(rng, n, quoted)
+    p = tmp_path / "t.csv"
+    _write_spelled(p, header, rows, _LINE_ENDS["mixed"], rng, quoted)
+    for md in _HOSTILE_METADATA:
+        _assert_same_ingest(load_dataset(p, md), _reference_load(p, md))
+    # A ragged row in a quoted block, in a quote-free one and last.
+    for at in (_READ_BLOCK_ROWS // 2, 3 * _READ_BLOCK_ROWS // 2, n - 1):
+        ragged = rows[:at] + [rows[at][:-1]] + rows[at + 1 :]
+        _write_spelled(p, header, ragged, _LINE_ENDS["mixed"], rng, quoted)
+        message = _assert_same_outcome(p, _HOSTILE_METADATA[0])
+        assert message is not None and f"found {len(header) - 1}" in message
+    # csv.reader reads the header and the quoted blocks only.
+    readers = []
+
+    def counted(lines):
+        readers.append(lines)
+        return csv.reader(lines)
+
+    monkeypatch.setattr(schema, "csv", SimpleNamespace(**{**vars(csv), "reader": counted}))
+    _write_spelled(p, header, rows, _LINE_ENDS["mixed"], rng, quoted)
+    load_dataset(p, _HOSTILE_METADATA[0])
+    with open(p, newline="", encoding="utf-8") as fh:
+        blocks = math.ceil((sum(1 for _ in fh) - 1) / _READ_BLOCK_ROWS)
+    # At least one read block between two quoted ones is quote-free.
+    assert 1 + len(quoted) <= len(readers) <= 1 + blocks - (len(quoted) - 1)
+    header, rows = _quote_free_hostile_rows(rng, n)
+    _write_spelled(p, header, rows, _LINE_ENDS["crlf"], rng)
+    readers.clear()
+    load_dataset(p, _HOSTILE_METADATA[0])
+    assert len(readers) == 1
 
 
 def _id_table(path, ids, labels=None):
