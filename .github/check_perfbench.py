@@ -6,9 +6,11 @@ Run from the root of a checkout. perfbench/run.py exits 0 even when its
 output check fails, so this reads its result line: the run must be correct
 with no failed job. With ``--trace 0`` the artifacts must also match the
 --seed 1 sha256 pinned in tests/perfbench_sha256.json; with ``--trace 1``
-the traced counts must equal those pinned in tests/perfbench_counts.json.
-Exits 0 when every check holds, and otherwise with one line naming the
-first difference.
+the traced counts must equal those pinned in tests/perfbench_counts.json,
+and every span in the workload's ``live`` list there must read more than 0,
+so a code path that stops calling a traced function is noticed. Exits 0
+when every check holds, and otherwise with one line naming the first
+difference.
 """
 
 from __future__ import annotations
@@ -52,10 +54,14 @@ def check(workload: str, trace: int) -> str | None:
         pins = _load(COUNT_PINS)
         if workload not in pins:
             return f"no traced counts are pinned in {COUNT_PINS}"
-        want = pins[workload]
+        want = dict(pins[workload])
+        live = want.pop("live", [])
         got = {name: result["metrics"][name]["value"] for name in want}
         if got != want:
             return f"traced counts {got} differ from the pinned {want}"
+        dead = [name for name in live if not result["metrics"][name]["value"] > 0]
+        if dead:
+            return f"live spans {dead} read 0"
     return None
 
 

@@ -180,12 +180,52 @@ def nearest_psd(m: np.ndarray, eps: float = PSD_EPS) -> np.ndarray:
     return rebuilt
 
 
-def fit(train: Dataset, config: SynthesizerConfig) -> CopulaModel:
+def slice_ranks(table: Dataset) -> tuple[np.ndarray | None, ...]:
+    """Per numeric column of ``table``, each row's run (``_runs``); None per
+    categorical column. With them ``fit`` ranks a refit on ``table``, or on
+    rows drawn from it, without sorting."""
+    # int32 halves what a supervise call keeps for its whole run.
+    return tuple(
+        _runs(col.values).astype(np.int32) if isinstance(col, NumericColumn) else None
+        for col in table.columns
+    )
+
+
+def _runs(values: np.ndarray) -> np.ndarray:
+    """Each value's run of equal values: the index of the value among the
+    distinct values in ascending order; ``!=`` ties -0.0 with 0.0."""
+    # np.unique's inverse gives the same ids but holds more at once (1.5 MB
+    # more peak RSS on perfbench tall-run); the sorted copy is freed before
+    # the ids are scattered back.
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.empty(len(values), bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    del ordered
+    ids = np.cumsum(first)
+    ids -= 1
+    runs = np.empty(len(values), np.intp)
+    runs[order] = ids
+    return runs
+
+
+def fit(
+    train: Dataset,
+    config: SynthesizerConfig,
+    ranks: tuple[np.ndarray | None, ...] | None = None,
+    rows: np.ndarray | None = None,
+) -> CopulaModel:
     """Fit a synthesizer on ``train``; column kinds come from its schema.
 
     ``gaussian_copula`` estimates the score correlation and shrinks it toward
     the identity by ``correlation_shrinkage`` (``shrink_correlation``);
     ``independent`` forces the identity. The fit is closed-form.
+
+    ``ranks`` are the ``slice_ranks`` of a table (the slice) whose rows
+    ``train`` holds, and ``rows`` lists them (None: ``train`` is the slice).
+    Given them, a gaussian_copula fit ranks its numeric columns without
+    sorting, and gives the same floats as without them.
     """
     if train.row_count == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
@@ -193,12 +233,17 @@ def fit(train: Dataset, config: SynthesizerConfig) -> CopulaModel:
         raise ValidationFailure(
             f"unknown native backend {config.backend!r}; expected one of {NATIVE_BACKENDS}"
         )
+    if ranks is not None and (
+        len(ranks) != len(train.columns) or rows is not None and len(rows) != train.row_count
+    ):
+        raise ValidationFailure("ranks and rows must describe the columns and rows of train")
     names = train.schema.names
     if config.backend == "independent":
         marginals = [fit_marginal(col) for col in train.columns]
         corr = np.eye(len(names))
     else:
-        marginals, scores = _fit_scores(train.columns, np.random.default_rng(config.seed))
+        rng = np.random.default_rng(config.seed)
+        marginals, scores = _fit_scores(train.columns, rng, ranks, rows)
         corr = estimate_correlation(scores.T)
 
     model = CopulaModel(
@@ -224,18 +269,22 @@ def shrink_correlation(model: CopulaModel, shrinkage: float) -> CopulaModel:
 
 
 def _fit_scores(
-    columns: tuple[Column, ...], rng: np.random.Generator
+    columns: tuple[Column, ...],
+    rng: np.random.Generator,
+    ranks: tuple[np.ndarray | None, ...] | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[list[MarginalModel], np.ndarray]:
     """Each column's marginal, and the (columns, rows) matrix of the normal
-    scores of the rows it was fitted on.
+    scores of the rows it was fitted on; ``ranks`` and ``rows`` are
+    ``fit``'s.
 
     A numeric value with (average, 1-based) rank r among the column's n
-    values maps through u = r/(n+1): a run of equal values starting at sorted
-    position s with length t has the average rank s + (t + 1) / 2, so
-    ``ndtri`` runs once per run, and ``!=`` ties -0.0 with 0.0. A categorical
-    value draws u uniformly inside its category's interval of the marginal,
-    one ``rng.random`` draw per row in column order, so score space carries
-    no point masses.
+    values maps through u = r/(n+1): a run of equal values (``_runs``, taken
+    from ``ranks`` when given) with t rows after s rows of smaller values
+    has the average rank s + (t + 1) / 2, so ``ndtri`` runs once per run. A
+    categorical value draws u uniformly inside its category's interval of the
+    marginal, one ``rng.random`` draw per row in column order, so score space
+    carries no point masses.
     """
     # Every marginal is fitted before any column is scored: the marginals
     # outlive the fit, and allocated between scoring temporaries they fragment
@@ -244,16 +293,17 @@ def _fit_scores(
         (fit_marginal(col), None) if isinstance(col, NumericColumn) else _fit_categorical(col)
         for col in columns
     ]
-    scores = np.empty((len(columns), len(columns[0])))
-    for row, col, (marginal, category_codes) in zip(scores, columns, fitted):
+    n = len(columns[0])
+    scores = np.empty((len(columns), n))
+    for j, (row, col, (marginal, category_codes)) in enumerate(zip(scores, columns, fitted)):
         if isinstance(col, NumericColumn):
-            n = len(col)
-            order = np.argsort(col.values)
-            ordered = col.values[order]
-            starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-            lengths = np.diff(starts, append=n)
-            run_scores = ndtri((starts + (lengths + 1) / 2.0) / (n + 1))
-            row[order] = np.repeat(run_scores, lengths)
+            if ranks is None:
+                runs = _runs(col.values)
+            else:
+                runs = ranks[j] if rows is None else ranks[j][rows]
+            lengths = np.bincount(runs)  # a run that no row holds gets an unread score
+            starts = np.cumsum(lengths) - lengths
+            np.take(ndtri((starts + (lengths + 1) / 2.0) / (n + 1)), runs, out=row)
             continue
         upper = marginal.upper_bounds
         lower = np.concatenate(([0.0], upper[:-1]))

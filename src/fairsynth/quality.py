@@ -26,17 +26,19 @@ bounded whatever the vocabulary or column count.
 What depends on the real table alone, its numeric columns' bin edges and
 codes and their pairs' rho, is its ``RealSide``. ``quality_report`` builds it
 from a real table, or takes it built once by ``real_side`` to score many
-synthetic tables against one real table.
+synthetic tables against one real table. Its co-occurrence counts also
+depend on the coded layout, which a synthetic category the real table lacks
+changes; a ``RealCounts`` keeps them while the layout holds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyColumn, LengthMismatch, SchemaMismatch
+from .errors import EmptyColumn, LengthMismatch, SchemaMismatch, ValidationFailure
 from .schema import ColumnKind, Dataset, TableSchema
 
 KS_COMPLEMENT = "KSComplement"
@@ -169,17 +171,35 @@ def _pair_tv(a: tuple, b: tuple) -> float:
     return _tv(real_a * size_b + real_b, synth_a * size_b + synth_b, size_a * size_b)
 
 
-def _joint_tvs(columns: list[tuple], numeric: list[bool]) -> np.ndarray:
+@dataclass
+class RealCounts:
+    """The level co-occurrence counts of the real side ``real`` in
+    ``quality_report``, one array per pair of tiles, for the coded layout
+    ``sizes`` (each column's level count). A report against ``real`` fills
+    it and the next one reuses it while the layout holds; a synthetic
+    category that the real table lacks changes the layout, and the counts
+    are built again. A report against another real side refuses it."""
+
+    real: RealSide
+    sizes: tuple[int, ...] = ()
+    tiles: list[np.ndarray] = field(default_factory=list)
+
+
+def _joint_tvs(
+    columns: list[tuple], numeric: list[bool], real_counts: RealCounts | None = None
+) -> np.ndarray:
     """scores[i, j]: ``_pair_tv`` of columns i < j, and ``_tv`` of column i
     as scores[i, i], for columns coded like ``_coded``'s output; nan where
     columns i and j are both ``numeric``. All come from each side's level
-    co-occurrence counts.
+    co-occurrence counts; the real side's are read from ``real_counts`` when
+    it holds them, and stored in it otherwise.
 
     Consecutive columns share a tile while their levels fit in
     ``TILE_LEVELS``; the counts of each pair of tiles are built once."""
     nr, ns = columns[0][0].size, columns[0][1].size
     if nr == 0 or ns == 0:
         raise EmptyColumn("total variation requires nonempty columns")
+    reuse = real_counts is not None and bool(real_counts.tiles)
     tiles: list[list[int]] = []
     widths: list[int] = []
     starts: list[int] = []  # each column's first slot in its tile
@@ -190,23 +210,33 @@ def _joint_tvs(columns: list[tuple], numeric: list[bool]) -> np.ndarray:
         tiles[-1].append(i)
         starts.append(widths[-1])
         widths[-1] += size
-    # Per tile and side, each row's level slots, one column per tile column.
-    slots = []
-    for tile in tiles:
-        sides = (np.empty((nr, len(tile)), np.int16), np.empty((ns, len(tile)), np.int16))
-        for j, i in enumerate(tile):
-            for side, codes in zip(sides, columns[i]):
-                side[:, j] = codes + starts[i]
-        slots.append(sides)
+
+    def slots(side: int) -> list[np.ndarray]:
+        """Per tile, each row's level slots on ``side``, one column per tile
+        column."""
+        blocks = []
+        for tile in tiles:
+            block = np.empty((columns[0][side].size, len(tile)), np.int16)
+            for j, i in enumerate(tile):
+                block[:, j] = columns[i][side] + starts[i]
+            blocks.append(block)
+        return blocks
+
+    real_slots = None if reuse else slots(0)
+    synth_slots = slots(1)
     spans = [slice(start, start + size) for start, (_, _, size) in zip(starts, columns)]
 
     scores = np.full((len(columns), len(columns)), np.nan)
+    kept = iter(real_counts.tiles) if reuse else None
     for p, left in enumerate(tiles):
         for q in range(p, len(tiles)):
-            real, synth = (
-                _cooccurrences(slots[p][side], widths[p], slots[q][side], widths[q])
-                for side in (0, 1)
-            )
+            if reuse:
+                real = next(kept)
+            else:
+                real = _cooccurrences(real_slots[p], widths[p], real_slots[q], widths[q])
+                if real_counts is not None:
+                    real_counts.tiles.append(real)
+            synth = _cooccurrences(synth_slots[p], widths[p], synth_slots[q], widths[q])
             diff = np.abs(real / nr - synth / ns)
             for k, i in enumerate(left):
                 for j in (left[k:] if p == q else tiles[q]):
@@ -287,10 +317,15 @@ def real_side(real: Dataset) -> RealSide:
 
 
 def quality_report(
-    real: Dataset | RealSide, synth: Dataset, schema: TableSchema
+    real: Dataset | RealSide,
+    synth: Dataset,
+    schema: TableSchema,
+    real_counts: RealCounts | None = None,
 ) -> QualityReport:
     """Full fidelity report of ``synth`` against ``real`` under ``schema``;
-    ``real`` may be given as its ``real_side``, built once for many reports.
+    ``real`` may be given as its ``real_side``, built once for many reports,
+    and then ``RealCounts(real)`` keeps its co-occurrence counts from one
+    report to the next.
 
     overall = (mean of shape scores + mean of pair-trend scores) / 2; a table
     with fewer than 2 columns reuses the shape average as the trend average.
@@ -299,6 +334,8 @@ def quality_report(
     if table.schema != schema or synth.schema != schema:
         raise SchemaMismatch("real and synthetic datasets must share the given schema")
     side = real if isinstance(real, RealSide) else real_side(real)
+    if real_counts is not None and real_counts.real is not side:
+        raise ValidationFailure("real_counts belong to another real side")
 
     # Numeric pairs are scored first, from each synthetic numeric column
     # centred once; the centred copies are freed before the columns are coded.
@@ -332,7 +369,12 @@ def quality_report(
     # Columns of at most MAX_LEVELS levels are scored together, the rest
     # pair by pair.
     narrow = {name: i for i, name in enumerate(n for n, c in coded.items() if c[2] <= MAX_LEVELS)}
-    joint = _joint_tvs([coded[n] for n in narrow], [n in ks for n in narrow]) if narrow else None
+    layout = tuple(size for _, _, size in coded.values())
+    if real_counts is not None and real_counts.sizes != layout:
+        real_counts.sizes, real_counts.tiles = layout, []
+    joint = None
+    if narrow:
+        joint = _joint_tvs([coded[n] for n in narrow], [n in ks for n in narrow], real_counts)
 
     def tv(a: str, b: str) -> float:
         if a in narrow and b in narrow:

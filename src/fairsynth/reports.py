@@ -285,9 +285,7 @@ def batch_evaluate(
         if synthesize is not None:
             rows[first] = _bench_row(
                 backends[first],
-                lambda: evaluate_synthetic(
-                    synthesize(), holdout, metadata, threshold, state.holdout
-                ),
+                lambda: evaluate_synthetic(synthesize(), holdout, metadata, threshold, state),
             )
     for i in externals:
         rows[i] = _bench_row(

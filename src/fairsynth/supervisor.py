@@ -32,6 +32,7 @@ from .copula import (
     fit,
     sample,
     shrink_correlation,
+    slice_ranks,
 )
 from .errors import (
     AllIterationsFailed,
@@ -39,7 +40,7 @@ from .errors import (
     ValidationFailure,
 )
 from .external import ExternalBackend, launch_external_backend
-from .quality import QualityReport, RealSide, quality_report, real_side
+from .quality import QualityReport, RealCounts, RealSide, quality_report, real_side
 from .schema import (
     ColumnKind,
     Dataset,
@@ -49,7 +50,7 @@ from .schema import (
     write_csv,
 )
 from .scoring import DEFAULT_PARITY_THRESHOLD, CompositeScore, synth_score
-from .tstr import FairnessReport, fairness_report
+from .tstr import FairnessReport, HoldoutGroups, fairness_report
 
 
 @dataclass(frozen=True)
@@ -136,16 +137,39 @@ class PipelineResult:
 @dataclass
 class SplitState:
     """What the pipeline runs of one ``supervise`` or ``batch_evaluate`` call
-    share on their split: ``holdout`` is the holdout's ``real_side``. While
-    ``keep_fit`` is set, a gaussian_copula run keeps its unshrunk model in
-    ``fit``, keyed by its config with correlation_shrinkage 0. The next run
-    with that key shrinks the kept model instead of balancing and fitting
-    again, which gives the same floats.
+    share on their split. ``holdout`` is the holdout's ``real_side``. The
+    other pieces are built only while ``keep_fit`` is set, that is while
+    another run on the split can follow; the last run may still use them,
+    and then they are released. Each gives the floats of the run without it.
+
+    - ``fit``: a gaussian_copula run's unshrunk model, keyed by its config
+      with correlation_shrinkage 0. The next run with that key shrinks the
+      kept model instead of balancing and fitting again.
+    - ``ranks``: the train slice's ``slice_ranks``, its sort order as each
+      row's run of equal values per numeric column. A gaussian_copula fit on
+      the slice, or on a ``balance_groups`` resample of it, ranks its numeric
+      columns by them instead of sorting.
+    - ``counts``: the holdout's ``quality.RealCounts``, its level
+      co-occurrence counts in the quality report, kept while the coded
+      layout holds.
+    - ``groups``: the holdout's ``tstr.HoldoutGroups``, its negatives per
+      group of each protected attribute, so that TSTR counts only the false
+      positives.
     """
 
     holdout: RealSide
     keep_fit: bool = False
     fit: tuple[RunConfig, CopulaModel] | None = None
+    ranks: tuple[np.ndarray | None, ...] | None = None
+    counts: RealCounts | None = None
+    groups: HoldoutGroups | None = None
+
+    def kept(self, name: str, build: Callable[[], object]):
+        """The piece ``name``, first built by ``build()`` while ``keep_fit``
+        is set; None when none is kept and no other run can follow."""
+        if getattr(self, name) is None and self.keep_fit:
+            setattr(self, name, build())
+        return getattr(self, name)
 
 
 @dataclass
@@ -158,19 +182,22 @@ class HistoryEntry:
 
 def balance_groups(
     train: Dataset, metadata: Metadata, seed: int, attribute: str | None = None
-) -> Dataset:
-    """Oversample (group x label) cells with replacement until every cell of
-    the chosen categorical attribute matches the largest cell count.
+) -> tuple[Dataset, np.ndarray | None]:
+    """Oversample (group x label) cells of the chosen categorical attribute
+    with replacement until every cell that holds a row matches the largest
+    cell count; a cell with no rows stays empty. Returns the balanced table
+    and the rows of ``train`` it holds, ``train``'s own rows first, so a refit
+    can rank it by the rows (``copula.fit``'s ``rows``).
 
     Defaults to the first protected attribute; deterministic for a fixed seed
     (cells are processed in (group, label) text order). Already-balanced input
-    comes back unchanged.
+    comes back unchanged, as ``(train, None)``.
     """
     if attribute is None:
         attrs = metadata.protected_attributes
         attribute = attrs[0] if attrs else None
     if attribute is None or attribute not in train.schema:
-        return train
+        return train, None
     if train.schema.kind_of(attribute) is not ColumnKind.CATEGORICAL:
         raise ValidationFailure(f"balance attribute {attribute!r} is not categorical")
     group = train.column(attribute)
@@ -189,8 +216,9 @@ def balance_groups(
         if sizes[k] < target
     ]
     if not extra:
-        return train
-    return train.take(np.concatenate([np.arange(train.row_count), *extra]))
+        return train, None
+    rows = np.concatenate([np.arange(train.row_count), *extra])
+    return train.take(rows), rows
 
 
 def check_backend(name: str, external_backends: dict[str, ExternalBackend] | None) -> None:
@@ -210,10 +238,13 @@ def split_for(config: RunConfig, real: Dataset, split: SplitSpec) -> tuple[Datas
     return split_holdout(real, replace(split, train_rows=config.train_rows))
 
 
-def _balanced(config: RunConfig, train: Dataset, metadata: Metadata) -> Dataset:
-    """The train slice that ``config`` synthesizes from."""
+def _balanced(
+    config: RunConfig, train: Dataset, metadata: Metadata
+) -> tuple[Dataset, np.ndarray | None]:
+    """The table that ``config`` synthesizes from, and the rows of the train
+    slice it holds (None: the slice itself)."""
     if not config.balance_groups:
-        return train
+        return train, None
     return balance_groups(train, metadata, seed=config.seed, attribute=config.balance_attribute)
 
 
@@ -224,13 +255,14 @@ def _native_model(
     keeping a gaussian_copula fit through ``state`` as ``SplitState`` says."""
     if state is None or config.backend != "gaussian_copula":
         synth_cfg = SynthesizerConfig(config.backend, config.seed, config.correlation_shrinkage)
-        return fit(_balanced(config, train, metadata), synth_cfg)
+        return fit(_balanced(config, train, metadata)[0], synth_cfg)
     unshrunk = replace(config, correlation_shrinkage=0.0)
     model = state.fit[1] if state.fit is not None and state.fit[0] == unshrunk else None
     state.fit = None  # a model not reused is freed before the next fit
     if model is None:
-        train = _balanced(config, train, metadata)
-        model = fit(train, SynthesizerConfig(config.backend, config.seed))
+        ranks = state.kept("ranks", lambda: slice_ranks(train))
+        table, rows = _balanced(config, train, metadata)
+        model = fit(table, SynthesizerConfig(config.backend, config.seed), ranks, rows)
     if state.keep_fit:
         state.fit = (unshrunk, model)
     return shrink_correlation(model, config.correlation_shrinkage)
@@ -254,7 +286,7 @@ def launch_synthesis(
             _native_model(config, train, metadata, state), config.sample_rows, config.seed
         )
     check_backend(config.backend, external_backends)
-    train = _balanced(config, train, metadata)
+    train = _balanced(config, train, metadata)[0]
     tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
     write_csv(train, tmp / "train.csv")
     (tmp / "metadata.json").write_text(
@@ -279,14 +311,18 @@ def evaluate_synthetic(
     holdout: Dataset,
     metadata: Metadata,
     parity_threshold: float = DEFAULT_PARITY_THRESHOLD,
-    holdout_side: RealSide | None = None,
+    state: SplitState | None = None,
 ) -> PipelineResult:
     """The evaluation step: fidelity and TSTR fairness against the holdout,
-    folded into the composite score. ``holdout_side`` is ``real_side(holdout)``
-    when the caller has built it already."""
-    real = holdout if holdout_side is None else holdout_side
-    quality = quality_report(real, synthetic, holdout.schema)
-    fairness = fairness_report(synthetic, holdout, metadata)
+    folded into the composite score. ``state`` is the split's, when the
+    caller has one."""
+    real, counts, groups = holdout, None, None
+    if state is not None:
+        real = state.holdout
+        counts = state.kept("counts", lambda: RealCounts(state.holdout))
+        groups = state.kept("groups", lambda: HoldoutGroups(holdout))
+    quality = quality_report(real, synthetic, holdout.schema, counts)
+    fairness = fairness_report(synthetic, holdout, metadata, holdout_groups=groups)
     composite = synth_score(
         quality.overall_score,
         fairness.max_rel_fpr,
@@ -311,8 +347,10 @@ def run_pipeline(
     with ExitStack() as stack:
         synthesize = launch_synthesis(config, train, metadata, external_backends, stack, state)
         synthetic = synthesize()
-    holdout_side = None if state is None else state.holdout
-    return evaluate_synthetic(synthetic, holdout, metadata, parity_threshold, holdout_side)
+    result = evaluate_synthetic(synthetic, holdout, metadata, parity_threshold, state)
+    if state is not None and not state.keep_fit:  # the last run on the split
+        state.ranks = state.counts = state.groups = None
+    return result
 
 
 def plan_refinement(
@@ -396,8 +434,9 @@ def supervise(
 
     ``real`` is split once, for ``initial``; no refinement action changes
     train_rows, so every iteration sees the same train slice and holdout, and
-    shares one ``SplitState``: the holdout's side of the quality report, and
-    the fit of the previous iteration while another iteration can follow. A
+    shares one ``SplitState``: the holdout's side of the quality report and,
+    while another iteration can follow, the previous fit, the slice's sort
+    order and the holdout's co-occurrence counts and group negatives. A
     failed iteration is recorded in history with its error and refined by
     resampling; if every iteration fails, AllIterationsFailed carries the full
     history. ``pipeline`` is injectable for testing the routing policy in

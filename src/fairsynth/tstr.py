@@ -12,7 +12,7 @@ represented as None; an infinite ratio is float('inf').
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -76,6 +76,31 @@ class GroupRate:
     fpr: float | None  # None when negatives < min_support
     negatives: int
     false_positives: int
+
+
+@dataclass(frozen=True)
+class GroupNegatives:
+    """The negatives of one grouping of fixed rows (a holdout's protected
+    attribute): the group keys in ``np.unique`` order, which rows are
+    negative, the group index of each negative row, and the negatives per
+    group. Many predictions on the rows are then scored by counting their
+    false positives only (``_group_rates``)."""
+
+    keys: list
+    negative: np.ndarray
+    groups: np.ndarray
+    negatives: list[int]
+
+
+@dataclass
+class HoldoutGroups:
+    """Per protected attribute, the ``GroupNegatives`` of the rows of
+    ``holdout``: a report against ``holdout`` fills it, and the next one
+    counts only its false positives. A report against another holdout
+    refuses it."""
+
+    holdout: Dataset
+    negatives: dict[str, GroupNegatives] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -306,12 +331,28 @@ def group_fpr(y_true, y_pred, groups, min_support: int = 5) -> dict[str, GroupRa
         groups = np.array(list(groups), dtype=object)
     if not (len(y_true) == len(y_pred) == len(groups)):
         raise LengthMismatch("y_true, y_pred and groups must have equal lengths")
+    return _group_rates(_group_negatives(y_true, groups), y_pred, min_support)
+
+
+def _group_negatives(y_true: np.ndarray, groups: np.ndarray) -> GroupNegatives:
+    """The ``GroupNegatives`` of rows with labels ``y_true`` and group labels
+    ``groups``."""
     keys, inverse = np.unique(groups, return_inverse=True)
     negative = y_true == 0
-    negatives = np.bincount(inverse[negative], minlength=len(keys)).tolist()
-    false_pos = np.bincount(inverse[negative & (y_pred == 1)], minlength=len(keys)).tolist()
+    of_negatives = inverse[negative]
+    negatives = np.bincount(of_negatives, minlength=len(keys)).tolist()
+    return GroupNegatives(keys.tolist(), negative, of_negatives, negatives)
+
+
+def _group_rates(
+    negatives: GroupNegatives, y_pred: np.ndarray, min_support: int
+) -> dict[str, GroupRate]:
+    """``group_fpr`` of the predictions ``y_pred`` on the rows that
+    ``negatives`` groups."""
+    fp_groups = negatives.groups[y_pred[negatives.negative] == 1]
+    false_pos = np.bincount(fp_groups, minlength=len(negatives.keys)).tolist()
     out: dict[str, GroupRate] = {}
-    for g, neg, fp in zip(keys.tolist(), negatives, false_pos):
+    for g, neg, fp in zip(negatives.keys, negatives.negatives, false_pos):
         rate = fp / neg if neg >= min_support else None
         out[g] = GroupRate(fpr=rate, negatives=neg, false_positives=fp)
     return out
@@ -347,10 +388,15 @@ def fairness_report(
     real_holdout: Dataset,
     metadata: Metadata,
     hyperparams: TstrHyperparams = TstrHyperparams(),
+    holdout_groups: HoldoutGroups | None = None,
 ) -> FairnessReport:
-    """End-to-end TSTR fairness evaluation; pure in all of its inputs."""
+    """End-to-end TSTR fairness evaluation; pure in all of its inputs but
+    ``holdout_groups``, a ``HoldoutGroups(real_holdout)`` that keeps the
+    holdout's group negatives from one report to the next."""
     if synth.row_count == 0 or real_holdout.row_count == 0:
         raise EmptyDataset("TSTR needs nonempty synthetic and holdout datasets")
+    if holdout_groups is not None and holdout_groups.holdout is not real_holdout:
+        raise ValidationFailure("holdout_groups belong to another holdout")
     encoder = fit_encoder(synth, metadata)
     X_train, y_train, _ = encode(encoder, synth)
     model = train_logreg(X_train, y_train, hyperparams)
@@ -364,7 +410,13 @@ def fairness_report(
     counts: dict[str, dict[str, tuple[int, int]]] = {}
     for attr in metadata.protected_attributes:
         col = test_groups[attr]
-        by_code = group_fpr(y_test, y_pred, col.codes, hyperparams.min_support)
+        if holdout_groups is None:
+            by_code = group_fpr(y_test, y_pred, col.codes, hyperparams.min_support)
+        else:
+            kept = holdout_groups.negatives
+            if attr not in kept:
+                kept[attr] = _group_negatives(y_test, col.codes)
+            by_code = _group_rates(kept[attr], y_pred, hyperparams.min_support)
         rates = sorted((col.categories[k], r) for k, r in by_code.items())
         fpr_maps[attr] = {g: r.fpr for g, r in rates}
         counts[attr] = {g: (r.negatives, r.false_positives) for g, r in rates}

@@ -22,6 +22,7 @@ from fairsynth.copula import (
     nearest_psd,
     sample,
     save_model,
+    slice_ranks,
 )
 from fairsynth.errors import NotFitted, SchemaMismatch, TooFewValues, ValidationFailure
 from fairsynth.schema import (
@@ -348,7 +349,7 @@ def _hostile_tables(demo_data, demo_metadata):
         TableSchema((("a", ColumnKind.NUMERIC), ("b", ColumnKind.NUMERIC))),
         (NumericColumn(rng.integers(0, 4, n) * 0.5), NumericColumn(np.round(rng.standard_normal(n)))),
     )
-    yield "balanced slice", balance_groups(demo_data.take(np.arange(400)), demo_metadata, 3)
+    yield "balanced slice", balance_groups(demo_data.take(np.arange(400)), demo_metadata, 3)[0]
     yield "signed zeros", Dataset(
         TableSchema((("z", ColumnKind.NUMERIC), ("x", ColumnKind.NUMERIC))),
         (NumericColumn(rng.choice([-0.0, 0.0, 1.0], n)), NumericColumn(rng.standard_normal(n))),
@@ -400,6 +401,76 @@ class TestFitScoresMatchOracle:
             to_normal_scores(numeric, fit_marginal(categorical), rng)
         with pytest.raises(SchemaMismatch):
             to_normal_scores(categorical, fit_marginal(numeric), rng)
+
+
+def _resamples(demo_data, demo_metadata):
+    """(name, slice, rows): slices whose refit ranks are easy to get wrong,
+    and rows of each that a refit draws."""
+    rng = np.random.default_rng(41)
+    n = 300
+    ties = Dataset(
+        TableSchema((("a", ColumnKind.NUMERIC), ("b", ColumnKind.NUMERIC))),
+        (NumericColumn(rng.integers(0, 4, n) * 0.5), NumericColumn(np.round(rng.standard_normal(n)))),
+    )
+    yield "heavy ties", ties, rng.integers(0, n, 2 * n)
+    yield "rows missed", ties, rng.integers(0, n, 40)
+    yield "one row drawn many times", ties, np.concatenate([np.arange(n), np.full(500, 17)])
+    zeros = Dataset(
+        TableSchema((("z", ColumnKind.NUMERIC), ("x", ColumnKind.NUMERIC))),
+        (NumericColumn(rng.choice([-0.0, 0.0, 1.0], n)), NumericColumn(rng.standard_normal(n))),
+    )
+    yield "signed zeros", zeros, rng.integers(0, n, 700)
+    constant = Dataset(
+        TableSchema((("k", ColumnKind.NUMERIC), ("x", ColumnKind.NUMERIC))),
+        (NumericColumn(np.full(n, -2.5)), NumericColumn(rng.standard_normal(n))),
+    )
+    yield "constant", constant, rng.integers(0, n, 500)
+    yield "two-row slice", demo_data.take(np.array([5, 1])), np.array([1, 1, 0, 1, 1, 1])
+    table = demo_data.take(np.arange(400))
+    _, rows = balance_groups(table, demo_metadata, 3)
+    yield "balanced slice", table, rows
+
+
+class TestRefitRanksMatchOracle:
+    """A refit on a slice, or on rows drawn from it, ranks its numeric columns
+    by the slice's ``slice_ranks`` instead of sorting; ``to_normal_scores``
+    and a fit without them are the oracles."""
+
+    def test_scores(self, demo_data, demo_md):
+        for name, table, drawn in _resamples(demo_data, demo_md):
+            ranks = slice_ranks(table)
+            for rows in (None, drawn):
+                resample = table if rows is None else table.take(rows)
+                _, got = _fit_scores(resample.columns, np.random.default_rng(8), ranks, rows)
+                rng = np.random.default_rng(8)
+                for row, col in zip(got, resample.columns):
+                    want = to_normal_scores(col, fit_marginal(col), rng)
+                    assert row.tobytes() == want.tobytes(), (name, rows is None)
+
+    def test_model(self, demo_data, demo_md):
+        for name, table, drawn in _resamples(demo_data, demo_md):
+            ranks = slice_ranks(table)
+            for rows in (None, drawn):
+                resample = table if rows is None else table.take(rows)
+                for lam in (0.0, 0.3):
+                    config = SynthesizerConfig(seed=8, correlation_shrinkage=lam)
+                    got, want = fit(resample, config, ranks, rows), fit(resample, config)
+                    assert got.marginals.keys() == want.marginals.keys(), name
+                    for column, marginal in want.marginals.items():
+                        for field, value in vars(marginal).items():
+                            kept = getattr(got.marginals[column], field)
+                            assert np.asarray(kept).tobytes() == np.asarray(value).tobytes(), name
+                    assert got.correlation.tobytes() == want.correlation.tobytes(), name
+                    assert got.cholesky.tobytes() == want.cholesky.tobytes(), name
+                    assert got.fitted_rows == want.fitted_rows == resample.row_count
+
+    def test_ranks_must_describe_the_table(self, demo_data):
+        table = demo_data.take(np.arange(50))
+        ranks = slice_ranks(table)
+        with pytest.raises(ValidationFailure):
+            fit(table, SynthesizerConfig(), ranks[:-1])
+        with pytest.raises(ValidationFailure):
+            fit(table.take(np.arange(10)), SynthesizerConfig(), ranks, np.arange(9))
 
 
 class TestEstimateCorrelation:

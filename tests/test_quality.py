@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairsynth import quality
-from fairsynth.errors import EmptyColumn, LengthMismatch, SchemaMismatch
+from fairsynth.errors import EmptyColumn, LengthMismatch, SchemaMismatch, ValidationFailure
 from fairsynth.quality import (
     contingency_similarity,
     correlation_similarity,
@@ -525,6 +525,36 @@ class TestRealSide:
             assert report == quality_report(real, synth, real.schema)
             shapes, trends = _pairwise_report(real, synth)
             assert (report.shapes, list(report.pair_trends)) == (shapes, trends)
+
+    def test_kept_counts_follow_the_coded_layout(self):
+        # Side 1 lists category "e", which the real table lacks (as an
+        # external backend can emit): the coded layout changes, and the kept
+        # counts are built again for it, and again when it changes back.
+        rng = np.random.default_rng(24)
+        real = _mixed_table(rng, 900, 0)
+        side = quality.real_side(real)
+        counts = quality.RealCounts(side)
+        layouts = []
+        for synth in (
+            _mixed_table(rng, 400, 0),
+            _mixed_table(rng, 300, 0),
+            _mixed_table(rng, 500, 1),
+            _mixed_table(rng, 200, 0),
+            real,
+        ):
+            report = quality_report(side, synth, real.schema, counts)
+            assert report == quality_report(real, synth, real.schema)
+            layouts.append(counts.sizes)
+        assert layouts[0] == layouts[1] == layouts[3] == layouts[4] != layouts[2]
+
+    def test_kept_counts_belong_to_one_real_side(self):
+        rng = np.random.default_rng(25)
+        real = _mixed_table(rng, 300, 0)
+        counts = quality.RealCounts(quality.real_side(real))
+        synth = _mixed_table(rng, 200, 0)
+        for other in (real, quality.real_side(real)):
+            with pytest.raises(ValidationFailure, match="another real side"):
+                quality_report(other, synth, real.schema, counts)
 
     def test_schema_checked_against_the_side(self):
         rng = np.random.default_rng(23)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fairsynth import supervisor
+from fairsynth.demo import DemoSpec, make_demo_dataset
 from fairsynth.errors import AllIterationsFailed, InsufficientRows, ValidationFailure
 from fairsynth.quality import QualityReport
 from fairsynth.schema import (
@@ -169,7 +170,7 @@ class TestBalanceGroups:
                 NumericColumn(np.arange(35, dtype=np.float64)),
             ),
         )
-        balanced = balance_groups(data, demo_md, seed=0, attribute="Race")
+        balanced, _ = balance_groups(data, demo_md, seed=0, attribute="Race")
         assert balanced.row_count == 40
         cells = Counter(zip(balanced.decoded("Race"), balanced.decoded("Diagnosis")))
         assert all(count == 10 for count in cells.values())
@@ -180,22 +181,36 @@ class TestBalanceGroups:
 
     def test_already_balanced_returned_unchanged(self, demo_data, demo_md):
         train, _ = split_holdout(demo_data, SPLIT)
-        balanced = balance_groups(train, demo_md, seed=0, attribute="Race")
-        rebalanced = balance_groups(balanced, demo_md, seed=1, attribute="Race")
-        assert rebalanced is balanced
+        balanced, _ = balance_groups(train, demo_md, seed=0, attribute="Race")
+        rebalanced, rows = balance_groups(balanced, demo_md, seed=1, attribute="Race")
+        assert rebalanced is balanced and rows is None
 
     def test_absent_attribute_is_identity(self, demo_data, demo_md):
-        assert balance_groups(demo_data, demo_md, seed=0, attribute="nope") is demo_data
+        table, rows = balance_groups(demo_data, demo_md, seed=0, attribute="nope")
+        assert table is demo_data and rows is None
 
     def test_defaults_to_first_protected_attribute(self, demo_data, demo_md):
-        explicit = balance_groups(demo_data, demo_md, seed=0, attribute="Race")
-        default = balance_groups(demo_data, demo_md, seed=0)
-        assert default == explicit
+        explicit, explicit_rows = balance_groups(demo_data, demo_md, seed=0, attribute="Race")
+        default, default_rows = balance_groups(demo_data, demo_md, seed=0)
+        assert default == explicit and default_rows.tolist() == explicit_rows.tolist()
 
     def test_deterministic(self, demo_data, demo_md):
-        a = balance_groups(demo_data, demo_md, seed=3, attribute="Race")
-        b = balance_groups(demo_data, demo_md, seed=3, attribute="Race")
-        assert a == b
+        a, rows_a = balance_groups(demo_data, demo_md, seed=3, attribute="Race")
+        b, rows_b = balance_groups(demo_data, demo_md, seed=3, attribute="Race")
+        assert a == b and rows_a.tolist() == rows_b.tolist()
+
+    def test_empty_cell_stays_empty_and_rows_are_returned(self):
+        md = Metadata("y", "pos", ("g",))
+        schema = TableSchema((("g", ColumnKind.CATEGORICAL), ("y", ColumnKind.CATEGORICAL)))
+        pairs = [("A", "pos")] * 3 + [("B", "pos")] * 2 + [("B", "neg")] * 2
+        data = Dataset(schema, tuple(CategoricalColumn.from_values(v) for v in zip(*pairs)))
+        balanced, rows = balance_groups(data, md, seed=0, attribute="g")
+        assert balanced == data.take(rows)
+        assert rows[:data.row_count].tolist() == list(range(data.row_count))
+        cells = Counter(zip(balanced.column("g").decoded(), balanced.column("y").decoded()))
+        assert cells == {("A", "pos"): 3, ("B", "pos"): 3, ("B", "neg"): 3}
+        again, none = balance_groups(balanced, md, seed=0, attribute="g")
+        assert again is balanced and none is None
 
 
 def _reference_balance_indices(train, metadata, seed, attribute):
@@ -239,9 +254,11 @@ class TestCodedBalanceMatchesStringReference:
         for seed in range(40):
             rows = rng.choice(n, size=int(rng.integers(2, 40)), replace=False)
             train = data.take(rows)
-            got = balance_groups(train, md, seed=seed, attribute="g")
+            got, got_rows = balance_groups(train, md, seed=seed, attribute="g")
             want = _reference_balance_indices(train, md, seed, "g")
             assert got.column("row").values.tolist() == rows[want].tolist()
+            if got_rows is not None:
+                assert got_rows.tolist() == want
 
     def test_numeric_attribute_rejected(self):
         md = Metadata("y", "pos", ("g",))
@@ -478,6 +495,83 @@ class TestSupervise:
         strict = Targets(parity_threshold=1.0, max_refinements=2)
         supervise(SMALL, demo_data, demo_md, SPLIT, strict, pipeline=pipeline)
         assert [fit is not None for fit in kept] == [True, True, False]
+
+    @pytest.mark.parametrize("shape", ["demo", "refine"])
+    def test_every_iteration_equals_its_state_free_run(self, demo_data, demo_md, shape):
+        # The split's kept pieces (previous fit, slice sort order, holdout
+        # co-occurrence counts and group negatives) change no bit: each
+        # iteration's record, synthetic table included, equals a run of its
+        # config on the same split with no state.
+        if shape == "demo":
+            data, config, split = demo_data, SMALL, SPLIT
+        else:  # refine-supervise's shape at a tenth of its size
+            data = make_demo_dataset(DemoSpec(n_rows=4000, seed=1, disparity_strength=0.3))
+            config = RunConfig(train_rows=2000, sample_rows=1000, seed=1)
+            split = SplitSpec(train_rows=2000, holdout_fraction=0.3, seed=1)
+        targets = Targets(parity_threshold=1.0, max_refinements=5)
+        result = supervise(config, data, demo_md, split, targets)
+        actions = [e.action_taken for e in result.history]
+        assert actions[:3] == [BALANCE_GROUPS, SHRINK_CORRELATION, RESAMPLE]
+        assert len(result.history) == 6
+        train, holdout = split_for(config, data, split)
+        for entry in result.history:
+            replay = run_pipeline(
+                entry.config, train, holdout, demo_md, parity_threshold=targets.parity_threshold
+            )
+            assert replay == entry.result
+
+    def test_split_pieces_are_kept_only_while_another_iteration_can_follow(
+        self, demo_data, demo_md, monkeypatch
+    ):
+        # What each pass hands fit (the slice's ranks), quality_report
+        # (the holdout's co-occurrence counts) and fairness_report (its group
+        # negatives), and what the state holds after each pass.
+        handed = []
+        fit, quality_report, fairness_report = (
+            supervisor.fit, supervisor.quality_report, supervisor.fairness_report
+        )
+
+        def spy_fit(*args):
+            handed.append(("ranks", args[2] if len(args) > 2 else None))
+            return fit(*args)
+
+        def spy_quality(*args):
+            handed.append(("counts", args[3] if len(args) > 3 else None))
+            return quality_report(*args)
+
+        def spy_fairness(*args, **kwargs):
+            handed.append(("groups", kwargs.get("holdout_groups")))
+            return fairness_report(*args, **kwargs)
+
+        monkeypatch.setattr(supervisor, "fit", spy_fit)
+        monkeypatch.setattr(supervisor, "quality_report", spy_quality)
+        monkeypatch.setattr(supervisor, "fairness_report", spy_fairness)
+        held = []
+
+        def pipeline(*args, state=None, **kwargs):
+            result = run_pipeline(*args, state=state, **kwargs)
+            held.append((state.ranks, state.counts, state.groups))
+            return result
+
+        # run is supervise with a budget of 0: it builds none of them.
+        supervise(SMALL, demo_data, demo_md, SPLIT, Targets(max_refinements=0), pipeline=pipeline)
+        assert [name for name, _ in handed] == ["ranks", "counts", "groups"]
+        assert [piece for _, piece in handed] == [None, None, None]
+        assert held == [(None, None, None)]
+
+        handed.clear()
+        held.clear()
+        strict = Targets(parity_threshold=1.0, max_refinements=2)
+        result = supervise(SMALL, demo_data, demo_md, SPLIT, strict, pipeline=pipeline)
+        assert [e.action_taken for e in result.history] == [BALANCE_GROUPS, SHRINK_CORRELATION, None]
+        # Built in the first pass, used by every later one, the last (a
+        # shrink-only step, which fits nothing) included.
+        built = dict(handed[:3])
+        assert all(piece is not None for piece in built.values())
+        assert [name for name, _ in handed[3:]] == ["ranks", "counts", "groups", "counts", "groups"]
+        assert all(piece is built[name] for name, piece in handed[3:])
+        assert [all(p is not None for p in pieces) for pieces in held[:2]] == [True, True]
+        assert held[2] == (None, None, None)
 
     def test_parity_recovery_after_balance(self, demo_data, demo_md):
         script = _scripted([(0.95, 3.0), (0.95, 1.5)], demo_data)

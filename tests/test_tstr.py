@@ -27,6 +27,7 @@ from fairsynth.tstr import (
     MAX_NEWTON_STEPS,
     MAX_STEP_HALVINGS,
     UNDEFINED,
+    HoldoutGroups,
     LogisticModel,
     TstrHyperparams,
     encode,
@@ -581,6 +582,24 @@ class TestFairnessReport:
             assert [(a, g) for a, g, _ in report.excluded_groups] == excluded
             any_excluded |= bool(excluded)
         assert any_excluded
+
+    def test_kept_holdout_groups_give_the_same_report(self, demo_data, demo_md):
+        # One holdout scored against several synthetic tables: its group
+        # negatives, counted in the first report, serve the later ones.
+        rng = np.random.default_rng(18)
+        data = _shuffled_tables(demo_data, rng)
+        perm = rng.permutation(data.row_count)
+        holdout = data.take(perm[:300])
+        hyperparams = TstrHyperparams(min_support=8)
+        kept = HoldoutGroups(holdout)
+        for lo in (300, 900, 1500):
+            synth = data.take(perm[lo:lo + 600])
+            report = fairness_report(synth, holdout, demo_md, hyperparams, holdout_groups=kept)
+            assert list(kept.negatives) == list(demo_md.protected_attributes)
+            assert report == fairness_report(synth, holdout, demo_md, hyperparams)
+        # The kept negatives belong to that holdout, not to an equal copy.
+        with pytest.raises(ValidationFailure, match="another holdout"):
+            fairness_report(synth, data.take(perm[:300]), demo_md, hyperparams, holdout_groups=kept)
 
     def test_constant_positive_classifier_degenerate(self, demo_data, demo_md):
         # single-class synthetic training labels force the all-positive model
