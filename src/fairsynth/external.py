@@ -6,6 +6,7 @@ is loaded back and checked against the training schema.
 from __future__ import annotations
 
 import os
+import re
 import select
 import subprocess
 import tempfile
@@ -74,10 +75,11 @@ def load_backends_file(path: str | Path) -> dict[str, ExternalBackend]:
 
 
 def _substitute(template: str, mapping: dict[str, str]) -> str:
-    out = template
-    for key, value in mapping.items():
-        out = out.replace(key, value)
-    return out
+    """``template`` with every placeholder of ``mapping`` replaced in one
+    pass, so a value that holds a placeholder (a path under a directory named
+    ``{seed}``) is passed as it is."""
+    pattern = "|".join(map(re.escape, mapping))
+    return re.sub(pattern, lambda match: mapping[match.group()], template)
 
 
 def _wait(process: subprocess.Popen, timeout: float) -> None:

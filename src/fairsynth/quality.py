@@ -26,9 +26,10 @@ bounded whatever the vocabulary or column count.
 What depends on the real table alone, its numeric columns' bin edges and
 codes and their pairs' rho, is its ``RealSide``. ``quality_report`` builds it
 from a real table, or takes it built once by ``real_side`` to score many
-synthetic tables against one real table. Its co-occurrence counts also
-depend on the coded layout, which a synthetic category the real table lacks
-changes; a ``RealCounts`` keeps them while the layout holds.
+synthetic tables against one real table. It also keeps the real table's
+level co-occurrence counts from one report to the next, for one coded layout
+(each column's level count): a synthetic category that the real table lacks
+changes the layout, and the counts are built again.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyColumn, LengthMismatch, SchemaMismatch, ValidationFailure
+from .errors import EmptyColumn, LengthMismatch, SchemaMismatch
 from .schema import ColumnKind, Dataset, TableSchema
 
 KS_COMPLEMENT = "KSComplement"
@@ -171,35 +172,21 @@ def _pair_tv(a: tuple, b: tuple) -> float:
     return _tv(real_a * size_b + real_b, synth_a * size_b + synth_b, size_a * size_b)
 
 
-@dataclass
-class RealCounts:
-    """The level co-occurrence counts of the real side ``real`` in
-    ``quality_report``, one array per pair of tiles, for the coded layout
-    ``sizes`` (each column's level count). A report against ``real`` fills
-    it and the next one reuses it while the layout holds; a synthetic
-    category that the real table lacks changes the layout, and the counts
-    are built again. A report against another real side refuses it."""
-
-    real: RealSide
-    sizes: tuple[int, ...] = ()
-    tiles: list[np.ndarray] = field(default_factory=list)
-
-
 def _joint_tvs(
-    columns: list[tuple], numeric: list[bool], real_counts: RealCounts | None = None
+    columns: list[tuple], numeric: list[bool], real_counts: list[np.ndarray]
 ) -> np.ndarray:
     """scores[i, j]: ``_pair_tv`` of columns i < j, and ``_tv`` of column i
     as scores[i, i], for columns coded like ``_coded``'s output; nan where
     columns i and j are both ``numeric``. All come from each side's level
-    co-occurrence counts; the real side's are read from ``real_counts`` when
-    it holds them, and stored in it otherwise.
+    co-occurrence counts; the real side's, one array per pair of tiles, are
+    read from ``real_counts`` when it holds them, and stored in it otherwise.
 
     Consecutive columns share a tile while their levels fit in
     ``TILE_LEVELS``; the counts of each pair of tiles are built once."""
     nr, ns = columns[0][0].size, columns[0][1].size
     if nr == 0 or ns == 0:
         raise EmptyColumn("total variation requires nonempty columns")
-    reuse = real_counts is not None and bool(real_counts.tiles)
+    reuse = bool(real_counts)
     tiles: list[list[int]] = []
     widths: list[int] = []
     starts: list[int] = []  # each column's first slot in its tile
@@ -227,15 +214,14 @@ def _joint_tvs(
     spans = [slice(start, start + size) for start, (_, _, size) in zip(starts, columns)]
 
     scores = np.full((len(columns), len(columns)), np.nan)
-    kept = iter(real_counts.tiles) if reuse else None
+    kept = iter(real_counts)
     for p, left in enumerate(tiles):
         for q in range(p, len(tiles)):
             if reuse:
                 real = next(kept)
             else:
                 real = _cooccurrences(real_slots[p], widths[p], real_slots[q], widths[q])
-                if real_counts is not None:
-                    real_counts.tiles.append(real)
+                real_counts.append(real)
             synth = _cooccurrences(synth_slots[p], widths[p], synth_slots[q], widths[q])
             diff = np.abs(real / nr - synth / ns)
             for k, i in enumerate(left):
@@ -283,18 +269,22 @@ def discretize(values, edges: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, arr, side="left")
 
 
-@dataclass(frozen=True)
+@dataclass
 class RealSide:
     """The real table's side of the quality report, built once by ``real_side``
     and scored against by ``quality_report`` as often as there are synthetic
     tables to score: per numeric column its quantile bin edges and the int16
     bin codes of the real rows, and per pair of numeric columns (in schema
-    order) the real Pearson rho."""
+    order) the real Pearson rho. ``counts`` are the real rows' level
+    co-occurrence counts for the coded ``layout``, filled by the first report
+    and reused by the next while the layout holds."""
 
     table: Dataset
     edges: dict[str, np.ndarray]
     codes: dict[str, np.ndarray]
     rhos: dict[tuple[str, str], float]
+    layout: tuple[int, ...] = ()
+    counts: list[np.ndarray] = field(default_factory=list)
 
 
 def real_side(real: Dataset) -> RealSide:
@@ -316,16 +306,9 @@ def real_side(real: Dataset) -> RealSide:
     return RealSide(real, edges, codes, rhos)
 
 
-def quality_report(
-    real: Dataset | RealSide,
-    synth: Dataset,
-    schema: TableSchema,
-    real_counts: RealCounts | None = None,
-) -> QualityReport:
+def quality_report(real: Dataset | RealSide, synth: Dataset, schema: TableSchema) -> QualityReport:
     """Full fidelity report of ``synth`` against ``real`` under ``schema``;
-    ``real`` may be given as its ``real_side``, built once for many reports,
-    and then ``RealCounts(real)`` keeps its co-occurrence counts from one
-    report to the next.
+    ``real`` may be given as its ``real_side``, built once for many reports.
 
     overall = (mean of shape scores + mean of pair-trend scores) / 2; a table
     with fewer than 2 columns reuses the shape average as the trend average.
@@ -334,8 +317,6 @@ def quality_report(
     if table.schema != schema or synth.schema != schema:
         raise SchemaMismatch("real and synthetic datasets must share the given schema")
     side = real if isinstance(real, RealSide) else real_side(real)
-    if real_counts is not None and real_counts.real is not side:
-        raise ValidationFailure("real_counts belong to another real side")
 
     # Numeric pairs are scored first, from each synthetic numeric column
     # centred once; the centred copies are freed before the columns are coded.
@@ -370,11 +351,12 @@ def quality_report(
     # pair by pair.
     narrow = {name: i for i, name in enumerate(n for n, c in coded.items() if c[2] <= MAX_LEVELS)}
     layout = tuple(size for _, _, size in coded.values())
-    if real_counts is not None and real_counts.sizes != layout:
-        real_counts.sizes, real_counts.tiles = layout, []
+    if side.layout != layout:
+        side.layout = layout
+        side.counts.clear()
     joint = None
     if narrow:
-        joint = _joint_tvs([coded[n] for n in narrow], [n in ks for n in narrow], real_counts)
+        joint = _joint_tvs([coded[n] for n in narrow], [n in ks for n in narrow], side.counts)
 
     def tv(a: str, b: str) -> float:
         if a in narrow and b in narrow:

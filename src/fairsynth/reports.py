@@ -272,7 +272,7 @@ def batch_evaluate(
             first = externals.pop(0)
             try:
                 synthesize = launch_synthesis(
-                    configs[first], train, metadata, external_backends, stack
+                    configs[first], train, metadata, external_backends, stack, state
                 )
             except FairsynthError as exc:
                 rows[first] = BenchRow(backend=backends[first], error=str(exc))
@@ -285,7 +285,9 @@ def batch_evaluate(
         if synthesize is not None:
             rows[first] = _bench_row(
                 backends[first],
-                lambda: evaluate_synthetic(synthesize(), holdout, metadata, threshold, state),
+                lambda: evaluate_synthetic(
+                    synthesize(), holdout, metadata, threshold, state.holdout
+                ),
             )
     for i in externals:
         rows[i] = _bench_row(

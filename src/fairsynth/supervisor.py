@@ -40,7 +40,7 @@ from .errors import (
     ValidationFailure,
 )
 from .external import ExternalBackend, launch_external_backend
-from .quality import QualityReport, RealCounts, RealSide, quality_report, real_side
+from .quality import QualityReport, RealSide, quality_report, real_side
 from .schema import (
     ColumnKind,
     Dataset,
@@ -50,7 +50,7 @@ from .schema import (
     write_csv,
 )
 from .scoring import DEFAULT_PARITY_THRESHOLD, CompositeScore, synth_score
-from .tstr import FairnessReport, HoldoutGroups, fairness_report
+from .tstr import FairnessReport, fairness_report
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,11 @@ class PipelineResult:
 
 @dataclass
 class SplitState:
-    """What the pipeline runs of one ``supervise`` or ``batch_evaluate`` call
-    share on their split. ``holdout`` is the holdout's ``real_side``. The
-    other pieces are built only while ``keep_fit`` is set, that is while
-    another run on the split can follow; the last run may still use them,
-    and then they are released. Each gives the floats of the run without it.
+    """What the pipeline runs on one split share. ``holdout`` is the
+    holdout's ``real_side``, which also keeps the holdout's co-occurrence
+    counts from one quality report to the next. The other two pieces are
+    built only while ``keep_fit`` is set, that is while another run on the
+    split can follow; each gives the floats of the run without it.
 
     - ``fit``: a gaussian_copula run's unshrunk model, keyed by its config
       with correlation_shrinkage 0. The next run with that key shrinks the
@@ -149,27 +149,12 @@ class SplitState:
       row's run of equal values per numeric column. A gaussian_copula fit on
       the slice, or on a ``balance_groups`` resample of it, ranks its numeric
       columns by them instead of sorting.
-    - ``counts``: the holdout's ``quality.RealCounts``, its level
-      co-occurrence counts in the quality report, kept while the coded
-      layout holds.
-    - ``groups``: the holdout's ``tstr.HoldoutGroups``, its negatives per
-      group of each protected attribute, so that TSTR counts only the false
-      positives.
     """
 
     holdout: RealSide
     keep_fit: bool = False
     fit: tuple[RunConfig, CopulaModel] | None = None
     ranks: tuple[np.ndarray | None, ...] | None = None
-    counts: RealCounts | None = None
-    groups: HoldoutGroups | None = None
-
-    def kept(self, name: str, build: Callable[[], object]):
-        """The piece ``name``, first built by ``build()`` while ``keep_fit``
-        is set; None when none is kept and no other run can follow."""
-        if getattr(self, name) is None and self.keep_fit:
-            setattr(self, name, build())
-        return getattr(self, name)
 
 
 @dataclass
@@ -249,20 +234,21 @@ def _balanced(
 
 
 def _native_model(
-    config: RunConfig, train: Dataset, metadata: Metadata, state: SplitState | None
+    config: RunConfig, train: Dataset, metadata: Metadata, state: SplitState
 ) -> CopulaModel:
     """The fitted model of a native backend under ``config``, reusing and
     keeping a gaussian_copula fit through ``state`` as ``SplitState`` says."""
-    if state is None or config.backend != "gaussian_copula":
+    if config.backend != "gaussian_copula":
         synth_cfg = SynthesizerConfig(config.backend, config.seed, config.correlation_shrinkage)
         return fit(_balanced(config, train, metadata)[0], synth_cfg)
     unshrunk = replace(config, correlation_shrinkage=0.0)
     model = state.fit[1] if state.fit is not None and state.fit[0] == unshrunk else None
     state.fit = None  # a model not reused is freed before the next fit
     if model is None:
-        ranks = state.kept("ranks", lambda: slice_ranks(train))
+        if state.ranks is None and state.keep_fit:
+            state.ranks = slice_ranks(train)
         table, rows = _balanced(config, train, metadata)
-        model = fit(table, SynthesizerConfig(config.backend, config.seed), ranks, rows)
+        model = fit(table, SynthesizerConfig(config.backend, config.seed), state.ranks, rows)
     if state.keep_fit:
         state.fit = (unshrunk, model)
     return shrink_correlation(model, config.correlation_shrinkage)
@@ -274,7 +260,7 @@ def launch_synthesis(
     metadata: Metadata,
     external_backends: dict[str, ExternalBackend] | None,
     stack: ExitStack,
-    state: SplitState | None = None,
+    state: SplitState,
 ) -> Callable[[], Dataset]:
     """The synthesis step on the train slice. Returns a ``synthesize()`` that
     fits and samples a native backend, or collects an external one, whose
@@ -311,18 +297,14 @@ def evaluate_synthetic(
     holdout: Dataset,
     metadata: Metadata,
     parity_threshold: float = DEFAULT_PARITY_THRESHOLD,
-    state: SplitState | None = None,
+    holdout_side: RealSide | None = None,
 ) -> PipelineResult:
     """The evaluation step: fidelity and TSTR fairness against the holdout,
-    folded into the composite score. ``state`` is the split's, when the
-    caller has one."""
-    real, counts, groups = holdout, None, None
-    if state is not None:
-        real = state.holdout
-        counts = state.kept("counts", lambda: RealCounts(state.holdout))
-        groups = state.kept("groups", lambda: HoldoutGroups(holdout))
-    quality = quality_report(real, synthetic, holdout.schema, counts)
-    fairness = fairness_report(synthetic, holdout, metadata, holdout_groups=groups)
+    folded into the composite score. ``holdout_side`` is ``real_side(holdout)``
+    when the caller has built it already."""
+    real = holdout if holdout_side is None else holdout_side
+    quality = quality_report(real, synthetic, holdout.schema)
+    fairness = fairness_report(synthetic, holdout, metadata)
     composite = synth_score(
         quality.overall_score,
         fairness.max_rel_fpr,
@@ -343,14 +325,13 @@ def run_pipeline(
 ) -> PipelineResult:
     """One generator + evaluator pass over a split; same inputs give an
     identical result, with or without the ``state`` of earlier runs on the
-    same split."""
+    same split (None: a fresh one)."""
+    if state is None:
+        state = SplitState(real_side(holdout))
     with ExitStack() as stack:
         synthesize = launch_synthesis(config, train, metadata, external_backends, stack, state)
         synthetic = synthesize()
-    result = evaluate_synthetic(synthetic, holdout, metadata, parity_threshold, state)
-    if state is not None and not state.keep_fit:  # the last run on the split
-        state.ranks = state.counts = state.groups = None
-    return result
+    return evaluate_synthetic(synthetic, holdout, metadata, parity_threshold, state.holdout)
 
 
 def plan_refinement(
@@ -435,12 +416,11 @@ def supervise(
     ``real`` is split once, for ``initial``; no refinement action changes
     train_rows, so every iteration sees the same train slice and holdout, and
     shares one ``SplitState``: the holdout's side of the quality report and,
-    while another iteration can follow, the previous fit, the slice's sort
-    order and the holdout's co-occurrence counts and group negatives. A
-    failed iteration is recorded in history with its error and refined by
-    resampling; if every iteration fails, AllIterationsFailed carries the full
-    history. ``pipeline`` is injectable for testing the routing policy in
-    isolation.
+    while another iteration can follow, the previous fit and the slice's
+    sort order. A failed iteration is recorded in history with its error and
+    refined by resampling; if every iteration fails, AllIterationsFailed
+    carries the full history. ``pipeline`` is injectable for testing the
+    routing policy in isolation.
     """
     train, holdout = split_for(initial, real, split)
     state = SplitState(real_side(holdout))

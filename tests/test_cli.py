@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -730,6 +731,23 @@ def test_every_traced_function_resolves():
     assert traced
     for module, function in traced:
         assert callable(getattr(importlib.import_module(f"fairsynth.{module}"), function))
+
+
+def test_every_name_the_readme_cites_resolves():
+    """Each backticked ``module.name`` in README.md, for a module of the
+    package, names something that module has."""
+    package = Path(fairsynth.__file__).resolve().parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cited = re.findall(r"`(%s)\.(?!py`)(\w+)" % "|".join(modules), readme)
+    assert cited
+    missing = [
+        f"{module}.{name}"
+        for module, name in cited
+        if not hasattr(importlib.import_module(f"fairsynth.{module}"), name)
+    ]
+    assert missing == []
+
 
 def _child_env():
     # The child must import the same fairsynth as this process, installed or not.

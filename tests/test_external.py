@@ -141,6 +141,32 @@ def test_placeholder_substitution(tmp_path, backend_inputs, demo_data):
     assert got[4] == str(out_csv)
 
 
+def test_placeholders_inside_substituted_paths_are_kept(tmp_path, demo_data, demo_md):
+    """Placeholders are substituted in one pass: a path that holds one, as
+    under a temporary directory named ``{seed}``, reaches the command as it
+    is."""
+    base = tmp_path / "{seed}{rows}"
+    base.mkdir()
+    train_csv, metadata_json, out_csv = (
+        base / name for name in ("train.csv", "metadata.json", "out.csv")
+    )
+    write_csv(demo_data, train_csv)
+    metadata_json.write_text(json.dumps(demo_md.to_json_dict()), encoding="utf-8")
+    echo = tmp_path / "args.json"
+    script = (
+        "import json, shutil, sys\n"
+        "json.dump(sys.argv[2:], open(sys.argv[1], 'w'))\n"
+        "shutil.copy(sys.argv[2], sys.argv[3])\n"
+    )
+    spec = ExternalBackend(
+        "echo",
+        (PY, "-c", script, str(echo), "{train_csv}", "{out_csv}", "{metadata_json}", "{seed}"),
+    )
+    run_external_backend(spec, train_csv, metadata_json, 10, 1, 7, out_csv, demo_data.schema)
+    got = json.loads(echo.read_text(encoding="utf-8"))
+    assert got == [str(train_csv), str(out_csv), str(metadata_json), "7"]
+
+
 def test_backend_descriptor_parsing(tmp_path):
     docs = [
         {"name": "a", "command": ["x", "{rows}"], "timeout_seconds": 5},

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairsynth import quality
-from fairsynth.errors import EmptyColumn, LengthMismatch, SchemaMismatch, ValidationFailure
+from fairsynth.errors import EmptyColumn, LengthMismatch, SchemaMismatch
 from fairsynth.quality import (
     contingency_similarity,
     correlation_similarity,
@@ -533,8 +533,8 @@ class TestRealSide:
         rng = np.random.default_rng(24)
         real = _mixed_table(rng, 900, 0)
         side = quality.real_side(real)
-        counts = quality.RealCounts(side)
-        layouts = []
+        counts = side.counts
+        layouts, kept = [], []
         for synth in (
             _mixed_table(rng, 400, 0),
             _mixed_table(rng, 300, 0),
@@ -542,19 +542,15 @@ class TestRealSide:
             _mixed_table(rng, 200, 0),
             real,
         ):
-            report = quality_report(side, synth, real.schema, counts)
+            report = quality_report(side, synth, real.schema)
             assert report == quality_report(real, synth, real.schema)
-            layouts.append(counts.sizes)
+            layouts.append(side.layout)
+            kept.append([tile.shape for tile in side.counts])
         assert layouts[0] == layouts[1] == layouts[3] == layouts[4] != layouts[2]
-
-    def test_kept_counts_belong_to_one_real_side(self):
-        rng = np.random.default_rng(25)
-        real = _mixed_table(rng, 300, 0)
-        counts = quality.RealCounts(quality.real_side(real))
-        synth = _mixed_table(rng, 200, 0)
-        for other in (real, quality.real_side(real)):
-            with pytest.raises(ValidationFailure, match="another real side"):
-                quality_report(other, synth, real.schema, counts)
+        # One list, holding the counts of one layout at a time.
+        assert side.counts is counts
+        assert kept[0] == kept[1] == kept[3] == kept[4] != kept[2]
+        assert kept[0] and len(kept[0]) == len(kept[2])
 
     def test_schema_checked_against_the_side(self):
         rng = np.random.default_rng(23)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairsynth import supervisor
+from fairsynth import supervisor, tstr
 from fairsynth.demo import DemoSpec, make_demo_dataset
 from fairsynth.errors import AllIterationsFailed, InsufficientRows, ValidationFailure
 from fairsynth.quality import QualityReport
@@ -523,55 +523,51 @@ class TestSupervise:
     def test_split_pieces_are_kept_only_while_another_iteration_can_follow(
         self, demo_data, demo_md, monkeypatch
     ):
-        # What each pass hands fit (the slice's ranks), quality_report
-        # (the holdout's co-occurrence counts) and fairness_report (its group
-        # negatives), and what the state holds after each pass.
-        handed = []
-        fit, quality_report, fairness_report = (
-            supervisor.fit, supervisor.quality_report, supervisor.fairness_report
+        # The slice's ranks are built in the first pass, and only while
+        # another can follow; per pass, record the ranks each fit is handed,
+        # the holdout side's counts list and the group_fpr calls of TSTR.
+        built, handed, sides, fpr_calls = [], [], [], []
+        slice_ranks, fit, quality_report, group_fpr = (
+            supervisor.slice_ranks, supervisor.fit, supervisor.quality_report, tstr.group_fpr
         )
-
-        def spy_fit(*args):
-            handed.append(("ranks", args[2] if len(args) > 2 else None))
-            return fit(*args)
-
-        def spy_quality(*args):
-            handed.append(("counts", args[3] if len(args) > 3 else None))
-            return quality_report(*args)
-
-        def spy_fairness(*args, **kwargs):
-            handed.append(("groups", kwargs.get("holdout_groups")))
-            return fairness_report(*args, **kwargs)
-
-        monkeypatch.setattr(supervisor, "fit", spy_fit)
-        monkeypatch.setattr(supervisor, "quality_report", spy_quality)
-        monkeypatch.setattr(supervisor, "fairness_report", spy_fairness)
-        held = []
+        monkeypatch.setattr(
+            supervisor, "slice_ranks", lambda *a: built.append(slice_ranks(*a)) or built[-1]
+        )
+        monkeypatch.setattr(supervisor, "fit", lambda *a: handed.append(a[2]) or fit(*a))
+        monkeypatch.setattr(
+            supervisor, "quality_report", lambda *a: sides.append(a[0]) or quality_report(*a)
+        )
+        monkeypatch.setattr(tstr, "group_fpr", lambda *a: fpr_calls.append(1) or group_fpr(*a))
+        passes = []
 
         def pipeline(*args, state=None, **kwargs):
             result = run_pipeline(*args, state=state, **kwargs)
-            held.append((state.ranks, state.counts, state.groups))
+            passes.append((handed[:], len(fpr_calls), state.holdout.counts))
+            handed.clear()
+            fpr_calls.clear()
             return result
 
-        # run is supervise with a budget of 0: it builds none of them.
+        attributes = len(demo_md.protected_attributes)
+        # run is supervise with a budget of 0: its fit sorts for itself.
         supervise(SMALL, demo_data, demo_md, SPLIT, Targets(max_refinements=0), pipeline=pipeline)
-        assert [name for name, _ in handed] == ["ranks", "counts", "groups"]
-        assert [piece for _, piece in handed] == [None, None, None]
-        assert held == [(None, None, None)]
+        assert built == [] and len(passes) == 1
+        fits, calls, counts = passes[0]
+        assert fits == [None] and calls == attributes and counts is sides[0].counts
 
-        handed.clear()
-        held.clear()
-        strict = Targets(parity_threshold=1.0, max_refinements=2)
+        passes.clear()
+        sides.clear()
+        strict = Targets(parity_threshold=1.0, max_refinements=3)
         result = supervise(SMALL, demo_data, demo_md, SPLIT, strict, pipeline=pipeline)
-        assert [e.action_taken for e in result.history] == [BALANCE_GROUPS, SHRINK_CORRELATION, None]
-        # Built in the first pass, used by every later one, the last (a
-        # shrink-only step, which fits nothing) included.
-        built = dict(handed[:3])
-        assert all(piece is not None for piece in built.values())
-        assert [name for name, _ in handed[3:]] == ["ranks", "counts", "groups", "counts", "groups"]
-        assert all(piece is built[name] for name, piece in handed[3:])
-        assert [all(p is not None for p in pieces) for pieces in held[:2]] == [True, True]
-        assert held[2] == (None, None, None)
+        actions = [e.action_taken for e in result.history]
+        assert actions == [BALANCE_GROUPS, SHRINK_CORRELATION, RESAMPLE, None]
+        # Every refit, the last pass's included, ranks by the first pass's
+        # ranks; the shrink-only pass fits nothing.
+        assert len(built) == 1
+        assert [[r is built[0] for r in fits] for fits, _, _ in passes] == [[True], [True], [], [True]]
+        # One holdout side, whose one counts list every pass reads.
+        assert len(sides) == 4 and all(side is sides[0] for side in sides)
+        assert sides[0].counts and all(counts is sides[0].counts for _, _, counts in passes)
+        assert [calls for _, calls, _ in passes] == [attributes] * 4
 
     def test_parity_recovery_after_balance(self, demo_data, demo_md):
         script = _scripted([(0.95, 3.0), (0.95, 1.5)], demo_data)
