@@ -43,13 +43,14 @@ from .schema import (
     Metadata,
     SplitSpec,
     _read_json,
+    holdout_size,
     load_dataset,
     load_synthetic,
     split_holdout,
     write_csv,
 )
 from .scoring import DEFAULT_PARITY_THRESHOLD, synth_score
-from .supervisor import RunConfig, Targets, check_backend, evaluate_synthetic, supervise
+from .supervisor import RunConfig, Split, Targets, check_backend, evaluate_synthetic, supervise
 
 SEED_ENV_VAR = "MEMISIS_SEED"
 
@@ -224,9 +225,11 @@ def cmd_sample(args) -> int:
 def cmd_evaluate(args) -> int:
     data, metadata = _load_inputs(args)
     synth = load_synthetic(args.synthetic, metadata, data.schema)
-    # The holdout does not depend on train_rows; one train row must remain.
-    _, holdout = split_holdout(data, SplitSpec(1, args.holdout_fraction, args.seed))
-    result = evaluate_synthetic(synth, holdout, metadata, args.parity_threshold)
+    # The holdout does not depend on train_rows, and the train slice is every
+    # other row, of which one must remain.
+    rest = data.row_count - holdout_size(data.row_count, args.holdout_fraction)
+    split = Split(*split_holdout(data, SplitSpec(max(rest, 1), args.holdout_fraction, args.seed)))
+    result = evaluate_synthetic(synth, split, metadata, args.parity_threshold)
     write_reports(
         result.quality, result.fairness, result.composite, synthetic=None, out_dir=args.out
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
-from .errors import BackendFailed, SchemaMismatch, Timeout, ValidationFailure
+from .errors import BackendFailed, FairsynthError, SchemaMismatch, Timeout, ValidationFailure
 from .schema import Dataset, Metadata, TableSchema, _read_json, load_synthetic
 
 DEFAULT_TIMEOUT_SECONDS = 600
@@ -154,11 +154,15 @@ class ExternalRun:
                 raise Timeout(f"backend {self.spec.name!r} exceeded {self.spec.timeout_seconds}s")
         if self.process.returncode != 0:
             raise BackendFailed(self.process.returncode, self._stderr_tail())
+        # The output's path may be a temporary one, so the errors name the
+        # backend instead and a rerun fails with the same text.
         if not self.out_csv.is_file():
-            raise BackendFailed(
-                0, f"backend {self.spec.name!r} exited 0 but wrote no {self.out_csv}"
-            )
-        synth = load_synthetic(self.out_csv, metadata, expected_schema)
+            raise BackendFailed(0, f"backend {self.spec.name!r} exited 0 but wrote no output CSV")
+        try:
+            synth = load_synthetic(self.out_csv, metadata, expected_schema)
+        except FairsynthError as exc:
+            exc.args = (str(exc).replace(str(self.out_csv), f"backend {self.spec.name!r} output"),)
+            raise
         if synth.schema != expected_schema:
             raise SchemaMismatch(
                 f"backend {self.spec.name!r} returned columns {synth.schema.names}, "

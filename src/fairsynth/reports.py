@@ -18,13 +18,12 @@ from typing import Callable
 from .copula import NATIVE_BACKENDS
 from .errors import FairsynthError, ValidationFailure
 from .external import ExternalBackend
-from .quality import QualityReport, real_side
+from .quality import QualityReport
 from .schema import Dataset, Metadata, SplitSpec, write_csv
 from .scoring import CompositeScore
 from .supervisor import (
     PipelineResult,
     RunConfig,
-    SplitState,
     SupervisorResult,
     Targets,
     evaluate_synthetic,
@@ -239,14 +238,14 @@ def batch_evaluate(
     targets: Targets,
     data: Dataset,
     metadata: Metadata,
-    split: SplitSpec | None = None,
+    spec: SplitSpec | None = None,
     external_backends: dict[str, ExternalBackend] | None = None,
 ) -> BenchResult:
     """One full pipeline per backend (no refinement) with a shared split and
     seed; per-backend failures land in their row, the rest still run. The
-    split is drawn once, before any backend runs, so a train_rows the table
-    cannot supply raises InsufficientRows, and every backend is scored
-    against one ``real_side`` of the holdout.
+    split is drawn once, by ``split_for`` before any backend runs, so a
+    train_rows the table cannot supply raises InsufficientRows, and every
+    backend is scored against that one ``Split`` and its holdout side.
 
     The first external backend's process is launched before the native
     backends are fitted, and runs while they are evaluated; the other
@@ -258,10 +257,9 @@ def batch_evaluate(
     """
     if not backends:
         raise ValidationFailure("bench needs at least one backend")
-    if split is None:
-        split = SplitSpec(train_rows=config.train_rows, seed=config.seed)
-    train, holdout = split_for(config, data, split)
-    state = SplitState(real_side(holdout))
+    if spec is None:
+        spec = SplitSpec(train_rows=config.train_rows, seed=config.seed)
+    split = split_for(config, data, spec)
     threshold = targets.parity_threshold
     configs = [replace(config, backend=backend) for backend in backends]
     externals = [i for i, cfg in enumerate(configs) if cfg.backend not in NATIVE_BACKENDS]
@@ -272,29 +270,24 @@ def batch_evaluate(
             first = externals.pop(0)
             try:
                 synthesize = launch_synthesis(
-                    configs[first], train, metadata, external_backends, stack, state
+                    configs[first], split, metadata, external_backends, stack
                 )
             except FairsynthError as exc:
                 rows[first] = BenchRow(backend=backends[first], error=str(exc))
         for i, cfg in enumerate(configs):
             if cfg.backend in NATIVE_BACKENDS:
                 rows[i] = _bench_row(
-                    backends[i],
-                    lambda: run_pipeline(cfg, train, holdout, metadata, threshold, state=state),
+                    backends[i], lambda: run_pipeline(cfg, split, metadata, threshold)
                 )
         if synthesize is not None:
             rows[first] = _bench_row(
                 backends[first],
-                lambda: evaluate_synthetic(
-                    synthesize(), holdout, metadata, threshold, state.holdout
-                ),
+                lambda: evaluate_synthetic(synthesize(), split, metadata, threshold),
             )
     for i in externals:
         rows[i] = _bench_row(
             backends[i],
-            lambda: run_pipeline(
-                configs[i], train, holdout, metadata, threshold, external_backends, state
-            ),
+            lambda: run_pipeline(configs[i], split, metadata, threshold, external_backends),
         )
     return BenchResult(config=config, rows=tuple(rows[i] for i in range(len(backends))))
 

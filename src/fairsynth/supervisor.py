@@ -19,7 +19,7 @@ import json
 import math
 import tempfile
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -135,12 +135,13 @@ class PipelineResult:
 
 
 @dataclass
-class SplitState:
-    """What the pipeline runs on one split share. ``holdout`` is the
-    holdout's ``real_side``, which also keeps the holdout's co-occurrence
-    counts from one quality report to the next. The other two pieces are
-    built only while ``keep_fit`` is set, that is while another run on the
-    split can follow; each gives the floats of the run without it.
+class Split:
+    """One draw of the real data and what every run on it shares: the
+    ``train`` slice, the ``holdout`` and its ``side``, the holdout's
+    ``real_side``, built with the record, which also keeps the holdout's
+    co-occurrence counts from one quality report to the next. The other two
+    pieces are built only while ``keep_fit`` is set, that is while another
+    run on the split can follow; each gives the floats of the run without it.
 
     - ``fit``: a gaussian_copula run's unshrunk model, keyed by its config
       with correlation_shrinkage 0. The next run with that key shrinks the
@@ -151,10 +152,15 @@ class SplitState:
       columns by them instead of sorting.
     """
 
-    holdout: RealSide
+    train: Dataset
+    holdout: Dataset
+    side: RealSide = field(init=False)
     keep_fit: bool = False
     fit: tuple[RunConfig, CopulaModel] | None = None
     ranks: tuple[np.ndarray | None, ...] | None = None
+
+    def __post_init__(self):
+        self.side = real_side(self.holdout)
 
 
 @dataclass
@@ -217,10 +223,10 @@ def check_backend(name: str, external_backends: dict[str, ExternalBackend] | Non
         )
 
 
-def split_for(config: RunConfig, real: Dataset, split: SplitSpec) -> tuple[Dataset, Dataset]:
-    """The (train, holdout) split of ``real`` for ``config``: config.train_rows
-    wins, and the split spec contributes fraction and seed."""
-    return split_holdout(real, replace(split, train_rows=config.train_rows))
+def split_for(config: RunConfig, real: Dataset, spec: SplitSpec) -> Split:
+    """The split of ``real`` for ``config``: config.train_rows wins, and the
+    split spec contributes fraction and seed."""
+    return Split(*split_holdout(real, replace(spec, train_rows=config.train_rows)))
 
 
 def _balanced(
@@ -233,46 +239,44 @@ def _balanced(
     return balance_groups(train, metadata, seed=config.seed, attribute=config.balance_attribute)
 
 
-def _native_model(
-    config: RunConfig, train: Dataset, metadata: Metadata, state: SplitState
-) -> CopulaModel:
+def _native_model(config: RunConfig, split: Split, metadata: Metadata) -> CopulaModel:
     """The fitted model of a native backend under ``config``, reusing and
-    keeping a gaussian_copula fit through ``state`` as ``SplitState`` says."""
+    keeping a gaussian_copula fit through ``split`` as ``Split`` says."""
     if config.backend != "gaussian_copula":
         synth_cfg = SynthesizerConfig(config.backend, config.seed, config.correlation_shrinkage)
-        return fit(_balanced(config, train, metadata)[0], synth_cfg)
+        return fit(_balanced(config, split.train, metadata)[0], synth_cfg)
     unshrunk = replace(config, correlation_shrinkage=0.0)
-    model = state.fit[1] if state.fit is not None and state.fit[0] == unshrunk else None
-    state.fit = None  # a model not reused is freed before the next fit
+    model = split.fit[1] if split.fit is not None and split.fit[0] == unshrunk else None
+    split.fit = None  # a model not reused is freed before the next fit
     if model is None:
-        if state.ranks is None and state.keep_fit:
-            state.ranks = slice_ranks(train)
-        table, rows = _balanced(config, train, metadata)
-        model = fit(table, SynthesizerConfig(config.backend, config.seed), state.ranks, rows)
-    if state.keep_fit:
-        state.fit = (unshrunk, model)
+        if split.ranks is None and split.keep_fit:
+            split.ranks = slice_ranks(split.train)
+        table, rows = _balanced(config, split.train, metadata)
+        model = fit(table, SynthesizerConfig(config.backend, config.seed), split.ranks, rows)
+    if split.keep_fit:
+        split.fit = (unshrunk, model)
     return shrink_correlation(model, config.correlation_shrinkage)
 
 
 def launch_synthesis(
     config: RunConfig,
-    train: Dataset,
+    split: Split,
     metadata: Metadata,
     external_backends: dict[str, ExternalBackend] | None,
     stack: ExitStack,
-    state: SplitState,
 ) -> Callable[[], Dataset]:
-    """The synthesis step on the train slice. Returns a ``synthesize()`` that
-    fits and samples a native backend, or collects an external one, whose
-    process is launched now in a temporary directory; closing ``stack`` kills
-    the process if it still runs and removes the directory."""
+    """The synthesis step on the split's train slice. Returns a
+    ``synthesize()`` that fits and samples a native backend, or collects an
+    external one, whose process is launched now in a temporary directory;
+    closing ``stack`` kills the process if it still runs and removes the
+    directory."""
     if config.backend in NATIVE_BACKENDS:
         # fit and sample are this module's names, looked up at the call.
         return lambda: sample(
-            _native_model(config, train, metadata, state), config.sample_rows, config.seed
+            _native_model(config, split, metadata), config.sample_rows, config.seed
         )
     check_backend(config.backend, external_backends)
-    train = _balanced(config, train, metadata)[0]
+    train = _balanced(config, split.train, metadata)[0]
     tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
     write_csv(train, tmp / "train.csv")
     (tmp / "metadata.json").write_text(
@@ -294,17 +298,14 @@ def launch_synthesis(
 
 def evaluate_synthetic(
     synthetic: Dataset,
-    holdout: Dataset,
+    split: Split,
     metadata: Metadata,
     parity_threshold: float = DEFAULT_PARITY_THRESHOLD,
-    holdout_side: RealSide | None = None,
 ) -> PipelineResult:
-    """The evaluation step: fidelity and TSTR fairness against the holdout,
-    folded into the composite score. ``holdout_side`` is ``real_side(holdout)``
-    when the caller has built it already."""
-    real = holdout if holdout_side is None else holdout_side
-    quality = quality_report(real, synthetic, holdout.schema)
-    fairness = fairness_report(synthetic, holdout, metadata)
+    """The evaluation step: fidelity against the split's holdout side and
+    TSTR fairness against its holdout, folded into the composite score."""
+    quality = quality_report(split.side, synthetic, split.holdout.schema)
+    fairness = fairness_report(synthetic, split.holdout, metadata)
     composite = synth_score(
         quality.overall_score,
         fairness.max_rel_fpr,
@@ -316,22 +317,17 @@ def evaluate_synthetic(
 
 def run_pipeline(
     config: RunConfig,
-    train: Dataset,
-    holdout: Dataset,
+    split: Split,
     metadata: Metadata,
     parity_threshold: float = DEFAULT_PARITY_THRESHOLD,
     external_backends: dict[str, ExternalBackend] | None = None,
-    state: SplitState | None = None,
 ) -> PipelineResult:
-    """One generator + evaluator pass over a split; same inputs give an
-    identical result, with or without the ``state`` of earlier runs on the
-    same split (None: a fresh one)."""
-    if state is None:
-        state = SplitState(real_side(holdout))
+    """One generator + evaluator pass over ``split``; same inputs give an
+    identical result, whatever earlier runs on the split kept in it."""
     with ExitStack() as stack:
-        synthesize = launch_synthesis(config, train, metadata, external_backends, stack, state)
+        synthesize = launch_synthesis(config, split, metadata, external_backends, stack)
         synthetic = synthesize()
-    return evaluate_synthetic(synthetic, holdout, metadata, parity_threshold, state.holdout)
+    return evaluate_synthetic(synthetic, split, metadata, parity_threshold)
 
 
 def plan_refinement(
@@ -406,39 +402,36 @@ def supervise(
     initial: RunConfig,
     real: Dataset,
     metadata: Metadata,
-    split: SplitSpec,
+    spec: SplitSpec,
     targets: Targets = Targets(),
     external_backends: dict[str, ExternalBackend] | None = None,
     pipeline=run_pipeline,
 ) -> SupervisorResult:
     """Bounded refinement loop: at most max_refinements + 1 pipeline runs.
 
-    ``real`` is split once, for ``initial``; no refinement action changes
-    train_rows, so every iteration sees the same train slice and holdout, and
-    shares one ``SplitState``: the holdout's side of the quality report and,
-    while another iteration can follow, the previous fit and the slice's
-    sort order. A failed iteration is recorded in history with its error and
-    refined by resampling; if every iteration fails, AllIterationsFailed
-    carries the full history. ``pipeline`` is injectable for testing the
-    routing policy in isolation.
+    ``real`` is split once, by ``split_for`` for ``initial``; no refinement
+    action changes train_rows, so every iteration runs on that one ``Split``:
+    the same train slice, holdout and holdout side and, while another
+    iteration can follow, the previous fit and the slice's sort order. A
+    failed iteration is recorded in history with its error and refined by
+    resampling; if every iteration fails, AllIterationsFailed names the last
+    error and carries the full history. ``pipeline`` is injectable for
+    testing the routing policy in isolation.
     """
-    train, holdout = split_for(initial, real, split)
-    state = SplitState(real_side(holdout))
+    split = split_for(initial, real, spec)
     history: list[HistoryEntry] = []
     config = initial
     while True:
         entry = HistoryEntry(config=config)
         history.append(entry)
-        state.keep_fit = len(history) <= targets.max_refinements
+        split.keep_fit = len(history) <= targets.max_refinements
         try:
             entry.result = pipeline(
                 config,
-                train,
-                holdout,
+                split,
                 metadata,
                 parity_threshold=targets.parity_threshold,
                 external_backends=external_backends,
-                state=state,
             )
         except FairsynthError as exc:
             entry.error = str(exc)
@@ -457,7 +450,11 @@ def supervise(
 
     scored = [i for i, e in enumerate(history) if e.result is not None]
     if not scored:
-        raise AllIterationsFailed("every pipeline iteration failed", history=history)
+        # One line: the last error's whitespace, newlines included, collapses.
+        last = " ".join(history[-1].error.split())
+        raise AllIterationsFailed(
+            f"every pipeline iteration failed; last error: {last}", history=history
+        )
     # The highest composite score; max keeps the earliest of tied iterations.
     best = max(scored, key=lambda i: history[i].result.composite.synth_score)
     return SupervisorResult(stop_reason=plan, best_iteration=best, history=tuple(history))

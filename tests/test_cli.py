@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -182,6 +183,24 @@ class TestEvaluateAndScore:
         assert recomputed_score == pytest.approx(evaluated_score, abs=5e-6)
         assert score_line.split(", ")[-2:] == eval_line.split(", ")[-2:]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [[], *(["--seed", seed, "--holdout-fraction", "0.2"] for seed in ("3", "7"))],
+    )
+    def test_evaluate_reproduces_the_reports_of_run(self, flags, tmp_path, capsys):
+        # evaluate on a run's own synthetic rows, with its seed and holdout
+        # fraction, scores them against the same holdout, to the same bytes.
+        data = ["--data", str(tmp_path / "d" / "demo.csv"),
+                "--metadata", str(tmp_path / "d" / "metadata.json")]
+        assert main(["demo", "--out", str(tmp_path / "d")]) == 0
+        assert main(["run", *data, *flags, "--out", str(tmp_path / "run")]) == 0
+        synth = str(tmp_path / "run" / "synthetic.csv")
+        out = tmp_path / "e"
+        assert main(["evaluate", *data, *flags, "--synthetic", synth, "--out", str(out)]) == 0
+        capsys.readouterr()
+        for name in ("sdmetrics_quality_report.json", "fairness_metrics.json"):
+            assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
     def test_score_handles_inf_and_undefined(self, tmp_path, capsys):
         q = tmp_path / "q.json"
         f = tmp_path / "f.json"
@@ -232,6 +251,60 @@ class TestSuperviseCommand:
         assert len(summary["history"]) == 2
         assert all("error" in entry for entry in summary["history"])
         assert not (out / "synthetic.csv").exists()
+        # One line that says why, with no traceback.
+        assert capsys.readouterr().err.splitlines() == [
+            "error: every pipeline iteration failed; last error: backend exited with code 7:"
+        ]
+
+    @pytest.mark.parametrize(
+        "script, error",
+        [
+            (
+                "import sys; open(sys.argv[1], 'w').close()",
+                "backend 'ext' output: no header row",
+            ),
+            (
+                "pass",
+                "backend exited with code 0: backend 'ext' exited 0 but wrote no output CSV",
+            ),
+        ],
+        ids=["empty_csv", "no_csv"],
+    )
+    def test_failed_external_reruns_are_byte_identical(
+        self, script, error, demo_dir, tmp_path, capsys, monkeypatch
+    ):
+        # A failed external backend's error names the backend, not the
+        # temporary directory its output was written in, which is gone by
+        # the time the error is reported.
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        backends = tmp_path / "backends.json"
+        backends.write_text(json.dumps([
+            {"name": "ext", "command": [sys.executable, "-c", script, "{out_csv}"]}
+        ]))
+        external = ["--backends-file", str(backends)]
+        stderr = []
+        for k in (1, 2):
+            code = main(["run", *_data_flags(demo_dir), *_small_flags(), *external,
+                         "--backend", "ext", "--out", str(tmp_path / f"run{k}")])
+            assert code == 2
+            stderr.append(capsys.readouterr().err)
+            code = main(["bench", *_data_flags(demo_dir), *_small_flags(), *external,
+                         "--backends", "gaussian_copula,ext",
+                         "--out", str(tmp_path / f"bench{k}")])
+            assert code == 0
+            capsys.readouterr()
+        assert stderr == [f"error: every pipeline iteration failed; last error: {error}\n"] * 2
+        texts = [stderr[0]]
+        for name in ("run1/run_summary.json", "bench1/bench_results.json"):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert (tmp_path / name.replace("1/", "2/")).read_text(encoding="utf-8") == text
+            texts.append(text)
+        summary, bench = (json.loads(text) for text in texts[1:])
+        assert summary["history"][0]["error"] == error
+        assert bench["rows"][1]["error"] == error
+        assert not any(str(scratch) in text for text in texts)
 
 
 class TestBenchCommand:

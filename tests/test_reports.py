@@ -38,8 +38,8 @@ from fairsynth.reports import (
     summary_doc,
     write_reports,
 )
-from fairsynth.schema import SplitSpec, split_holdout
-from fairsynth.supervisor import RunConfig, Targets, run_pipeline, supervise
+from fairsynth.schema import SplitSpec
+from fairsynth.supervisor import RunConfig, Targets, run_pipeline, split_for, supervise
 
 SPLIT = SplitSpec(train_rows=400, holdout_fraction=0.3, seed=0)
 SMALL = RunConfig(train_rows=400, sample_rows=300, seed=0)
@@ -175,7 +175,7 @@ class TestRatioSerialization:
 
 @pytest.fixture(scope="module")
 def pipeline_result(demo_data, demo_md):
-    return run_pipeline(SMALL, *split_holdout(demo_data, SPLIT), demo_md)
+    return run_pipeline(SMALL, split_for(SMALL, demo_data, SPLIT), demo_md)
 
 
 class TestDocumentLayouts:
@@ -237,7 +237,7 @@ class TestDocumentLayouts:
 
 class TestWriteReports:
     def test_files_exist_and_parse(self, demo_data, demo_md, tmp_path):
-        result = run_pipeline(SMALL, *split_holdout(demo_data, SPLIT), demo_md)
+        result = run_pipeline(SMALL, split_for(SMALL, demo_data, SPLIT), demo_md)
         write_reports(
             result.quality, result.fairness, result.composite, result.synthetic, tmp_path
         )
@@ -248,7 +248,7 @@ class TestWriteReports:
         assert parsed["overall_score"] == pytest.approx(result.quality.overall_score, abs=5e-7)
 
     def test_reemission_is_byte_identical(self, demo_data, demo_md, tmp_path):
-        result = run_pipeline(SMALL, *split_holdout(demo_data, SPLIT), demo_md)
+        result = run_pipeline(SMALL, split_for(SMALL, demo_data, SPLIT), demo_md)
         first, second = tmp_path / "one", tmp_path / "two"
         for out in (first, second):
             write_reports(
@@ -285,7 +285,7 @@ class TestBench:
 
     def test_rows_match_single_runs(self, demo_data, demo_md):
         result = batch_evaluate(["gaussian_copula"], SMALL, Targets(), demo_data, demo_md)
-        single = run_pipeline(SMALL, *split_holdout(demo_data, SplitSpec(400, seed=0)), demo_md)
+        single = run_pipeline(SMALL, split_for(SMALL, demo_data, SplitSpec(400, seed=0)), demo_md)
         row = result.rows[0]
         # The row keeps the whole record but its synthetic table.
         assert row.result == replace(single, synthetic=None)
@@ -331,7 +331,8 @@ class TestBench:
         )
         assert [row.error for row in result.rows] == [None, None]
         single = run_pipeline(
-            replace(SMALL, backend="forgetful"), *split_holdout(demo_data, SplitSpec(400, seed=0)),
+            replace(SMALL, backend="forgetful"),
+            split_for(SMALL, demo_data, SplitSpec(400, seed=0)),
             demo_md,
             external_backends=externals,
         )
@@ -398,7 +399,7 @@ class TestBenchOverlap:
             try:
                 result = run_pipeline(
                     replace(SMALL, backend=backend),
-                    *split_holdout(data, SplitSpec(SMALL.train_rows, seed=SMALL.seed)),
+                    split_for(SMALL, data, SplitSpec(SMALL.train_rows, seed=SMALL.seed)),
                     md,
                     external_backends=externals,
                 )
@@ -509,7 +510,7 @@ class TestBenchOverlap:
         if entry == "run_pipeline":
             def call():
                 return run_pipeline(
-                    replace(SMALL, backend="ext"), *split_holdout(demo_data, SPLIT), demo_md,
+                    replace(SMALL, backend="ext"), split_for(SMALL, demo_data, SPLIT), demo_md,
                     external_backends=externals,
                 )
         else:

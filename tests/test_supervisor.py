@@ -71,12 +71,10 @@ def _scripted(outcomes, demo_data):
     """Pipeline stand-in driven by a list of (quality, ratio) or exceptions;
     the ratio may be a dict of ratios per protected attribute."""
 
-    def pipeline(
-        config, train, holdout, metadata, parity_threshold=2.0, external_backends=None, state=None
-    ):
+    def pipeline(config, split, metadata, parity_threshold=2.0, external_backends=None):
         item = outcomes[len(pipeline.calls)]
         pipeline.calls.append(config)
-        pipeline.splits.append((train, holdout))
+        pipeline.splits.append(split)
         if isinstance(item, Exception):
             raise item
         q, ratios = item
@@ -351,7 +349,7 @@ class TestPlanRefinement:
 
 class TestRunPipeline:
     def test_artifacts(self, demo_data, demo_md):
-        result = run_pipeline(SMALL, *split_holdout(demo_data, SPLIT), demo_md)
+        result = run_pipeline(SMALL, split_for(SMALL, demo_data, SPLIT), demo_md)
         assert result.synthetic.row_count == SMALL.sample_rows
         assert result.synthetic.schema == demo_data.schema
         assert 0.0 <= result.quality.overall_score <= 1.0
@@ -359,8 +357,8 @@ class TestRunPipeline:
         assert result.composite.synth_score <= result.quality.overall_score + 1e-15
 
     def test_deterministic(self, demo_data, demo_md):
-        a = run_pipeline(SMALL, *split_holdout(demo_data, SPLIT), demo_md)
-        b = run_pipeline(SMALL, *split_holdout(demo_data, SPLIT), demo_md)
+        a = run_pipeline(SMALL, split_for(SMALL, demo_data, SPLIT), demo_md)
+        b = run_pipeline(SMALL, split_for(SMALL, demo_data, SPLIT), demo_md)
         assert a.synthetic == b.synthetic
         assert a.quality == b.quality
         assert a.composite == b.composite
@@ -368,7 +366,7 @@ class TestRunPipeline:
     def test_unknown_backend(self, demo_data, demo_md):
         cfg = RunConfig(backend="nope", train_rows=400, sample_rows=300)
         with pytest.raises(ValidationFailure, match="nope"):
-            run_pipeline(cfg, *split_holdout(demo_data, SPLIT), demo_md)
+            run_pipeline(cfg, split_for(cfg, demo_data, SPLIT), demo_md)
 
     def test_holdout_fixed_across_train_rows(self, demo_data, demo_md):
         # the evaluator slice must not move when a refinement changes train_rows
@@ -475,7 +473,7 @@ class TestSupervise:
         monkeypatch.undo()
         for entry in result.history:
             replay = run_pipeline(
-                entry.config, *split_for(entry.config, demo_data, SPLIT), demo_md,
+                entry.config, split_for(entry.config, demo_data, SPLIT), demo_md,
                 parity_threshold=strict.parity_threshold,
             )
             assert replay == entry.result
@@ -483,9 +481,9 @@ class TestSupervise:
     def test_fit_is_kept_only_while_another_iteration_can_follow(self, demo_data, demo_md):
         kept = []
 
-        def pipeline(*args, state=None, **kwargs):
-            result = run_pipeline(*args, state=state, **kwargs)
-            kept.append(state.fit)
+        def pipeline(config, split, *args, **kwargs):
+            result = run_pipeline(config, split, *args, **kwargs)
+            kept.append(split.fit)
             return result
 
         # run is supervise with a budget of 0: it keeps no model.
@@ -498,10 +496,10 @@ class TestSupervise:
 
     @pytest.mark.parametrize("shape", ["demo", "refine"])
     def test_every_iteration_equals_its_state_free_run(self, demo_data, demo_md, shape):
-        # The split's kept pieces (previous fit, slice sort order, holdout
-        # co-occurrence counts and group negatives) change no bit: each
+        # The split's kept pieces (previous fit, slice sort order and the
+        # holdout side's co-occurrence counts) change no bit: each
         # iteration's record, synthetic table included, equals a run of its
-        # config on the same split with no state.
+        # config on a fresh record of the same split.
         if shape == "demo":
             data, config, split = demo_data, SMALL, SPLIT
         else:  # refine-supervise's shape at a tenth of its size
@@ -513,10 +511,10 @@ class TestSupervise:
         actions = [e.action_taken for e in result.history]
         assert actions[:3] == [BALANCE_GROUPS, SHRINK_CORRELATION, RESAMPLE]
         assert len(result.history) == 6
-        train, holdout = split_for(config, data, split)
         for entry in result.history:
             replay = run_pipeline(
-                entry.config, train, holdout, demo_md, parity_threshold=targets.parity_threshold
+                entry.config, split_for(config, data, split), demo_md,
+                parity_threshold=targets.parity_threshold,
             )
             assert replay == entry.result
 
@@ -540,9 +538,9 @@ class TestSupervise:
         monkeypatch.setattr(tstr, "group_fpr", lambda *a: fpr_calls.append(1) or group_fpr(*a))
         passes = []
 
-        def pipeline(*args, state=None, **kwargs):
-            result = run_pipeline(*args, state=state, **kwargs)
-            passes.append((handed[:], len(fpr_calls), state.holdout.counts))
+        def pipeline(config, split, *args, **kwargs):
+            result = run_pipeline(config, split, *args, **kwargs)
+            passes.append((handed[:], len(fpr_calls), split.side.counts))
             handed.clear()
             fpr_calls.clear()
             return result
@@ -644,10 +642,20 @@ class TestSupervise:
             supervise(
                 SMALL, demo_data, demo_md, SPLIT, Targets(max_refinements=2), pipeline=script
             )
+        assert str(exc_info.value) == "every pipeline iteration failed; last error: boom"
         history = exc_info.value.history
         assert len(history) == 3
         assert all(e.error == "boom" for e in history)
         assert [e.config.seed for e in history] == [0, 1, 2]
+
+    def test_all_failed_message_is_one_line(self, demo_data, demo_md):
+        script = _scripted([ValidationFailure("first"), ValidationFailure("a\r\n  b\n")], demo_data)
+        with pytest.raises(AllIterationsFailed) as exc_info:
+            supervise(
+                SMALL, demo_data, demo_md, SPLIT, Targets(max_refinements=1), pipeline=script
+            )
+        assert str(exc_info.value) == "every pipeline iteration failed; last error: a b"
+        assert exc_info.value.history[1].error == "a\r\n  b\n"
 
     def test_insufficient_rows_rejected_upfront(self, demo_data, demo_md):
         big = RunConfig(train_rows=1900, sample_rows=100)
@@ -666,10 +674,10 @@ class TestSupervise:
             SMALL, demo_data, demo_md, replace(SPLIT, train_rows=900),
             Targets(max_refinements=3), pipeline=script,
         )
-        train, holdout = script.splits[0]
-        assert all(split[0] is train and split[1] is holdout for split in script.splits)
+        split = script.splits[0]
+        assert all(drawn is split for drawn in script.splits)
         want_train, want_holdout = split_holdout(demo_data, SPLIT)
-        assert train == want_train and holdout == want_holdout
+        assert split.train == want_train and split.holdout == want_holdout
         assert len(script.splits) == 4
 
     def test_real_run_on_demo_data(self, demo_data, demo_md):
@@ -701,7 +709,7 @@ class TestSupervise:
         for entry in result.history:
             if entry.result is None:
                 continue
-            replay = run_pipeline(entry.config, *split_for(entry.config, demo_data, SPLIT), demo_md)
+            replay = run_pipeline(entry.config, split_for(entry.config, demo_data, SPLIT), demo_md)
             assert replay.synthetic == entry.result.synthetic
 
     def test_deterministic(self, demo_data, demo_md):
