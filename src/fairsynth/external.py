@@ -30,6 +30,10 @@ MAX_TIMEOUT_SECONDS = 7 * 24 * 3600
 #: stderr.
 STDERR_EXCERPT_CHARS = 500
 
+#: A failed backend's stderr excerpt names its run directory this way, so a
+#: rerun in another temporary directory fails with the same text.
+RUN_DIR_NAME = "<run dir>"
+
 
 @dataclass(frozen=True)
 class ExternalBackend:
@@ -113,6 +117,7 @@ class ExternalRun:
     stderr: BinaryIO
     deadline: float  # time.monotonic() at launch plus timeout_seconds
     out_csv: Path
+    run_dir: Path | None = None  # a temporary directory the run's files are in
 
     def close(self) -> None:
         if self.process.poll() is None:
@@ -121,14 +126,20 @@ class ExternalRun:
         self.stderr.close()
 
     def _stderr_tail(self) -> str:
-        """The last STDERR_EXCERPT_CHARS characters of stderr, read from the
-        end of the file and decoded as text mode would, with an undecodable
-        byte replaced. A UTF-8 character is at most 4 bytes and decoding
-        falls back in step within 3 bytes of any cut, so the excerpt is that
-        of the whole stream."""
+        """The last STDERR_EXCERPT_CHARS characters of stderr with
+        ``run_dir`` written as RUN_DIR_NAME, read from the end of the file
+        and decoded as text mode would, with an undecodable byte replaced. A
+        UTF-8 character is at most 4 bytes, decoding falls back in step
+        within 3 bytes of any cut, and an excerpt character stands for at
+        most one run_dir's worth of characters, so the excerpt is that of the
+        whole stream."""
+        run_dir = "" if self.run_dir is None else str(self.run_dir)
+        span = (STDERR_EXCERPT_CHARS + 1) * max(1, len(run_dir))
         size = self.stderr.seek(0, os.SEEK_END)
-        self.stderr.seek(max(0, size - 4 * STDERR_EXCERPT_CHARS - 3))
+        self.stderr.seek(max(0, size - 4 * span - 3))
         text = self.stderr.read().decode("utf-8", errors="replace")
+        if run_dir:
+            text = text.replace(run_dir, RUN_DIR_NAME)
         return text.replace("\r\n", "\n").replace("\r", "\n")[-STDERR_EXCERPT_CHARS:]
 
     def collect(self, metadata: Metadata, expected_schema: TableSchema) -> Dataset:
@@ -179,10 +190,13 @@ def launch_external_backend(
     epochs: int,
     seed: int,
     out_csv: str | Path,
+    run_dir: Path | None = None,
 ) -> ExternalRun:
     """Start the backend command with its placeholders substituted. Its
     stdout is discarded and its stderr goes to an unnamed file in the output
-    CSV's directory, so the process never blocks on a full pipe."""
+    CSV's directory, so the process never blocks on a full pipe. A failed
+    run's stderr excerpt names ``run_dir``, a temporary directory, as
+    RUN_DIR_NAME."""
     mapping = {
         "{train_csv}": str(train_csv),
         "{metadata_json}": str(metadata_json),
@@ -201,7 +215,7 @@ def launch_external_backend(
         except OSError as exc:
             raise BackendFailed(-1, f"could not spawn backend {spec.name!r}: {exc}")
         cleanup.pop_all()
-    return ExternalRun(spec, process, stderr, deadline, out_csv)
+    return ExternalRun(spec, process, stderr, deadline, out_csv, run_dir)
 
 
 def run_external_backend(

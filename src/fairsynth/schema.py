@@ -396,12 +396,13 @@ def _read_csv(
 
     Each column is either interned, as (keys, codes) with ``keys[codes]`` its
     cells in file order and keys in first-appearance order, or parsed, as
-    (float64 values, None) with nan where missing. A column is parsed, one
-    read block at a time, from the block where it has more than the cutoff
+    (float64 values, None) with nan where missing, parsed one read block at a
+    time. A declared kind holds from the first row: a column declared
+    categorical is interned, one declared numeric parsed. An undeclared
+    column is parsed from the block where it has more than the cutoff
     distinct cells that all parse and hold more than the cutoff distinct
-    values; any other column stays interned. A column declared categorical is
-    never parsed, and one declared numeric always is, after the read at the
-    latest. So a column is numeric iff it comes back parsed.
+    values, and interned until then or for good. So a column is numeric iff
+    it comes back parsed. A file with no data row is an EmptyTable.
 
     An undeclared column with more than the cutoff distinct plain decimals
     and a cell that is neither missing nor a plain decimal is a ParseError
@@ -420,10 +421,11 @@ def _read_csv(
                 )
             # A cell's code is its table's size when first seen: first-
             # appearance order, assigned inside map() without a Python loop.
-            # A column's table is None once it is parsed.
-            tables: list[dict[str, int] | None] = [defaultdict(count().__next__) for _ in header]
-            # Codes while interned, then the parsed blocks.
-            columns: list = [array("i") for _ in header]
+            # A column's table is None while it is parsed. Its column holds
+            # its codes while interned, its parsed blocks once parsed.
+            parsed = [declared_kinds.get(name) is ColumnKind.NUMERIC for name in header]
+            tables: list = [None if p else defaultdict(count().__next__) for p in parsed]
+            columns: list = [[] if p else array("i") for p in parsed]
             # An interned column stays so for good once declared categorical or
             # once its keys do not all parse.
             text = [declared_kinds.get(name) is ColumnKind.CATEGORICAL for name in header]
@@ -455,18 +457,14 @@ def _read_csv(
             raise EmptyTable(f"{csv_path}: no header row")
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationFailure(f"{csv_path}: unreadable as UTF-8 CSV: {exc}")
+    if not n_rows:
+        raise EmptyTable(f"{csv_path}: no data rows")
     read = []
-    for name, table, column, column_strays, is_text in zip(header, tables, columns, strays, text):
+    for name, table, column, is_text in zip(header, tables, columns, text):
         if table is None:
             read.append((np.concatenate(column), None))
             continue
         keys, codes = list(table), np.frombuffer(column, np.int32)
-        if declared_kinds.get(name) is ColumnKind.NUMERIC:
-            values, bad = _parse_or_stray(keys)
-            stray_rows = np.flatnonzero(np.isin(codes, bad)).tolist()
-            column_strays += [(row, keys[codes[row]]) for row in stray_rows]
-            read.append((values[codes], None))
-            continue
         if is_text and name not in declared_kinds:
             k = _first_stray_key(keys)
             if k is not None:
@@ -532,8 +530,6 @@ def load_dataset(
     """
     declared = (metadata.declared_kinds or {}) if pinned is None else dict(pinned.columns)
     header, read, n_rows, strays = _read_csv(csv_path, declared, pinned is not None)
-    if not n_rows:
-        raise EmptyTable(f"{csv_path}: no data rows")
 
     required = [metadata.label_column, *metadata.protected_attributes]
     for col in required:

@@ -6,7 +6,7 @@ synthesizer, score the synthetic rows against the holdout (fidelity + TSTR
 fairness), and fold both into the composite score. The supervisor loops
 pipeline runs through a fixed refinement policy until the targets are met or
 the refinement budget is spent, then returns the best iteration by composite
-score (ties go to the earliest).
+score among evaluations with evidence (ties go to the earliest).
 
 Separation contract: the synthetic bytes of iteration k depend only on the
 real data and that iteration's RunConfig; evaluator output reaches the
@@ -290,6 +290,7 @@ def launch_synthesis(
         config.epochs,
         config.seed,
         tmp / "synthetic.csv",
+        run_dir=tmp,
     )
     stack.callback(run.close)
     schema = train.schema  # the closure keeps the schema, not the train rows
@@ -342,17 +343,21 @@ def plan_refinement(
     is ``score`` (None: the iteration failed): TARGET_MET, BUDGET or the name
     of the next refinement action.
 
-    Stop on target (score and parity both met) or on exhausted budget. A
-    failed iteration resamples. A parity failure walks the fixed action order
+    Stop on target (score and parity both met by a non-degenerate
+    evaluation) or on exhausted budget. A degenerate TSTR classifier
+    predicts one class on the whole holdout, so every defined group FPR is
+    equal and parity holds with nothing compared: it never meets the target.
+    A failed iteration resamples. A parity failure walks the fixed action order
     balance-groups, then correlation shrinkage, then resample. Balance-groups
     is skipped when the metadata names no protected attribute
     (``has_protected`` false), and correlation shrinkage for every backend
     but gaussian_copula, the only one that reads it: either would rerun the
-    same synthesis. A pure quality shortfall doubles epochs for external
-    backends (epochs are a no-op for closed-form native fits) and otherwise
-    resamples.
+    same synthesis. A pure quality shortfall, like a degenerate evaluation
+    with parity met, doubles epochs for external backends (epochs are a no-op
+    for closed-form native fits) and otherwise resamples.
     """
-    if score is not None and score.synth_score >= targets.min_synth_score and score.parity_ok:
+    met = score is not None and not score.degenerate and score.parity_ok
+    if met and score.synth_score >= targets.min_synth_score:
         return TARGET_MET
     if len(history) > targets.max_refinements:
         return BUDGET
@@ -455,6 +460,8 @@ def supervise(
         raise AllIterationsFailed(
             f"every pipeline iteration failed; last error: {last}", history=history
         )
-    # The highest composite score; max keeps the earliest of tied iterations.
-    best = max(scored, key=lambda i: history[i].result.composite.synth_score)
+    # The highest composite score, a degenerate one only when every one is;
+    # max keeps the earliest of tied iterations.
+    composites = {i: history[i].result.composite for i in scored}
+    best = max(scored, key=lambda i: (not composites[i].degenerate, composites[i].synth_score))
     return SupervisorResult(stop_reason=plan, best_iteration=best, history=tuple(history))

@@ -27,7 +27,7 @@ CRITERION_TITLES = {
     5: "copula recovery: fitted and sampled rho within 0.8 +/- 0.1 (n=2000); categorical TVD <= 0.05; < 5s",
     6: "logistic gradient matches central differences (h=1e-5, 10 random points), max relative error < 1e-4",
     7: "always-positive classifier: every group FPR 1.0, max_rel_fpr 1.0, degenerate, fairness multiplier 1.0",
-    8: "supervisor on demo defaults: <= max_refinements+1 runs, parity failure routes to balance_groups first, best is argmax, < 60s",
+    8: "supervisor on demo defaults: <= max_refinements+1 runs, parity failure routes to balance_groups first, best is argmax among evaluations with evidence, < 60s",
     9: "two identical run invocations emit byte-identical report files and synthetic CSV (sha256)",
     10: "bench defaults: train_rows 1000, sample_rows 500, epochs 20, seed 0",
 }

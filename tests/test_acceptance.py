@@ -236,10 +236,14 @@ def test_criterion_08_supervisor_on_demo(demo_data, demo_md):
         if e.result is not None and not e.result.composite.parity_ok
     )
     assert first_parity_failure.action_taken == "balance_groups"
-    scores = [
-        e.result.composite.synth_score for e in result.history if e.result is not None
-    ]
-    assert result.best_composite.synth_score == max(scores)
+    # The best is the argmax among evaluations with evidence (not degenerate),
+    # and among all of them only when every one is degenerate.
+    evaluated = [e.result.composite for e in result.history if e.result is not None]
+    with_evidence = [c.synth_score for c in evaluated if not c.degenerate]
+    assert result.best_composite.synth_score == max(
+        with_evidence or [c.synth_score for c in evaluated]
+    )
+    assert not (result.stop_reason == "target_met" and result.best_composite.degenerate)
     assert result.stop_reason in ("target_met", "budget")
     assert elapsed < 60.0, f"supervision took {elapsed:.2f}s"
 

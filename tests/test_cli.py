@@ -267,21 +267,29 @@ class TestSuperviseCommand:
                 "pass",
                 "backend exited with code 0: backend 'ext' exited 0 but wrote no output CSV",
             ),
+            (
+                "import sys\n"
+                "try:\n    open(sys.argv[2] + '.missing')\n"
+                "except OSError as exc:\n    sys.stderr.write(str(exc))\n    sys.exit(1)",
+                "backend exited with code 1: [Errno 2] No such file or directory: "
+                "'<run dir>/train.csv.missing'",
+            ),
         ],
-        ids=["empty_csv", "no_csv"],
+        ids=["empty_csv", "no_csv", "stderr_names_input"],
     )
     def test_failed_external_reruns_are_byte_identical(
         self, script, error, demo_dir, tmp_path, capsys, monkeypatch
     ):
         # A failed external backend's error names the backend, not the
         # temporary directory its output was written in, which is gone by
-        # the time the error is reported.
+        # the time the error is reported; its stderr names that directory
+        # "<run dir>".
         scratch = tmp_path / "scratch"
         scratch.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
         backends = tmp_path / "backends.json"
         backends.write_text(json.dumps([
-            {"name": "ext", "command": [sys.executable, "-c", script, "{out_csv}"]}
+            {"name": "ext", "command": [sys.executable, "-c", script, "{out_csv}", "{train_csv}"]}
         ]))
         external = ["--backends-file", str(backends)]
         stderr = []
@@ -517,6 +525,22 @@ class TestMetadataInvariants:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and expect in err[0]
         assert not (tmp_path / "o").exists()
+
+    def test_run_on_header_only_file_exits_one(self, demo_dir, tmp_path, capsys):
+        # A column declared numeric is parsed from the first row, so a file
+        # with no row to parse still reaches EmptyTable.
+        data = tmp_path / "empty.csv"
+        header = (demo_dir / "demo.csv").read_text(encoding="utf-8").splitlines()[0]
+        data.write_text(header + "\r\n", encoding="utf-8")
+        doc = json.loads((demo_dir / "metadata.json").read_text(encoding="utf-8"))
+        doc["columns"] = {"symptom_scale": {"kind": "numeric"}}
+        md = tmp_path / "metadata.json"
+        md.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["run", "--data", str(data), "--metadata", str(md), *_small_flags(),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == f"error: {data}: no data rows", err
 
 
 def _seed_argv(command, demo_dir, evaluated, out):

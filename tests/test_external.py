@@ -242,6 +242,29 @@ def test_stderr_excerpt_is_the_last_500_characters(backend_inputs, demo_data):
     assert err.value.stderr_excerpt == whole[-500:]
 
 
+
+def test_stderr_excerpt_names_the_run_dir_as_a_fixed_name(backend_inputs, demo_data, demo_md):
+    """The run directory is replaced before the cut, and the window read
+    reaches back far enough for an excerpt of replaced paths."""
+    train_csv, metadata_json, out_csv = backend_inputs
+    run_dir = str(train_csv.parent)
+    script = (
+        "import sys\n"
+        "sys.stderr.write('x' * 100_000)\n"
+        "sys.stderr.write(''.join(f'{sys.argv[1]}/{i}\\n' for i in range(100)))\n"
+        "sys.exit(3)\n"
+    )
+    spec = ExternalBackend("paths", (PY, "-c", script, run_dir))
+    run = launch_external_backend(
+        spec, train_csv, metadata_json, 10, 1, 0, out_csv, run_dir=train_csv.parent
+    )
+    with pytest.raises(BackendFailed) as err:
+        run.collect(demo_md, demo_data.schema)
+    run.close()
+    whole = "x" * 100_000 + "".join(f"{run_dir}/{i}\n" for i in range(100))
+    assert err.value.stderr_excerpt == whole.replace(run_dir, "<run dir>")[-500:]
+    assert run_dir not in err.value.stderr_excerpt
+
 def test_unspawnable_command_is_backend_failed(backend_inputs, demo_data):
     train_csv, metadata_json, out_csv = backend_inputs
     spec = ExternalBackend("ghost", (str(train_csv.parent / "no-such-program"),))

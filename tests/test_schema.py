@@ -405,6 +405,41 @@ def test_declared_numeric_checks_only_kept_rows(tmp_path):
         load_dataset(p, md)
 
 
+def test_declared_numeric_column_is_parsed_block_by_block(tmp_path, monkeypatch):
+    # A column declared numeric is parsed from its first read block, a stray
+    # cell included, rather than interned for the whole read and its keys
+    # parsed afterwards: no parse ever sees more than one block of cells.
+    sizes = []
+    parse = schema._parse_or_stray
+
+    def counted(cells):
+        sizes.append(len(cells))
+        return parse(cells)
+
+    monkeypatch.setattr(schema, "_parse_or_stray", counted)
+    n = 3 * _READ_BLOCK_ROWS
+    cells = [repr(i / 7) for i in range(n)]
+    labels = ["yes" if i % 2 else "no" for i in range(n)]
+    cells[1], labels[1] = "NA", ""
+    p = tmp_path / "t.csv"
+    write_lines(p, ["v,label"] + [f"{c},{y}" for c, y in zip(cells, labels)])
+    md = Metadata("label", "yes", declared_kinds={"v": ColumnKind.NUMERIC})
+    data = load_dataset(p, md)
+    assert sizes and max(sizes) <= _READ_BLOCK_ROWS
+    _assert_same_ingest(data, _reference_load(p, md))
+
+
+def test_header_only_file_with_declared_numeric_column_is_empty(tmp_path):
+    p = tmp_path / "t.csv"
+    write_lines(p, ["v,label"])
+    md = Metadata("label", "yes", declared_kinds={"v": ColumnKind.NUMERIC})
+    with pytest.raises(EmptyTable, match="no data rows"):
+        load_dataset(p, md)
+    pinned = TableSchema((("v", ColumnKind.NUMERIC), ("label", ColumnKind.CATEGORICAL)))
+    with pytest.raises(EmptyTable, match="no data rows"):
+        load_synthetic(p, Metadata("label", "yes"), pinned)
+
+
 def _reference_load(path, md):
     """Row-wise ingest in plain Python: the oracle for the columnar loader."""
     with open(path, newline="", encoding="utf-8-sig") as fh:

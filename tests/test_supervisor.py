@@ -47,7 +47,7 @@ def _stub_quality(score):
     return QualityReport(score, {"v": ("KSComplement", score)}, (), score, score)
 
 
-def _stub_fairness(ratios):
+def _stub_fairness(ratios, degenerate=False):
     """A FairnessReport with ``ratios``' max_rel_fpr per protected attribute;
     a bare ratio is Race's. The overall ratio is the largest defined one."""
     if not isinstance(ratios, dict):
@@ -57,19 +57,20 @@ def _stub_fairness(ratios):
         for attr, ratio in ratios.items()
     }
     overall = max((r for r in ratios.values() if r is not None), default=None)
-    return FairnessReport(by_attribute, overall, False, ())
+    return FairnessReport(by_attribute, overall, degenerate, ())
 
 
-def _stub_result(q, ratios, parity_threshold=2.0, synthetic=None):
+def _stub_result(q, ratios, parity_threshold=2.0, synthetic=None, degenerate=False):
     """A PipelineResult scored ``q`` with ``ratios`` as in _stub_fairness."""
-    fairness = _stub_fairness(ratios)
-    composite = synth_score(q, fairness.max_rel_fpr, parity_threshold)
+    fairness = _stub_fairness(ratios, degenerate)
+    composite = synth_score(q, fairness.max_rel_fpr, parity_threshold, degenerate=degenerate)
     return PipelineResult(synthetic, _stub_quality(q), fairness, composite)
 
 
 def _scripted(outcomes, demo_data):
-    """Pipeline stand-in driven by a list of (quality, ratio) or exceptions;
-    the ratio may be a dict of ratios per protected attribute."""
+    """Pipeline stand-in driven by a list of (quality, ratio), (quality,
+    ratio, degenerate) or exceptions; the ratio may be a dict of ratios per
+    protected attribute."""
 
     def pipeline(config, split, metadata, parity_threshold=2.0, external_backends=None):
         item = outcomes[len(pipeline.calls)]
@@ -77,8 +78,9 @@ def _scripted(outcomes, demo_data):
         pipeline.splits.append(split)
         if isinstance(item, Exception):
             raise item
-        q, ratios = item
-        return _stub_result(q, ratios, parity_threshold, demo_data.take(np.arange(5)))
+        q, ratios, degenerate = (*item, False)[:3]
+        synthetic = demo_data.take(np.arange(5))
+        return _stub_result(q, ratios, parity_threshold, synthetic, degenerate)
 
     pipeline.calls = []
     pipeline.splits = []
@@ -420,6 +422,44 @@ class TestSupervise:
             pipeline=script,
         )
         assert result.best_iteration == 0
+
+    def test_degenerate_evaluation_never_meets_the_target(self, demo_data, demo_md):
+        # A one-class TSTR classifier makes every group FPR equal, so parity
+        # holds with nothing compared; its 0.95 is no evidence the goal is met.
+        script = _scripted([(0.95, 1.0, True), (0.80, 1.0)], demo_data)
+        result = supervise(
+            SMALL, demo_data, demo_md, SPLIT, Targets(max_refinements=3), pipeline=script
+        )
+        assert result.history[0].action_taken == RESAMPLE
+        assert result.stop_reason == TARGET_MET
+        assert len(result.history) == 2 and result.best_iteration == 1
+
+    def test_best_is_non_degenerate_when_one_exists(self, demo_data, demo_md):
+        script = _scripted([(0.95, 1.0, True), (0.60, 1.0), (0.90, 1.0, True)], demo_data)
+        result = supervise(
+            SMALL,
+            demo_data,
+            demo_md,
+            SPLIT,
+            Targets(min_synth_score=0.9, max_refinements=2),
+            pipeline=script,
+        )
+        assert result.stop_reason == BUDGET
+        assert result.best_iteration == 1
+        assert not result.best_composite.degenerate
+
+    def test_all_degenerate_best_is_argmax(self, demo_data, demo_md):
+        script = _scripted([(0.70, 1.0, True), (0.90, 1.0, True), (0.90, 1.0, True)], demo_data)
+        result = supervise(
+            SMALL,
+            demo_data,
+            demo_md,
+            SPLIT,
+            Targets(min_synth_score=0.9, max_refinements=2),
+            pipeline=script,
+        )
+        assert result.stop_reason == BUDGET and len(result.history) == 3
+        assert result.best_iteration == 1  # the highest score, ties to the earliest
 
     def test_parity_failure_walks_action_order(self, demo_data, demo_md):
         script = _scripted([(0.95, 3.0)] * 4, demo_data)
