@@ -7,6 +7,12 @@ involving a categorical column is compared as a joint contingency table, with
 numeric columns discretized into 4 quantile bins whose edges come from the
 real column.
 
+A numeric pair's rho takes the steps ``np.corrcoef`` takes after centring,
+in its order, so the bits agree with it: each side's columns are centred
+once, one (2, n) buffer per side holds the pair being scored, and the 2 x 2
+tail runs on scalars. A numeric column's int16 bin codes are counted by one
+comparison per edge, and the real column's edges come from its sorted copy.
+
 ``quality_report`` counts the contingency tables of all pairs at once. Every
 column is coded once per side into a span of levels (numeric columns into
 their 4 bins, categorical ones over one key table for both sides), and each
@@ -34,6 +40,7 @@ changes the layout, and the counts are built again.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -97,8 +104,8 @@ def correlation_similarity(real_a, real_b, synth_a, synth_b) -> float:
     ra, rb, sa, sb = (np.asarray(v, dtype=np.float64) for v in (real_a, real_b, synth_a, synth_b))
     if ra.size != rb.size or sa.size != sb.size:
         raise LengthMismatch("paired value sequences must have equal lengths")
-    rho_r = _centred_pearson(_centred(ra), _centred(rb))
-    rho_s = _centred_pearson(_centred(sa), _centred(sb))
+    (rho_r,) = _pair_rhos([_centred(ra), _centred(rb)])
+    (rho_s,) = _pair_rhos([_centred(sa), _centred(sb)])
     return 1.0 - abs(rho_r - rho_s) / 2.0
 
 
@@ -112,19 +119,28 @@ def _centred(values: np.ndarray) -> np.ndarray | None:
     return values - values.mean()
 
 
-def _centred_pearson(x: np.ndarray | None, y: np.ndarray | None) -> float:
-    """Pearson rho of two columns from their ``_centred`` forms, clipped to
-    [-1, 1]: the steps ``np.corrcoef`` takes after centring, in its order, so
-    the bits agree with it."""
-    if x is None or y is None:
-        return 0.0
-    pair = np.stack((x, y))
-    c = np.dot(pair, pair.T)
-    c *= np.true_divide(1, x.size - 1)
-    stddev = np.sqrt(np.diag(c))
-    c /= stddev[:, None]
-    c /= stddev[None, :]
-    return float(np.clip(c[0, 1], -1.0, 1.0))
+def _pair_rhos(centred: list[np.ndarray | None]) -> list[float]:
+    """Pearson rho of every pair i < j of one side's ``_centred`` columns, in
+    ``itertools.combinations`` order, clipped to [-1, 1]; 0.0 for a pair with a
+    constant column. One (2, n) buffer holds each pair (row 0 filled once per
+    i), its Gram matrix comes from ``np.corrcoef``'s ``np.dot`` call, and the
+    2 x 2 tail runs on scalars in ``np.corrcoef``'s order, so the bits agree."""
+    n = next((x.size for x in centred if x is not None), 0)
+    buf = np.empty((2, n))
+    inv = np.true_divide(1, n - 1)
+    rhos = []
+    for i, x in enumerate(centred):
+        if x is not None:
+            buf[0] = x
+        for y in centred[i + 1:]:
+            if x is None or y is None:
+                rhos.append(0.0)
+                continue
+            buf[1] = y
+            c = np.dot(buf, buf.T)
+            rho = c[0, 1] * inv / math.sqrt(c[0, 0] * inv) / math.sqrt(c[1, 1] * inv)
+            rhos.append(float(min(max(rho, -1.0), 1.0)))
+    return rhos
 
 
 def contingency_similarity(real_a, real_b, synth_a, synth_b) -> float:
@@ -264,9 +280,14 @@ def quantile_bin_edges(real_values, bins: int = QUANTILE_BINS) -> np.ndarray:
 
 def discretize(values, edges: np.ndarray) -> np.ndarray:
     """Right-closed binning: value v lands in bin #edges strictly below v, so
-    v <= edges[0] is bin 0 and anything above the top edge is the last bin."""
+    v <= edges[0] is bin 0 and anything above the top edge is the last bin.
+    The int16 codes are counted by one comparison per edge, and agree with
+    ``np.searchsorted(edges, v, side="left")``."""
     arr = np.asarray(values, dtype=np.float64)
-    return np.searchsorted(edges, arr, side="left")
+    codes = np.full(arr.shape, edges.size, dtype=np.int16)
+    for edge in edges.tolist():
+        codes -= arr <= edge
+    return codes
 
 
 @dataclass
@@ -294,15 +315,10 @@ def real_side(real: Dataset) -> RealSide:
         for (name, kind), col in zip(real.schema.columns, real.columns)
         if kind is ColumnKind.NUMERIC
     ]
-    centred = [_centred(values) for _, values in numeric]
-    rhos = {
-        (numeric[i][0], numeric[j][0]): _centred_pearson(centred[i], centred[j])
-        for i in range(len(numeric))
-        for j in range(i + 1, len(numeric))
-    }
-    del centred
-    edges = {name: quantile_bin_edges(values) for name, values in numeric}
-    codes = {name: discretize(values, edges[name]).astype(np.int16) for name, values in numeric}
+    pairs = itertools.combinations([name for name, _ in numeric], 2)
+    rhos = dict(zip(pairs, _pair_rhos([_centred(values) for _, values in numeric])))
+    edges = {name: quantile_bin_edges(np.sort(values)) for name, values in numeric}
+    codes = {name: discretize(values, edges[name]) for name, values in numeric}
     return RealSide(real, edges, codes, rhos)
 
 
@@ -321,14 +337,11 @@ def quality_report(real: Dataset | RealSide, synth: Dataset, schema: TableSchema
     # Numeric pairs are scored first, from each synthetic numeric column
     # centred once; the centred copies are freed before the columns are coded.
     numeric = [name for name, kind in schema.columns if kind is ColumnKind.NUMERIC]
-    centred = [_centred(synth.column(n).values) for n in numeric]
-    correlations: dict[tuple[str, str], float] = {}
-    for i, synth_a in enumerate(centred):
-        for j in range(i + 1, len(numeric)):
-            rho_r = side.rhos[numeric[i], numeric[j]]
-            rho_s = _centred_pearson(synth_a, centred[j])
-            correlations[numeric[i], numeric[j]] = 1.0 - abs(rho_r - rho_s) / 2.0
-    del centred
+    synth_rhos = _pair_rhos([_centred(synth.column(n).values) for n in numeric])
+    correlations = {
+        pair: 1.0 - abs(side.rhos[pair] - rho_s) / 2.0
+        for pair, rho_s in zip(itertools.combinations(numeric, 2), synth_rhos)
+    }
 
     # Each column is coded once: a categorical column's codes through one key
     # table for both category tables, a numeric column into the quantile bins
@@ -340,8 +353,7 @@ def quality_report(real: Dataset | RealSide, synth: Dataset, schema: TableSchema
         if kind is ColumnKind.NUMERIC:
             ks[name] = ks_complement(r.values, s.values)
             edges = side.edges[name]
-            synth_codes = discretize(s.values, edges).astype(np.int16)
-            coded[name] = (side.codes[name], synth_codes, edges.size + 1)
+            coded[name] = (side.codes[name], discretize(s.values, edges), edges.size + 1)
             continue
         real_keys, synth_keys, size = _coded(r.categories, s.categories)
         dtype = np.int16 if size <= MAX_LEVELS else np.int64

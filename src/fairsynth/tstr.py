@@ -173,15 +173,19 @@ def encode(encoder: Encoder, data: Dataset):
             # Vocabulary slot of each code; -1 (unseen) leaves the row all zero.
             slots = np.array([index.get(c, -1) for c in col.categories], dtype=np.int64)
             slot = slots[col.codes]
-            rows = np.flatnonzero(slot >= 0)
-            flat[row_start[rows] + k + slot[rows]] = 1.0
-            present = np.bincount(col.codes, minlength=len(slots)) > 0
-            unseen = [col.categories[c] for c in np.flatnonzero(present & (slots < 0)).tolist()]
-            if unseen:
-                logger.warning(
-                    "column %r: %d categories unseen at fit time, first %r; encoded as zeros",
-                    name, len(unseen), min(unseen),
-                )
+            seen = slot >= 0
+            slot += row_start
+            slot += k
+            flat[slot[seen]] = 1.0
+            # Rows are counted only to name the unseen categories they use.
+            if slots.min(initial=0) < 0:
+                present = np.bincount(col.codes, minlength=len(slots)) > 0
+                unseen = [col.categories[c] for c in np.flatnonzero(present & (slots < 0)).tolist()]
+                if unseen:
+                    logger.warning(
+                        "column %r: %d categories unseen at fit time, first %r; encoded as zeros",
+                        name, len(unseen), min(unseen),
+                    )
             k += len(vocab)
     label = data.column(encoder.label_column)
     positive = np.array([c == encoder.positive_label for c in label.categories], dtype=np.int64)

@@ -135,11 +135,27 @@ class TestDiscretize:
         assert discretize([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 99.0], edges).tolist() == [
             0, 0, 1, 1, 2, 2, 3,
         ]
+        # Values equal to an edge, tied edges, and -0.0 and 0.0 against a 0.0
+        # edge: the int16 codes are searchsorted's "left" insertion points.
+        values = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 99.0, -0.0, 0.0, -1.0, -5.0]
+        for edges in ([1.0, 1.0, 3.0], [2.0, 2.0, 2.0], [-1.0, 0.0, 0.0], [-0.0, 0.0, 2.0]):
+            codes = discretize(values, np.array(edges))
+            assert codes.dtype == np.int16
+            assert codes.tolist() == np.searchsorted(edges, values, side="left").tolist(), edges
 
     def test_edges_are_real_quartiles(self):
         values = np.arange(101, dtype=np.float64)
         edges = quantile_bin_edges(values)
         assert edges.tolist() == [25.0, 50.0, 75.0]
+        # A sorted copy of a column gives the same edges as the column.
+        rng = np.random.default_rng(5)
+        for column in (
+            rng.permutation(values),
+            rng.standard_normal(1001),
+            np.round(rng.standard_normal(998), 1),  # ties
+            rng.permutation(np.r_[np.full(40, -0.0), np.zeros(40), rng.standard_normal(7)]),
+        ):
+            assert np.array_equal(quantile_bin_edges(np.sort(column)), quantile_bin_edges(column))
 
 
 def _table(num_a, num_b, cat):
@@ -282,15 +298,41 @@ class TestQualityReport:
                     NumericColumn(rng.standard_normal(333)) if n == "k" else col
                     for n, col in zip(names, synth.columns)
                 ))
-            pairs = [t for t in quality_report(real, synth, schema).pair_trends
-                     if t[2] == "CorrelationSimilarity"]
-            assert len(pairs) == 6
-            for a, b, _, score in pairs:
-                ra, rb = real.column(a).values, real.column(b).values
-                sa, sb = synth.column(a).values, synth.column(b).values
-                want = 1.0 - abs(_pearson(ra, rb) - _pearson(sa, sb)) / 2.0
-                assert score == want, (seed, a, b)
-                assert correlation_similarity(ra, rb, sa, sb) == want, (seed, a, b)
+            self._assert_pairs_match_oracle(real, synth, 6)
+
+        # A wide table: 22 numeric columns of mixed scales, with a constant
+        # column, one of tiny variance and one holding both -0.0 and 0.0.
+        wide = TableSchema(tuple((f"n{i:02d}", ColumnKind.NUMERIC) for i in range(22)))
+
+        def wide_table(rng, n, constant):
+            columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9) + rng.integers(-50, 50)
+                       for _ in range(18)]
+            columns.append(np.full(n, constant))
+            columns.append(1.0 + rng.standard_normal(n) * 1e-9)
+            columns.append(rng.choice([-0.0, 0.0, 1.0], n))
+            columns.append(columns[0] * -3.0 + rng.standard_normal(n) * 1e-3)  # near -1
+            return Dataset(wide, tuple(NumericColumn(c) for c in columns))
+
+        for seed in range(2):
+            rng = np.random.default_rng(40 + seed)
+            real, synth = wide_table(rng, 6000, 2.5), wide_table(rng, 5000, -0.0)
+            side = quality.real_side(real)
+            assert len(side.rhos) == 231
+            for (a, b), rho in side.rhos.items():
+                assert rho == _pearson(real.column(a).values, real.column(b).values), (seed, a, b)
+            self._assert_pairs_match_oracle(real, synth, 231)
+
+    @staticmethod
+    def _assert_pairs_match_oracle(real, synth, count):
+        pairs = [t for t in quality_report(real, synth, real.schema).pair_trends
+                 if t[2] == "CorrelationSimilarity"]
+        assert len(pairs) == count
+        for a, b, _, score in pairs:
+            ra, rb = real.column(a).values, real.column(b).values
+            sa, sb = synth.column(a).values, synth.column(b).values
+            want = 1.0 - abs(_pearson(ra, rb) - _pearson(sa, sb)) / 2.0
+            assert score == want, (a, b)
+            assert correlation_similarity(ra, rb, sa, sb) == want, (a, b)
 
     def test_mixed_pair_uses_real_bin_edges(self):
         # real numeric spread differs from synth; identical joint structure

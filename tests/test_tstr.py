@@ -207,6 +207,53 @@ class TestEncoder:
         assert np.any(holdout.column("Race").codes == absent)
         assert len(caplog.records) == 1 and "'Race'" in caplog.records[0].getMessage()
 
+    def test_many_categorical_columns_match_row_wise_oracle(self, caplog):
+        # 30 categorical columns of 2 to 12 categories; the holdout's tables
+        # list categories in other orders, columns c03, c10 and c17 use
+        # categories unseen at fit time, and c05 lists one that no row uses.
+        rng = np.random.default_rng(31)
+        names = [f"c{i:02d}" for i in range(30)]
+        schema = TableSchema(
+            (("v", ColumnKind.NUMERIC), *((n, ColumnKind.CATEGORICAL) for n in names),
+             ("label", ColumnKind.CATEGORICAL))
+        )
+        sizes = rng.integers(2, 13, len(names))
+
+        def table(n, unseen):
+            columns = [NumericColumn(rng.standard_normal(n))]
+            for name, size in zip(names, sizes):
+                cats = [f"{name}_{k}" for k in range(size)]
+                if name in unseen:
+                    cats.append(f"{name}_new")
+                col = CategoricalColumn.from_values(rng.choice(cats, n).tolist())
+                order = rng.permutation(len(col.categories))
+                categories = tuple(col.categories[k] for k in order)
+                if name == "c05" and unseen:
+                    categories += ("c05_unused",)
+                codes = np.argsort(order)[col.codes].astype(col.codes.dtype)
+                columns.append(CategoricalColumn(codes, categories))
+            columns.append(CategoricalColumn.from_values(rng.choice(["yes", "no"], n).tolist()))
+            return Dataset(schema, tuple(columns))
+
+        md = Metadata("label", "yes", ("c00", "c01"))
+        train = table(400, ())
+        enc = fit_encoder(train, md)
+        holdout = table(300, ("c03", "c10", "c17"))
+        assert holdout.column("c05").categories[-1] == "c05_unused"
+        for data, warned in ((train, []), (holdout, ["c03", "c10", "c17"])):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="fairsynth.tstr"):
+                X, _, _ = encode(enc, data)
+            want = _oracle_encode(enc, data)
+            assert X.shape == want.shape
+            assert np.array_equal(X.view(np.int64), want.view(np.int64))
+            # One line per column with an unseen category; nothing for c05.
+            assert [r.getMessage() for r in caplog.records] == [
+                f"column {name!r}: 1 categories unseen at fit time, first '{name}_new'; "
+                "encoded as zeros"
+                for name in warned
+            ]
+
     def test_positive_label_maps_to_one(self):
         data = _toy_dataset([1.0, 2.0], ["a", "b"], ["yes", "no"])
         enc = fit_encoder(data, TOY_MD)
