@@ -11,7 +11,6 @@ import numpy as np
 
 from fairsynth import (
     DemoSpec,
-    SynthesizerConfig,
     fit,
     load_model,
     make_demo_dataset,
@@ -21,8 +20,7 @@ from fairsynth import (
 
 data = make_demo_dataset(DemoSpec(n_rows=2000, seed=0))
 
-config = SynthesizerConfig(backend="gaussian_copula", seed=0)
-model = fit(data, config)
+model = fit(data, "gaussian_copula", seed=0)
 
 print(f"fitted on {model.fitted_rows} rows, columns: {', '.join(model.column_order)}")
 
@@ -61,7 +59,7 @@ print(f"\ncorr({pair[0]}, {pair[1]}): real {corr(data, *pair):+.3f}, "
       f"synthetic {corr(synthetic, *pair):+.3f}")
 
 # The 'independent' backend drops the coupling entirely; useful as a baseline.
-indep = sample(fit(data, SynthesizerConfig(backend="independent", seed=0)), 2000, seed=1)
+indep = sample(fit(data, "independent", seed=0), 2000, seed=1)
 print(f"independent baseline corr: {corr(indep, *pair):+.3f}")
 
 # Models persist as JSON and round-trip exactly: same model, same samples.

@@ -10,12 +10,12 @@ fidelity by a penalty when that ratio exceeds the parity threshold.
 from fairsynth import (
     DemoSpec,
     SplitSpec,
-    SynthesizerConfig,
     demo_metadata,
     fairness_report,
     fit,
     make_demo_dataset,
     quality_report,
+    real_side,
     sample,
     split_holdout,
     synth_score,
@@ -25,7 +25,7 @@ data = make_demo_dataset(DemoSpec(n_rows=2000, seed=0, disparity_strength=0.3))
 metadata = demo_metadata()
 train, holdout = split_holdout(data, SplitSpec(train_rows=1000, holdout_fraction=0.3, seed=0))
 
-model = fit(train, SynthesizerConfig(seed=0))
+model = fit(train, seed=0)
 synthetic = sample(model, 500, seed=0)
 
 report = fairness_report(synthetic, holdout, metadata)
@@ -49,7 +49,7 @@ if report.excluded_groups:
         print(f"excluded {attr}={group}: {reason}")
 
 # Fold fidelity and fairness into the single supervisor signal.
-quality = quality_report(holdout, synthetic, holdout.schema)
+quality = quality_report(real_side(holdout), synthetic)
 composite = synth_score(quality.overall_score, report.max_rel_fpr, degenerate=report.degenerate)
 print(f"\nquality {composite.quality:.4f} x fairness_mult {composite.fairness_mult:.4f} "
       f"= synth_score {composite.synth_score:.4f}")

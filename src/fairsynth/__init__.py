@@ -9,10 +9,10 @@ The top level re-exports the entry points below; everything else is imported
 from its module (``fairsynth.schema``, ``fairsynth.tstr``, ...).
 """
 
-from .copula import SynthesizerConfig, fit, load_model, sample, save_model
+from .copula import fit, load_model, sample, save_model, shrink_correlation
 from .demo import DemoSpec, demo_metadata, make_demo_dataset
 from .external import ExternalBackend
-from .quality import quality_report
+from .quality import quality_report, real_side
 from .reports import batch_evaluate, bench_table, summary_doc, write_reports
 from .schema import Metadata, SplitSpec, load_dataset, split_holdout, write_csv
 from .scoring import synth_score

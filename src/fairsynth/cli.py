@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .copula import NATIVE_BACKENDS, SynthesizerConfig, fit, load_model, sample, save_model
+from .copula import NATIVE_BACKENDS, fit, load_model, sample, save_model, shrink_correlation
 from .demo import DemoSpec, demo_metadata, make_demo_dataset
 from .errors import (
     AllIterationsFailed,
@@ -45,7 +45,6 @@ from .schema import (
     _read_json,
     holdout_size,
     load_dataset,
-    load_synthetic,
     split_holdout,
     write_csv,
 )
@@ -107,7 +106,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit a native synthesizer on the train split")
     _add_fit_flags(p)
-    p.add_argument("--backend", choices=NATIVE_BACKENDS, default=SynthesizerConfig.backend)
+    p.add_argument("--backend", choices=NATIVE_BACKENDS, default=RunConfig.backend)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_fit)
 
@@ -205,11 +204,7 @@ def cmd_fit(args) -> int:
     data, metadata = _load_inputs(args)
     split = SplitSpec(args.train_rows, args.holdout_fraction, args.seed)
     train, _ = split_holdout(data, split)
-    config = SynthesizerConfig(
-        backend=args.backend, seed=args.seed, correlation_shrinkage=args.shrinkage
-    )
-    model = fit(train, config)
-    save_model(model, args.out)
+    save_model(shrink_correlation(fit(train, args.backend, args.seed), args.shrinkage), args.out)
     print(f"fitted {args.backend} on {train.row_count} rows -> {args.out}")
     return 0
 
@@ -224,7 +219,7 @@ def cmd_sample(args) -> int:
 
 def cmd_evaluate(args) -> int:
     data, metadata = _load_inputs(args)
-    synth = load_synthetic(args.synthetic, metadata, data.schema)
+    synth = load_dataset(args.synthetic, metadata, pinned=data.schema)
     # The holdout does not depend on train_rows, and the train slice is every
     # other row, of which one must remain.
     rest = data.row_count - holdout_size(data.row_count, args.holdout_fraction)

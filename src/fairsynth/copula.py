@@ -70,19 +70,6 @@ MarginalModel = NumericMarginal | CategoricalMarginal
 
 
 @dataclass(frozen=True)
-class SynthesizerConfig:
-    backend: str = "gaussian_copula"
-    seed: int = 0
-    correlation_shrinkage: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.correlation_shrinkage <= 1.0):
-            raise ValidationFailure("correlation_shrinkage must lie in [0, 1]")
-        if self.seed < 0:
-            raise ValidationFailure("seed must be non-negative")
-
-
-@dataclass(frozen=True)
 class CopulaModel:
     marginals: dict[str, MarginalModel]
     correlation: np.ndarray
@@ -212,15 +199,17 @@ def _runs(values: np.ndarray) -> np.ndarray:
 
 def fit(
     train: Dataset,
-    config: SynthesizerConfig,
+    backend: str = "gaussian_copula",
+    seed: int = 0,
     ranks: tuple[np.ndarray | None, ...] | None = None,
     rows: np.ndarray | None = None,
 ) -> CopulaModel:
-    """Fit a synthesizer on ``train``; column kinds come from its schema.
+    """Fit a ``backend`` synthesizer on ``train``; column kinds come from its
+    schema, and ``seed`` draws the categorical scores.
 
-    ``gaussian_copula`` estimates the score correlation and shrinks it toward
-    the identity by ``correlation_shrinkage`` (``shrink_correlation``);
-    ``independent`` forces the identity. The fit is closed-form.
+    ``gaussian_copula`` estimates the score correlation; ``independent``
+    forces the identity. The fit is closed-form and its correlation is never
+    shrunk: ``shrink_correlation`` does that.
 
     ``ranks`` are the ``slice_ranks`` of a table (the slice) whose rows
     ``train`` holds, and ``rows`` lists them (None: ``train`` is the slice).
@@ -229,39 +218,39 @@ def fit(
     """
     if train.row_count == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
-    if config.backend not in NATIVE_BACKENDS:
+    if backend not in NATIVE_BACKENDS:
         raise ValidationFailure(
-            f"unknown native backend {config.backend!r}; expected one of {NATIVE_BACKENDS}"
+            f"unknown native backend {backend!r}; expected one of {NATIVE_BACKENDS}"
         )
+    if seed < 0:
+        raise ValidationFailure("seed must be non-negative")
     if ranks is not None and (
         len(ranks) != len(train.columns) or rows is not None and len(rows) != train.row_count
     ):
         raise ValidationFailure("ranks and rows must describe the columns and rows of train")
     names = train.schema.names
-    if config.backend == "independent":
+    if backend == "independent":
         marginals = [fit_marginal(col) for col in train.columns]
         corr = np.eye(len(names))
     else:
-        rng = np.random.default_rng(config.seed)
-        marginals, scores = _fit_scores(train.columns, rng, ranks, rows)
+        marginals, scores = _fit_scores(train.columns, np.random.default_rng(seed), ranks, rows)
         corr = estimate_correlation(scores.T)
-
-    model = CopulaModel(
+    return CopulaModel(
         marginals=dict(zip(names, marginals)),
         correlation=corr,
         cholesky=np.linalg.cholesky(corr),
         column_order=names,
         fitted_rows=train.row_count,
-        seed=config.seed,
+        seed=seed,
     )
-    if config.backend == "independent":
-        return model
-    return shrink_correlation(model, config.correlation_shrinkage)
 
 
 def shrink_correlation(model: CopulaModel, shrinkage: float) -> CopulaModel:
     """``model`` with its correlation shrunk toward the identity by
-    ``shrinkage`` in [0, 1]; ``model`` itself when ``shrinkage`` is 0."""
+    ``shrinkage`` in [0, 1]; ``model`` itself when ``shrinkage`` is 0. An
+    identity correlation (``independent``) comes back bit for bit."""
+    if not (0.0 <= shrinkage <= 1.0):
+        raise ValidationFailure("correlation_shrinkage must lie in [0, 1]")
     if shrinkage == 0.0:
         return model
     corr = (1.0 - shrinkage) * model.correlation + shrinkage * np.eye(len(model.column_order))

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .errors import BackendFailed, FairsynthError, SchemaMismatch, Timeout, ValidationFailure
-from .schema import Dataset, Metadata, TableSchema, _read_json, load_synthetic
+from .schema import Dataset, Metadata, TableSchema, _read_json, load_dataset
 
 DEFAULT_TIMEOUT_SECONDS = 600
 
@@ -170,7 +170,7 @@ class ExternalRun:
         if not self.out_csv.is_file():
             raise BackendFailed(0, f"backend {self.spec.name!r} exited 0 but wrote no output CSV")
         try:
-            synth = load_synthetic(self.out_csv, metadata, expected_schema)
+            synth = load_dataset(self.out_csv, metadata, pinned=expected_schema)
         except FairsynthError as exc:
             exc.args = (str(exc).replace(str(self.out_csv), f"backend {self.spec.name!r} output"),)
             raise

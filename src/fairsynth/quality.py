@@ -30,12 +30,12 @@ built in tiles of at most ``TILE_LEVELS`` levels a side, so memory stays
 bounded whatever the vocabulary or column count.
 
 What depends on the real table alone, its numeric columns' bin edges and
-codes and their pairs' rho, is its ``RealSide``. ``quality_report`` builds it
-from a real table, or takes it built once by ``real_side`` to score many
-synthetic tables against one real table. It also keeps the real table's
-level co-occurrence counts from one report to the next, for one coded layout
-(each column's level count): a synthetic category that the real table lacks
-changes the layout, and the counts are built again.
+codes and their pairs' rho, is its ``RealSide``, built once by ``real_side``;
+``quality_report`` takes it to score many synthetic tables against one real
+table. The side also keeps the real table's level co-occurrence counts from
+one report to the next, for one coded layout (each column's level count): a
+synthetic category that the real table lacks changes the layout, and the
+counts are built again.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyColumn, LengthMismatch, SchemaMismatch
-from .schema import ColumnKind, Dataset, TableSchema
+from .schema import ColumnKind, Dataset
 
 KS_COMPLEMENT = "KSComplement"
 TV_COMPLEMENT = "TVComplement"
@@ -99,8 +99,8 @@ def tv_complement(real_col, synth_col) -> float:
 
 
 def correlation_similarity(real_a, real_b, synth_a, synth_b) -> float:
-    """1 - |rho_real - rho_synth| / 2 with Pearson rho; a zero-variance column
-    contributes rho = 0."""
+    """1 - |rho_real - rho_synth| / 2 with Pearson rho; a zero-variance column,
+    or one whose variance underflows to 0, contributes rho = 0."""
     ra, rb, sa, sb = (np.asarray(v, dtype=np.float64) for v in (real_a, real_b, synth_a, synth_b))
     if ra.size != rb.size or sa.size != sb.size:
         raise LengthMismatch("paired value sequences must have equal lengths")
@@ -122,9 +122,10 @@ def _centred(values: np.ndarray) -> np.ndarray | None:
 def _pair_rhos(centred: list[np.ndarray | None]) -> list[float]:
     """Pearson rho of every pair i < j of one side's ``_centred`` columns, in
     ``itertools.combinations`` order, clipped to [-1, 1]; 0.0 for a pair with a
-    constant column. One (2, n) buffer holds each pair (row 0 filled once per
-    i), its Gram matrix comes from ``np.corrcoef``'s ``np.dot`` call, and the
-    2 x 2 tail runs on scalars in ``np.corrcoef``'s order, so the bits agree."""
+    constant column, or one whose scaled variance underflows to 0. One (2, n)
+    buffer holds each pair (row 0 filled once per i), its Gram matrix comes
+    from ``np.corrcoef``'s ``np.dot`` call, and the 2 x 2 tail runs on scalars
+    in ``np.corrcoef``'s order, so the bits agree."""
     n = next((x.size for x in centred if x is not None), 0)
     buf = np.empty((2, n))
     inv = np.true_divide(1, n - 1)
@@ -133,12 +134,13 @@ def _pair_rhos(centred: list[np.ndarray | None]) -> list[float]:
         if x is not None:
             buf[0] = x
         for y in centred[i + 1:]:
-            if x is None or y is None:
-                rhos.append(0.0)
-                continue
-            buf[1] = y
-            c = np.dot(buf, buf.T)
-            rho = c[0, 1] * inv / math.sqrt(c[0, 0] * inv) / math.sqrt(c[1, 1] * inv)
+            rho = 0.0
+            if x is not None and y is not None:
+                buf[1] = y
+                c = np.dot(buf, buf.T)
+                var_x, var_y = c[0, 0] * inv, c[1, 1] * inv
+                if var_x != 0.0 and var_y != 0.0:  # 0: underflowed, constant at this scale
+                    rho = c[0, 1] * inv / math.sqrt(var_x) / math.sqrt(var_y)
             rhos.append(float(min(max(rho, -1.0), 1.0)))
     return rhos
 
@@ -322,17 +324,17 @@ def real_side(real: Dataset) -> RealSide:
     return RealSide(real, edges, codes, rhos)
 
 
-def quality_report(real: Dataset | RealSide, synth: Dataset, schema: TableSchema) -> QualityReport:
-    """Full fidelity report of ``synth`` against ``real`` under ``schema``;
-    ``real`` may be given as its ``real_side``, built once for many reports.
+def quality_report(side: RealSide, synth: Dataset) -> QualityReport:
+    """Full fidelity report of ``synth`` against the real table of ``side``
+    (``real_side``, built once for as many reports as there are synthetic
+    tables); both tables must share one schema.
 
     overall = (mean of shape scores + mean of pair-trend scores) / 2; a table
     with fewer than 2 columns reuses the shape average as the trend average.
     """
-    table = real.table if isinstance(real, RealSide) else real
-    if table.schema != schema or synth.schema != schema:
-        raise SchemaMismatch("real and synthetic datasets must share the given schema")
-    side = real if isinstance(real, RealSide) else real_side(real)
+    table, schema = side.table, side.table.schema
+    if synth.schema != schema:
+        raise SchemaMismatch("real and synthetic datasets must share one schema")
 
     # Numeric pairs are scored first, from each synthetic numeric column
     # centred once; the centred copies are freed before the columns are coded.

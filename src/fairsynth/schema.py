@@ -522,9 +522,10 @@ def load_dataset(
     A column declared under ``metadata.declared_kinds`` must be in the file.
     An undeclared categorical column of more than the cutoff categories in
     which most kept rows hold a category of their own is rejected as an ID
-    or free-text column. A ``pinned`` schema marks synthetic rows: its kinds replace the declared
-    ones, a schema column the file lacks is left to the caller's schema
-    check, and a single-class label is admitted, with or without the
+    or free-text column. A ``pinned`` schema marks synthetic rows: its kinds
+    replace the declared ones, so kind inference cannot drift from the real
+    table; a schema column the file lacks is left to the caller's schema
+    check; and a single-class label is admitted, with or without the
     positive label (synthetic output may collapse to one class; it is
     flagged as degenerate downstream instead of rejected here).
     """
@@ -621,13 +622,6 @@ def _reject_ids(name: str, column: CategoricalColumn) -> None:
             f"categories, and {singles} of its {len(column)} rows hold a category no other row "
             f'holds; drop the column, or declare its kind under "columns" in the metadata'
         )
-
-
-def load_synthetic(csv_path: str | Path, metadata: Metadata, schema: TableSchema) -> Dataset:
-    """Load synthetic rows with ``schema``'s column kinds forced, so kind
-    inference cannot drift from the real table. A single-class label is
-    admitted; it is flagged as degenerate downstream."""
-    return load_dataset(csv_path, metadata, pinned=schema)
 
 
 # Rows go to the file this many at a time, each block as one joined string.

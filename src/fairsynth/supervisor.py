@@ -28,7 +28,6 @@ import numpy as np
 from .copula import (
     NATIVE_BACKENDS,
     CopulaModel,
-    SynthesizerConfig,
     fit,
     sample,
     shrink_correlation,
@@ -243,8 +242,7 @@ def _native_model(config: RunConfig, split: Split, metadata: Metadata) -> Copula
     """The fitted model of a native backend under ``config``, reusing and
     keeping a gaussian_copula fit through ``split`` as ``Split`` says."""
     if config.backend != "gaussian_copula":
-        synth_cfg = SynthesizerConfig(config.backend, config.seed, config.correlation_shrinkage)
-        return fit(_balanced(config, split.train, metadata)[0], synth_cfg)
+        return fit(_balanced(config, split.train, metadata)[0], config.backend, config.seed)
     unshrunk = replace(config, correlation_shrinkage=0.0)
     model = split.fit[1] if split.fit is not None and split.fit[0] == unshrunk else None
     split.fit = None  # a model not reused is freed before the next fit
@@ -252,7 +250,7 @@ def _native_model(config: RunConfig, split: Split, metadata: Metadata) -> Copula
         if split.ranks is None and split.keep_fit:
             split.ranks = slice_ranks(split.train)
         table, rows = _balanced(config, split.train, metadata)
-        model = fit(table, SynthesizerConfig(config.backend, config.seed), split.ranks, rows)
+        model = fit(table, config.backend, config.seed, split.ranks, rows)
     if split.keep_fit:
         split.fit = (unshrunk, model)
     return shrink_correlation(model, config.correlation_shrinkage)
@@ -305,7 +303,7 @@ def evaluate_synthetic(
 ) -> PipelineResult:
     """The evaluation step: fidelity against the split's holdout side and
     TSTR fairness against its holdout, folded into the composite score."""
-    quality = quality_report(split.side, synthetic, split.holdout.schema)
+    quality = quality_report(split.side, synthetic)
     fairness = fairness_report(synthetic, split.holdout, metadata)
     composite = synth_score(
         quality.overall_score,

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from fairsynth.cli import SEED_ENV_VAR, main
-from fairsynth.copula import SynthesizerConfig, fit, sample
+from fairsynth.copula import fit, sample
 from fairsynth.quality import (
     contingency_similarity,
     ks_complement,
     quality_report,
+    real_side,
     tv_complement,
 )
 from fairsynth.schema import (
@@ -68,7 +69,7 @@ def test_criterion_02_reference_absolutes_substituted():
 
 def test_criterion_03_self_comparison_quality(demo_data):
     start = time.perf_counter()
-    report = quality_report(demo_data, demo_data, demo_data.schema)
+    report = quality_report(real_side(demo_data), demo_data)
     elapsed = time.perf_counter() - start
     assert abs(report.overall_score - 1.0) <= 1e-9
     assert elapsed < 2.0, f"self-comparison took {elapsed:.2f}s"
@@ -157,13 +158,13 @@ def test_criterion_05_copula_recovery(demo_data):
     xy = rng.multivariate_normal([0.0, 0.0], cov, size=2000)
     schema = TableSchema((("x", ColumnKind.NUMERIC), ("y", ColumnKind.NUMERIC)))
     data = Dataset(schema, (NumericColumn(xy[:, 0]), NumericColumn(xy[:, 1])))
-    model = fit(data, SynthesizerConfig(seed=0))
+    model = fit(data, seed=0)
     assert model.correlation[0, 1] == pytest.approx(0.8, abs=0.1)
     drawn = sample(model, 2000, seed=1)
     sampled_rho = np.corrcoef(drawn.column("x").values, drawn.column("y").values)[0, 1]
     assert sampled_rho == pytest.approx(0.8, abs=0.1)
 
-    demo_model = fit(demo_data, SynthesizerConfig(seed=0))
+    demo_model = fit(demo_data, seed=0)
     demo_synth = sample(demo_model, 2000, seed=3)
     for name, kind in demo_data.schema.columns:
         if kind != ColumnKind.CATEGORICAL:

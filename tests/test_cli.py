@@ -3,6 +3,7 @@ import ast
 import csv
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -21,10 +22,10 @@ import pytest
 import fairsynth
 from fairsynth import cli
 from fairsynth.cli import SEED_ENV_VAR, _build_parser, main
-from fairsynth.copula import NATIVE_BACKENDS, SynthesizerConfig
+from fairsynth.copula import NATIVE_BACKENDS, fit, save_model, shrink_correlation
 from fairsynth.demo import DemoSpec
 from fairsynth.errors import RuntimeFailure
-from fairsynth.schema import SplitSpec
+from fairsynth.schema import Metadata, SplitSpec, load_dataset, split_holdout
 from fairsynth.scoring import DEFAULT_PARITY_THRESHOLD
 from fairsynth.supervisor import RunConfig, Targets, run_pipeline, supervise
 
@@ -70,14 +71,30 @@ class TestDemoCommand:
 
 class TestFitSample:
     def test_fit_writes_model_json(self, demo_dir, tmp_path):
-        model_path = tmp_path / "model.json"
-        code = main(
-            ["fit", *_data_flags(demo_dir), *_fit_flags(), "--out", str(model_path)]
-        )
-        assert code == 0
-        doc = json.loads(model_path.read_text())
-        assert set(doc) == {"marginals", "correlation", "column_order", "fitted_rows", "seed"}
-        assert doc["fitted_rows"] == 150
+        # The file is the library's shrunk fit on the same split; shrinking
+        # the independent backend's identity correlation leaves its bytes.
+        metadata = Metadata.from_json_file(demo_dir / "metadata.json")
+        data = load_dataset(demo_dir / "demo.csv", metadata)
+        train, _ = split_holdout(data, SplitSpec(150))
+        want_path = tmp_path / "want.json"
+        for backend in NATIVE_BACKENDS:
+            for shrinkage in ("0", "0.3", "1"):
+                model_path = tmp_path / f"{backend}-{shrinkage}.json"
+                code = main(
+                    ["fit", *_data_flags(demo_dir), *_fit_flags(), "--backend", backend,
+                     "--shrinkage", shrinkage, "--out", str(model_path)]
+                )
+                assert code == 0
+                doc = json.loads(model_path.read_text())
+                assert set(doc) == {
+                    "marginals", "correlation", "column_order", "fitted_rows", "seed"
+                }
+                assert doc["fitted_rows"] == 150
+                save_model(shrink_correlation(fit(train, backend, 0), float(shrinkage)), want_path)
+                assert model_path.read_bytes() == want_path.read_bytes(), (backend, shrinkage)
+                if backend == "independent":
+                    unshrunk = tmp_path / f"{backend}-0.json"
+                    assert model_path.read_bytes() == unshrunk.read_bytes(), shrinkage
 
     def test_sample_from_model(self, demo_dir, tmp_path):
         model_path = tmp_path / "model.json"
@@ -452,7 +469,7 @@ class TestFlags:
     def test_defaults_are_the_library_defaults(self):
         data = ["--data", "d.csv", "--metadata", "m.json"]
         run, split, targets = RunConfig(), SplitSpec(1), Targets()
-        synthesizer, demo = SynthesizerConfig(), DemoSpec()
+        synthesizer, demo = inspect.signature(fit).parameters, DemoSpec()
         pipeline = {
             "train_rows": run.train_rows,
             "sample_rows": run.sample_rows,
@@ -469,11 +486,11 @@ class TestFlags:
                 "rows": demo.n_rows, "seed": demo.seed, "disparity": demo.disparity_strength,
             }),
             "fit": ([*data, "--out", "o"], {
-                "backend": synthesizer.backend,
+                "backend": synthesizer["backend"].default,
                 "train_rows": run.train_rows,
-                "seed": synthesizer.seed,
+                "seed": synthesizer["seed"].default,
                 "holdout_fraction": split.holdout_fraction,
-                "shrinkage": synthesizer.correlation_shrinkage,
+                "shrinkage": run.correlation_shrinkage,
             }),
             "sample": (["--model", "m.json", "--out", "o"], {
                 "rows": run.sample_rows, "seed": run.seed,

@@ -11,7 +11,6 @@ from fairsynth.copula import (
     CategoricalMarginal,
     CopulaModel,
     NumericMarginal,
-    SynthesizerConfig,
     _fit_scores,
     estimate_correlation,
     fit,
@@ -22,6 +21,7 @@ from fairsynth.copula import (
     nearest_psd,
     sample,
     save_model,
+    shrink_correlation,
     slice_ranks,
 )
 from fairsynth.errors import NotFitted, SchemaMismatch, TooFewValues, ValidationFailure
@@ -227,7 +227,7 @@ class TestCodedFitMatchesStringReference:
                     assert got.categories == want.categories
                     assert got.frequencies.tobytes() == want.frequencies.tobytes()
                     assert got.upper_bounds.tobytes() == want.upper_bounds.tobytes()
-            model = fit(train, SynthesizerConfig(seed=5))
+            model = fit(train, seed=5)
             assert model.correlation.tobytes() == _reference_correlation(train, 5).tobytes()
 
     def test_unknown_category_names_first_unseen_row(self):
@@ -386,7 +386,7 @@ class TestFitScoresMatchOracle:
             assert got.tobytes() == want.tobytes(), name
 
             for lam in (0.0, 0.3):
-                model = fit(train, SynthesizerConfig(seed=8, correlation_shrinkage=lam))
+                model = shrink_correlation(fit(train, seed=8), lam)
                 corr = estimate_correlation(want.T)
                 if lam > 0.0:
                     corr = (1.0 - lam) * corr + lam * np.eye(len(train.columns))
@@ -453,8 +453,8 @@ class TestRefitRanksMatchOracle:
             for rows in (None, drawn):
                 resample = table if rows is None else table.take(rows)
                 for lam in (0.0, 0.3):
-                    config = SynthesizerConfig(seed=8, correlation_shrinkage=lam)
-                    got, want = fit(resample, config, ranks, rows), fit(resample, config)
+                    got = shrink_correlation(fit(resample, seed=8, ranks=ranks, rows=rows), lam)
+                    want = shrink_correlation(fit(resample, seed=8), lam)
                     assert got.marginals.keys() == want.marginals.keys(), name
                     for column, marginal in want.marginals.items():
                         for field, value in vars(marginal).items():
@@ -468,9 +468,9 @@ class TestRefitRanksMatchOracle:
         table = demo_data.take(np.arange(50))
         ranks = slice_ranks(table)
         with pytest.raises(ValidationFailure):
-            fit(table, SynthesizerConfig(), ranks[:-1])
+            fit(table, ranks=ranks[:-1])
         with pytest.raises(ValidationFailure):
-            fit(table.take(np.arange(10)), SynthesizerConfig(), ranks, np.arange(9))
+            fit(table.take(np.arange(10)), ranks=ranks, rows=np.arange(9))
 
 
 class TestEstimateCorrelation:
@@ -561,32 +561,32 @@ def _bivariate_normal(rho: float, n: int, seed: int) -> Dataset:
 
 class TestFit:
     def test_independent_backend_identity_correlation(self, demo_data):
-        model = fit(demo_data, SynthesizerConfig(backend="independent"))
+        model = fit(demo_data, "independent")
         assert np.array_equal(model.correlation, np.eye(6))
 
     def test_full_shrinkage_is_identity(self):
         data = _bivariate_normal(0.8, 500, 0)
-        model = fit(data, SynthesizerConfig(correlation_shrinkage=1.0))
+        model = shrink_correlation(fit(data), 1.0)
         assert np.array_equal(model.correlation, np.eye(2))
 
     def test_recovers_planted_correlation(self):
         data = _bivariate_normal(0.8, 2000, 42)
-        model = fit(data, SynthesizerConfig(seed=0))
+        model = fit(data, seed=0)
         assert abs(model.correlation[0, 1] - 0.8) <= 0.08
 
     def test_unknown_backend(self, demo_data):
         with pytest.raises(ValidationFailure):
-            fit(demo_data, SynthesizerConfig(backend="ctgan"))
+            fit(demo_data, "ctgan")
 
     def test_fit_deterministic(self, demo_data):
-        a = fit(demo_data, SynthesizerConfig(seed=3))
-        b = fit(demo_data, SynthesizerConfig(seed=3))
+        a = fit(demo_data, seed=3)
+        b = fit(demo_data, seed=3)
         assert np.array_equal(a.correlation, b.correlation)
 
 
 class TestSample:
     def test_zero_rows_keeps_schema(self, demo_data):
-        model = fit(demo_data, SynthesizerConfig())
+        model = fit(demo_data)
         out = sample(model, 0, 0)
         assert out.row_count == 0
         assert out.schema == demo_data.schema
@@ -597,19 +597,19 @@ class TestSample:
             schema,
             (CategoricalColumn.from_values(["only"] * 20), NumericColumn(np.arange(20.0))),
         )
-        model = fit(data, SynthesizerConfig(seed=0))
+        model = fit(data, seed=0)
         out = sample(model, 100, 5)
         assert set(out.decoded("c").tolist()) == {"only"}
 
     def test_sample_correlation_near_planted(self):
         data = _bivariate_normal(0.8, 2000, 42)
-        model = fit(data, SynthesizerConfig(seed=0))
+        model = fit(data, seed=0)
         out = sample(model, 2000, 1)
         rho = np.corrcoef(out.decoded("x"), out.decoded("y"))[0, 1]
         assert abs(rho - 0.8) <= 0.1
 
     def test_numeric_range_clamped(self, demo_data):
-        model = fit(demo_data, SynthesizerConfig())
+        model = fit(demo_data)
         out = sample(model, 1000, 9)
         for col in ("symptom_scale", "functioning_score"):
             fitted = demo_data.decoded(col)
@@ -617,11 +617,11 @@ class TestSample:
             assert got.min() >= fitted.min() and got.max() <= fitted.max()
 
     def test_sample_deterministic(self, demo_data):
-        model = fit(demo_data, SynthesizerConfig())
+        model = fit(demo_data)
         assert sample(model, 200, 11) == sample(model, 200, 11)
 
     def test_categorical_marginal_preserved(self, demo_data):
-        model = fit(demo_data, SynthesizerConfig())
+        model = fit(demo_data)
         out = sample(model, 2000, 3)
         for col in ("Race", "Sex", "setting", "Diagnosis"):
             marg = model.marginals[col]
@@ -635,7 +635,7 @@ class TestSample:
 
     def test_full_shrinkage_decorrelates(self):
         data = _bivariate_normal(0.8, 2000, 8)
-        model = fit(data, SynthesizerConfig(seed=0, correlation_shrinkage=1.0))
+        model = shrink_correlation(fit(data, seed=0), 1.0)
         out = sample(model, 2000, 2)
         rho = np.corrcoef(out.decoded("x"), out.decoded("y"))[0, 1]
         assert abs(rho) <= 0.08
@@ -643,25 +643,25 @@ class TestSample:
 
 class TestPersistence:
     def test_round_trip_samples_identically(self, tmp_path, demo_data):
-        model = fit(demo_data, SynthesizerConfig(seed=2))
+        model = fit(demo_data, seed=2)
         path = tmp_path / "model.json"
         save_model(model, path)
         again = load_model(path)
         assert sample(model, 100, 4) == sample(again, 100, 4)
 
     def test_exact_field_names(self, demo_data):
-        model = fit(demo_data, SynthesizerConfig())
+        model = fit(demo_data)
         doc = model_to_json_dict(model)
         assert set(doc) == {"marginals", "correlation", "column_order", "fitted_rows", "seed"}
 
     def test_non_finite_sorted_values_not_fitted(self, demo_data):
-        doc = model_to_json_dict(fit(demo_data, SynthesizerConfig()))
+        doc = model_to_json_dict(fit(demo_data))
         doc["marginals"]["symptom_scale"]["sorted_values"][-1] = math.inf
         with pytest.raises(NotFitted, match="finite"):
             model_from_json_dict(doc)
 
     def test_file_is_plain_json(self, tmp_path, demo_data):
-        model = fit(demo_data, SynthesizerConfig())
+        model = fit(demo_data)
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -669,6 +669,6 @@ class TestPersistence:
 
 
 class TestConfigValidation:
-    def test_bad_shrinkage(self):
+    def test_bad_shrinkage(self, demo_data):
         with pytest.raises(ValidationFailure):
-            SynthesizerConfig(correlation_shrinkage=1.5)
+            shrink_correlation(fit(demo_data), 1.5)

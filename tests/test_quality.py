@@ -13,6 +13,7 @@ from fairsynth.quality import (
     ks_complement,
     quality_report,
     quantile_bin_edges,
+    real_side,
     tv_complement,
 )
 from fairsynth.schema import (
@@ -102,6 +103,10 @@ class TestCorrelationSimilarity:
         x = [0.0, 1.0, 2.0]
         # rho_real = 0 by convention, rho_synth = 1 -> 1 - 1/2
         assert correlation_similarity(const, x, x, x) == 0.5
+        # A variance that underflows to 0 counts as constant, with no warning.
+        tiny, y = [0.0, 1e-170, 2e-170, 5e-170], [1.0, 2.0, 4.0, 3.0]
+        assert correlation_similarity(tiny, y, tiny, [-v for v in y]) == 1.0
+        assert correlation_similarity(tiny, y, y, y) == 0.5
 
     def test_unequal_paired_lengths(self):
         x, short = [1.0, 2.0, 3.0], [1.0, 2.0]
@@ -186,7 +191,7 @@ def _random_table(rng, n):
 
 class TestQualityReport:
     def test_self_identity(self, demo_data):
-        report = quality_report(demo_data, demo_data, demo_data.schema)
+        report = quality_report(real_side(demo_data), demo_data)
         assert abs(report.overall_score - 1.0) <= 1e-9
 
     def test_overall_is_mean_of_averages(self):
@@ -194,7 +199,7 @@ class TestQualityReport:
         for _ in range(10):
             real = _random_table(rng, int(rng.integers(10, 60)))
             synth = _random_table(rng, int(rng.integers(10, 60)))
-            report = quality_report(real, synth, real.schema)
+            report = quality_report(real_side(real), synth)
             assert report.overall_score == pytest.approx(
                 (report.shapes_average + report.trends_average) / 2.0, abs=1e-12
             )
@@ -212,7 +217,7 @@ class TestQualityReport:
         schema = TableSchema((("v", ColumnKind.NUMERIC),))
         real = Dataset(schema, (NumericColumn(np.arange(30.0)),))
         synth = Dataset(schema, (NumericColumn(np.arange(30.0) + 0.5),))
-        report = quality_report(real, synth, schema)
+        report = quality_report(real_side(real), synth)
         assert report.trends_average == report.shapes_average
         assert report.overall_score == report.shapes_average
 
@@ -220,10 +225,10 @@ class TestQualityReport:
         rng = np.random.default_rng(3)
         real = _random_table(rng, 40)
         synth = _random_table(rng, 35)
-        base = quality_report(real, synth, real.schema)
+        base = quality_report(real_side(real), synth)
         perm = np.random.default_rng(4).permutation(40)
         shuffled = real.take(perm)
-        again = quality_report(shuffled, synth, real.schema)
+        again = quality_report(real_side(shuffled), synth)
         assert again.overall_score == base.overall_score
         assert again.shapes == base.shapes
         assert again.pair_trends == base.pair_trends
@@ -231,7 +236,7 @@ class TestQualityReport:
     def test_schema_mismatch(self, demo_data):
         other = _table([1.0, 2.0], [3.0, 4.0], ["a", "b"])
         with pytest.raises(SchemaMismatch):
-            quality_report(demo_data, other, demo_data.schema)
+            quality_report(real_side(demo_data), other)
 
     def test_category_tables_in_different_orders_score_like_decoded_lists(self):
         rng = np.random.default_rng(7)
@@ -245,7 +250,7 @@ class TestQualityReport:
         assert real.column("c").categories[0] == "d" and "e" not in real.column("c").categories
         assert synth.column("c").categories[:2] == ("e", "c")
         assert "d" not in synth.column("c").categories
-        report = quality_report(real, synth, real.schema)
+        report = quality_report(real_side(real), synth)
 
         edges = {n: quantile_bin_edges(real.decoded(n)) for n in ("na", "nb")}
 
@@ -324,7 +329,7 @@ class TestQualityReport:
 
     @staticmethod
     def _assert_pairs_match_oracle(real, synth, count):
-        pairs = [t for t in quality_report(real, synth, real.schema).pair_trends
+        pairs = [t for t in quality_report(real_side(real), synth).pair_trends
                  if t[2] == "CorrelationSimilarity"]
         assert len(pairs) == count
         for a, b, _, score in pairs:
@@ -339,7 +344,7 @@ class TestQualityReport:
         # after binning by REAL edges must give a deterministic score
         real = _table([1, 2, 3, 4, 5, 6, 7, 8], [1] * 8, list("aabbaabb"))
         synth = _table([100, 200, 300, 400], [1] * 4, list("abab"))
-        report = quality_report(real, synth, real.schema)
+        report = quality_report(real_side(real), synth)
         edges = quantile_bin_edges(real.decoded("na"))
         # all synth values land above the real top edge: last bin
         assert discretize(synth.decoded("na"), edges).tolist() == [3, 3, 3, 3]
@@ -445,7 +450,7 @@ class TestCooccurrencePath:
         calls = []
         pair_tv = quality._pair_tv
         monkeypatch.setattr(quality, "_pair_tv", lambda a, b: calls.append(1) or pair_tv(a, b))
-        report = quality_report(real, synth, real.schema)
+        report = quality_report(real_side(real), synth)
         # Only the five pairs with the wide column take the pair-by-pair route.
         assert len(calls) == 5
         shapes, trends = _pairwise_report(real, synth)
@@ -490,7 +495,7 @@ class TestCooccurrencePath:
         full = Dataset(schema, (CategoricalColumn([0, 1], ("x", "y")),) * 2)
         empty = full.take(np.array([], dtype=np.int64))
         with pytest.raises(EmptyColumn):
-            quality_report(full, empty, schema)
+            quality_report(real_side(full), empty)
 
     def test_peak_memory_is_bounded(self):
         # A 5,000-level column is scored pair by pair, and 300 four-level
@@ -509,7 +514,7 @@ class TestCooccurrencePath:
             real, synth = table(rng, n, levels), table(rng, n // 2, levels)
             tracemalloc.start()
             try:
-                report = quality_report(real, synth, real.schema)
+                report = quality_report(real_side(real), synth)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -523,7 +528,8 @@ class TestRealSide:
 
     @staticmethod
     def _constant(table, name, value):
-        """``table`` with numeric column ``name`` set to ``value`` in every row."""
+        """``table`` with numeric column ``name`` set to ``value``, broadcast
+        over the rows."""
         j = table.schema.names.index(name)
         columns = list(table.columns)
         columns[j] = NumericColumn(np.full(table.row_count, value))
@@ -548,25 +554,32 @@ class TestRealSide:
         )
         side = quality.real_side(real)
         assert len(edges_calls) == 2  # once per numeric column
-        prepared = [quality_report(side, synth, real.schema) for synth in synths]
+        prepared = [quality_report(side, synth) for synth in synths]
         assert len(edges_calls) == 2
         monkeypatch.undo()
         for synth, report in zip(synths, prepared):
-            assert report == quality_report(real, synth, real.schema)
+            assert report == quality_report(real_side(real), synth)
             shapes, trends = _pairwise_report(real, synth)
             assert report.shapes == shapes
             assert list(report.pair_trends) == trends
 
     def test_constant_real_column(self):
+        # A column whose variance underflows to 0 counts as constant too.
         rng = np.random.default_rng(22)
-        real = self._constant(_mixed_table(rng, 600, 0), "t", -0.0)
-        side = quality.real_side(real)
-        assert side.rhos == {("x", "t"): 0.0}
-        for synth in (_mixed_table(rng, 300, 1), self._constant(_mixed_table(rng, 9, 1), "t", 0.0)):
-            report = quality_report(side, synth, real.schema)
-            assert report == quality_report(real, synth, real.schema)
-            shapes, trends = _pairwise_report(real, synth)
-            assert (report.shapes, list(report.pair_trends)) == (shapes, trends)
+        tiny = rng.choice([0.0, 1e-170, 2e-170, 5e-170], 600)
+        for t in (-0.0, tiny):
+            real = self._constant(_mixed_table(rng, 600, 0), "t", t)
+            side = quality.real_side(real)
+            assert side.rhos == {("x", "t"): 0.0}
+            for synth in (
+                _mixed_table(rng, 300, 1),
+                self._constant(_mixed_table(rng, 9, 1), "t", 0.0),
+                self._constant(_mixed_table(rng, 600, 1), "t", tiny),
+            ):
+                report = quality_report(side, synth)
+                assert report == quality_report(real_side(real), synth)
+                shapes, trends = _pairwise_report(real, synth)
+                assert (report.shapes, list(report.pair_trends)) == (shapes, trends)
 
     def test_kept_counts_follow_the_coded_layout(self):
         # Side 1 lists category "e", which the real table lacks (as an
@@ -584,8 +597,8 @@ class TestRealSide:
             _mixed_table(rng, 200, 0),
             real,
         ):
-            report = quality_report(side, synth, real.schema)
-            assert report == quality_report(real, synth, real.schema)
+            report = quality_report(side, synth)
+            assert report == quality_report(real_side(real), synth)
             layouts.append(side.layout)
             kept.append([tile.shape for tile in side.counts])
         assert layouts[0] == layouts[1] == layouts[3] == layouts[4] != layouts[2]
@@ -601,9 +614,9 @@ class TestRealSide:
             TableSchema((("x", ColumnKind.NUMERIC),)), (NumericColumn(rng.standard_normal(5)),)
         )
         with pytest.raises(SchemaMismatch):
-            quality_report(quality.real_side(real), other, real.schema)
+            quality_report(quality.real_side(real), other)
         with pytest.raises(SchemaMismatch):
-            quality_report(quality.real_side(other), real, real.schema)
+            quality_report(quality.real_side(other), real)
 
 
 def test_ks_merge_matches_brute_force_counts():

@@ -506,7 +506,7 @@ class TestBenchOverlap:
             def interrupted(*args, **kwargs):
                 raise KeyboardInterrupt
 
-            monkeypatch.setattr(external, "load_synthetic", interrupted)
+            monkeypatch.setattr(external, "load_dataset", interrupted)
         if entry == "run_pipeline":
             def call():
                 return run_pipeline(

@@ -42,7 +42,6 @@ from fairsynth.schema import (
     holdout_size,
     _parse_numeric,
     load_dataset,
-    load_synthetic,
     split_holdout,
     write_csv,
 )
@@ -330,10 +329,10 @@ def test_load_dataset_single_class_allowed_when_not_required(tmp_path):
     p = tmp_path / "t.csv"
     write_lines(p, ["label,v", "a,x", "a,y"])
     pinned = TableSchema((("label", ColumnKind.CATEGORICAL), ("v", ColumnKind.CATEGORICAL)))
-    data = load_synthetic(p, Metadata("label", "a"), pinned)
+    data = load_dataset(p, Metadata("label", "a"), pinned=pinned)
     assert data.row_count == 2
     # A synthetic label may collapse to the negative class alone.
-    data = load_synthetic(p, Metadata("label", "b"), pinned)
+    data = load_dataset(p, Metadata("label", "b"), pinned=pinned)
     assert data.row_count == 2
 
 
@@ -437,7 +436,7 @@ def test_header_only_file_with_declared_numeric_column_is_empty(tmp_path):
         load_dataset(p, md)
     pinned = TableSchema((("v", ColumnKind.NUMERIC), ("label", ColumnKind.CATEGORICAL)))
     with pytest.raises(EmptyTable, match="no data rows"):
-        load_synthetic(p, Metadata("label", "yes"), pinned)
+        load_dataset(p, Metadata("label", "yes"), pinned=pinned)
 
 
 def _reference_load(path, md):

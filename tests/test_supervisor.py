@@ -571,7 +571,7 @@ class TestSupervise:
         monkeypatch.setattr(
             supervisor, "slice_ranks", lambda *a: built.append(slice_ranks(*a)) or built[-1]
         )
-        monkeypatch.setattr(supervisor, "fit", lambda *a: handed.append(a[2]) or fit(*a))
+        monkeypatch.setattr(supervisor, "fit", lambda *a: handed.append(a[3]) or fit(*a))
         monkeypatch.setattr(
             supervisor, "quality_report", lambda *a: sides.append(a[0]) or quality_report(*a)
         )

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from fairsynth.copula import SynthesizerConfig, fit, sample
+from fairsynth.copula import fit, sample
 from fairsynth.demo import DemoSpec, demo_metadata, make_demo_dataset
 from fairsynth.errors import (
     DimensionMismatch,
@@ -306,7 +306,7 @@ class TestTrainLogreg:
         y_toy = (X_toy @ w_true + 0.3 * rng.standard_normal(120) > 0).astype(int)
         # The TSTR training set of `fairsynth run` with default flags on the demo.
         train, _ = split_holdout(demo_data, SplitSpec(1000, 0.3, 0))
-        synthetic = sample(fit(train, SynthesizerConfig(seed=0)), 500, 0)
+        synthetic = sample(fit(train, seed=0), 500, 0)
         X_demo, y_demo, _ = encode(fit_encoder(synthetic, demo_md), synthetic)
         hp = TstrHyperparams()
         for X, y in ((X_toy, y_toy), (X_demo, y_demo)):
@@ -320,7 +320,7 @@ class TestTrainLogreg:
         train, holdout = split_holdout(demo_data, SplitSpec(1000, 0.3, 0))
         hp = TstrHyperparams()
         for seed, rows in [(seed, 500) for seed in range(10)] + [(0, 3000)]:
-            synthetic = sample(fit(train, SynthesizerConfig(seed=seed)), rows, seed)
+            synthetic = sample(fit(train, seed=seed), rows, seed)
             enc = fit_encoder(synthetic, demo_md)
             X, y, _ = encode(enc, synthetic)
             model = train_logreg(X, y, hp)
