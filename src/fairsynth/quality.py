@@ -125,24 +125,42 @@ def _pair_rhos(centred: list[np.ndarray | None]) -> list[float]:
     constant column, or one whose scaled variance underflows to 0. One (2, n)
     buffer holds each pair (row 0 filled once per i), its Gram matrix comes
     from ``np.corrcoef``'s ``np.dot`` call, and the 2 x 2 tail runs on scalars
-    in ``np.corrcoef``'s order, so the bits agree."""
+    in ``np.corrcoef``'s order, so the bits agree.
+
+    A column so large that n times its largest square nears the float64 limit
+    (decided once per column) may overflow its pairs' Gram entries; such a
+    pair, where an entry does overflow, is taken from its two columns each
+    divided by its largest magnitude, which leaves rho as it is."""
     n = next((x.size for x in centred if x is not None), 0)
     buf = np.empty((2, n))
     inv = np.true_divide(1, n - 1)
+    limit = math.sqrt(np.finfo(np.float64).max / (2 * max(n, 1)))
+    large = [x is not None and max(x.max(), -x.min()) > limit for x in centred]
     rhos = []
     for i, x in enumerate(centred):
         if x is not None:
             buf[0] = x
-        for y in centred[i + 1:]:
+        for j, y in enumerate(centred[i + 1:], i + 1):
             rho = 0.0
             if x is not None and y is not None:
                 buf[1] = y
-                c = np.dot(buf, buf.T)
+                c = _overflow_safe_gram(buf) if large[i] or large[j] else np.dot(buf, buf.T)
                 var_x, var_y = c[0, 0] * inv, c[1, 1] * inv
                 if var_x != 0.0 and var_y != 0.0:  # 0: underflowed, constant at this scale
                     rho = c[0, 1] * inv / math.sqrt(var_x) / math.sqrt(var_y)
             rhos.append(float(min(max(rho, -1.0), 1.0)))
     return rhos
+
+
+def _overflow_safe_gram(pair: np.ndarray) -> np.ndarray:
+    """``np.dot(pair, pair.T)``, or, if an entry overflows, the Gram matrix of
+    each row divided by its largest magnitude."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.dot(pair, pair.T)
+    if np.isfinite(c).all():
+        return c
+    scaled = pair / np.abs(pair).max(axis=1, keepdims=True)
+    return np.dot(scaled, scaled.T)
 
 
 def contingency_similarity(real_a, real_b, synth_a, synth_b) -> float:
@@ -359,7 +377,7 @@ def quality_report(side: RealSide, synth: Dataset) -> QualityReport:
             continue
         real_keys, synth_keys, size = _coded(r.categories, s.categories)
         dtype = np.int16 if size <= MAX_LEVELS else np.int64
-        codes = (real_keys[r.codes], synth_keys[s.codes])
+        codes = (np.take(real_keys, r.codes), np.take(synth_keys, s.codes))
         coded[name] = (*(c.astype(dtype, copy=False) for c in codes), size)
     # Columns of at most MAX_LEVELS levels are scored together, the rest
     # pair by pair.

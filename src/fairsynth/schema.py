@@ -483,10 +483,15 @@ def _impute_numeric(values: np.ndarray, name: str) -> tuple[NumericColumn, int]:
 
 def _kept_rows(keys: list[str], codes: np.ndarray, keep: np.ndarray) -> tuple:
     """An interned column restricted to the kept rows: only the keys those
-    rows use, renumbered by first appearance among them."""
-    used, first, inverse = np.unique(codes[keep], return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return [keys[k] for k in used[order].tolist()], np.argsort(order)[inverse]
+    rows use, renumbered by first appearance among them. The int32 codes are
+    read through a key-sized table of new codes, so no full-length inverse
+    of ``np.unique`` is built."""
+    kept = codes[keep]
+    used, first = np.unique(kept, return_index=True)
+    used = used[np.argsort(first)]
+    renumbered = np.empty(len(keys), np.int32)
+    renumbered[used] = np.arange(len(used), dtype=np.int32)
+    return [keys[k] for k in used.tolist()], np.take(renumbered, kept)
 
 
 def _impute_mode(keys: list[str], codes: np.ndarray, name: str) -> tuple[CategoricalColumn, int]:
@@ -567,7 +572,10 @@ def load_dataset(
 
     columns: list[Column] = []
     imputed_counts: dict[str, int] = {}
-    for name, (cells, codes), column_strays in zip(header, read, strays):
+    for name, column_strays in zip(header, strays):
+        # Each read column is let go once its column is built, so a load that
+        # drops rows holds one column's copy at a time, not the whole table's.
+        cells, codes = read.pop(0)
         if codes is not None:  # interned: the cells are its keys
             keys, codes = _kept_rows(cells, codes, keep) if dropped else (cells, codes)
             column, n_imputed = _impute_mode(keys, codes, name)

@@ -172,7 +172,7 @@ def encode(encoder: Encoder, data: Dataset):
             index = {c: i for i, c in enumerate(vocab)}
             # Vocabulary slot of each code; -1 (unseen) leaves the row all zero.
             slots = np.array([index.get(c, -1) for c in col.categories], dtype=np.int64)
-            slot = slots[col.codes]
+            slot = np.take(slots, col.codes)
             seen = slot >= 0
             slot += row_start
             slot += k
@@ -189,7 +189,7 @@ def encode(encoder: Encoder, data: Dataset):
             k += len(vocab)
     label = data.column(encoder.label_column)
     positive = np.array([c == encoder.positive_label for c in label.categories], dtype=np.int64)
-    y = positive[label.codes]
+    y = np.take(positive, label.codes)
     groups = {attr: data.column(attr) for attr in encoder.protected_attributes}
     return X, y, groups
 
@@ -310,10 +310,21 @@ def group_fpr(y_true, y_pred, groups, min_support: int = 5) -> dict[str, GroupRa
         groups = np.array(list(groups), dtype=object)
     if not (len(y_true) == len(y_pred) == len(groups)):
         raise LengthMismatch("y_true, y_pred and groups must have equal lengths")
-    keys, inverse = np.unique(groups, return_inverse=True)
     negative = y_true == 0
-    negatives = np.bincount(inverse[negative], minlength=len(keys)).tolist()
-    false_pos = np.bincount(inverse[negative & (y_pred == 1)], minlength=len(keys)).tolist()
+    false_positive = negative & (y_pred == 1)
+    # Integer codes (a CategoricalColumn's, say) are counted by themselves:
+    # the keys are the codes that occur, in np.unique's ascending order. Codes
+    # too sparse for a bincount no longer than the groups go through np.unique.
+    codes = groups.dtype.kind in "iu" and np.can_cast(groups.dtype, np.intp) and groups.size > 0
+    size = int(groups.max()) + 1 if codes and groups.min() >= 0 else 0
+    if 0 < size <= groups.size:
+        present = np.bincount(groups, minlength=size) > 0
+        keys, inverse = np.flatnonzero(present), groups
+    else:
+        keys, inverse = np.unique(groups, return_inverse=True)
+        size, present = len(keys), slice(None)
+    negatives = np.bincount(inverse[negative], minlength=size)[present].tolist()
+    false_pos = np.bincount(inverse[false_positive], minlength=size)[present].tolist()
     out: dict[str, GroupRate] = {}
     for g, neg, fp in zip(keys.tolist(), negatives, false_pos):
         rate = fp / neg if neg >= min_support else None

@@ -8,6 +8,8 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from fairsynth.copula import (
+    CONSTANT_VARIANCE,
+    PSD_EPS,
     CategoricalMarginal,
     CopulaModel,
     NumericMarginal,
@@ -511,6 +513,68 @@ class TestEstimateCorrelation:
             got = estimate_correlation(np.asfortranarray(table))
             assert got.tobytes() == want.tobytes()
         assert want[2, [0, 1, 3, 4, 5]].tolist() == [0.0] * 5
+
+    def test_matches_corrcoef_in_either_layout(self):
+        for scores in _random_scores(np.random.default_rng(30)):
+            before = scores.copy()
+            want = _corrcoef_correlation(scores).tobytes()
+            assert estimate_correlation(scores).tobytes() == want
+            assert estimate_correlation(np.asfortranarray(scores)).tobytes() == want
+            assert estimate_correlation(np.ascontiguousarray(scores)).tobytes() == want
+            assert np.array_equal(scores, before)  # works on a copy of its own
+
+
+def _corrcoef_correlation(scores: np.ndarray) -> np.ndarray:
+    """The oracle of ``estimate_correlation`` and of ``fit``'s correlation:
+    ``np.corrcoef`` of a C-ordered copy of the (rows, columns) scores'
+    active columns."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n, d = scores.shape
+    variances = scores.var(axis=0)
+    active = variances >= CONSTANT_VARIANCE
+    corr = np.eye(d)
+    if active.sum() >= 2:
+        sub = scores.T if active.all() else scores[:, active].T
+        sub = np.corrcoef(np.ascontiguousarray(sub))
+        sub = np.clip(sub, -1.0, 1.0)
+        ij = np.where(active)[0]
+        corr[np.ix_(ij, ij)] = sub
+    np.fill_diagonal(corr, 1.0)
+    return nearest_psd(corr, PSD_EPS)
+
+
+def _random_scores(rng):
+    """Seeded (rows, columns) score matrices: 2 to 59 columns, 3 to 2,999
+    rows, column scales from 1e-3 to 1e3, a constant column in about 30 %."""
+    for _ in range(80):
+        d, n = int(rng.integers(2, 60)), int(rng.integers(3, 3000))
+        scores = rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
+        scores *= 10.0 ** rng.uniform(-3, 3, d)
+        if rng.random() < 0.3:
+            scores[:, rng.integers(0, d)] = rng.standard_normal()
+        yield scores
+
+
+class TestFitCorrelationMatchesCorrcoef:
+    """``fit`` forms the correlation in its own score matrix; ``np.corrcoef``
+    of the same scores is the oracle, bit for bit."""
+
+    def test_fit(self, demo_data, demo_md):
+        tables = [(name, table, None, None) for name, table in _hostile_tables(demo_data, demo_md)]
+        for name, table, drawn in _resamples(demo_data, demo_md):
+            tables += [(name, table.take(drawn), slice_ranks(table), drawn)]
+        rng = np.random.default_rng(12)
+        wide = Dataset(
+            TableSchema(tuple((f"x{j}", ColumnKind.NUMERIC) for j in range(40))),
+            tuple(NumericColumn(v) for v in rng.standard_normal((40, 30)) @ rng.standard_normal((30, 900))),
+        )
+        tables.append(("wide", wide, None, None))
+        for name, train, ranks, rows in tables:
+            _, scores = _fit_scores(train.columns, np.random.default_rng(8), ranks, rows)
+            want = _corrcoef_correlation(scores.T)
+            model = fit(train, seed=8, ranks=ranks, rows=rows)
+            assert model.correlation.tobytes() == want.tobytes(), name
+            assert estimate_correlation(scores.T).tobytes() == want.tobytes(), name
 
 
 class TestNearestPsd:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,22 @@ class TestCorrelationSimilarity:
         tiny, y = [0.0, 1e-170, 2e-170, 5e-170], [1.0, 2.0, 4.0, 3.0]
         assert correlation_similarity(tiny, y, tiny, [-v for v in y]) == 1.0
         assert correlation_similarity(tiny, y, y, y) == 0.5
+
+    def test_gram_overflow(self):
+        # n times the largest square of x passes the float64 limit: the pair
+        # is scored from its columns divided by their largest magnitudes,
+        # with no overflow warning. rho = +-5 / sqrt(70), so 1 - 5 / sqrt(70).
+        huge, y = [0.0, 1e200, 2e200, 5e200], [1.0, 2.0, 4.0, 3.0]
+        table = TableSchema((("h", ColumnKind.NUMERIC), ("y", ColumnKind.NUMERIC)))
+        real = Dataset(table, (NumericColumn(huge), NumericColumn(y)))
+        synth = Dataset(table, (NumericColumn(huge), NumericColumn([-v for v in y])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            direct = correlation_similarity(huge, y, huge, [-v for v in y])
+            (trend,) = quality_report(real_side(real), synth).pair_trends
+        assert direct == pytest.approx(1.0 - 5.0 / math.sqrt(70.0), abs=1e-12)
+        assert round(direct, 3) == 0.402
+        assert trend[2:] == ("CorrelationSimilarity", direct)
 
     def test_unequal_paired_lengths(self):
         x, short = [1.0, 2.0, 3.0], [1.0, 2.0]
@@ -580,6 +597,25 @@ class TestRealSide:
                 assert report == quality_report(real_side(real), synth)
                 shapes, trends = _pairwise_report(real, synth)
                 assert (report.shapes, list(report.pair_trends)) == (shapes, trends)
+
+    def test_column_near_float_limit(self):
+        # Scaling a column by 1e200 overflows its Gram entries; the report
+        # scores it as at unit scale, with no warning.
+        rng = np.random.default_rng(23)
+        real, synth = _mixed_table(rng, 600, 0), _mixed_table(rng, 300, 1)
+        scaled = []
+        for table in (real, synth):
+            columns = list(table.columns)
+            columns[0] = NumericColumn(table.columns[0].values * 1e200)
+            scaled.append(Dataset(table.schema, tuple(columns)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = quality_report(real_side(scaled[0]), scaled[1])
+        want = quality_report(real_side(real), synth)
+        assert report.shapes == want.shapes
+        for got, expect in zip(report.pair_trends, want.pair_trends, strict=True):
+            assert got[:3] == expect[:3]
+            assert got[3] == pytest.approx(expect[3], abs=1e-12)
 
     def test_kept_counts_follow_the_coded_layout(self):
         # Side 1 lists category "e", which the real table lacks (as an

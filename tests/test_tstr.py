@@ -494,6 +494,30 @@ class TestGroupFpr:
                 if got[g].fpr is not None:
                     assert 0.0 <= got[g].fpr <= 1.0
 
+    def test_codes_count_as_np_unique_does(self):
+        # Integer codes are counted with np.bincount; the same labels as a
+        # list go through np.unique. Keys, their order, counts and rates agree.
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            n, k = int(rng.integers(12, 300)), int(rng.integers(1, 12))
+            present = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+            codes = rng.choice(present, n)  # codes below k that no row holds are absent
+            y_true, y_pred = rng.integers(0, 2, n), rng.integers(0, 2, n)
+            support = int(rng.integers(1, 10))
+            want = group_fpr(y_true, y_pred, codes.tolist(), support)
+            for dtype in (np.int32, np.int64, np.int16, np.uint8):
+                got = group_fpr(y_true, y_pred, codes.astype(dtype), support)
+                assert list(got.items()) == list(want.items())
+                assert all(type(g) is int for g in got)
+            texts = [f"g{c:02d}" for c in range(k)]
+            labels = group_fpr(y_true, y_pred, [texts[c] for c in codes.tolist()], support)
+            assert list(labels.items()) == [(texts[c], r) for c, r in want.items()]
+            # Codes that are negative or sparse beyond the row count are counted
+            # through np.unique.
+            for shifted in (codes - 3, codes + n):
+                got = group_fpr(y_true, y_pred, shifted, support)
+                assert list(got.items()) == list(group_fpr(y_true, y_pred, shifted.tolist(), support).items())
+
 
 class TestMaxRelativeFpr:
     def test_ratio(self):
