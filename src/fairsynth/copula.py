@@ -124,19 +124,14 @@ def _fit_categorical(column: CategoricalColumn) -> tuple[CategoricalMarginal, li
     return marginal, order
 
 
-def estimate_correlation(scores: np.ndarray) -> np.ndarray:
-    """Pearson correlation of score columns, constant columns pinned to zero
-    correlation, repaired to a usable correlation matrix."""
-    # A C-ordered (columns, rows) copy of its own, whatever the caller's layout.
-    return _correlation(np.array(np.asarray(scores, dtype=np.float64).T, order="C"))
-
-
 def _correlation(scores: np.ndarray) -> np.ndarray:
-    """``estimate_correlation`` of the C-ordered (columns, rows) ``scores``,
-    formed in ``scores`` itself (in a copy of its active rows when a row is
-    constant) by ``np.corrcoef``'s steps in its order, symmetric ``np.dot``
-    (BLAS syrk) included: its bits without its copy. Each row's variance is
-    taken alone, so no temporary of the matrix's size is built either."""
+    """Pearson correlation of the rows of the C-ordered (columns, rows)
+    ``scores``, constant rows pinned to zero correlation, repaired to a usable
+    correlation matrix. It is formed in ``scores`` itself (in a copy of its
+    active rows when a row is constant) by ``np.corrcoef``'s steps in its
+    order, symmetric ``np.dot`` (BLAS syrk) included: its bits without its
+    copy. Each row's variance is taken alone, so no temporary of the matrix's
+    size is built either."""
     d, n = scores.shape
     active = np.array([row.var() >= CONSTANT_VARIANCE for row in scores], dtype=bool)
     corr = np.eye(d)
@@ -324,9 +319,16 @@ def _fit_scores(
 
 
 def _inverse_numeric(u: np.ndarray, marginal: NumericMarginal) -> np.ndarray:
+    """The marginal's values at the scores ``u``, which it stretches in place."""
     xs = marginal.sorted_values
     n = len(xs)
+    # Positions i/(n+1) and u times a power of two >= n+1: exact, and while the
+    # steps between values are normal it keeps every interpolated bit, but no
+    # slope is then steeper than the step it spans, so none overflows.
+    scale = 2.0 ** (n + 1).bit_length()
     positions = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
+    positions *= scale
+    u *= scale
     # np.interp clamps outside the grid, enforcing the fitted [min, max] range.
     # It runs on u in ascending order, where each lookup starts from the
     # previous one's interval; the values are scattered back to row order.

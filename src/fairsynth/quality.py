@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyColumn, LengthMismatch, SchemaMismatch
-from .schema import ColumnKind, Dataset
+from .schema import ColumnKind, Dataset, _unit_scaled
 
 KS_COMPLEMENT = "KSComplement"
 TV_COMPLEMENT = "TVComplement"
@@ -99,8 +99,8 @@ def tv_complement(real_col, synth_col) -> float:
 
 
 def correlation_similarity(real_a, real_b, synth_a, synth_b) -> float:
-    """1 - |rho_real - rho_synth| / 2 with Pearson rho; a zero-variance column,
-    or one whose variance underflows to 0, contributes rho = 0."""
+    """1 - |rho_real - rho_synth| / 2 with Pearson rho; a constant column
+    contributes rho = 0."""
     ra, rb, sa, sb = (np.asarray(v, dtype=np.float64) for v in (real_a, real_b, synth_a, synth_b))
     if ra.size != rb.size or sa.size != sb.size:
         raise LengthMismatch("paired value sequences must have equal lengths")
@@ -110,57 +110,40 @@ def correlation_similarity(real_a, real_b, synth_a, synth_b) -> float:
 
 
 def _centred(values: np.ndarray) -> np.ndarray | None:
-    """``values`` minus their mean, as ``np.cov`` centres a row; None for a
-    constant column, whose rho is 0."""
+    """``values`` in their unit scale (``_unit_scaled``) minus their mean, as
+    ``np.cov`` centres a row; None for a constant column, whose rho is 0.
+    Rho does not change with the scale, and at unit scale no Gram entry
+    overflows or underflows to a zero variance."""
     if values.size == 0:
         raise EmptyColumn("correlation requires nonempty columns")
     if np.all(values == values[0]):
         return None
-    return values - values.mean()
+    scaled, _ = _unit_scaled(values)
+    scaled -= scaled.mean()
+    return scaled
 
 
 def _pair_rhos(centred: list[np.ndarray | None]) -> list[float]:
     """Pearson rho of every pair i < j of one side's ``_centred`` columns, in
     ``itertools.combinations`` order, clipped to [-1, 1]; 0.0 for a pair with a
-    constant column, or one whose scaled variance underflows to 0. One (2, n)
-    buffer holds each pair (row 0 filled once per i), its Gram matrix comes
-    from ``np.corrcoef``'s ``np.dot`` call, and the 2 x 2 tail runs on scalars
-    in ``np.corrcoef``'s order, so the bits agree.
-
-    A column so large that n times its largest square nears the float64 limit
-    (decided once per column) may overflow its pairs' Gram entries; such a
-    pair, where an entry does overflow, is taken from its two columns each
-    divided by its largest magnitude, which leaves rho as it is."""
+    constant column. One (2, n) buffer holds each pair (row 0 filled once per
+    i), its Gram matrix comes from ``np.corrcoef``'s ``np.dot`` call, and the
+    2 x 2 tail runs on scalars in ``np.corrcoef``'s order, so the bits agree."""
     n = next((x.size for x in centred if x is not None), 0)
     buf = np.empty((2, n))
     inv = np.true_divide(1, n - 1)
-    limit = math.sqrt(np.finfo(np.float64).max / (2 * max(n, 1)))
-    large = [x is not None and max(x.max(), -x.min()) > limit for x in centred]
     rhos = []
     for i, x in enumerate(centred):
         if x is not None:
             buf[0] = x
-        for j, y in enumerate(centred[i + 1:], i + 1):
+        for y in centred[i + 1:]:
             rho = 0.0
             if x is not None and y is not None:
                 buf[1] = y
-                c = _overflow_safe_gram(buf) if large[i] or large[j] else np.dot(buf, buf.T)
-                var_x, var_y = c[0, 0] * inv, c[1, 1] * inv
-                if var_x != 0.0 and var_y != 0.0:  # 0: underflowed, constant at this scale
-                    rho = c[0, 1] * inv / math.sqrt(var_x) / math.sqrt(var_y)
+                c = np.dot(buf, buf.T)
+                rho = c[0, 1] * inv / math.sqrt(c[0, 0] * inv) / math.sqrt(c[1, 1] * inv)
             rhos.append(float(min(max(rho, -1.0), 1.0)))
     return rhos
-
-
-def _overflow_safe_gram(pair: np.ndarray) -> np.ndarray:
-    """``np.dot(pair, pair.T)``, or, if an entry overflows, the Gram matrix of
-    each row divided by its largest magnitude."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.dot(pair, pair.T)
-    if np.isfinite(c).all():
-        return c
-    scaled = pair / np.abs(pair).max(axis=1, keepdims=True)
-    return np.dot(scaled, scaled.T)
 
 
 def contingency_similarity(real_a, real_b, synth_a, synth_b) -> float:

@@ -177,6 +177,16 @@ class NumericColumn:
         return self.values
 
 
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(``values`` times 2**-e, e): a copy whose largest magnitude lies in
+    [0.5, 1), and the exponent that scales it back. Exact for every value
+    that stays a normal float. The mean and variance of a non-constant copy
+    neither overflow nor underflow to 0, and scaled back by ``math.ldexp``
+    they have the bits of those of ``values`` wherever these do neither."""
+    _, e = math.frexp(max(float(values.max()), -float(values.min())))
+    return np.ldexp(values, -e), e
+
+
 @dataclass(frozen=True)
 class CategoricalColumn:
     codes: np.ndarray  # int32 indices into categories
@@ -477,7 +487,8 @@ def _impute_numeric(values: np.ndarray, name: str) -> tuple[NumericColumn, int]:
     missing = np.isnan(values)
     if missing.all():
         raise MetadataMismatch(f"numeric column {name!r} has no values to impute from")
-    values[missing] = np.median(values[~missing])
+    if missing.any():  # the median costs a copy and a partition
+        values[missing] = np.median(values[~missing])
     return NumericColumn(values), int(missing.sum())
 
 

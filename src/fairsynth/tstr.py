@@ -12,6 +12,7 @@ represented as None; an infinite ratio is float('inf').
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     SchemaMismatch,
     ValidationFailure,
 )
-from .schema import ColumnKind, Dataset, Metadata
+from .schema import ColumnKind, Dataset, Metadata, _unit_scaled
 
 logger = logging.getLogger(__name__)
 
@@ -114,9 +115,9 @@ def fit_encoder(synth_train: Dataset, metadata: Metadata) -> Encoder:
             continue
         feature_columns.append(name)
         if kind is ColumnKind.NUMERIC:
-            values = synth_train.column(name).values
-            mean = float(values.mean())
-            std = float(values.std())
+            # Taken at unit scale, so no unit overflows or underflows them.
+            scaled, e = _unit_scaled(synth_train.column(name).values)
+            mean, std = math.ldexp(scaled.mean(), e), math.ldexp(scaled.std(), e)
             if std == 0.0:
                 constant.add(name)
                 numeric_stats[name] = (mean, 1.0)

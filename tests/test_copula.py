@@ -13,8 +13,8 @@ from fairsynth.copula import (
     CategoricalMarginal,
     CopulaModel,
     NumericMarginal,
+    _correlation,
     _fit_scores,
-    estimate_correlation,
     fit,
     fit_marginal,
     load_model,
@@ -190,7 +190,7 @@ def _reference_correlation(train, seed):
         lower = np.concatenate(([0.0], m.upper_bounds[:-1]))
         u = lower[idx] + rng.random(len(idx)) * (m.upper_bounds[idx] - lower[idx])
         scores.append(ndtri(u))
-    return estimate_correlation(np.column_stack(scores))
+    return _correlation(np.array(scores))
 
 
 def _coded_slices(rng):
@@ -389,7 +389,7 @@ class TestFitScoresMatchOracle:
 
             for lam in (0.0, 0.3):
                 model = shrink_correlation(fit(train, seed=8), lam)
-                corr = estimate_correlation(want.T)
+                corr = _correlation(want.copy())
                 if lam > 0.0:
                     corr = (1.0 - lam) * corr + lam * np.eye(len(train.columns))
                 assert model.correlation.tobytes() == corr.tobytes(), name
@@ -476,15 +476,23 @@ class TestRefitRanksMatchOracle:
 
 
 class TestEstimateCorrelation:
+    """The copula's score correlation, formed by ``copula._correlation`` in a
+    C-ordered (columns, rows) matrix of its own."""
+
+    @staticmethod
+    def _estimate(scores: np.ndarray) -> np.ndarray:
+        """The correlation of the (rows, columns) ``scores``, from a copy."""
+        return _correlation(np.array(scores.T, dtype=np.float64, order="C"))
+
     def test_identical_columns(self):
         x = np.random.default_rng(4).standard_normal(100)
-        r = estimate_correlation(np.column_stack([x, x]))
+        r = self._estimate(np.column_stack([x, x]))
         # exact collinearity is repaired to the PSD boundary, eps away from 1
         assert r[0, 1] == pytest.approx(1.0, abs=2e-6)
 
     def test_negated_column(self):
         x = np.random.default_rng(5).standard_normal(100)
-        r = estimate_correlation(np.column_stack([x, -x]))
+        r = self._estimate(np.column_stack([x, -x]))
         assert r[0, 1] == pytest.approx(-1.0, abs=2e-6)
 
     def test_hand_computed_collinear_pair(self):
@@ -493,39 +501,28 @@ class TestEstimateCorrelation:
         x, y = scores[:, 0], scores[:, 1]
         cov = np.mean((x - x.mean()) * (y - y.mean()))
         assert cov / (x.std() * y.std()) == pytest.approx(1.0, abs=1e-12)
-        r = estimate_correlation(scores)
+        r = self._estimate(scores)
         assert r[0, 1] == pytest.approx(1.0, abs=2e-6)
 
     def test_constant_column_zero_correlation(self):
         rng = np.random.default_rng(6)
         scores = np.column_stack([np.full(50, 2.0), rng.standard_normal(50)])
-        r = estimate_correlation(scores)
+        r = self._estimate(scores)
         assert r[0, 0] == 1.0 and r[1, 1] == 1.0
         assert r[0, 1] == 0.0
-
-    def test_memory_layout_does_not_change_bits(self):
-        # fit passes the transpose of its (columns, rows) score array.
-        rng = np.random.default_rng(7)
+        # Among active columns, a constant one keeps zero correlation too.
         scores = rng.standard_normal((2000, 5)) @ rng.standard_normal((5, 5))
-        with_constant = np.insert(scores, 2, 3.0, axis=1)
-        for table in (scores, with_constant):
-            want = estimate_correlation(np.ascontiguousarray(table))
-            got = estimate_correlation(np.asfortranarray(table))
-            assert got.tobytes() == want.tobytes()
-        assert want[2, [0, 1, 3, 4, 5]].tolist() == [0.0] * 5
+        r = self._estimate(np.insert(scores, 2, 3.0, axis=1))
+        assert r[2, [0, 1, 3, 4, 5]].tolist() == [0.0] * 5
 
-    def test_matches_corrcoef_in_either_layout(self):
+    def test_matches_corrcoef(self):
         for scores in _random_scores(np.random.default_rng(30)):
-            before = scores.copy()
             want = _corrcoef_correlation(scores).tobytes()
-            assert estimate_correlation(scores).tobytes() == want
-            assert estimate_correlation(np.asfortranarray(scores)).tobytes() == want
-            assert estimate_correlation(np.ascontiguousarray(scores)).tobytes() == want
-            assert np.array_equal(scores, before)  # works on a copy of its own
+            assert self._estimate(scores).tobytes() == want
 
 
 def _corrcoef_correlation(scores: np.ndarray) -> np.ndarray:
-    """The oracle of ``estimate_correlation`` and of ``fit``'s correlation:
+    """The oracle of ``fit``'s correlation (``copula._correlation``):
     ``np.corrcoef`` of a C-ordered copy of the (rows, columns) scores'
     active columns."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -574,7 +571,7 @@ class TestFitCorrelationMatchesCorrcoef:
             want = _corrcoef_correlation(scores.T)
             model = fit(train, seed=8, ranks=ranks, rows=rows)
             assert model.correlation.tobytes() == want.tobytes(), name
-            assert estimate_correlation(scores.T).tobytes() == want.tobytes(), name
+            assert _correlation(scores).tobytes() == want.tobytes(), name
 
 
 class TestNearestPsd:

@@ -104,15 +104,22 @@ class TestCorrelationSimilarity:
         x = [0.0, 1.0, 2.0]
         # rho_real = 0 by convention, rho_synth = 1 -> 1 - 1/2
         assert correlation_similarity(const, x, x, x) == 0.5
-        # A variance that underflows to 0 counts as constant, with no warning.
+        # A column whose squares underflow is scored at unit scale, with no
+        # warning, as the same column in another unit: rho = 5 / sqrt(70).
         tiny, y = [0.0, 1e-170, 2e-170, 5e-170], [1.0, 2.0, 4.0, 3.0]
-        assert correlation_similarity(tiny, y, tiny, [-v for v in y]) == 1.0
-        assert correlation_similarity(tiny, y, y, y) == 0.5
+        unit = [math.ldexp(v, 564) for v in tiny]
+        direct = correlation_similarity(tiny, y, tiny, [-v for v in y])
+        assert direct == pytest.approx(1.0 - 5.0 / math.sqrt(70.0), abs=1e-12)
+        assert direct == correlation_similarity(unit, y, unit, [-v for v in y])
+        assert correlation_similarity(tiny, y, y, y) == correlation_similarity(unit, y, y, y)
+        assert correlation_similarity(tiny, y, y, y) == pytest.approx(
+            1.0 - (1.0 - 5.0 / math.sqrt(70.0)) / 2.0, abs=1e-12
+        )
 
     def test_gram_overflow(self):
         # n times the largest square of x passes the float64 limit: the pair
-        # is scored from its columns divided by their largest magnitudes,
-        # with no overflow warning. rho = +-5 / sqrt(70), so 1 - 5 / sqrt(70).
+        # is scored at unit scale, with no overflow warning. rho = +-5 /
+        # sqrt(70), so 1 - 5 / sqrt(70).
         huge, y = [0.0, 1e200, 2e200, 5e200], [1.0, 2.0, 4.0, 3.0]
         table = TableSchema((("h", ColumnKind.NUMERIC), ("y", ColumnKind.NUMERIC)))
         real = Dataset(table, (NumericColumn(huge), NumericColumn(y)))
@@ -581,13 +588,20 @@ class TestRealSide:
             assert list(report.pair_trends) == trends
 
     def test_constant_real_column(self):
-        # A column whose variance underflows to 0 counts as constant too.
+        # A constant column has rho 0; a column whose squares underflow is
+        # not constant, and has the rho of the same column in any unit.
         rng = np.random.default_rng(22)
         tiny = rng.choice([0.0, 1e-170, 2e-170, 5e-170], 600)
         for t in (-0.0, tiny):
             real = self._constant(_mixed_table(rng, 600, 0), "t", t)
             side = quality.real_side(real)
-            assert side.rhos == {("x", "t"): 0.0}
+            if t is tiny:
+                ((pair, rho),) = side.rhos.items()
+                unit = quality.real_side(self._constant(real, "t", np.ldexp(tiny, 563)))
+                assert side.rhos == unit.rhos
+                assert (pair, round(rho, 4)) == (("x", "t"), 0.0198)
+            else:
+                assert side.rhos == {("x", "t"): 0.0}
             for synth in (
                 _mixed_table(rng, 300, 1),
                 self._constant(_mixed_table(rng, 9, 1), "t", 0.0),
@@ -599,8 +613,8 @@ class TestRealSide:
                 assert (report.shapes, list(report.pair_trends)) == (shapes, trends)
 
     def test_column_near_float_limit(self):
-        # Scaling a column by 1e200 overflows its Gram entries; the report
-        # scores it as at unit scale, with no warning.
+        # Scaling a column by 1e200 would overflow its Gram entries; the
+        # report scores it at unit scale, with no warning.
         rng = np.random.default_rng(23)
         real, synth = _mixed_table(rng, 600, 0), _mixed_table(rng, 300, 1)
         scaled = []
