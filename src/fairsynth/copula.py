@@ -276,10 +276,13 @@ def _fit_scores(
     A numeric value with (average, 1-based) rank r among the column's n
     values maps through u = r/(n+1): a run of equal values (``_runs``, taken
     from ``ranks`` when given) with t rows after s rows of smaller values
-    has the average rank s + (t + 1) / 2, so ``ndtri`` runs once per run. A
-    categorical value draws u uniformly inside its category's interval of the
-    marginal, one ``rng.random`` draw per row in column order, so score space
-    carries no point masses.
+    has the average rank s + (t + 1) / 2, so ``ndtri`` runs once per run.
+    A column of n distinct values fitted on its own rows has runs 0..n-1,
+    each one row, so run r scores ``ndtri((r + 1) / (n + 1))`` in every such
+    column: one grid per fit serves them all. A categorical value draws u
+    uniformly inside its category's interval of the marginal, one
+    ``rng.random`` draw per row in column order, so score space carries no
+    point masses.
     """
     # Every marginal is fitted before any column is scored: the marginals
     # outlive the fit, and allocated between scoring temporaries they fragment
@@ -290,16 +293,22 @@ def _fit_scores(
     ]
     n = len(columns[0])
     scores = np.empty((len(columns), n))
+    grid = None  # ndtri of r/(n+1), r = 1..n: the tie-free columns' scores
     for j, (row, col, (marginal, category_codes)) in enumerate(zip(scores, columns, fitted)):
         if isinstance(col, NumericColumn):
             if ranks is None:
                 runs = _runs(col.values)
             else:
                 runs = ranks[j] if rows is None else ranks[j][rows]
+            # Every run indexes the table it reads, so "clip" clips nothing;
+            # it writes straight into the row, where "raise" fills a copy first.
+            if rows is None and runs.max() == n - 1:  # n runs of one row each
+                if grid is None:
+                    grid = ndtri(np.arange(1, n + 1) / (n + 1))
+                np.take(grid, runs, out=row, mode="clip")
+                continue
             lengths = np.bincount(runs)  # a run that no row holds gets an unread score
             starts = np.cumsum(lengths) - lengths
-            # Every run indexes lengths, so "clip" clips nothing; it writes
-            # straight into the row, where "raise" fills a copy first.
             np.take(ndtri((starts + (lengths + 1) / 2.0) / (n + 1)), runs, out=row, mode="clip")
             continue
         upper = marginal.upper_bounds
@@ -319,22 +328,49 @@ def _fit_scores(
 
 
 def _inverse_numeric(u: np.ndarray, marginal: NumericMarginal) -> np.ndarray:
-    """The marginal's values at the scores ``u``, which it stretches in place."""
+    """The marginal's values at the scores ``u``, which it stretches in place:
+    ``np.interp`` over the positions r/(n+1), r = 1..n, bit for bit."""
     xs = marginal.sorted_values
     n = len(xs)
-    # Positions i/(n+1) and u times a power of two >= n+1: exact, and while the
-    # steps between values are normal it keeps every interpolated bit, but no
-    # slope is then steeper than the step it spans, so none overflows.
+    # Positions and u times a power of two >= n+1: exact, and while the steps
+    # between values are normal it keeps every interpolated bit, but no slope
+    # is then steeper than the step it spans, so none overflows.
     scale = 2.0 ** (n + 1).bit_length()
-    positions = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
-    positions *= scale
     u *= scale
-    # np.interp clamps outside the grid, enforcing the fitted [min, max] range.
-    # It runs on u in ascending order, where each lookup starts from the
-    # previous one's interval; the values are scattered back to row order.
-    order = np.argsort(u)
+
+    def position(r):
+        return (r / (n + 1)) * scale  # np.arange(1, n + 1) / (n + 1) * scale at r
+
+    # The values outlive the call, so they are allocated before its
+    # temporaries: allocated among them, perfbench tall-run's peak RSS read
+    # 3.7 MB more (88.8-89.3 against 84.9-85.3 MB).
     out = np.empty(len(u))
-    out[order] = np.interp(u[order], positions, xs)
+    # r positions lie at or below each u (0 below the grid, n at its top): the
+    # estimate is off by at most one step either way.
+    r = (u * ((n + 1) / scale)).astype(np.intp)
+    np.minimum(r, n, out=r)
+    r -= position(r) > u
+    r += position(r + 1) <= u
+    np.minimum(r, n, out=r)
+    # np.interp's own arithmetic on the interval [position k, position k+1).
+    k = np.clip(r, 1, n - 1)
+    x0 = position(k)
+    k += 1
+    dx = position(k)
+    dx -= x0
+    np.take(xs, k - 1, out=out, mode="clip")  # k - 1 lies in [0, n), so nothing clips
+    y0 = np.take(xs, k - 2)
+    # A step between values of both signs near the float64 maximum overflows
+    # to inf, as in np.interp, which warns about nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out -= y0
+        out /= dx
+        np.subtract(u, x0, out=dx)
+        out *= dx
+        out += y0
+    np.copyto(out, y0, where=u == x0)  # an exact hit is the value itself, -0.0 included
+    np.copyto(out, xs[0], where=r == 0)  # np.interp clamps to the fitted [min, max]
+    np.copyto(out, xs[-1], where=r == n)
     return out
 
 

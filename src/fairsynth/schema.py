@@ -371,13 +371,31 @@ def _parse_or_stray(cells: Sequence[str]) -> tuple[np.ndarray, list[int]]:
     return _parse_numeric(cells), bad
 
 
-def _stray_cell(name: str, cell: str, row: int) -> ParseError:
-    return ParseError(
-        None,
-        f"column {name!r}: non-numeric cell {cell!r} in data row {row}, among more than "
-        f"{CATEGORICAL_CARDINALITY_CUTOFF} distinct numbers; declare the column's kind "
-        f'under "columns" in the metadata',
-    )
+def _stray_cell(name: str, cell: str, row: int, declared: bool = False) -> ParseError:
+    """The error for a cell of a numbers column that is not a plain, finite
+    decimal; ``declared``: the column was declared numeric. A plain decimal
+    that float64 cannot hold is named as such: declaring a kind does not
+    help it."""
+    if _out_of_range(cell):
+        message = f"cell {cell!r} in data row {row} is a number out of float64's range"
+    elif declared:
+        message = f"non-numeric cell {cell!r} in data row {row}"
+    else:
+        message = (
+            f"non-numeric cell {cell!r} in data row {row}, among more than "
+            f"{CATEGORICAL_CARDINALITY_CUTOFF} distinct numbers; declare the column's kind "
+            f'under "columns" in the metadata'
+        )
+    return ParseError(None, f"column {name!r}: {message}")
+
+
+def _out_of_range(cell: str) -> bool:
+    """Whether ``cell`` is a plain decimal that float() reads as +-inf, such
+    as "1e309"."""
+    try:
+        return not _NON_NUMBER_CHAR.search(cell) and math.isinf(float(cell))
+    except ValueError:  # such as "1e" or "1+2"
+        return False
 
 
 def _first_stray_key(keys: list[str]) -> int | None:
@@ -595,9 +613,7 @@ def load_dataset(
             # cells read as missing; only a kept one is an error.
             for row, cell in column_strays:
                 if keep[row]:
-                    raise ParseError(
-                        None, f"column {name!r}: non-numeric cell {cell!r} in data row {row + 1}"
-                    )
+                    raise _stray_cell(name, cell, row + 1, declared=True)
             column, n_imputed = _impute_numeric(cells[keep] if dropped else cells, name)
         columns.append(column)
         if n_imputed:

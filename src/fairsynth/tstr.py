@@ -165,7 +165,14 @@ def encode(encoder: Encoder, data: Dataset):
         if name in encoder.numeric_stats:
             if name not in encoder.constant_numeric:  # a constant stays all zero
                 mean, std = encoder.numeric_stats[name]
-                X[:, k] = (data.column(name).values - mean) / std
+                # Standardised at the power of two of the stats: exact while
+                # the scaled values stay normal, and values of both signs near
+                # the float64 maximum do not overflow their difference.
+                _, e = math.frexp(max(abs(mean), std))
+                values = np.ldexp(data.column(name).values, -e)
+                values -= math.ldexp(mean, -e)
+                values /= math.ldexp(std, -e)
+                X[:, k] = values
             k += 1
         else:
             col = data.column(name)

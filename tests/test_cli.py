@@ -768,6 +768,68 @@ def test_text_id_column_is_a_bad_request(demo_dir, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("declared", [False, True])
+def test_decimal_beyond_float64_is_named(declared, demo_dir, tmp_path, capsys):
+    # "1e309" is a plain decimal that float64 cannot hold: neither "non-numeric"
+    # nor advice to declare the column's kind, which does not help it.
+    data = tmp_path / "demo.csv"
+    data.write_bytes(_with_cell((demo_dir / "demo.csv").read_bytes(), 6, "symptom_scale", b"1e309"))
+    metadata = json.loads((demo_dir / "metadata.json").read_text(encoding="utf-8"))
+    if declared:
+        metadata["columns"] = {"symptom_scale": {"kind": "numeric"}}
+    (tmp_path / "metadata.json").write_text(json.dumps(metadata), encoding="utf-8")
+    argv = ["run", "--data", str(data), "--metadata", str(tmp_path / "metadata.json"),
+            *_small_flags(), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: column 'symptom_scale': cell '1e309' in data row 6 is a number out of "
+        "float64's range"
+    ]
+
+
+def _near_float_max(csv):
+    """The demo CSV (no quoted fields) with ``symptom_scale`` at
+    2^1020 (|v| + 4) and every 50th data row at -1.7e308: values of both
+    signs near the float64 maximum, whose differences overflow."""
+    lines = csv.split(b"\r\n")
+    j = lines[0].split(b",").index(b"symptom_scale")
+    for i, line in enumerate(lines[1:], 1):
+        if line:
+            fields = line.split(b",")
+            value = -1.7e308 if i % 50 == 0 else 2.0**1020 * (abs(float(fields[j])) + 4)
+            fields[j] = repr(value).encode()
+            lines[i] = b",".join(fields)
+    return b"\r\n".join(lines)
+
+
+class TestColumnNearFloatMax:
+    """Warnings are errors here: a numpy overflow warning would be a
+    traceback, not an exit code."""
+
+    def test_evaluate_scores_it(self, demo_dir, tmp_path, capsys):
+        # The encoder standardises at its stats' power of two, so no value -
+        # mean overflows.
+        synth = tmp_path / "synth.csv"
+        synth.write_bytes(_near_float_max((demo_dir / "demo.csv").read_bytes()))
+        argv = ["evaluate", *_data_flags(demo_dir), "--synthetic", str(synth),
+                "--out", str(tmp_path / "e")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("synth_score ")
+
+    def test_run_exits_two_with_one_error_line(self, demo_dir, tmp_path, capsys):
+        # The sampler's step between the two signs overflows to inf, as
+        # np.interp's does, without a warning; the non-finite synthetic
+        # column fails every iteration.
+        data = tmp_path / "demo.csv"
+        data.write_bytes(_near_float_max((demo_dir / "demo.csv").read_bytes()))
+        argv = ["run", "--data", str(data), "--metadata", str(demo_dir / "metadata.json"),
+                *_small_flags(), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "non-finite" in err[0], err
+
+
 class TestSeedEnvVar:
     def test_env_overrides_flag(self, demo_dir, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "3")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 
 import mpmath
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from fairsynth import copula
 from fairsynth.copula import (
     CONSTANT_VARIANCE,
     PSD_EPS,
@@ -15,6 +17,7 @@ from fairsynth.copula import (
     NumericMarginal,
     _correlation,
     _fit_scores,
+    _inverse_numeric,
     fit,
     fit_marginal,
     load_model,
@@ -343,6 +346,67 @@ class TestSortedLookupMatchesUnsortedReference:
                 assert out.column(name).values.tobytes() == want.tobytes()
 
 
+
+def _interp_inverse(u, xs):
+    """np.interp over the positions r/(n+1), u and positions stretched by the
+    sampler's power of two: the oracle for ``_inverse_numeric``'s arithmetic."""
+    n = len(xs)
+    scale = 2.0 ** (n + 1).bit_length()
+    positions = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
+    return np.interp(u * scale, positions * scale, xs)
+
+
+def _grid_queries(rng, n):
+    """Random scores, every position, the floats next to each on both sides,
+    and the ends of [0, 1] with the smallest normal and subnormal scores."""
+    positions = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
+    return np.concatenate([
+        rng.random(200), positions, np.nextafter(positions, 0.0), np.nextafter(positions, 1.0),
+        [0.0, 1.0, 1e-300, 5e-324],
+    ])
+
+
+class TestInverseMatchesInterp:
+    """``_inverse_numeric`` finds each score's interval by arithmetic on the
+    grid instead of a search, and gives ``np.interp``'s bits."""
+
+    @staticmethod
+    def _assert_matches(xs, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _inverse_numeric(u.copy(), NumericMarginal(xs))
+            want = _interp_inverse(u, xs)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    def test_random_marginals(self):
+        rng = np.random.default_rng(32)
+        for case in range(1000):
+            n = int(rng.integers(2, 3001))
+            if case % 3 == 0:
+                values = rng.integers(-5, 6, n).astype(np.float64)  # ties
+            else:
+                values = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+            values[rng.random(n) < 1 / 3] = -0.0
+            self._assert_matches(np.sort(values), _grid_queries(rng, n))
+
+    def test_two_values_and_scaled_marginals(self):
+        rng = np.random.default_rng(33)
+        for n in (2, 3, 7, 500):
+            xs = np.sort(rng.standard_normal(n))
+            for factor in (1.0, 2.0**1014, 2.0**-1000):
+                self._assert_matches(xs * factor, _grid_queries(rng, n))
+
+    def test_step_between_signs_near_float_max(self):
+        # The step between -1.7e308 and 1.7e308 overflows: both sides give
+        # the same inf between them, and neither warns.
+        rng = np.random.default_rng(34)
+        for n in (3, 4, 50, 501):
+            xs = np.where(np.arange(n) < n // 2, -1.7e308, 1.7e308)
+            got = self._assert_matches(xs, _grid_queries(rng, n))
+            assert np.isinf(got).any() and not np.isnan(got).any()
+
+
 def _hostile_tables(demo_data, demo_metadata):
     """Tables whose fit scores are easy to get wrong."""
     rng = np.random.default_rng(31)
@@ -473,6 +537,61 @@ class TestRefitRanksMatchOracle:
             fit(table, ranks=ranks[:-1])
         with pytest.raises(ValidationFailure):
             fit(table.take(np.arange(10)), ranks=ranks, rows=np.arange(9))
+
+
+
+def _tie_free_table(n, seed):
+    """Three numeric columns of n distinct values, one with ties and one
+    categorical."""
+    rng = np.random.default_rng(seed)
+    schema = TableSchema((
+        ("a", ColumnKind.NUMERIC), ("b", ColumnKind.NUMERIC), ("t", ColumnKind.NUMERIC),
+        ("c", ColumnKind.CATEGORICAL), ("z", ColumnKind.NUMERIC),
+    ))
+    return Dataset(schema, (
+        NumericColumn(rng.standard_normal(n)),
+        NumericColumn(rng.permutation(n) - n / 2.0),  # one -0.0 or 0.0, not both
+        NumericColumn(np.round(rng.standard_normal(n))),
+        CategoricalColumn(rng.integers(0, 3, n), ("p", "q", "r")),
+        NumericColumn(rng.permutation(n) * 1e-3 + 7.0),
+    ))
+
+
+class TestTieFreeColumnsShareOneGrid:
+    """A numeric column of n distinct values fitted on its own rows reads its
+    scores from one ``ndtri`` grid per fit; ``to_normal_scores`` is the
+    oracle, with or without slice ranks, and on drawn rows."""
+
+    def test_scores(self):
+        for n in (2, 3, 301):
+            table = _tie_free_table(n, n)
+            ranks = slice_ranks(table)
+            drawn = np.random.default_rng(n).permutation(n)
+            for ranks_given, rows in ((None, None), (ranks, None), (ranks, drawn)):
+                resample = table if rows is None else table.take(rows)
+                _, got = _fit_scores(resample.columns, np.random.default_rng(8), ranks_given, rows)
+                rng = np.random.default_rng(8)
+                for name, row, col in zip(resample.schema.names, got, resample.columns):
+                    want = to_normal_scores(col, fit_marginal(col), rng)
+                    assert row.tobytes() == want.tobytes(), (n, name, rows is None)
+                model = fit(resample, seed=8, ranks=ranks_given, rows=rows)
+                assert model.correlation.tobytes() == _correlation(got).tobytes(), n
+
+    def test_one_ndtri_for_every_tie_free_column(self, monkeypatch):
+        # The grid, the tied column's runs and the categorical column's
+        # scores: three calls, however many tie-free columns there are.
+        calls = []
+
+        def counted(x, *args, **kwargs):
+            calls.append(np.size(x))
+            return ndtri(x, *args, **kwargs)
+
+        monkeypatch.setattr(copula, "ndtri", counted)
+        table = _tie_free_table(301, 5)
+        for ranks in (None, slice_ranks(table)):
+            calls.clear()
+            _fit_scores(table.columns, np.random.default_rng(8), ranks)
+            assert len(calls) == 3 and calls.count(301) == 2, calls
 
 
 class TestEstimateCorrelation:

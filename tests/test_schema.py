@@ -211,7 +211,7 @@ def test_cell_level_parse_errors_carry_no_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_dataset(p, md)
     assert err.value.line is None
-    assert str(err.value) == "column 'v': non-numeric cell '1e999' in data row 3"
+    assert str(err.value) == "column 'v': cell '1e999' in data row 3 is a number out of float64's range"
     with pytest.raises(ParseError) as err:
         NumericColumn(np.array([1.0, np.inf]))
     assert err.value.line is None
@@ -406,7 +406,7 @@ def test_declared_numeric_checks_only_kept_rows(tmp_path):
     assert data.ingest.rows_dropped == 1
     # The first bad kept cell in file order is named, whichever rule it breaks.
     write_lines(p, ["v,label", "1,yes", "2,", "1e999,no", "x,yes", "3,no"])
-    with pytest.raises(ParseError, match="non-numeric cell '1e999'"):
+    with pytest.raises(ParseError, match="cell '1e999' in data row 3 is a number out of float64"):
         load_dataset(p, md)
     write_lines(p, ["v,label", "1,yes", "x,no", "1e999,yes", "3,no"])
     with pytest.raises(ParseError, match="non-numeric cell 'x'"):
@@ -423,7 +423,7 @@ def test_declared_numeric_checks_only_kept_rows(tmp_path):
     assert data.decoded("v").tolist() == [i / 7 for i in range(n) if i != _READ_BLOCK_ROWS + 3]
     cells[n - 5], cells[n - 2] = "1e999", "x"
     write_lines(p, ["v,label"] + [f"{c},{y}" for c, y in zip(cells, labels)])
-    with pytest.raises(ParseError, match="non-numeric cell '1e999'"):
+    with pytest.raises(ParseError, match=r"cell '1e999' in data row \d+ is a number out of float64"):
         load_dataset(p, md)
 
 
@@ -462,6 +462,15 @@ def test_header_only_file_with_declared_numeric_column_is_empty(tmp_path):
         load_dataset(p, Metadata("label", "yes"), pinned=pinned)
 
 
+def _reference_stray(name, cell, row, advice):
+    """The error text for a bad cell of a numbers column: a plain decimal
+    beyond float64's range is named as such, any other cell is non-numeric
+    and followed by ``advice``."""
+    if _NUMBER_RE.match(cell) and math.isinf(float(cell)):
+        return f"column {name!r}: cell {cell!r} in data row {row} is a number out of float64's range"
+    return f"column {name!r}: non-numeric cell {cell!r} in data row {row}{advice}"
+
+
 def _reference_load(path, md):
     """Row-wise ingest in plain Python: the oracle for the columnar loader."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -480,12 +489,9 @@ def _reference_load(path, md):
         distinct = set(parsed) - {None}
         if name not in declared and None in parsed and len(distinct) > 20:
             row = next(i for i, r in enumerate(rows) if r[j] != "" and parse_number(r[j]) is None)
-            raise ParseError(
-                None,
-                f"column {name!r}: non-numeric cell {rows[row][j]!r} in data row {row + 1}, "
-                f'among more than 20 distinct numbers; declare the column\'s kind under "columns" '
-                f"in the metadata",
-            )
+            advice = (', among more than 20 distinct numbers; declare the column\'s kind under '
+                      '"columns" in the metadata')
+            raise ParseError(None, _reference_stray(name, rows[row][j], row + 1, advice))
         numeric = None not in parsed and len(distinct) > 20
         inferred = ColumnKind.NUMERIC if numeric else ColumnKind.CATEGORICAL
         kinds.append((name, declared.get(name, inferred)))
@@ -500,10 +506,7 @@ def _reference_load(path, md):
             values = [parse_number(c) for c in present]
             if None in values:
                 k = next(k for k, c in enumerate(cells) if c and parse_number(c) is None)
-                raise ParseError(
-                    None,
-                    f"column {name!r}: non-numeric cell {cells[k]!r} in data row {kept_at[k] + 1}",
-                )
+                raise ParseError(None, _reference_stray(name, cells[k], kept_at[k] + 1, ""))
             fill = np.median(np.array(values))
             it = iter(values)
             columns.append(NumericColumn(np.array([next(it) if c else fill for c in cells])))
