@@ -232,15 +232,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _finite_number(value) -> bool:
+    """A JSON number as the report writer emits one: finite, not a boolean."""
+    return type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
+
+
 def cmd_score(args) -> int:
     q_doc, f_doc = _read_json(args.quality), _read_json(args.fairness)
     try:
-        quality = float(q_doc["overall_score"])
-        ratio = ratio_from_json(f_doc["max_rel_fpr"])
-        degenerate = bool(f_doc["tstr"]["degenerate"])
+        quality, ratio = q_doc["overall_score"], f_doc["max_rel_fpr"]
+        degenerate = f_doc["tstr"]["degenerate"]
+        # Only the forms the report writer emits are read; none is coerced.
+        if not _finite_number(quality):
+            raise ValueError(f"overall_score {quality!r} is not a number")
+        if not (ratio in ("inf", "undefined") or _finite_number(ratio) and ratio >= 1):
+            raise ValueError(f'max_rel_fpr {ratio!r} is not a number >= 1, "inf" or "undefined"')
+        if type(degenerate) is not bool:
+            raise ValueError(f"degenerate {degenerate!r} is not a boolean")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationFailure(f"malformed report JSON: {exc}")
-    composite = synth_score(quality, ratio, args.parity_threshold, degenerate=degenerate)
+    composite = synth_score(
+        float(quality), ratio_from_json(ratio), args.parity_threshold, degenerate=degenerate
+    )
     _print_composite(composite)
     return 0
 

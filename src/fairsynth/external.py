@@ -11,7 +11,7 @@ import select
 import subprocess
 import tempfile
 import time
-from contextlib import ExitStack, closing
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
@@ -109,8 +109,8 @@ def _wait(process: subprocess.Popen, timeout: float) -> None:
 class ExternalRun:
     """A launched backend process, its stderr file and its deadline.
 
-    ``collect`` judges the process once it exits; ``close`` kills and reaps
-    it if it still runs and closes the stderr file."""
+    ``run_external_backend`` judges the process once it exits; ``close``
+    kills and reaps it if it still runs and closes the stderr file."""
 
     spec: ExternalBackend
     process: subprocess.Popen
@@ -141,45 +141,6 @@ class ExternalRun:
         if run_dir:
             text = text.replace(run_dir, RUN_DIR_NAME)
         return text.replace("\r\n", "\n").replace("\r", "\n")[-STDERR_EXCERPT_CHARS:]
-
-    def collect(self, metadata: Metadata, expected_schema: TableSchema) -> Dataset:
-        """Wait for the process, then load its output CSV.
-
-        The process gets what is left of its timeout, counted from launch;
-        one still running then is killed (Timeout). A process that has exited
-        is judged by its exit code, however late it is waited for: a nonzero
-        exit or a missing output file is BackendFailed.
-
-        The output is ingested under ``metadata``, the caller's copy of what
-        the backend was handed, with the training schema's column kinds
-        forced, so kind inference cannot drift, then rejected on any
-        column-name or kind mismatch. Synthetic labels are allowed to
-        collapse to a single class; the degenerate-classifier guard
-        downstream handles that case.
-        """
-        if self.process.poll() is None:
-            try:
-                _wait(self.process, max(0.0, self.deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                self.close()
-                raise Timeout(f"backend {self.spec.name!r} exceeded {self.spec.timeout_seconds}s")
-        if self.process.returncode != 0:
-            raise BackendFailed(self.process.returncode, self._stderr_tail())
-        # The output's path may be a temporary one, so the errors name the
-        # backend instead and a rerun fails with the same text.
-        if not self.out_csv.is_file():
-            raise BackendFailed(0, f"backend {self.spec.name!r} exited 0 but wrote no output CSV")
-        try:
-            synth = load_dataset(self.out_csv, metadata, pinned=expected_schema)
-        except FairsynthError as exc:
-            exc.args = (str(exc).replace(str(self.out_csv), f"backend {self.spec.name!r} output"),)
-            raise
-        if synth.schema != expected_schema:
-            raise SchemaMismatch(
-                f"backend {self.spec.name!r} returned columns {synth.schema.names}, "
-                f"expected {expected_schema.names}"
-            )
-        return synth
 
 
 def launch_external_backend(
@@ -219,19 +180,42 @@ def launch_external_backend(
 
 
 def run_external_backend(
-    spec: ExternalBackend,
-    train_csv: str | Path,
-    metadata_json: str | Path,
-    n_rows: int,
-    epochs: int,
-    seed: int,
-    out_csv: str | Path,
-    expected_schema: TableSchema,
+    run: ExternalRun, metadata: Metadata, expected_schema: TableSchema
 ) -> Dataset:
-    """Run the backend command to its end and load its output CSV under the
-    metadata file's contents as read before the launch."""
-    metadata = Metadata.from_json_file(metadata_json)
-    with closing(
-        launch_external_backend(spec, train_csv, metadata_json, n_rows, epochs, seed, out_csv)
-    ) as run:
-        return run.collect(metadata, expected_schema)
+    """Wait for a launched backend, then load its output CSV: the one step
+    that turns an external run into rows.
+
+    The process gets what is left of its timeout, counted from launch; one
+    still running then is killed (Timeout). A process that has exited is
+    judged by its exit code, however late it is waited for: a nonzero exit
+    or a missing output file is BackendFailed.
+
+    The output is ingested under ``metadata``, the caller's copy of what the
+    backend was handed, with the training schema's column kinds forced, so
+    kind inference cannot drift, then rejected on any column-name or kind
+    mismatch. Synthetic labels are allowed to collapse to a single class;
+    the degenerate-classifier guard downstream handles that case.
+    """
+    if run.process.poll() is None:
+        try:
+            _wait(run.process, max(0.0, run.deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            run.close()
+            raise Timeout(f"backend {run.spec.name!r} exceeded {run.spec.timeout_seconds}s")
+    if run.process.returncode != 0:
+        raise BackendFailed(run.process.returncode, run._stderr_tail())
+    # The output's path may be a temporary one, so the errors name the
+    # backend instead and a rerun fails with the same text.
+    if not run.out_csv.is_file():
+        raise BackendFailed(0, f"backend {run.spec.name!r} exited 0 but wrote no output CSV")
+    try:
+        synth = load_dataset(run.out_csv, metadata, pinned=expected_schema)
+    except FairsynthError as exc:
+        exc.args = (str(exc).replace(str(run.out_csv), f"backend {run.spec.name!r} output"),)
+        raise
+    if synth.schema != expected_schema:
+        raise SchemaMismatch(
+            f"backend {run.spec.name!r} returned columns {synth.schema.names}, "
+            f"expected {expected_schema.names}"
+        )
+    return synth

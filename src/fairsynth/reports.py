@@ -87,7 +87,7 @@ def ratio_value(ratio):
 
 
 def ratio_from_json(value):
-    if value == "undefined" or value is None:
+    if value == "undefined":
         return None
     if value == "inf":
         return float("inf")

@@ -55,6 +55,8 @@ def synth_score(
     holds iff the ratio is defined and at most parity_threshold."""
     if not (0.0 <= quality <= 1.0):
         raise QualityOutOfRange(f"quality {quality!r} outside [0, 1]")
+    if max_rel_fpr is not UNDEFINED and not (max_rel_fpr >= 1.0):  # NaN too
+        raise ValidationFailure(f"max_rel_fpr {max_rel_fpr!r} is not a max/min ratio >= 1")
     ratio_undefined = max_rel_fpr is UNDEFINED
     mult = fairness_multiplier(max_rel_fpr, parity_threshold)
     parity_ok = (

@@ -38,7 +38,7 @@ from .errors import (
     FairsynthError,
     ValidationFailure,
 )
-from .external import ExternalBackend, launch_external_backend
+from .external import ExternalBackend, launch_external_backend, run_external_backend
 from .quality import QualityReport, RealSide, quality_report, real_side
 from .schema import (
     ColumnKind,
@@ -264,10 +264,10 @@ def launch_synthesis(
     stack: ExitStack,
 ) -> Callable[[], Dataset]:
     """The synthesis step on the split's train slice. Returns a
-    ``synthesize()`` that fits and samples a native backend, or collects an
-    external one, whose process is launched now in a temporary directory;
-    closing ``stack`` kills the process if it still runs and removes the
-    directory."""
+    ``synthesize()`` that fits and samples a native backend, or waits for and
+    loads an external one, whose process is launched now in a temporary
+    directory; closing ``stack`` kills the process if it still runs and
+    removes the directory."""
     if config.backend in NATIVE_BACKENDS:
         # fit and sample are this module's names, looked up at the call.
         return lambda: sample(
@@ -292,7 +292,7 @@ def launch_synthesis(
     )
     stack.callback(run.close)
     schema = train.schema  # the closure keeps the schema, not the train rows
-    return lambda: run.collect(metadata, schema)
+    return lambda: run_external_backend(run, metadata, schema)
 
 
 def evaluate_synthetic(

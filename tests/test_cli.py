@@ -239,6 +239,52 @@ class TestEvaluateAndScore:
         assert "malformed" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "quality, fairness",
+        [
+            ("0.5", '{"max_rel_fpr": -1.0, "tstr": {"degenerate": false}}'),
+            ("0.5", '{"max_rel_fpr": 0.5, "tstr": {"degenerate": false}}'),
+            ("0.5", '{"max_rel_fpr": NaN, "tstr": {"degenerate": false}}'),
+            ("0.5", '{"max_rel_fpr": Infinity, "tstr": {"degenerate": false}}'),
+            ("0.5", '{"max_rel_fpr": "1e999", "tstr": {"degenerate": false}}'),
+            ("0.5", '{"max_rel_fpr": "2.5", "tstr": {"degenerate": false}}'),
+            ("0.5", '{"max_rel_fpr": null, "tstr": {"degenerate": false}}'),
+            ("0.5", '{"max_rel_fpr": true, "tstr": {"degenerate": false}}'),
+            ("0.5", '{"max_rel_fpr": 1.0, "tstr": {"degenerate": "no"}}'),
+            ("0.5", '{"max_rel_fpr": 1.0, "tstr": {"degenerate": 0}}'),
+            ("true", '{"max_rel_fpr": 1.0, "tstr": {"degenerate": false}}'),
+            ('"0.5"', '{"max_rel_fpr": 1.0, "tstr": {"degenerate": false}}'),
+            ("NaN", '{"max_rel_fpr": 1.0, "tstr": {"degenerate": false}}'),
+            ("1" + "0" * 400, '{"max_rel_fpr": 1.0, "tstr": {"degenerate": false}}'),
+        ],
+        ids=[
+            "ratio_negative", "ratio_below_one", "ratio_nan", "ratio_infinity_literal",
+            "ratio_number_text", "ratio_text", "ratio_null", "ratio_bool", "degenerate_text",
+            "degenerate_int", "quality_bool", "quality_text", "quality_nan", "quality_past_float64",
+        ],
+    )
+    def test_score_rejects_values_the_writer_never_emits(self, quality, fairness, tmp_path, capsys):
+        # overall_score is a finite number, degenerate a boolean, and
+        # max_rel_fpr a number >= 1, "inf" or "undefined"; nothing is coerced.
+        q = tmp_path / "q.json"
+        f = tmp_path / "f.json"
+        q.write_text('{"overall_score": %s}' % quality)
+        f.write_text(fairness)
+        assert main(["score", "--quality", str(q), "--fairness", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed report JSON: ")
+        assert captured.err.count("\n") == 1
+
+    def test_score_reads_an_integral_ratio_and_quality(self, tmp_path, capsys):
+        q = tmp_path / "q.json"
+        f = tmp_path / "f.json"
+        q.write_text('{"overall_score": 1}')
+        f.write_text('{"max_rel_fpr": 4, "tstr": {"degenerate": false}}')
+        assert main(["score", "--quality", str(q), "--fairness", str(f)]) == 0
+        assert "synth_score 0.500000" in capsys.readouterr().out
+
+
 class TestSuperviseCommand:
     def test_history_bounded(self, demo_dir, tmp_path):
         out = tmp_path / "sup"

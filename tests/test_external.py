@@ -3,6 +3,7 @@ import json
 import os
 import sys
 import time
+from contextlib import closing
 
 import pytest
 
@@ -14,7 +15,8 @@ from fairsynth.external import (
     load_backends_file,
     run_external_backend,
 )
-from fairsynth.schema import write_csv
+from fairsynth.schema import SplitSpec, write_csv
+from fairsynth.supervisor import RunConfig, run_pipeline, split_for
 
 PY = sys.executable
 
@@ -50,6 +52,16 @@ def backend_inputs(tmp_path, demo_data, demo_md):
     return train_csv, metadata_json, out_csv
 
 
+def _synthesize(spec, paths, metadata, schema, n_rows=10, epochs=1, seed=0):
+    """Launch ``spec`` on ``paths`` (train CSV, metadata JSON, output CSV)
+    and wait for its rows; the run is closed however it ends."""
+    train_csv, metadata_json, out_csv = paths
+    with closing(
+        launch_external_backend(spec, train_csv, metadata_json, n_rows, epochs, seed, out_csv)
+    ) as run:
+        return run_external_backend(run, metadata, schema)
+
+
 @pytest.fixture(params=["pidfd", "no-pidfd"])
 def wait_path(request, monkeypatch):
     """Run a test once through the pidfd wait and once through Popen.wait's
@@ -59,60 +71,60 @@ def wait_path(request, monkeypatch):
     return request.param
 
 
-def test_identity_backend_returns_training_rows(backend_inputs, demo_data):
-    train_csv, metadata_json, out_csv = backend_inputs
+def test_identity_backend_returns_training_rows(backend_inputs, demo_data, demo_md):
     spec = ExternalBackend("identity", COPY_CMD)
-    out = run_external_backend(
-        spec, train_csv, metadata_json, 0, 1, 0, out_csv, demo_data.schema
-    )
+    out = _synthesize(spec, backend_inputs, demo_md, demo_data.schema, n_rows=0)
     assert out == demo_data
 
 
-def test_nonzero_exit_is_backend_failed(backend_inputs, demo_data):
-    train_csv, metadata_json, out_csv = backend_inputs
+def test_nonzero_exit_is_backend_failed(backend_inputs, demo_data, demo_md):
     spec = ExternalBackend("broken", (PY, "-c", "import sys; sys.stderr.write('boom'); sys.exit(3)"))
     with pytest.raises(BackendFailed) as err:
-        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
     assert err.value.exit_code == 3
     assert "boom" in err.value.stderr_excerpt
 
 
-def test_missing_output_is_backend_failed(backend_inputs, demo_data):
-    train_csv, metadata_json, out_csv = backend_inputs
+def test_missing_output_is_backend_failed(backend_inputs, demo_data, demo_md):
     spec = ExternalBackend("silent", (PY, "-c", "pass"))
     with pytest.raises(BackendFailed):
-        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
 
 
-def test_metadata_file_is_read_before_the_launch(backend_inputs, demo_data):
-    """A backend may remove the metadata file it was handed; its rows are
-    loaded under the metadata read before it started."""
-    train_csv, metadata_json, out_csv = backend_inputs
-    script = "import os, shutil, sys; os.remove(sys.argv[3]); shutil.copy(sys.argv[1], sys.argv[2])"
+def test_metadata_file_is_read_before_the_launch(demo_data, demo_md):
+    """A backend may remove the input files it was handed: the pipeline
+    loads its rows under the metadata it wrote, not from the file again.
+    The command fails unless both files are there to delete."""
+    script = (
+        "import os, sys\n"
+        "rows = open(sys.argv[1], 'rb').read()\n"
+        "os.remove(sys.argv[1])\n"
+        "os.remove(sys.argv[3])\n"
+        "open(sys.argv[2], 'wb').write(rows)\n"
+    )
     spec = ExternalBackend(
         "forgetful", (PY, "-c", script, "{train_csv}", "{out_csv}", "{metadata_json}")
     )
-    out = run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
-    assert not metadata_json.exists()
-    assert out == demo_data
+    config = RunConfig(backend="forgetful", train_rows=1000)
+    split = split_for(config, demo_data, SplitSpec(train_rows=1000))
+    result = run_pipeline(config, split, demo_md, external_backends={spec.name: spec})
+    assert result.synthetic == split.train
 
 
-def test_renamed_column_is_schema_mismatch(backend_inputs, demo_data):
-    train_csv, metadata_json, out_csv = backend_inputs
+def test_renamed_column_is_schema_mismatch(backend_inputs, demo_data, demo_md):
     spec = ExternalBackend("renamer", RENAME_CMD)
     with pytest.raises(SchemaMismatch):
-        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
 
 
-def test_timeout(backend_inputs, demo_data):
-    train_csv, metadata_json, out_csv = backend_inputs
+def test_timeout(backend_inputs, demo_data, demo_md):
     spec = ExternalBackend("sleeper", (PY, "-c", "import time; time.sleep(30)"), timeout_seconds=1)
     with pytest.raises(Timeout):
-        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
 
 
-def test_placeholder_substitution(tmp_path, backend_inputs, demo_data):
-    train_csv, metadata_json, out_csv = backend_inputs
+def test_placeholder_substitution(tmp_path, backend_inputs, demo_data, demo_md):
+    _, metadata_json, out_csv = backend_inputs
     echo = tmp_path / "args.json"
     spec = ExternalBackend(
         "echo",
@@ -134,7 +146,7 @@ def test_placeholder_substitution(tmp_path, backend_inputs, demo_data):
             "{out_csv}",
         ),
     )
-    run_external_backend(spec, train_csv, metadata_json, 123, 7, 9, out_csv, demo_data.schema)
+    _synthesize(spec, backend_inputs, demo_md, demo_data.schema, n_rows=123, epochs=7, seed=9)
     got = json.loads(echo.read_text(encoding="utf-8"))
     assert got[:3] == ["123", "7", "9"]
     assert got[3] == str(metadata_json)
@@ -147,7 +159,7 @@ def test_placeholders_inside_substituted_paths_are_kept(tmp_path, demo_data, dem
     is."""
     base = tmp_path / "{seed}{rows}"
     base.mkdir()
-    train_csv, metadata_json, out_csv = (
+    train_csv, metadata_json, out_csv = paths = tuple(
         base / name for name in ("train.csv", "metadata.json", "out.csv")
     )
     write_csv(demo_data, train_csv)
@@ -162,7 +174,7 @@ def test_placeholders_inside_substituted_paths_are_kept(tmp_path, demo_data, dem
         "echo",
         (PY, "-c", script, str(echo), "{train_csv}", "{out_csv}", "{metadata_json}", "{seed}"),
     )
-    run_external_backend(spec, train_csv, metadata_json, 10, 1, 7, out_csv, demo_data.schema)
+    _synthesize(spec, paths, demo_md, demo_data.schema, seed=7)
     got = json.loads(echo.read_text(encoding="utf-8"))
     assert got == [str(train_csv), str(out_csv), str(metadata_json), "7"]
 
@@ -205,28 +217,25 @@ def _stderr_exit(data: bytes, code: int) -> tuple[str, ...]:
     return (PY, "-c", f"import sys; sys.stderr.buffer.write({data!r}); sys.exit({code})")
 
 
-def test_non_utf8_stderr_is_backend_failed(backend_inputs, demo_data):
-    train_csv, metadata_json, out_csv = backend_inputs
+def test_non_utf8_stderr_is_backend_failed(backend_inputs, demo_data, demo_md):
     spec = ExternalBackend("latin", _stderr_exit(b"caf\xe9", 3))
     with pytest.raises(BackendFailed) as err:
-        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
     assert err.value.exit_code == 3
     assert err.value.stderr_excerpt == "caf�"
 
 
-def test_stderr_excerpt_translates_newlines_as_text_mode(backend_inputs, demo_data):
-    train_csv, metadata_json, out_csv = backend_inputs
+def test_stderr_excerpt_translates_newlines_as_text_mode(backend_inputs, demo_data, demo_md):
     spec = ExternalBackend("lines", _stderr_exit(b"a\r\nb\rc\n", 2))
     with pytest.raises(BackendFailed) as err:
-        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
     assert err.value.stderr_excerpt == "a\nb\nc\n"
 
 
-def test_stderr_excerpt_is_the_last_500_characters(backend_inputs, demo_data):
+def test_stderr_excerpt_is_the_last_500_characters(backend_inputs, demo_data, demo_md):
     """More than 1 MB of stderr whose end mixes multi-byte characters, bare
     carriage returns and CRLF pairs: the excerpt is the end of the whole
     stream decoded and newline-translated."""
-    train_csv, metadata_json, out_csv = backend_inputs
     tail = "".join(f"é{i}€\r\n𝄞\r" for i in range(200)).encode("utf-8")
     script = (
         "import sys\n"
@@ -236,11 +245,10 @@ def test_stderr_excerpt_is_the_last_500_characters(backend_inputs, demo_data):
     )
     spec = ExternalBackend("chatty", (PY, "-c", script))
     with pytest.raises(BackendFailed) as err:
-        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
     whole = (b"x" * 1_200_000 + tail).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     assert err.value.exit_code == 3
     assert err.value.stderr_excerpt == whole[-500:]
-
 
 
 def test_stderr_excerpt_names_the_run_dir_as_a_fixed_name(backend_inputs, demo_data, demo_md):
@@ -258,18 +266,17 @@ def test_stderr_excerpt_names_the_run_dir_as_a_fixed_name(backend_inputs, demo_d
     run = launch_external_backend(
         spec, train_csv, metadata_json, 10, 1, 0, out_csv, run_dir=train_csv.parent
     )
-    with pytest.raises(BackendFailed) as err:
-        run.collect(demo_md, demo_data.schema)
-    run.close()
+    with closing(run), pytest.raises(BackendFailed) as err:
+        run_external_backend(run, demo_md, demo_data.schema)
     whole = "x" * 100_000 + "".join(f"{run_dir}/{i}\n" for i in range(100))
     assert err.value.stderr_excerpt == whole.replace(run_dir, "<run dir>")[-500:]
     assert run_dir not in err.value.stderr_excerpt
 
-def test_unspawnable_command_is_backend_failed(backend_inputs, demo_data):
-    train_csv, metadata_json, out_csv = backend_inputs
-    spec = ExternalBackend("ghost", (str(train_csv.parent / "no-such-program"),))
+
+def test_unspawnable_command_is_backend_failed(backend_inputs, demo_data, demo_md):
+    spec = ExternalBackend("ghost", (str(backend_inputs[0].parent / "no-such-program"),))
     with pytest.raises(BackendFailed) as err:
-        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
     assert err.value.exit_code == -1
 
 
@@ -278,11 +285,14 @@ def test_timeout_kills_and_reaps_the_process(wait_path, backend_inputs, demo_dat
     spec = ExternalBackend("sleeper", (PY, "-c", "import time; time.sleep(30)"), timeout_seconds=1)
     run = launch_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv)
     begin = time.monotonic()
-    with pytest.raises(Timeout, match="exceeded 1s"):
-        run.collect(demo_md, demo_data.schema)
-    assert time.monotonic() - begin < 10
-    assert run.process.returncode is not None  # killed and reaped
-    assert run.stderr.closed
+    try:
+        with pytest.raises(Timeout, match="exceeded 1s"):
+            run_external_backend(run, demo_md, demo_data.schema)
+        assert time.monotonic() - begin < 10
+        assert run.process.returncode is not None  # killed and reaped
+        assert run.stderr.closed
+    finally:
+        run.close()
 
 
 def test_exit_while_waited_for_is_not_a_timeout(wait_path, backend_inputs, demo_data, demo_md):
@@ -292,10 +302,8 @@ def test_exit_while_waited_for_is_not_a_timeout(wait_path, backend_inputs, demo_
     spec = ExternalBackend("slow", (PY, "-c", script, "{train_csv}", "{out_csv}"), timeout_seconds=20)
     run = launch_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv)
     begin = time.monotonic()
-    try:
-        assert run.collect(demo_md, demo_data.schema) == demo_data
-    finally:
-        run.close()
+    with closing(run):
+        assert run_external_backend(run, demo_md, demo_data.schema) == demo_data
     assert time.monotonic() - begin < 10
 
 
@@ -303,34 +311,29 @@ def test_exit_before_a_passed_deadline_is_not_a_timeout(
     wait_path, backend_inputs, demo_data, demo_md
 ):
     """A process that exited is judged by its exit code, even when it is
-    collected after its deadline."""
+    waited for after its deadline."""
     train_csv, metadata_json, out_csv = backend_inputs
     spec = ExternalBackend("identity", COPY_CMD, timeout_seconds=1)
     run = launch_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv)
-    try:
+    with closing(run):
         run.process.wait()
         run.deadline = time.monotonic() - 1
-        assert run.collect(demo_md, demo_data.schema) == demo_data
-    finally:
-        run.close()
+        assert run_external_backend(run, demo_md, demo_data.schema) == demo_data
 
 
-def test_missing_output_directory_is_backend_failed(backend_inputs, demo_data):
+def test_missing_output_directory_is_backend_failed(backend_inputs, demo_data, demo_md):
     train_csv, metadata_json, out_csv = backend_inputs
     missing = out_csv.parent / "no-such-dir" / "out.csv"
+    spec = ExternalBackend("identity", COPY_CMD)
     with pytest.raises(BackendFailed) as err:
-        run_external_backend(
-            ExternalBackend("identity", COPY_CMD), train_csv, metadata_json, 10, 1, 0, missing,
-            demo_data.schema,
-        )
+        _synthesize(spec, (train_csv, metadata_json, missing), demo_md, demo_data.schema)
     assert err.value.exit_code == -1
 
 
-def test_failed_launch_closes_the_stderr_file(backend_inputs, demo_data):
+def test_failed_launch_closes_the_stderr_file(backend_inputs, demo_data, demo_md):
     """Popen rejects a NUL byte in argv with ValueError; the stderr file is
     closed all the same, so no ResourceWarning fires when it is collected."""
-    train_csv, metadata_json, out_csv = backend_inputs
     spec = ExternalBackend("nul", (PY, "-c", "pass\0"))
     with pytest.raises(ValueError):
-        run_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv, demo_data.schema)
+        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
     gc.collect()

@@ -98,6 +98,12 @@ class TestSynthScore:
         with pytest.raises(QualityOutOfRange):
             synth_score(float("nan"), 1.0)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), 0.5, 0.0, -1.0])
+    def test_ratio_below_one_or_nan_is_rejected(self, ratio):
+        # A max/min FPR ratio is at least 1; max_relative_fpr never gives less.
+        with pytest.raises(ValidationFailure, match="max_rel_fpr"):
+            synth_score(0.5, ratio)
+
     def test_boundary_qualities_allowed(self):
         assert synth_score(0.0, 1.0).synth_score == 0.0
         assert synth_score(1.0, 1.0).synth_score == 1.0

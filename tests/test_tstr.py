@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -676,3 +678,54 @@ class TestFairnessReport:
         a = fairness_report(demo_data, demo_data, demo_md)
         b = fairness_report(demo_data, demo_data, demo_md)
         assert a == b
+
+
+def demo_fpr_truth(positive_rate: float) -> float:
+    """FPR at threshold 0.5 of the Bayes classifier on demo rows of a Race
+    group with Diagnosis positive rate ``positive_rate``.
+
+    Given the label, ``make_demo_dataset`` draws symptom_scale ~ N(1.4 y +
+    0.25 [Asian], 1), functioning_score ~ N(62 - 9 y, 11²) and the setting
+    with P(setting | negative) = (0.5, 0.2, 0.3) and P(setting | positive) =
+    (0.2, 0.5, 0.3). Over a group's negatives the two scales' summed
+    log-likelihood ratio is normal, with mean -0.98 - 81/242 and sd
+    sqrt(1.4² + (198/242)²); a row is predicted positive when that ratio plus
+    the setting's and the prior log-odds exceeds 0. Sex does not enter."""
+    mean, sd = -0.98 - 81 / 242, math.hypot(1.4, 198 / 242)
+    prior = math.log(positive_rate / (1 - positive_rate))
+    fpr = 0.0
+    for given_negative, given_positive in zip((0.5, 0.2, 0.3), (0.2, 0.5, 0.3)):
+        z = (mean + math.log(given_positive / given_negative) + prior) / sd
+        fpr += given_negative * 0.5 * math.erfc(-z / math.sqrt(2))  # P(setting | -) Φ(z)
+    return fpr
+
+
+def test_demo_fpr_truth_values():
+    assert demo_fpr_truth(0.25) == pytest.approx(0.0661, abs=5e-5)
+    assert demo_fpr_truth(0.55) == pytest.approx(0.2167, abs=5e-5)
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("disparity", [0.0, 0.3])
+def test_trtr_meets_the_demo_fpr_truth(disparity, seed):
+    """Train on real, test on real: the Bayes rule lies in the logistic
+    family that TSTR fits, so at 100k training rows every Race group's
+    holdout FPR lies within 4 binomial standard errors of the closed form,
+    and the two Sex groups agree within their bound."""
+    data = make_demo_dataset(DemoSpec(200_000, seed, disparity))
+    train, holdout = split_holdout(data, SplitSpec(100_000, 0.5, seed))
+    metadata = demo_metadata()
+    encoder = fit_encoder(train, metadata)
+    model = train_logreg(*encode(encoder, train)[:2])
+    X, y, groups = encode(encoder, holdout)
+    y_pred = predict(model, X)
+    race = groups["Race"]
+    for code, rate in group_fpr(y, y_pred, race.codes).items():
+        name = race.categories[code]
+        truth = demo_fpr_truth(0.25 + disparity if name == "Asian" else 0.25)
+        se = math.sqrt(truth * (1 - truth) / rate.negatives)
+        assert abs(rate.fpr - truth) <= 4 * se, (name, rate.fpr, truth)
+    female, male = group_fpr(y, y_pred, groups["Sex"].codes).values()
+    pooled = (female.false_positives + male.false_positives) / (female.negatives + male.negatives)
+    se = math.sqrt(pooled * (1 - pooled) * (1 / female.negatives + 1 / male.negatives))
+    assert abs(female.fpr - male.fpr) <= 4 * se
