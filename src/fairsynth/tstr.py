@@ -37,10 +37,11 @@ UNDEFINED = None
 MAX_NEWTON_STEPS = 50
 MAX_STEP_HALVINGS = 40
 
-# Rows per block of the Newton Hessian's Gram matrix. OpenBLAS's syrk
-# touches about 1.4 MB more of its work buffer at 1,024 rows than at 512 on a
-# 127-feature block, which lifted the peak RSS of a whole run by 1 MB.
-_GRAM_BLOCK_ROWS = 512
+# Cells (0.5 MB) of the one buffer that holds a scaled column block of the
+# Newton Hessian's Gram matrix. A larger buffer raised the peak RSS of a whole
+# run (4,096 columns of 127 features: +1.6 MB), and a buffer allocated fresh
+# each step is page-faulted in again on every step.
+_GRAM_BLOCK_CELLS = 65_536
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,11 @@ def encode(encoder: Encoder, data: Dataset):
         if data.schema.kind_of(name) is not want:
             raise SchemaMismatch(f"column {name!r} is not {want.value} as at fit time")
     n = data.row_count
-    width = len(encoder.feature_names)
-    X = np.zeros((n, width))
-    flat = X.reshape(-1)  # a view: one-hot ones are written by flat index
-    row_start = np.arange(n) * width
+    # Feature-major: a numeric feature is one contiguous row, and a one-hot
+    # one lands at flat index slot * n + row. X is the transpose view.
+    XT = np.zeros((len(encoder.feature_names), n))
+    flat = XT.reshape(-1)
+    rows = np.arange(n)
     k = 0  # first feature of the column
     for name in encoder.feature_columns:
         if name in encoder.numeric_stats:
@@ -169,10 +171,9 @@ def encode(encoder: Encoder, data: Dataset):
                 # the scaled values stay normal, and values of both signs near
                 # the float64 maximum do not overflow their difference.
                 _, e = math.frexp(max(abs(mean), std))
-                values = np.ldexp(data.column(name).values, -e)
+                values = np.ldexp(data.column(name).values, -e, out=XT[k])
                 values -= math.ldexp(mean, -e)
                 values /= math.ldexp(std, -e)
-                X[:, k] = values
             k += 1
         else:
             col = data.column(name)
@@ -182,8 +183,9 @@ def encode(encoder: Encoder, data: Dataset):
             slots = np.array([index.get(c, -1) for c in col.categories], dtype=np.int64)
             slot = np.take(slots, col.codes)
             seen = slot >= 0
-            slot += row_start
             slot += k
+            slot *= n
+            slot += rows
             flat[slot[seen]] = 1.0
             # Rows are counted only to name the unseen categories they use.
             if slots.min(initial=0) < 0:
@@ -199,7 +201,7 @@ def encode(encoder: Encoder, data: Dataset):
     positive = np.array([c == encoder.positive_label for c in label.categories], dtype=np.int64)
     y = np.take(positive, label.codes)
     groups = {attr: data.column(attr) for attr in encoder.protected_attributes}
-    return X, y, groups
+    return XT.T, y, groups
 
 
 def logistic_loss(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float) -> float:
@@ -214,7 +216,9 @@ def logistic_gradient(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2:
 
 def _loss(z: np.ndarray, w: np.ndarray, y: np.ndarray, l2: float) -> float:
     """``logistic_loss`` at the logits ``z = X @ w + b``."""
-    per_row = np.logaddexp(0.0, z) - y * z
+    # softplus(z) = log(1 + e^z) on numpy's vector exp and log1p loops.
+    per_row = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    per_row -= y * z
     return float(per_row.mean() + 0.5 * l2 * float(w @ w))
 
 
@@ -249,6 +253,11 @@ def train_logreg(
             constant=True,
         )
     n, d = X.shape
+    # Read feature-major: a view of encode's X, one copy of any other.
+    XT = np.ascontiguousarray(X.T)
+    X = XT.T
+    m = max(1, _GRAM_BLOCK_CELLS // max(d, 1))  # columns of one Gram block
+    buf = np.empty((d, m))
     l2 = hyperparams.l2_strength
     w, b = np.zeros(d), 0.0
     z = np.zeros(n)  # the logits X @ w + b; each step reuses the accepted point's
@@ -263,15 +272,15 @@ def train_logreg(
         s = p * ((1.0 - p) / n)
         root = np.sqrt(s)
         # Hessian in blocks, without an augmented [X | 1] copy of X; the Gram
-        # matrix X' diag(s) X is summed over row blocks, so no n x d scaled
-        # copy of X is ever alive. A block scaled by sqrt(s) times its own
-        # transpose is a symmetric product, which numpy hands to BLAS syrk.
+        # matrix X' diag(s) X is summed over column blocks of XT scaled by
+        # sqrt(s) into buf, so no n x d scaled copy of X is ever alive. A block
+        # times its own transpose is a symmetric product, which is BLAS syrk.
         gram = l2 * np.eye(d)
-        for start in range(0, n, _GRAM_BLOCK_ROWS):
-            block = slice(start, start + _GRAM_BLOCK_ROWS)
-            rows = X[block] * root[block, None]
-            gram += rows.T @ rows
-        col = (X.T @ s)[:, None]
+        for start in range(0, n, m):
+            block = buf[:, : min(m, n - start)]
+            np.multiply(XT[:, start : start + m], root[start : start + m], out=block)
+            gram += block @ block.T
+        col = (XT @ s)[:, None]
         hessian = np.block([[gram, col], [col.T, s.sum()]])
         direction = np.linalg.solve(hessian, grad)
         for t in 0.5 ** np.arange(MAX_STEP_HALVINGS):

@@ -11,6 +11,7 @@ from fairsynth.errors import (
     DimensionMismatch,
     EmptyDataset,
     LengthMismatch,
+    NonFiniteLoss,
     SchemaMismatch,
     ValidationFailure,
 )
@@ -31,6 +32,7 @@ from fairsynth.tstr import (
     UNDEFINED,
     LogisticModel,
     TstrHyperparams,
+    _loss,
     encode,
     fairness_report,
     fit_encoder,
@@ -205,6 +207,7 @@ class TestEncoder:
                 X, _, _ = encode(enc, table)
                 want = _oracle_encode(enc, table)
                 assert X.shape == want.shape
+                assert X.T.flags.c_contiguous  # feature-major
                 assert np.array_equal(X.view(np.int64), want.view(np.int64))
         assert np.any(holdout.column("Race").codes == absent)
         assert len(caplog.records) == 1 and "'Race'" in caplog.records[0].getMessage()
@@ -248,6 +251,7 @@ class TestEncoder:
                 X, _, _ = encode(enc, data)
             want = _oracle_encode(enc, data)
             assert X.shape == want.shape
+            assert X.T.flags.c_contiguous  # feature-major
             assert np.array_equal(X.view(np.int64), want.view(np.int64))
             # One line per column with an unseen category; nothing for c05.
             assert [r.getMessage() for r in caplog.records] == [
@@ -334,6 +338,46 @@ class TestTrainLogreg:
             X_test, _, _ = encode(enc, holdout)
             reference = LogisticModel(w_ref, b_ref, hp, tuple(losses_ref), False)
             assert np.array_equal(predict(model, X_test), predict(reference, X_test)), seed
+
+    def test_same_bits_on_either_memory_layout(self, demo_data, demo_md):
+        # encode's feature-major X and a row-major copy of it, on a set of
+        # one Gram block and on one of several whose last block is short.
+        train, _ = split_holdout(demo_data, SplitSpec(1000, 0.3, 0))
+        for seed, rows in ((0, 500), (3, 12_000)):
+            synthetic = sample(fit(train, seed=seed), rows, seed)
+            X, y, _ = encode(fit_encoder(synthetic, demo_md), synthetic)
+            row_major = np.ascontiguousarray(X)
+            assert row_major.flags.c_contiguous and not X.flags.c_contiguous
+            a, b = train_logreg(X, y), train_logreg(row_major, y)
+            assert np.array_equal(a.weights.view(np.int64), b.weights.view(np.int64)), seed
+            assert a.bias == b.bias and a.loss_history == b.loss_history, seed
+
+    def test_loss_rows_agree_with_logaddexp(self):
+        # The softplus form max(z, 0) + log1p(exp(-|z|)) against
+        # np.logaddexp(0, z), within 2 ulp of the larger term, at logits
+        # near 0 and where exp(-|z|) is subnormal or 0; warnings are errors here.
+        points = [0.0, -0.0, 5e-324, 1e-300, 1.0, 36.0, 709.0, 745.0, 800.0, 1e300]
+        for z in points + [-z for z in points]:
+            for y in (0.0, 1.0):
+                got = _loss(np.array([z]), np.zeros(0), np.array([y]), 0.0)
+                softplus = float(np.logaddexp(0.0, z))
+                want = softplus - y * z
+                assert abs(got - want) <= 2 * np.spacing(max(softplus, abs(y * z))), (z, y)
+
+    def test_nan_logits_are_non_finite_loss(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((40, 3))
+        y = (rng.random(40) < 0.5).astype(int)
+        X[7, 1] = np.nan
+        with pytest.raises(NonFiniteLoss, match="at Newton step 0"):
+            train_logreg(X, y)
+
+    def test_no_features_fits_the_bias_alone(self):
+        # Zero features make a zero-width Gram block; the bias is the log-odds.
+        y = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
+        model = train_logreg(np.zeros((10, 0)), y)
+        assert model.weights.shape == (0,) and not model.constant
+        assert model.bias == pytest.approx(math.log(3 / 7), abs=1e-6)
 
     def test_loss_at_most_lbfgs_optimum(self):
         rng = np.random.default_rng(8)
