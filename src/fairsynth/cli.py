@@ -9,7 +9,6 @@ failure. The MEMISIS_SEED environment variable overrides --seed when set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -193,9 +192,7 @@ def cmd_demo(args) -> int:
     csv_path = out / DEMO_CSV
     metadata_path = out / DEMO_METADATA_JSON
     write_csv(data, csv_path)
-    metadata_path.write_text(
-        json.dumps(demo_metadata().to_json_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    demo_metadata().to_json_file(metadata_path)
     print(f"wrote {csv_path} ({data.row_count} rows) and {metadata_path}")
     return 0
 

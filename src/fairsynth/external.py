@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
+from .copula import NATIVE_BACKENDS
 from .errors import BackendFailed, FairsynthError, SchemaMismatch, Timeout, ValidationFailure
-from .schema import Dataset, Metadata, TableSchema, _read_json, load_dataset
+from .schema import Dataset, Metadata, TableSchema, _read_json, load_dataset, write_csv
 
 DEFAULT_TIMEOUT_SECONDS = 600
 
@@ -34,6 +35,9 @@ STDERR_EXCERPT_CHARS = 500
 #: rerun in another temporary directory fails with the same text.
 RUN_DIR_NAME = "<run dir>"
 
+#: The file in the run directory that ``{out_csv}`` names.
+OUT_CSV = "synthetic.csv"
+
 
 @dataclass(frozen=True)
 class ExternalBackend:
@@ -44,6 +48,8 @@ class ExternalBackend:
     def __post_init__(self):
         if not self.name:
             raise ValidationFailure("external backend needs a non-empty name")
+        if self.name in NATIVE_BACKENDS:
+            raise ValidationFailure(f"external backend {self.name!r} shares a native backend's name")
         if not self.command:
             raise ValidationFailure(f"external backend {self.name!r} has an empty command")
         if not (0 < self.timeout_seconds <= MAX_TIMEOUT_SECONDS):
@@ -107,7 +113,9 @@ def _wait(process: subprocess.Popen, timeout: float) -> None:
 
 @dataclass
 class ExternalRun:
-    """A launched backend process, its stderr file and its deadline.
+    """A launched backend process, its stderr file and its deadline, with
+    the run directory it was handed its inputs in and the metadata and train
+    schema its output is read under.
 
     ``run_external_backend`` judges the process once it exits; ``close``
     kills and reaps it if it still runs and closes the stderr file."""
@@ -116,8 +124,9 @@ class ExternalRun:
     process: subprocess.Popen
     stderr: BinaryIO
     deadline: float  # time.monotonic() at launch plus timeout_seconds
-    out_csv: Path
-    run_dir: Path | None = None  # a temporary directory the run's files are in
+    run_dir: Path  # the temporary directory the run's files are in
+    metadata: Metadata
+    schema: TableSchema
 
     def close(self) -> None:
         if self.process.poll() is None:
@@ -133,55 +142,54 @@ class ExternalRun:
         within 3 bytes of any cut, and an excerpt character stands for at
         most one run_dir's worth of characters, so the excerpt is that of the
         whole stream."""
-        run_dir = "" if self.run_dir is None else str(self.run_dir)
-        span = (STDERR_EXCERPT_CHARS + 1) * max(1, len(run_dir))
+        run_dir = str(self.run_dir)
+        span = (STDERR_EXCERPT_CHARS + 1) * len(run_dir)
         size = self.stderr.seek(0, os.SEEK_END)
         self.stderr.seek(max(0, size - 4 * span - 3))
-        text = self.stderr.read().decode("utf-8", errors="replace")
-        if run_dir:
-            text = text.replace(run_dir, RUN_DIR_NAME)
+        text = self.stderr.read().decode("utf-8", errors="replace").replace(run_dir, RUN_DIR_NAME)
         return text.replace("\r\n", "\n").replace("\r", "\n")[-STDERR_EXCERPT_CHARS:]
 
 
 def launch_external_backend(
     spec: ExternalBackend,
-    train_csv: str | Path,
-    metadata_json: str | Path,
+    train: Dataset,
+    metadata: Metadata,
     n_rows: int,
     epochs: int,
     seed: int,
-    out_csv: str | Path,
-    run_dir: Path | None = None,
+    stack: ExitStack,
 ) -> ExternalRun:
-    """Start the backend command with its placeholders substituted. Its
-    stdout is discarded and its stderr goes to an unnamed file in the output
-    CSV's directory, so the process never blocks on a full pipe. A failed
-    run's stderr excerpt names ``run_dir``, a temporary directory, as
-    RUN_DIR_NAME."""
+    """Write ``train`` and ``metadata`` as train.csv and metadata.json into a
+    temporary run directory, then start the backend command with its
+    placeholders substituted and ``{out_csv}`` the run directory's
+    synthetic.csv. Its stdout is discarded and its stderr goes to an unnamed
+    file in the run directory, so the process never blocks on a full pipe.
+    Closing ``stack`` kills the process if it still runs and removes the
+    directory; a failed run's stderr excerpt names it RUN_DIR_NAME."""
+    run_dir = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+    write_csv(train, run_dir / "train.csv")
+    metadata.to_json_file(run_dir / "metadata.json")
     mapping = {
-        "{train_csv}": str(train_csv),
-        "{metadata_json}": str(metadata_json),
+        "{train_csv}": str(run_dir / "train.csv"),
+        "{metadata_json}": str(run_dir / "metadata.json"),
         "{rows}": str(n_rows),
         "{epochs}": str(epochs),
         "{seed}": str(seed),
-        "{out_csv}": str(out_csv),
+        "{out_csv}": str(run_dir / OUT_CSV),
     }
     argv = [_substitute(tok, mapping) for tok in spec.command]
-    out_csv = Path(out_csv)
     deadline = time.monotonic() + spec.timeout_seconds
-    with ExitStack() as cleanup:  # closes the stderr file if the launch fails
-        try:
-            stderr = cleanup.enter_context(tempfile.TemporaryFile(dir=out_csv.parent))
-            process = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=stderr)
-        except OSError as exc:
-            raise BackendFailed(-1, f"could not spawn backend {spec.name!r}: {exc}")
-        cleanup.pop_all()
-    return ExternalRun(spec, process, stderr, deadline, out_csv, run_dir)
+    try:  # the stack closes the stderr file if the launch fails
+        stderr = stack.enter_context(tempfile.TemporaryFile(dir=run_dir))
+        process = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=stderr)
+    except OSError as exc:
+        raise BackendFailed(-1, f"could not spawn backend {spec.name!r}: {exc}")
+    run = ExternalRun(spec, process, stderr, deadline, run_dir, metadata, train.schema)
+    stack.callback(run.close)
+    return run
 
 
-def run_external_backend(
-    run: ExternalRun, metadata: Metadata, expected_schema: TableSchema
-) -> Dataset:
+def run_external_backend(run: ExternalRun) -> Dataset:
     """Wait for a launched backend, then load its output CSV: the one step
     that turns an external run into rows.
 
@@ -190,8 +198,8 @@ def run_external_backend(
     judged by its exit code, however late it is waited for: a nonzero exit
     or a missing output file is BackendFailed.
 
-    The output is ingested under ``metadata``, the caller's copy of what the
-    backend was handed, with the training schema's column kinds forced, so
+    The output is ingested under the metadata the backend was handed, not
+    read from its file again, with the train schema's column kinds forced, so
     kind inference cannot drift, then rejected on any column-name or kind
     mismatch. Synthetic labels are allowed to collapse to a single class;
     the degenerate-classifier guard downstream handles that case.
@@ -204,18 +212,19 @@ def run_external_backend(
             raise Timeout(f"backend {run.spec.name!r} exceeded {run.spec.timeout_seconds}s")
     if run.process.returncode != 0:
         raise BackendFailed(run.process.returncode, run._stderr_tail())
-    # The output's path may be a temporary one, so the errors name the
-    # backend instead and a rerun fails with the same text.
-    if not run.out_csv.is_file():
+    # The output's path is a temporary one, so the errors name the backend
+    # instead and a rerun fails with the same text.
+    out_csv = run.run_dir / OUT_CSV
+    if not out_csv.is_file():
         raise BackendFailed(0, f"backend {run.spec.name!r} exited 0 but wrote no output CSV")
     try:
-        synth = load_dataset(run.out_csv, metadata, pinned=expected_schema)
+        synth = load_dataset(out_csv, run.metadata, pinned=run.schema)
     except FairsynthError as exc:
-        exc.args = (str(exc).replace(str(run.out_csv), f"backend {run.spec.name!r} output"),)
+        exc.args = (str(exc).replace(str(out_csv), f"backend {run.spec.name!r} output"),)
         raise
-    if synth.schema != expected_schema:
+    if synth.schema != run.schema:
         raise SchemaMismatch(
             f"backend {run.spec.name!r} returned columns {synth.schema.names}, "
-            f"expected {expected_schema.names}"
+            f"expected {run.schema.names}"
         )
     return synth

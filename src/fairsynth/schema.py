@@ -143,6 +143,11 @@ class Metadata:
             }
         return doc
 
+    def to_json_file(self, path: str | Path) -> None:
+        """Write ``to_json_dict()`` as UTF-8 JSON, indented by 2, with a
+        trailing newline."""
+        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+
 
 @dataclass(frozen=True)
 class SplitSpec:

@@ -15,12 +15,9 @@ generator only through an explicit refinement action.
 
 from __future__ import annotations
 
-import json
 import math
-import tempfile
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -46,7 +43,6 @@ from .schema import (
     Metadata,
     SplitSpec,
     split_holdout,
-    write_csv,
 )
 from .scoring import DEFAULT_PARITY_THRESHOLD, CompositeScore, synth_score
 from .tstr import FairnessReport, fairness_report
@@ -266,33 +262,24 @@ def launch_synthesis(
     """The synthesis step on the split's train slice. Returns a
     ``synthesize()`` that fits and samples a native backend, or waits for and
     loads an external one, whose process is launched now in a temporary
-    directory; closing ``stack`` kills the process if it still runs and
-    removes the directory."""
+    directory made on ``stack``; closing ``stack`` kills the process if it
+    still runs and removes the directory."""
     if config.backend in NATIVE_BACKENDS:
         # fit and sample are this module's names, looked up at the call.
         return lambda: sample(
             _native_model(config, split, metadata), config.sample_rows, config.seed
         )
     check_backend(config.backend, external_backends)
-    train = _balanced(config, split.train, metadata)[0]
-    tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
-    write_csv(train, tmp / "train.csv")
-    (tmp / "metadata.json").write_text(
-        json.dumps(metadata.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-    )
     run = launch_external_backend(
         external_backends[config.backend],
-        tmp / "train.csv",
-        tmp / "metadata.json",
+        _balanced(config, split.train, metadata)[0],
+        metadata,
         config.sample_rows,
         config.epochs,
         config.seed,
-        tmp / "synthetic.csv",
-        run_dir=tmp,
+        stack,
     )
-    stack.callback(run.close)
-    schema = train.schema  # the closure keeps the schema, not the train rows
-    return lambda: run_external_backend(run, metadata, schema)
+    return lambda: run_external_backend(run)
 
 
 def evaluate_synthetic(

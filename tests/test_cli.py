@@ -402,6 +402,21 @@ class TestBenchCommand:
         assert "bogus" in err and "gaussian_copula" in err and "independent" in err
 
 
+    @pytest.mark.parametrize("name", NATIVE_BACKENDS)
+    def test_external_backend_with_a_native_name_is_refused(self, name, demo_dir, tmp_path, capsys):
+        """Its command would never run: the native backend of that name
+        would answer in its place."""
+        backends = tmp_path / "backends.json"
+        backends.write_text(json.dumps([{"name": name, "command": ["false"]}]), encoding="utf-8")
+        out = tmp_path / "bench"
+        code = main(["bench", *_data_flags(demo_dir), *_small_flags(), "--backends", name,
+                     "--backends-file", str(backends), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: external backend {name!r} shares a native backend's name"]
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["fit"]) == 1  # missing required flags

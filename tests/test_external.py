@@ -1,12 +1,16 @@
+import errno
 import gc
 import json
 import os
 import sys
+import tempfile
 import time
-from contextlib import closing
+from contextlib import ExitStack
+from pathlib import Path
 
 import pytest
 
+from fairsynth.copula import NATIVE_BACKENDS
 from fairsynth.errors import BackendFailed, SchemaMismatch, Timeout, ValidationFailure
 from fairsynth.external import (
     ExternalBackend,
@@ -15,7 +19,7 @@ from fairsynth.external import (
     load_backends_file,
     run_external_backend,
 )
-from fairsynth.schema import SplitSpec, write_csv
+from fairsynth.schema import SplitSpec
 from fairsynth.supervisor import RunConfig, run_pipeline, split_for
 
 PY = sys.executable
@@ -42,24 +46,12 @@ RENAME_CMD = (
 )
 
 
-@pytest.fixture
-def backend_inputs(tmp_path, demo_data, demo_md):
-    train_csv = tmp_path / "train.csv"
-    metadata_json = tmp_path / "metadata.json"
-    out_csv = tmp_path / "out.csv"
-    write_csv(demo_data, train_csv)
-    metadata_json.write_text(json.dumps(demo_md.to_json_dict()), encoding="utf-8")
-    return train_csv, metadata_json, out_csv
-
-
-def _synthesize(spec, paths, metadata, schema, n_rows=10, epochs=1, seed=0):
-    """Launch ``spec`` on ``paths`` (train CSV, metadata JSON, output CSV)
-    and wait for its rows; the run is closed however it ends."""
-    train_csv, metadata_json, out_csv = paths
-    with closing(
-        launch_external_backend(spec, train_csv, metadata_json, n_rows, epochs, seed, out_csv)
-    ) as run:
-        return run_external_backend(run, metadata, schema)
+def _synthesize(spec, train, metadata, n_rows=10, epochs=1, seed=0):
+    """Launch ``spec`` on ``train`` and wait for its rows; the run's stack is
+    closed however it ends."""
+    with ExitStack() as stack:
+        run = launch_external_backend(spec, train, metadata, n_rows, epochs, seed, stack)
+        return run_external_backend(run)
 
 
 @pytest.fixture(params=["pidfd", "no-pidfd"])
@@ -71,24 +63,24 @@ def wait_path(request, monkeypatch):
     return request.param
 
 
-def test_identity_backend_returns_training_rows(backend_inputs, demo_data, demo_md):
+def test_identity_backend_returns_training_rows(demo_data, demo_md):
     spec = ExternalBackend("identity", COPY_CMD)
-    out = _synthesize(spec, backend_inputs, demo_md, demo_data.schema, n_rows=0)
+    out = _synthesize(spec, demo_data, demo_md, n_rows=0)
     assert out == demo_data
 
 
-def test_nonzero_exit_is_backend_failed(backend_inputs, demo_data, demo_md):
+def test_nonzero_exit_is_backend_failed(demo_data, demo_md):
     spec = ExternalBackend("broken", (PY, "-c", "import sys; sys.stderr.write('boom'); sys.exit(3)"))
     with pytest.raises(BackendFailed) as err:
-        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
+        _synthesize(spec, demo_data, demo_md)
     assert err.value.exit_code == 3
     assert "boom" in err.value.stderr_excerpt
 
 
-def test_missing_output_is_backend_failed(backend_inputs, demo_data, demo_md):
+def test_missing_output_is_backend_failed(demo_data, demo_md):
     spec = ExternalBackend("silent", (PY, "-c", "pass"))
     with pytest.raises(BackendFailed):
-        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
+        _synthesize(spec, demo_data, demo_md)
 
 
 def test_metadata_file_is_read_before_the_launch(demo_data, demo_md):
@@ -111,20 +103,21 @@ def test_metadata_file_is_read_before_the_launch(demo_data, demo_md):
     assert result.synthetic == split.train
 
 
-def test_renamed_column_is_schema_mismatch(backend_inputs, demo_data, demo_md):
+def test_renamed_column_is_schema_mismatch(demo_data, demo_md):
     spec = ExternalBackend("renamer", RENAME_CMD)
     with pytest.raises(SchemaMismatch):
-        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
+        _synthesize(spec, demo_data, demo_md)
 
 
-def test_timeout(backend_inputs, demo_data, demo_md):
+def test_timeout(demo_data, demo_md):
     spec = ExternalBackend("sleeper", (PY, "-c", "import time; time.sleep(30)"), timeout_seconds=1)
     with pytest.raises(Timeout):
-        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
+        _synthesize(spec, demo_data, demo_md)
 
 
-def test_placeholder_substitution(tmp_path, backend_inputs, demo_data, demo_md):
-    _, metadata_json, out_csv = backend_inputs
+def test_placeholder_substitution(tmp_path, demo_data, demo_md):
+    """Each placeholder is its value, and the metadata and output paths sit
+    beside the train CSV in the run directory."""
     echo = tmp_path / "args.json"
     spec = ExternalBackend(
         "echo",
@@ -146,24 +139,22 @@ def test_placeholder_substitution(tmp_path, backend_inputs, demo_data, demo_md):
             "{out_csv}",
         ),
     )
-    _synthesize(spec, backend_inputs, demo_md, demo_data.schema, n_rows=123, epochs=7, seed=9)
+    _synthesize(spec, demo_data, demo_md, n_rows=123, epochs=7, seed=9)
     got = json.loads(echo.read_text(encoding="utf-8"))
     assert got[:3] == ["123", "7", "9"]
-    assert got[3] == str(metadata_json)
-    assert got[4] == str(out_csv)
+    train_csv = Path(got[6])
+    assert train_csv.name == "train.csv"
+    assert got[3] == str(train_csv.parent / "metadata.json")
+    assert got[4] == got[7] == str(train_csv.parent / "synthetic.csv")
 
 
-def test_placeholders_inside_substituted_paths_are_kept(tmp_path, demo_data, demo_md):
+def test_placeholders_inside_substituted_paths_are_kept(tmp_path, monkeypatch, demo_data, demo_md):
     """Placeholders are substituted in one pass: a path that holds one, as
-    under a temporary directory named ``{seed}``, reaches the command as it
-    is."""
+    under a temporary directory named ``{seed}{rows}``, reaches the command
+    as it is."""
     base = tmp_path / "{seed}{rows}"
     base.mkdir()
-    train_csv, metadata_json, out_csv = paths = tuple(
-        base / name for name in ("train.csv", "metadata.json", "out.csv")
-    )
-    write_csv(demo_data, train_csv)
-    metadata_json.write_text(json.dumps(demo_md.to_json_dict()), encoding="utf-8")
+    monkeypatch.setattr(tempfile, "tempdir", str(base))
     echo = tmp_path / "args.json"
     script = (
         "import json, shutil, sys\n"
@@ -174,9 +165,16 @@ def test_placeholders_inside_substituted_paths_are_kept(tmp_path, demo_data, dem
         "echo",
         (PY, "-c", script, str(echo), "{train_csv}", "{out_csv}", "{metadata_json}", "{seed}"),
     )
-    _synthesize(spec, paths, demo_md, demo_data.schema, seed=7)
+    _synthesize(spec, demo_data, demo_md, seed=7)
     got = json.loads(echo.read_text(encoding="utf-8"))
-    assert got == [str(train_csv), str(out_csv), str(metadata_json), "7"]
+    run_dir = Path(got[0]).parent
+    assert run_dir.parent == base
+    assert got == [
+        str(run_dir / "train.csv"),
+        str(run_dir / "synthetic.csv"),
+        str(run_dir / "metadata.json"),
+        "7",
+    ]
 
 
 def test_backend_descriptor_parsing(tmp_path):
@@ -217,22 +215,22 @@ def _stderr_exit(data: bytes, code: int) -> tuple[str, ...]:
     return (PY, "-c", f"import sys; sys.stderr.buffer.write({data!r}); sys.exit({code})")
 
 
-def test_non_utf8_stderr_is_backend_failed(backend_inputs, demo_data, demo_md):
+def test_non_utf8_stderr_is_backend_failed(demo_data, demo_md):
     spec = ExternalBackend("latin", _stderr_exit(b"caf\xe9", 3))
     with pytest.raises(BackendFailed) as err:
-        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
+        _synthesize(spec, demo_data, demo_md)
     assert err.value.exit_code == 3
     assert err.value.stderr_excerpt == "caf�"
 
 
-def test_stderr_excerpt_translates_newlines_as_text_mode(backend_inputs, demo_data, demo_md):
+def test_stderr_excerpt_translates_newlines_as_text_mode(demo_data, demo_md):
     spec = ExternalBackend("lines", _stderr_exit(b"a\r\nb\rc\n", 2))
     with pytest.raises(BackendFailed) as err:
-        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
+        _synthesize(spec, demo_data, demo_md)
     assert err.value.stderr_excerpt == "a\nb\nc\n"
 
 
-def test_stderr_excerpt_is_the_last_500_characters(backend_inputs, demo_data, demo_md):
+def test_stderr_excerpt_is_the_last_500_characters(demo_data, demo_md):
     """More than 1 MB of stderr whose end mixes multi-byte characters, bare
     carriage returns and CRLF pairs: the excerpt is the end of the whole
     stream decoded and newline-translated."""
@@ -245,95 +243,143 @@ def test_stderr_excerpt_is_the_last_500_characters(backend_inputs, demo_data, de
     )
     spec = ExternalBackend("chatty", (PY, "-c", script))
     with pytest.raises(BackendFailed) as err:
-        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
+        _synthesize(spec, demo_data, demo_md)
     whole = (b"x" * 1_200_000 + tail).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     assert err.value.exit_code == 3
     assert err.value.stderr_excerpt == whole[-500:]
 
 
-def test_stderr_excerpt_names_the_run_dir_as_a_fixed_name(backend_inputs, demo_data, demo_md):
-    """The run directory is replaced before the cut, and the window read
-    reaches back far enough for an excerpt of replaced paths."""
-    train_csv, metadata_json, out_csv = backend_inputs
-    run_dir = str(train_csv.parent)
+def test_stderr_excerpt_names_the_run_dir_as_a_fixed_name(demo_data, demo_md):
+    """The run directory, which the command takes from ``{train_csv}``, is
+    replaced before the cut, and the window read reaches back far enough for
+    an excerpt of replaced paths."""
     script = (
-        "import sys\n"
+        "import os, sys\n"
+        "run_dir = os.path.dirname(sys.argv[1])\n"
         "sys.stderr.write('x' * 100_000)\n"
-        "sys.stderr.write(''.join(f'{sys.argv[1]}/{i}\\n' for i in range(100)))\n"
+        "sys.stderr.write(''.join(f'{run_dir}/{i}\\n' for i in range(100)))\n"
         "sys.exit(3)\n"
     )
-    spec = ExternalBackend("paths", (PY, "-c", script, run_dir))
-    run = launch_external_backend(
-        spec, train_csv, metadata_json, 10, 1, 0, out_csv, run_dir=train_csv.parent
-    )
-    with closing(run), pytest.raises(BackendFailed) as err:
-        run_external_backend(run, demo_md, demo_data.schema)
+    spec = ExternalBackend("paths", (PY, "-c", script, "{train_csv}"))
+    with ExitStack() as stack, pytest.raises(BackendFailed) as err:
+        run = launch_external_backend(spec, demo_data, demo_md, 10, 1, 0, stack)
+        run_external_backend(run)
+    run_dir = str(run.run_dir)
     whole = "x" * 100_000 + "".join(f"{run_dir}/{i}\n" for i in range(100))
     assert err.value.stderr_excerpt == whole.replace(run_dir, "<run dir>")[-500:]
     assert run_dir not in err.value.stderr_excerpt
 
 
-def test_unspawnable_command_is_backend_failed(backend_inputs, demo_data, demo_md):
-    spec = ExternalBackend("ghost", (str(backend_inputs[0].parent / "no-such-program"),))
+def test_unspawnable_command_is_backend_failed(tmp_path, demo_data, demo_md):
+    spec = ExternalBackend("ghost", (str(tmp_path / "no-such-program"),))
     with pytest.raises(BackendFailed) as err:
-        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
+        _synthesize(spec, demo_data, demo_md)
     assert err.value.exit_code == -1
 
 
-def test_timeout_kills_and_reaps_the_process(wait_path, backend_inputs, demo_data, demo_md):
-    train_csv, metadata_json, out_csv = backend_inputs
+def test_timeout_kills_and_reaps_the_process(wait_path, demo_data, demo_md):
     spec = ExternalBackend("sleeper", (PY, "-c", "import time; time.sleep(30)"), timeout_seconds=1)
-    run = launch_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv)
-    begin = time.monotonic()
-    try:
+    with ExitStack() as stack:
+        run = launch_external_backend(spec, demo_data, demo_md, 10, 1, 0, stack)
+        begin = time.monotonic()
         with pytest.raises(Timeout, match="exceeded 1s"):
-            run_external_backend(run, demo_md, demo_data.schema)
+            run_external_backend(run)
         assert time.monotonic() - begin < 10
         assert run.process.returncode is not None  # killed and reaped
         assert run.stderr.closed
-    finally:
-        run.close()
 
 
-def test_exit_while_waited_for_is_not_a_timeout(wait_path, backend_inputs, demo_data, demo_md):
+def test_exit_while_waited_for_is_not_a_timeout(wait_path, demo_data, demo_md):
     """The wait returns when the process exits, well before its deadline."""
-    train_csv, metadata_json, out_csv = backend_inputs
     script = "import shutil, sys, time; time.sleep(0.3); shutil.copy(sys.argv[1], sys.argv[2])"
     spec = ExternalBackend("slow", (PY, "-c", script, "{train_csv}", "{out_csv}"), timeout_seconds=20)
-    run = launch_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv)
-    begin = time.monotonic()
-    with closing(run):
-        assert run_external_backend(run, demo_md, demo_data.schema) == demo_data
+    with ExitStack() as stack:
+        run = launch_external_backend(spec, demo_data, demo_md, 10, 1, 0, stack)
+        begin = time.monotonic()
+        assert run_external_backend(run) == demo_data
     assert time.monotonic() - begin < 10
 
 
-def test_exit_before_a_passed_deadline_is_not_a_timeout(
-    wait_path, backend_inputs, demo_data, demo_md
-):
+def test_exit_before_a_passed_deadline_is_not_a_timeout(wait_path, demo_data, demo_md):
     """A process that exited is judged by its exit code, even when it is
     waited for after its deadline."""
-    train_csv, metadata_json, out_csv = backend_inputs
     spec = ExternalBackend("identity", COPY_CMD, timeout_seconds=1)
-    run = launch_external_backend(spec, train_csv, metadata_json, 10, 1, 0, out_csv)
-    with closing(run):
+    with ExitStack() as stack:
+        run = launch_external_backend(spec, demo_data, demo_md, 10, 1, 0, stack)
         run.process.wait()
         run.deadline = time.monotonic() - 1
-        assert run_external_backend(run, demo_md, demo_data.schema) == demo_data
+        assert run_external_backend(run) == demo_data
 
 
-def test_missing_output_directory_is_backend_failed(backend_inputs, demo_data, demo_md):
-    train_csv, metadata_json, out_csv = backend_inputs
-    missing = out_csv.parent / "no-such-dir" / "out.csv"
+def test_uncreatable_stderr_file_is_backend_failed(monkeypatch, demo_data, demo_md):
+    """The stderr file is made in the run directory before the spawn; an
+    OSError there is a failed launch, exit code -1, as a failed spawn is."""
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_space)
     spec = ExternalBackend("identity", COPY_CMD)
     with pytest.raises(BackendFailed) as err:
-        _synthesize(spec, (train_csv, metadata_json, missing), demo_md, demo_data.schema)
+        _synthesize(spec, demo_data, demo_md)
     assert err.value.exit_code == -1
+    assert "could not spawn backend 'identity'" in err.value.stderr_excerpt
 
 
-def test_failed_launch_closes_the_stderr_file(backend_inputs, demo_data, demo_md):
+def test_failed_launch_closes_the_stderr_file(demo_data, demo_md):
     """Popen rejects a NUL byte in argv with ValueError; the stderr file is
     closed all the same, so no ResourceWarning fires when it is collected."""
     spec = ExternalBackend("nul", (PY, "-c", "pass\0"))
     with pytest.raises(ValueError):
-        _synthesize(spec, backend_inputs, demo_md, demo_data.schema)
+        _synthesize(spec, demo_data, demo_md)
     gc.collect()
+
+
+#: A command that writes its output, then exits 0, exits 3 or sleeps past a
+#: 1 s timeout.
+_ENDINGS = {
+    "exit 0": ("pass", None),
+    "exit 3": ("sys.exit(3)", BackendFailed),
+    "timeout": ("time.sleep(30)", Timeout),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(_ENDINGS))
+def test_run_directory_goes_with_the_stack(ending, demo_data, demo_md):
+    """Closing the run's stack removes the run directory and the three files
+    in it, and the process is reaped, however the run ended."""
+    tail, error = _ENDINGS[ending]
+    script = f"import shutil, sys, time; shutil.copy(sys.argv[1], sys.argv[2]); {tail}"
+    timeout = 1 if error is Timeout else 20
+    spec = ExternalBackend("ender", (PY, "-c", script, "{train_csv}", "{out_csv}"), timeout)
+    with ExitStack() as stack:
+        run = launch_external_backend(spec, demo_data, demo_md, 10, 1, 0, stack)
+        if error is None:
+            assert run_external_backend(run) == demo_data
+        else:
+            with pytest.raises(error):
+                run_external_backend(run)
+        assert sorted(os.listdir(run.run_dir)) == ["metadata.json", "synthetic.csv", "train.csv"]
+    assert not run.run_dir.exists()
+    assert run.process.returncode is not None
+    assert run.stderr.closed
+
+
+def test_closing_the_stack_kills_a_run_never_waited_for(demo_data, demo_md):
+    spec = ExternalBackend("sleeper", (PY, "-c", "import time; time.sleep(30)"))
+    begin = time.monotonic()
+    with ExitStack() as stack:
+        run = launch_external_backend(spec, demo_data, demo_md, 10, 1, 0, stack)
+    assert run.process.returncode is not None  # killed and reaped
+    assert run.stderr.closed
+    assert not run.run_dir.exists()
+    assert time.monotonic() - begin < 10
+
+
+@pytest.mark.parametrize("name", NATIVE_BACKENDS)
+def test_external_backend_cannot_take_a_native_name(name):
+    """A native backend of the same name would shadow the command."""
+    with pytest.raises(ValidationFailure, match="shares a native backend's name"):
+        ExternalBackend(name, ("false",))
+    with pytest.raises(ValidationFailure, match="shares a native backend's name"):
+        backend_from_json_dict({"name": name, "command": ["false"]})

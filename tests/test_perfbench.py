@@ -17,6 +17,7 @@ from fairsynth.schema import Metadata, load_dataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SHA256_PINS = Path(__file__).resolve().parent / "perfbench_sha256.json"
+COUNT_PINS = Path(__file__).resolve().parent / "perfbench_counts.json"
 SEED = 1  # the seed the benchmark's pins are taken at
 
 
@@ -30,21 +31,19 @@ def _load(name: str):
 
 
 inputs = _load("inputs")
+spans = _load("spans")
 workloads = _load("workloads")
 PINS = json.loads(SHA256_PINS.read_text(encoding="utf-8"))
+COUNTS = json.loads(COUNT_PINS.read_text(encoding="utf-8"))
 
 
 def test_every_workload_has_pins():
     assert sorted(PINS) == sorted(workloads.WORKLOADS)
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
-def test_one_job_gives_the_pinned_artifacts(name, tmp_path):
-    """Inputs built as the benchmark builds them, one job, its emit and its
-    output check, then the artifacts' sha256 against the pins. Like
-    ``TestArtifactDigests``, this holds on the default OpenBLAS kernel of an
-    AVX-512 host: ``synthetic.csv`` carries the last bits of the BLAS
-    kernels the copula runs through."""
+def _job(name: str, tmp_path: Path):
+    """The workload's job and emit on inputs built as the benchmark builds
+    them."""
     workload = workloads.WORKLOADS[name]
     make = inputs.demo_table if workload.shape == "demo" else inputs.wide_table
     data_dir = tmp_path / "inputs"
@@ -52,8 +51,35 @@ def test_one_job_gives_the_pinned_artifacts(name, tmp_path):
     csv, metadata_json = data_dir / "data.csv", data_dir / "metadata.json"
     metadata = Metadata.from_json_file(metadata_json)
     data = load_dataset(csv, metadata) if workload.preload else None
-    job, emit = workload.make_job(workloads.Inputs(SEED, csv, metadata_json, data, metadata))
+    return workload.make_job(workloads.Inputs(SEED, csv, metadata_json, data, metadata))
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_one_job_gives_the_pinned_artifacts(name, tmp_path):
+    """One job, its emit and its output check, then the artifacts' sha256
+    against the pins. Like ``TestArtifactDigests``, this holds on the
+    default OpenBLAS kernel of an AVX-512 host: ``synthetic.csv`` carries the
+    last bits of the BLAS kernels the copula runs through."""
+    job, emit = _job(name, tmp_path)
     out = tmp_path / "out"
     artifacts = emit(out, job(out))
-    workload.check(artifacts)
+    workloads.WORKLOADS[name].check(artifacts)
     assert workloads.digests(artifacts) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_one_traced_job_gives_the_pinned_counts(name, tmp_path):
+    """One job under the benchmark's tracer reads every count pinned for
+    the workload, and every span pinned as live reads more than 0."""
+    job, _ = _job(name, tmp_path)
+    want = dict(COUNTS[name])
+    live = want.pop("live")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.run_job(0, lambda: job(tmp_path / "out"))
+    finally:
+        tracer.uninstall()
+    got = spans.job_metrics(tracer.spans)[0]
+    assert {key: got.get(key) for key in want} == want
+    assert [key for key in live if not got.get(key, 0) > 0] == []

@@ -164,6 +164,22 @@ def test_byte_order_mark_skipped_on_read_and_never_written(tmp_path, demo_data, 
     assert load_dataset(bom, md) == load_dataset(plain, md)
 
 
+def test_metadata_json_file_round_trips(tmp_path):
+    """Declared kinds and names with quotes, backslashes and non-ASCII
+    characters come back as they went, from indented JSON with a trailing
+    newline and the BOM-free UTF-8 bytes of ``json.dumps``."""
+    md = Metadata(
+        'Diagnose "Ä"',
+        "positiv\\ja",
+        ("Ethnie", "région"),
+        {"symptôme": ColumnKind.NUMERIC, 'site "α"': ColumnKind.CATEGORICAL},
+    )
+    path = tmp_path / "metadata.json"
+    md.to_json_file(path)
+    assert Metadata.from_json_file(path) == md
+    assert path.read_bytes() == (json.dumps(md.to_json_dict(), indent=2) + "\n").encode("ascii")
+
+
 def test_metadata_protected_must_be_a_list_of_strings():
     doc = {"label": {"column": "Diagnosis", "positive": "positive"}}
     assert Metadata.from_json_dict({**doc, "protected": ["Race"]}).protected_attributes == ("Race",)
