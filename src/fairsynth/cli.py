@@ -34,6 +34,7 @@ from .reports import (
     failed_summary_doc,
     ratio_from_json,
     render_json,
+    scores_doc,
     summary_doc,
     write_reports,
 )
@@ -42,7 +43,6 @@ from .schema import (
     Metadata,
     SplitSpec,
     _read_json,
-    holdout_size,
     load_dataset,
     split_holdout,
     write_csv,
@@ -176,12 +176,10 @@ def _run_config(args, backend: str) -> RunConfig:
 
 
 def _print_composite(composite) -> None:
-    print(
-        f"synth_score {cell(composite.synth_score)} (quality {cell(composite.quality)}, "
-        f"max_rel_fpr {cell(composite.max_rel_fpr)}, "
-        f"fairness_mult {cell(composite.fairness_mult)}, "
-        f"parity_ok {cell(composite.parity_ok)}, degenerate {cell(composite.degenerate)})"
-    )
+    """One line of ``scores_doc``'s fields: synth_score, then the rest."""
+    doc = scores_doc(composite)
+    score = cell(doc.pop("synth_score"))
+    print(f"synth_score {score} ({', '.join(f'{k} {cell(v)}' for k, v in doc.items())})")
 
 
 def cmd_demo(args) -> int:
@@ -217,10 +215,8 @@ def cmd_sample(args) -> int:
 def cmd_evaluate(args) -> int:
     data, metadata = _load_inputs(args)
     synth = load_dataset(args.synthetic, metadata, pinned=data.schema)
-    # The holdout does not depend on train_rows, and the train slice is every
-    # other row, of which one must remain.
-    rest = data.row_count - holdout_size(data.row_count, args.holdout_fraction)
-    split = Split(*split_holdout(data, SplitSpec(max(rest, 1), args.holdout_fraction, args.seed)))
+    # The holdout does not depend on train_rows, and evaluate reads no train row.
+    split = Split(*split_holdout(data, SplitSpec(1, args.holdout_fraction, args.seed)))
     result = evaluate_synthetic(synth, split, metadata, args.parity_threshold)
     write_reports(
         result.quality, result.fairness, result.composite, synthetic=None, out_dir=args.out
@@ -257,7 +253,6 @@ def cmd_score(args) -> int:
 
 def cmd_supervise(args) -> int:
     external = _external_backends(args)
-    check_backend(args.backend, external)
     data, metadata = _load_inputs(args)
     config = _run_config(args, args.backend)
     split = SplitSpec(args.train_rows, args.holdout_fraction, args.seed)

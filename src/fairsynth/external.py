@@ -50,6 +50,12 @@ class ExternalBackend:
             raise ValidationFailure("external backend needs a non-empty name")
         if self.name in NATIVE_BACKENDS:
             raise ValidationFailure(f"external backend {self.name!r} shares a native backend's name")
+        # bench --backends splits its list on commas and strips each name.
+        if "," in self.name or self.name != self.name.strip():
+            raise ValidationFailure(
+                f"external backend {self.name!r} holds a comma or surrounding whitespace, "
+                "so --backends cannot select it"
+            )
         if not self.command:
             raise ValidationFailure(f"external backend {self.name!r} has an empty command")
         if not (0 < self.timeout_seconds <= MAX_TIMEOUT_SECONDS):

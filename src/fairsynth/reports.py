@@ -324,24 +324,12 @@ def cell(value) -> str:
 
 
 def bench_table(result: BenchResult) -> str:
-    """Aligned plain-text benchmark table; failed backends show ERROR."""
+    """Aligned plain-text table of ``bench_doc``'s rows; failed backends show ERROR."""
     header = ("backend", "quality", "max_rel_fpr", "synth_score", "degenerate")
-    body: list[tuple[str, ...]] = []
-    for row in result.rows:
-        if row.error is not None:
-            body.append((row.backend, "ERROR", "ERROR", "ERROR", "ERROR"))
-        else:
-            body.append(
-                (
-                    row.backend,
-                    cell(row.quality),
-                    cell(row.max_rel_fpr),
-                    cell(row.synth_score),
-                    cell(row.degenerate),
-                )
-            )
+    rows = bench_doc(result)["rows"]
+    body = [tuple(cell(row.get(key, "ERROR")) for key in header) for row in rows]
     widths = [max(len(r[i]) for r in [header, *body]) for i in range(len(header))]
     lines = []
     for r in [header, *body]:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip())
+        lines.append("  ".join(text.ljust(widths[i]) for i, text in enumerate(r)).rstrip())
     return "\n".join(lines) + "\n"

@@ -406,8 +406,10 @@ def supervise(
     failed iteration is recorded in history with its error and refined by
     resampling; if every iteration fails, AllIterationsFailed names the last
     error and carries the full history. ``pipeline`` is injectable for
-    testing the routing policy in isolation.
+    testing the routing policy in isolation. No action changes the backend,
+    so an unknown one raises ValidationFailure before the split is drawn.
     """
+    check_backend(initial.backend, external_backends)
     split = split_for(initial, real, spec)
     history: list[HistoryEntry] = []
     config = initial

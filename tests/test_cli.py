@@ -205,18 +205,21 @@ class TestEvaluateAndScore:
         [[], *(["--seed", seed, "--holdout-fraction", "0.2"] for seed in ("3", "7"))],
     )
     def test_evaluate_reproduces_the_reports_of_run(self, flags, tmp_path, capsys):
-        # evaluate on a run's own synthetic rows, with its seed and holdout
-        # fraction, scores them against the same holdout, to the same bytes.
+        # evaluate on the synthetic rows of run, or of supervise's best
+        # iteration, with its seed and holdout fraction, scores them against
+        # the same holdout, to the same bytes.
         data = ["--data", str(tmp_path / "d" / "demo.csv"),
                 "--metadata", str(tmp_path / "d" / "metadata.json")]
         assert main(["demo", "--out", str(tmp_path / "d")]) == 0
-        assert main(["run", *data, *flags, "--out", str(tmp_path / "run")]) == 0
-        synth = str(tmp_path / "run" / "synthetic.csv")
-        out = tmp_path / "e"
-        assert main(["evaluate", *data, *flags, "--synthetic", synth, "--out", str(out)]) == 0
-        capsys.readouterr()
-        for name in ("sdmetrics_quality_report.json", "fairness_metrics.json"):
-            assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+        for command in ("run", "supervise"):
+            written = tmp_path / command
+            assert main([command, *data, *flags, "--out", str(written)]) == 0
+            synth = str(written / "synthetic.csv")
+            out = tmp_path / f"e-{command}"
+            assert main(["evaluate", *data, *flags, "--synthetic", synth, "--out", str(out)]) == 0
+            capsys.readouterr()
+            for name in ("sdmetrics_quality_report.json", "fairness_metrics.json"):
+                assert (out / name).read_bytes() == (written / name).read_bytes()
 
     def test_score_handles_inf_and_undefined(self, tmp_path, capsys):
         q = tmp_path / "q.json"
@@ -229,6 +232,40 @@ class TestEvaluateAndScore:
         assert main(["score", "--quality", str(q), "--fairness", str(f)]) == 0
         out = capsys.readouterr().out
         assert "synth_score 0.900000" in out and "degenerate yes" in out
+
+    @pytest.mark.parametrize(
+        "fairness, line",
+        [
+            (
+                '{"max_rel_fpr": 4.5, "tstr": {"degenerate": false}}',
+                "synth_score 0.400000 (quality 0.900000, max_rel_fpr 4.500000, "
+                "fairness_mult 0.444444, parity_ok no, degenerate no)",
+            ),
+            (
+                '{"max_rel_fpr": 1.5, "tstr": {"degenerate": false}}',
+                "synth_score 0.900000 (quality 0.900000, max_rel_fpr 1.500000, "
+                "fairness_mult 1.000000, parity_ok yes, degenerate no)",
+            ),
+            (
+                '{"max_rel_fpr": "inf", "tstr": {"degenerate": false}}',
+                "synth_score 0.000000 (quality 0.900000, max_rel_fpr inf, "
+                "fairness_mult 0.000000, parity_ok no, degenerate no)",
+            ),
+            (
+                '{"max_rel_fpr": "undefined", "tstr": {"degenerate": true}}',
+                "synth_score 0.900000 (quality 0.900000, max_rel_fpr undefined, "
+                "fairness_mult 1.000000, parity_ok no, degenerate yes)",
+            ),
+        ],
+        ids=["finite", "finite_parity_ok", "inf", "undefined"],
+    )
+    def test_score_prints_the_whole_composite_line(self, fairness, line, tmp_path, capsys):
+        q = tmp_path / "q.json"
+        f = tmp_path / "f.json"
+        q.write_text('{"overall_score": 0.9}')
+        f.write_text(fairness)
+        assert main(["score", "--quality", str(q), "--fairness", str(f)]) == 0
+        assert capsys.readouterr().out == line + "\n"
 
     def test_score_malformed_json_exits_one(self, tmp_path, capsys):
         q = tmp_path / "q.json"
@@ -415,6 +452,22 @@ class TestBenchCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: external backend {name!r} shares a native backend's name"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["a,b", " c"])
+    def test_external_backend_that_backends_cannot_select_is_refused(
+        self, name, demo_dir, tmp_path, capsys
+    ):
+        backends = tmp_path / "backends.json"
+        backends.write_text(json.dumps([{"name": name, "command": ["false"]}]), encoding="utf-8")
+        code = main(["bench", *_data_flags(demo_dir), *_small_flags(), "--backends", name,
+                     "--backends-file", str(backends)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: external backend {name!r} holds a comma or surrounding whitespace, "
+            "so --backends cannot select it"
+        ]
 
 
 class TestExitCodes:

@@ -383,3 +383,13 @@ def test_external_backend_cannot_take_a_native_name(name):
         ExternalBackend(name, ("false",))
     with pytest.raises(ValidationFailure, match="shares a native backend's name"):
         backend_from_json_dict({"name": name, "command": ["false"]})
+
+
+@pytest.mark.parametrize("name", ["a,b", ",", " c", "c ", "\tc", " "])
+def test_external_backend_name_that_backends_cannot_select_is_refused(name):
+    """bench --backends splits on commas and strips each name, so such a
+    name could be configured but never selected."""
+    with pytest.raises(ValidationFailure, match="comma or surrounding whitespace"):
+        ExternalBackend(name, ("false",))
+    with pytest.raises(ValidationFailure, match="comma or surrounding whitespace"):
+        backend_from_json_dict({"name": name, "command": ["false"]})

@@ -39,6 +39,7 @@ from fairsynth.reports import (
     write_reports,
 )
 from fairsynth.schema import SplitSpec
+from fairsynth.scoring import synth_score
 from fairsynth.supervisor import RunConfig, Targets, run_pipeline, split_for, supervise
 
 SPLIT = SplitSpec(train_rows=400, holdout_fraction=0.3, seed=0)
@@ -317,6 +318,29 @@ class TestBench:
         assert failed.error is not None and failed.result is None
         table = bench_table(result)
         assert "ERROR" in table
+
+    def test_table_lines_of_an_error_row_beside_native_rows(self):
+        # A row's cells are its bench_doc fields; a failed backend's are ERROR.
+        def row(backend, quality, ratio, degenerate=False):
+            composite = synth_score(quality, ratio, degenerate=degenerate)
+            return BenchRow(backend, supervisor.PipelineResult(None, None, None, composite))
+
+        result = BenchResult(
+            SMALL,
+            (
+                row("gaussian_copula", 0.9, 4.5),
+                BenchRow("broken", error="backend 'broken' exited with status 9"),
+                row("independent", 0.8, None, degenerate=True),
+                row("copy", 0.7, float("inf")),
+            ),
+        )
+        assert bench_table(result) == (
+            "backend          quality   max_rel_fpr  synth_score  degenerate\n"
+            "gaussian_copula  0.900000  4.500000     0.400000     no\n"
+            "broken           ERROR     ERROR        ERROR        ERROR\n"
+            "independent      0.800000  undefined    0.800000     yes\n"
+            "copy             0.700000  inf          0.000000     no\n"
+        )
 
     def test_backend_that_removes_its_metadata_file_is_scored(self, demo_data, demo_md):
         """The synthetic rows are loaded under the caller's metadata, not from

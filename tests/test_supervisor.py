@@ -7,6 +7,7 @@ import pytest
 from fairsynth import supervisor, tstr
 from fairsynth.demo import DemoSpec, make_demo_dataset
 from fairsynth.errors import AllIterationsFailed, InsufficientRows, ValidationFailure
+from fairsynth.external import ExternalBackend
 from fairsynth.quality import QualityReport
 from fairsynth.schema import (
     CategoricalColumn,
@@ -621,11 +622,32 @@ class TestSupervise:
         cfg = RunConfig(backend="ctgan_cmd", train_rows=400, sample_rows=300)
         script = _scripted([(0.5, 1.0), (0.95, 1.0)], demo_data)
         result = supervise(
-            cfg, demo_data, demo_md, SPLIT, Targets(max_refinements=3), pipeline=script
+            cfg,
+            demo_data,
+            demo_md,
+            SPLIT,
+            Targets(max_refinements=3),
+            external_backends={"ctgan_cmd": ExternalBackend("ctgan_cmd", ("false",))},
+            pipeline=script,
         )
         assert result.history[0].action_taken == "increase_epochs"
         assert result.history[1].config.epochs == cfg.epochs * 2
         assert result.stop_reason == TARGET_MET
+
+    def test_unknown_backend_refused_before_any_pipeline_call(self, demo_data, demo_md):
+        # No action changes the backend, so a name that is neither native nor
+        # configured is a bad request, not four failed iterations.
+        script = _scripted([(0.95, 1.0)] * 4, demo_data)
+        with pytest.raises(ValidationFailure, match="unknown backend 'nope'"):
+            supervise(
+                replace(SMALL, backend="nope"),
+                demo_data,
+                demo_md,
+                SPLIT,
+                Targets(max_refinements=3),
+                pipeline=script,
+            )
+        assert script.calls == []
 
     def test_failed_iteration_recorded_then_resampled(self, demo_data, demo_md):
         script = _scripted([ValidationFailure("transient"), (0.95, 1.0)], demo_data)
